@@ -5,7 +5,9 @@ and speeds as field literals such as 5/6*sqrt(6).  Output is plain text
 by default or a stable JSON document with --json.
 
 Exit codes: 0 success, 1 bad input or flags, 2 empty result (no curve,
-no discrete equilibria, failed certificate), 3 numeric tolerance miss.
+no discrete equilibria, failed certificate), 3 numeric tolerance miss,
+4 undetermined (find-curve had no cofactor candidate, so an empty search
+proves nothing).
 """
 
 from __future__ import annotations
@@ -156,7 +158,7 @@ def cmd_equilibria(args):
 
 
 def cmd_find_curve(args):
-    from .darboux import search_constant_cofactor
+    from .darboux import eigenvalue_cofactor_candidates, search_constant_cofactor
 
     sys_spec = _reduced(args)
     if sys_spec.c is None:
@@ -169,15 +171,25 @@ def cmd_find_curve(args):
                   if e.exact]
         if not points:
             raise ValueError("no exact equilibria; give --point explicitly")
-    cands = [parse_quadext(k) for k in args.cofactor] if args.cofactor else None
+    if args.cofactor:
+        cands, notes = [parse_quadext(k) for k in args.cofactor], []
+    else:
+        cands, notes = eigenvalue_cofactor_candidates(ps, points)
     hits = search_constant_cofactor(ps, points, args.max_degree,
                                     candidates=cands)
     rows = [{"curve": str(h.curve), "cofactor": str(h.cofactor),
              "degree": h.degree, "nullspace_dim": h.nullspace_dim}
             for h in hits]
-    result = {"count": len(hits), "curves": rows,
+    status = "found" if hits else "proved-none" if cands else "undetermined"
+    result = {"count": len(hits), "curves": rows, "status": status,
+              "notes": notes,
               "points": ["(%s, %s)" % (p[0], p[1]) for p in points]}
-    if hits:
+    if not cands:
+        text = ["undetermined: no cofactor candidate for a curve through %s"
+                % ", ".join(result["points"])]
+        text += ["  " + n for n in notes]
+        code = 4
+    elif hits:
         text = ["%d invariant curve(s) through %s"
                 % (len(hits), ", ".join(result["points"]))]
         for r in rows:

@@ -10,6 +10,11 @@ of f, so candidates of bounded degree drop out of an exact nullspace
 computation.  Constant cofactors of curves passing through a hyperbolic
 saddle are constrained to the two eigenvalues and their sum, which
 turns an open-ended search into a finite one.
+
+A negative search answer is a rank certificate: the invariance matrix of
+each candidate cofactor, built once at the degree bound, has full column
+rank modulo a prime, which proves it has full rank over Q(sqrt(d)).  Only
+the degrees the certificate leaves open are solved exactly.
 """
 
 from __future__ import annotations
@@ -17,8 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from .linalg import nullspace
-from .poly import Monomial, MultiPoly, VarRegistry, grlex_key, mono_div, trial_divide
+from .linalg import independent_prefix_mod_p, nullspace
+from .poly import (
+    Monomial,
+    MultiPoly,
+    VarRegistry,
+    grlex_key,
+    mono_degree,
+    mono_div,
+    trial_divide,
+)
 from .qfield import QuadExt, field_sqrt, try_sqrt
 from .reduction import PlanarSystem, jacobian_eigen
 
@@ -73,18 +86,18 @@ class DarbouxResult:
         return self.curves[0]
 
 
-def solve_fixed_cofactor(
+def invariance_matrix(
     ps: PlanarSystem,
     cofactor: Union[MultiPoly, ScalarLike],
     degree: int,
     required_points: Sequence[Sequence[ScalarLike]] = (),
-) -> Optional[DarbouxResult]:
-    """Exact solve for invariant curves of bounded degree with a given cofactor.
+) -> tuple[list[Monomial], list[list[QuadExt]]]:
+    """Linear system for the coefficients of curves of bounded degree.
 
-    Every curve in the returned result satisfies the invariance identity
-    exactly and vanishes at each required point; curves are normalized to
-    unit leading coefficient in y-priority order.  None means the only
-    solution is zero.
+    Column j stands for the coefficient of basis[j].  The basis is in
+    grlex order, so the basis of any lower degree bound is a column prefix,
+    and the rows a lower bound lacks vanish on that prefix.  One row per
+    monomial of P f_x + Q f_y - k f, then one per required point.
     """
     if degree < 0:
         raise ValueError("degree bound must be nonnegative")
@@ -102,6 +115,24 @@ def solve_fixed_cofactor(
     for pt in required_points:
         point = {ps.x_var: QuadExt.lift(pt[0]), ps.y_var: QuadExt.lift(pt[1])}
         rows.append([MultiPoly(reg, {m: QuadExt(1)}).evaluate(point) for m in basis])
+    return basis, rows
+
+
+def solve_fixed_cofactor(
+    ps: PlanarSystem,
+    cofactor: Union[MultiPoly, ScalarLike],
+    degree: int,
+    required_points: Sequence[Sequence[ScalarLike]] = (),
+) -> Optional[DarbouxResult]:
+    """Exact solve for invariant curves of bounded degree with a given cofactor.
+
+    Every curve in the returned result satisfies the invariance identity
+    exactly and vanishes at each required point; curves are normalized to
+    unit leading coefficient in y-priority order.  None means the only
+    solution is zero.
+    """
+    reg = ps.registry
+    basis, rows = invariance_matrix(ps, cofactor, degree, required_points)
     null = nullspace(rows, len(basis))
     curves = []
     for vec in null:
@@ -144,11 +175,11 @@ def eigenvalue_cofactor_candidates(
     for pt in points:
         ed = jacobian_eigen(ps, pt)
         label = f"({pt[0]}, {pt[1]})"
-        if not ed.exact:
-            notes.append(f"eigenvalues at {label} are not exactly representable")
-            continue
         if not ed.is_saddle:
             notes.append(f"{label} is not a saddle; no cofactor constraint")
+            continue
+        if not ed.exact:
+            notes.append(f"eigenvalues at {label} are not exactly representable")
             continue
         lp, lm = ed.eigenvalues
         option_sets.append([lp, lm, lp + lm])
@@ -226,7 +257,13 @@ def search_constant_cofactor(
 
     Candidate cofactors default to the saddle-spectrum values.  Hits are
     deduplicated across degrees, screened for obvious reducibility, and
-    returned in (candidate, degree) order.
+    returned in (candidate, degree) order.  An empty list proves that no
+    curve exists with any candidate cofactor; with no candidates at all it
+    proves nothing (see eigenvalue_cofactor_candidates).
+
+    Each candidate's invariance matrix is reduced mod a prime once, at
+    max_degree.  The degree of its first column without a pivot mod p is
+    the lowest at which a curve can exist; the exact solve runs from there.
     """
     for pt in points:
         point = {ps.x_var: QuadExt.lift(pt[0]), ps.y_var: QuadExt.lift(pt[1])}
@@ -241,7 +278,11 @@ def search_constant_cofactor(
     seen: set[MultiPoly] = set()
     accepted: list[MultiPoly] = []
     for k in cands:
-        for deg in range(1, max_degree + 1):
+        basis, rows = invariance_matrix(ps, k, max_degree, points)
+        proved = independent_prefix_mod_p(rows, len(basis))
+        if proved == len(basis):
+            continue
+        for deg in range(max(1, mono_degree(basis[proved])), max_degree + 1):
             sol = solve_fixed_cofactor(ps, k, deg, required_points=points)
             if sol is None:
                 continue

@@ -9,6 +9,7 @@ different nontrivial radicands refuse to combine.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Optional, Union
@@ -44,7 +45,10 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return s, d * m
 
 
+@functools.lru_cache(maxsize=256)
 def is_squarefree(n: int) -> bool:
+    # memoized: every QuadExt construction with d > 1 asks again, and trial
+    # division of a ten-digit radicand costs milliseconds
     return n >= 1 and squarefree_decompose(n)[0] == 1
 
 

@@ -265,3 +265,19 @@ def test_criterion_10_elimination_reproduces_relations():
            "resultant elimination rebuilds the burgers and fisher relations "
            "from their exp-rational profiles (monic match)")
     assert not failures, failures
+
+
+def test_criterion_11_no_curve_up_to_degree_10():
+    """The negative search of criterion 02 taken to degree 10, under 10 s."""
+    t0 = time.monotonic()
+    found = []
+    for c in (QuadExt(2), QuadExt(Fr(5, 2)), QuadExt(3)):
+        hits = search_constant_cofactor(front_system(c), [(0, 0), (1, 0)],
+                                        max_degree=10)
+        found += ["c=%s: %s" % (c, h.curve) for h in hits]
+    elapsed = time.monotonic() - t0
+    ok = not found and elapsed < 10.0
+    report(11, ok, "no invariant curve through both rest states at c in "
+                   "{2, 5/2, 3} up to degree 10 (%.2f s < 10 s)" % elapsed)
+    assert not found, found
+    assert elapsed < 10.0

@@ -80,6 +80,33 @@ class TestFindCurve:
         assert code == 2
         assert "no invariant curve" in out
 
+    def test_no_cofactor_candidate_is_undetermined(self, capsys):
+        # the saddle eigenvalues (-sqrt(2) +- sqrt(6))/2 lie in no single
+        # Q(sqrt(d)), so an empty search proves nothing
+        code, out, _ = run(capsys, "find-curve", "--pde", FISHER,
+                           "--speed", "sqrt(2)")
+        assert code == 4
+        assert "undetermined" in out
+        assert "no invariant curve" not in out
+        assert "eigenvalues at (1, 0) are not exactly representable" in out
+
+    def test_negative_degree_bound_exit_1(self, capsys):
+        code, _, err = run(capsys, "find-curve", "--pde", FISHER,
+                           "--speed", "2", "--max-degree", "-1")
+        assert code == 1
+        assert "nonnegative" in err
+
+    def test_status_in_json(self, capsys):
+        for speed, status, want in (("sqrt(2)", "undetermined", 4),
+                                    ("2", "proved-none", 2),
+                                    (FRONT_SPEED, "found", 0)):
+            code, out, _ = run(capsys, "find-curve", "--pde", FISHER,
+                               "--speed", speed, "--json")
+            doc = json.loads(out)
+            assert code == want
+            assert doc["schema"] == "dwv1"
+            assert doc["result"]["status"] == status
+
     def test_explicit_points_and_json(self, capsys):
         code, out, _ = run(capsys, "find-curve", "--pde", FISHER,
                            "--speed", FRONT_SPEED, "--point", "0,0",

@@ -1,6 +1,7 @@
 """Invariant curve solver: fixed cofactors, saddle candidates, screening."""
 
 from fractions import Fraction as Fr
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,8 @@ from algwaves.darboux import (
     search_constant_cofactor,
     solve_fixed_cofactor,
 )
-from algwaves.linalg import in_row_span
+from algwaves import darboux
+from algwaves.linalg import MODULAR_PRIMES, in_row_span
 from algwaves.poly import MultiPoly, VarRegistry
 from algwaves.qfield import QuadExt
 
@@ -202,3 +204,90 @@ def test_planted_instances_always_recovered(wc, pc, knum):
     rows = [[f.coeff(m) for m in basis] for f in res.curves]
     target = [fstar.coeff(m) for m in basis]
     assert in_row_span(rows, target)
+
+
+def exact_search(ps, points, max_degree, candidates=None):
+    """The search with the modular certificate proving nothing: the exact
+    solve then runs at every degree from 1."""
+    with mock.patch.object(darboux, "independent_prefix_mod_p", lambda rows, ncols: 0):
+        return search_constant_cofactor(ps, points, max_degree, candidates)
+
+
+def hit_keys(hits):
+    return [(str(h.curve), str(h.cofactor), h.degree, h.nullspace_dim, h.notes)
+            for h in hits]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    wc=st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=2),
+                min_size=1, max_size=4),
+    pc=st.lists(st.integers(min_value=-2, max_value=2), min_size=6, max_size=6),
+    knum=st.integers(min_value=-4, max_value=4).filter(lambda k: k != 0),
+    kden=st.integers(min_value=1, max_value=2),
+    shift=st.integers(min_value=-2, max_value=2),
+)
+def test_certified_search_matches_exact_loop(wc, pc, knum, kden, shift):
+    # criterion 09's planted systems: f* = y + w(x) is invariant with
+    # cofactor k; the candidate list also holds a shifted cofactor
+    reg = VarRegistry(["x", "y"])
+    x = MultiPoly.var(reg, "x")
+    y = MultiPoly.var(reg, "y")
+    w = MultiPoly.zero(reg)
+    for i, c in enumerate(wc):
+        w = w + c * x**i
+    fstar = y + w
+    monos = [x**i * y**j for i in range(3) for j in range(3 - i)]
+    P = MultiPoly.zero(reg)
+    for c, m in zip(pc, monos):
+        P = P + c * m
+    if P.is_zero:
+        P = x
+    k = Fr(knum, kden)
+    Q = k * fstar - P * w.partial_derivative(0)
+    from algwaves.reduction import PlanarSystem
+
+    ps = PlanarSystem(reg, 0, 1, P, Q)
+    cands = [k, k + shift] if shift else [k]
+    top = max(fstar.degree(), 1)
+    got = search_constant_cofactor(ps, [], top, cands)
+    assert hit_keys(got) == hit_keys(exact_search(ps, [], top, cands))
+    assert any(h.cofactor == k for h in got)
+
+
+class TestCertificateFallback:
+    def test_certified_front_search_matches_exact_loop(self):
+        for c in (FRONT_SPEED, QuadExt(2)):
+            ps = front_system(c)
+            got = search_constant_cofactor(ps, [(0, 0), (1, 0)], 4)
+            want = exact_search(ps, [(0, 0), (1, 0)], 4)
+            assert hit_keys(got) == hit_keys(want)
+
+    def test_unlucky_prime_falls_back_to_exact(self):
+        # x' = x, y' = -y with cofactor -p: every diagonal entry i - j + p
+        # is nonzero, but the constant column vanishes mod the first prime
+        p = MODULAR_PRIMES[0]
+        ps = make_plane(lambda x, y: x, lambda x, y: -y)
+        basis, rows = darboux.invariance_matrix(ps, -p, 3)
+        assert darboux.independent_prefix_mod_p(rows, len(basis)) == 0
+        assert search_constant_cofactor(ps, [], 3, [-p]) == []
+        hits = search_constant_cofactor(ps, [], 3, [-p, 1])
+        assert [str(h.curve) for h in hits] == ["x"]
+
+    def test_denominator_divisible_by_p_falls_back_to_exact(self):
+        # y' = y/p: y = 0 is invariant with cofactor 1/p, an entry the
+        # first prime cannot map
+        p = MODULAR_PRIMES[0]
+        ps = make_plane(lambda x, y: x, lambda x, y: Fr(1, p) * y)
+        got = search_constant_cofactor(ps, [], 3, [Fr(1, p)])
+        want = exact_search(ps, [], 3, [Fr(1, p)])
+        assert hit_keys(got) == hit_keys(want)
+        assert [str(h.curve) for h in got] == ["y"]
+
+    def test_no_candidate_search_is_empty(self):
+        # at c = sqrt(2) the saddle eigenvalues (-sqrt(2) +- sqrt(6))/2 lie
+        # in no single Q(sqrt(d)); the empty list then proves nothing
+        ps = front_system(QuadExt(0, 1, 2))
+        cands, notes = eigenvalue_cofactor_candidates(ps, [(0, 0), (1, 0)])
+        assert cands == []
+        assert any("not exactly representable" in n for n in notes)

@@ -5,7 +5,13 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algwaves.linalg import in_row_span, nullspace, rref
+from algwaves.linalg import (
+    MODULAR_PRIMES,
+    in_row_span,
+    independent_prefix_mod_p,
+    nullspace,
+    rref,
+)
 from algwaves.poly import (
     MultiPoly,
     RegistryMismatchError,
@@ -182,6 +188,91 @@ class TestLinalg:
         rows = [[one, zero, one], [zero, one, one]]
         assert in_row_span(rows, [one, one, QuadExt(2)])
         assert not in_row_span(rows, [one, one, QuadExt(3)])
+
+
+class TestModularPrefix:
+    def test_invertible_matrix_is_certified(self):
+        rows = [[QuadExt(1), QuadExt(0, 1, 2)], [QuadExt(Fr(1, 3)), QuadExt(5)]]
+        assert independent_prefix_mod_p(rows, 2) == 2
+
+    def test_stops_at_first_dependent_column(self):
+        one, two = QuadExt(1), QuadExt(2)
+        rows = [[one, two, one], [two, QuadExt(4), QuadExt(0)]]
+        assert independent_prefix_mod_p(rows, 3) == 1
+
+    def test_unlucky_prime_only_lowers_the_count(self):
+        # the entry p vanishes mod the first prime but not over Q
+        p = MODULAR_PRIMES[0]
+        rows = [[QuadExt(1), QuadExt(0)], [QuadExt(0), QuadExt(p)]]
+        assert nullspace(rows, 2) == []
+        assert independent_prefix_mod_p(rows, 2) == 1
+
+    def test_denominator_divisible_by_p_moves_to_next_prime(self):
+        # mod the first prime 1/p has no image, so a later prime certifies
+        p = MODULAR_PRIMES[0]
+        rows = [[QuadExt(1), QuadExt(0)], [QuadExt(0), QuadExt(Fr(1, p))]]
+        assert independent_prefix_mod_p(rows, 2) == 2
+
+    def test_no_qualifying_prime_proves_nothing(self):
+        den = 1
+        for p in MODULAR_PRIMES:
+            den *= p
+        rows = [[QuadExt(Fr(1, den)), QuadExt(0)], [QuadExt(0), QuadExt(1)]]
+        assert independent_prefix_mod_p(rows, 2) == 0
+
+    def test_mixed_radicands_prove_nothing(self):
+        rows = [[QuadExt(0, 1, 2), QuadExt(0)], [QuadExt(0), QuadExt(0, 1, 3)]]
+        assert independent_prefix_mod_p(rows, 2) == 0
+
+    def test_radicand_must_be_a_square_mod_p(self):
+        # 3 is not a square mod 2**61 - 1, so the first prime cannot serve
+        p = MODULAR_PRIMES[0]
+        assert pow(3, (p - 1) // 2, p) == p - 1
+        rows = [[QuadExt(0, 1, 3), QuadExt(1)], [QuadExt(1), QuadExt(0, 1, 3)]]
+        assert nullspace(rows, 2) == []  # determinant sqrt(3)^2 - 1 = 2
+        assert independent_prefix_mod_p(rows, 2) == 2
+        # column 2 is sqrt(3) times column 1; a root of -3 in place of a
+        # root of 3 would make the determinant 3 - r^2 = 6, not 0
+        s3 = QuadExt(0, 1, 3)
+        rows = [[QuadExt(1), s3], [s3, QuadExt(3)]]
+        assert len(nullspace(rows, 2)) == 1
+        assert independent_prefix_mod_p(rows, 2) == 1
+
+
+@st.composite
+def matrices_with_planted_dependencies(draw):
+    """Small matrices over Q(sqrt(d)) in which some columns are exact
+    combinations of earlier ones."""
+    d = draw(st.sampled_from((1, 2, 3, 5, 6, 7)))
+    nrows = draw(st.integers(min_value=1, max_value=6))
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    rat = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+    def entry():
+        return QuadExt(draw(rat), draw(rat) if d > 1 else 0, d)
+
+    cols = [[entry() for _ in range(nrows)] for _ in range(ncols)]
+    for j in range(1, ncols):
+        if draw(st.booleans()):
+            coeffs = [entry() for _ in range(j)]
+            cols[j] = [sum((c * col[i] for c, col in zip(coeffs, cols)), QuadExt(0))
+                       for i in range(nrows)]
+    return [[cols[j][i] for j in range(ncols)] for i in range(nrows)], ncols
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices_with_planted_dependencies())
+def test_modular_prefix_agrees_with_exact_rref(case):
+    rows, ncols = case
+    _, pivots = rref(rows)
+    first_free = next((c for c in range(ncols) if c not in pivots), ncols)
+    proved = independent_prefix_mod_p(rows, ncols)
+    # soundness: never more independent columns than there are exactly
+    assert proved <= first_free
+    if proved == ncols:
+        assert nullspace(rows, ncols) == []
+    # and a 61-bit prime is not unlucky on entries this small
+    assert proved == first_free
 
 
 small_coeffs = st.integers(min_value=-4, max_value=4)
