@@ -382,8 +382,9 @@ class PRelation:
     u_var: int
     du_var: int
 
-    def residual_at(self, u: float, du: float) -> float:
-        return self.p.evaluate_float({self.u_var: u, self.du_var: du})
+    def residual_at(self, u, du):
+        """p(u, du); u and du may be floats or numpy arrays of one shape."""
+        return self.p.compile_float((self.u_var, self.du_var))(u, du)
 
 
 def _pair_polys(er: ExpRational, reg: VarRegistry, zv: int):

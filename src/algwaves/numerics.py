@@ -186,19 +186,16 @@ def shoot_unstable_manifold(ps, saddle, target, eps: float = 1e-6,
 
 def curve_residual_along_orbit(f, orbit: Orbit, x_var: int = 0, y_var: int = 1,
                                transform: Optional[Callable] = None) -> float:
-    """Largest |f| along the orbit, optionally after a coordinate map."""
-    worst = 0.0
-    for pt in orbit.ys:
-        q = transform(pt) if transform is not None else pt
-        worst = max(worst, abs(f.evaluate_float({x_var: q[0], y_var: q[1]})))
-    return worst
+    """Largest |f| along the orbit, optionally after a coordinate map.
 
-
-def boundary_limit_check(fn: Callable[[float], float], left: float,
-                         right: float, span: float = 40.0,
-                         tol: float = 1e-6) -> bool:
-    """True when fn(-span) and fn(span) sit within tol of the stated limits."""
-    return abs(fn(-span) - left) <= tol and abs(fn(span) - right) <= tol
+    f is evaluated on the whole orbit at once.  transform receives the
+    coordinate columns (xs, ys) as numpy arrays and returns the mapped
+    columns, e.g. lambda p: (1.0 - p[0], p[1])."""
+    cols = (orbit.ys[:, 0], orbit.ys[:, 1])
+    if transform is not None:
+        cols = transform(cols)
+    values = f.compile_float((x_var, y_var))(*cols)
+    return float(np.max(np.abs(values), initial=0.0))
 
 
 def richardson_derivative(fn: Callable[[float], float], x: float,
@@ -241,7 +238,3 @@ def jacobi_elliptic(x: float, m: float, _tol: float = 1e-15):
     cn = math.cos(phi)
     dn = math.sqrt(max(0.0, 1.0 - m * sn * sn))
     return sn, cn, dn
-
-
-def jacobi_cn(x: float, m: float) -> float:
-    return jacobi_elliptic(x, m)[1]

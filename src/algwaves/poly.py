@@ -8,7 +8,7 @@ ties broken by variable id (lower id first).  All arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .qfield import QuadExt, ScalarLike
 
@@ -349,26 +349,39 @@ class MultiPoly:
         return out
 
     def evaluate_float(self, point: dict[int, float]) -> float:
-        """Horner evaluation, one variable at a time."""
-        vs = self.variables()
-        for v in vs:
-            if v not in point:
+        """Float value at one point; compiles first, so prefer compile_float
+        when the same polynomial is evaluated many times."""
+        return self.compile_float(list(point))(*point.values())
+
+    def compile_float(self, order: Sequence[int]) -> Callable[..., float]:
+        """Float evaluator with positional arguments in the given variable order.
+
+        The returned function sums c * x**e products over the terms.  Each
+        term is a float coefficient and a tuple of (argument position,
+        exponent) pairs.  Arguments may be floats or numpy arrays of one
+        shape; with arrays the result has that shape, for constant and zero
+        polynomials too."""
+        pos = {v: i for i, v in enumerate(order)}
+        for v in self.variables():
+            if v not in pos:
                 raise ValueError("unbound variable %r in evaluation"
                                  % (self.registry.name(v),))
-        return self._horner(point)
+        if self.is_constant():
+            # x**0 for every argument gives the result the arguments' shape
+            terms = [(float(self.coeff(())), tuple((i, 0) for i in range(len(order))))]
+        else:
+            terms = [(float(c), tuple((pos[v], e) for v, e in m))
+                     for m, c in self.terms.items()]
 
-    def _horner(self, point: dict[int, float]) -> float:
-        if not self.terms:
-            return 0.0
-        vs = self.variables()
-        if not vs:
-            return float(self.terms[()])
-        v = vs[0]
-        acc = 0.0
-        xv = point[v]
-        for coeff in reversed(self.as_univariate(v)):
-            acc = acc * xv + coeff._horner(point)
-        return acc
+        def evaluate(*xs):
+            total = 0.0
+            for c, mono in terms:
+                for i, e in mono:
+                    c = c * xs[i] ** e
+                total = total + c
+            return total
+
+        return evaluate
 
     def as_univariate(self, v: int) -> list["MultiPoly"]:
         """Coefficients in v, ascending; index i holds the v**i coefficient."""

@@ -307,13 +307,12 @@ class ODESystemSpec:
         if extra:
             names = ", ".join(self.registry.name(v) for v in sorted(extra))
             raise ReductionError(f"unbound parameters remain: {names}")
-        yv = list(self.y_vars)
+        gf = g.compile_float(self.y_vars)
 
         def rhs(t: float, y: np.ndarray) -> np.ndarray:
-            point = {yv[i]: float(y[i]) for i in range(len(yv))}
-            out = np.empty(len(yv))
+            out = np.empty(len(y))
             out[:-1] = y[1:]
-            out[-1] = g.evaluate_float(point)
+            out[-1] = gf(*y.tolist())
             return out
 
         return rhs
@@ -474,11 +473,12 @@ class PlanarSystem:
         return cls(reg, reg.id_of(x), reg.id_of(y), P, Q)
 
     def rhs_float(self) -> Callable[[float, np.ndarray], np.ndarray]:
-        P, Q, xv, yv = self.P, self.Q, self.x_var, self.y_var
+        order = (self.x_var, self.y_var)
+        P, Q = self.P.compile_float(order), self.Q.compile_float(order)
 
         def rhs(t: float, u: np.ndarray) -> np.ndarray:
-            pt = {xv: float(u[0]), yv: float(u[1])}
-            return np.array([P.evaluate_float(pt), Q.evaluate_float(pt)])
+            x, y = u.tolist()
+            return np.array([P(x, y), Q(x, y)])
 
         return rhs
 

@@ -10,11 +10,9 @@ from algwaves.numerics import (
     DivergenceError,
     Orbit,
     StepSizeError,
-    boundary_limit_check,
     curve_residual_along_orbit,
     integrate_rk4,
     integrate_rkf45,
-    jacobi_cn,
     jacobi_elliptic,
     richardson_derivative,
     shoot_unstable_manifold,
@@ -127,9 +125,28 @@ class TestResiduals:
         y = MultiPoly.var(reg, "y")
         assert curve_residual_along_orbit(x * x + y * y - 1, orb) < 5e-9
 
-    def test_boundary_limits(self):
-        assert boundary_limit_check(math.tanh, -1.0, 1.0)
-        assert not boundary_limit_check(math.tanh, -1.0, 0.5)
+    def test_flip_maps_orbit_columns(self):
+        # a circle about (1, 0), flipped x -> 1 - x, lies on x^2 + y^2 = 1
+        def rhs(t, y):
+            return np.array([-y[1], y[0] - 1.0])
+
+        orb = integrate_rkf45(rhs, 0.0, [2.0, 0.0], 6.0)
+        reg = VarRegistry(["x", "y"])
+        x = MultiPoly.var(reg, "x")
+        y = MultiPoly.var(reg, "y")
+        flip = lambda p: (1.0 - p[0], p[1])
+        f = x * x + y * y - 1
+        assert curve_residual_along_orbit(f, orb, transform=flip) < 5e-9
+        assert curve_residual_along_orbit(f, orb) > 1.0
+
+    def test_one_point_orbit(self):
+        orb = Orbit(np.array([0.0]), np.array([[0.25, 2.0]]))
+        reg = VarRegistry(["x", "y"])
+        x = MultiPoly.var(reg, "x")
+        y = MultiPoly.var(reg, "y")
+        flip = lambda p: (1.0 - p[0], p[1])
+        assert curve_residual_along_orbit(x * y - 3, orb) == 2.5
+        assert curve_residual_along_orbit(x * y - 3, orb, transform=flip) == 1.5
 
     def test_richardson_accuracy(self):
         d = richardson_derivative(math.sin, 0.9)
@@ -167,9 +184,6 @@ class TestJacobi:
                 assert sn == pytest.approx(s2, abs=5e-13)
                 assert cn == pytest.approx(c2, abs=5e-13)
                 assert dn == pytest.approx(d2, abs=5e-13)
-
-    def test_cn_shortcut(self):
-        assert jacobi_cn(1.3, 0.6) == jacobi_elliptic(1.3, 0.6)[1]
 
     def test_bad_parameter(self):
         with pytest.raises(ValueError):

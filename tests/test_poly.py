@@ -1,7 +1,9 @@
 """Polynomial kernel: frozen oracles for derivatives, substitution, resultants."""
 
+import math
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -361,3 +363,60 @@ class TestRingLaws:
         )
         # direct statement: resultant of polynomials sharing the factor x - r is 0
         assert sylvester_resultant(x - r, (x - r) * (y + 1), reg.id_of("x")).is_zero
+
+
+@st.composite
+def float_eval_cases(draw):
+    """A polynomial over Q or Q(sqrt d) in 1-3 variables, an argument order
+    and a few dyadic points (so the float arguments are exact)."""
+    names = ["x", "y", "z"][:draw(st.integers(min_value=1, max_value=3))]
+    d = draw(st.sampled_from((1, 2, 3, 6)))
+    reg = VarRegistry(names)
+    rat = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    f = MultiPoly.zero(reg)
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        exps = [draw(st.integers(min_value=0, max_value=3)) for _ in names]
+        mono = tuple((v, e) for v, e in enumerate(exps) if e)
+        f = f + MultiPoly(reg, {mono: QuadExt(draw(rat), draw(rat), d)})
+    order = draw(st.permutations(range(len(names))))
+    dyadic = st.builds(lambda n, k: Fr(n, 2 ** k), st.integers(-64, 64),
+                       st.integers(min_value=0, max_value=4))
+    points = draw(st.lists(st.tuples(*[dyadic] * len(names)), min_size=1, max_size=5))
+    return f, order, points
+
+
+class TestCompiledFloat:
+    @settings(max_examples=80, deadline=None)
+    @given(float_eval_cases())
+    def test_agrees_with_exact_evaluate(self, case):
+        f, order, points = case
+        ev = f.compile_float(order)
+        cols = [np.array([float(pt[v]) for pt in points]) for v in order]
+        on_array = ev(*cols)
+        assert on_array.shape == (len(points),)
+        for k, pt in enumerate(points):
+            exact = float(f.evaluate(dict(enumerate(pt))))
+            # float rounding per term, scaled by the size of the terms
+            scale = 1.0 + sum(abs(float(c)) * math.prod(abs(float(pt[v])) ** e
+                                                       for v, e in m)
+                              for m, c in f.terms.items())
+            args = [float(pt[v]) for v in order]
+            assert abs(ev(*args) - exact) <= 1e-12 * scale
+            assert abs(on_array[k] - exact) <= 1e-12 * scale
+            assert f.evaluate_float(dict(enumerate(map(float, pt)))) == ev(*args)
+
+    def test_unbound_variable_names_it(self):
+        reg, x, y = xy()
+        with pytest.raises(ValueError, match="'y'"):
+            (x + y).compile_float([reg.id_of("x")])
+        with pytest.raises(ValueError, match="'y'"):
+            (x * y).evaluate_float({reg.id_of("x"): 1.0})
+
+    def test_constants_broadcast_over_arrays(self):
+        reg, x, y = xy()
+        xs = np.linspace(-1.0, 1.0, 7)
+        zero = MultiPoly.zero(reg).compile_float([0, 1])(xs, xs)
+        assert zero.shape == (7,) and not zero.any()
+        three = MultiPoly.const(reg, QuadExt(0, 1, 2)).compile_float([0, 1])(xs, xs)
+        assert three.shape == (7,) and (three == 2 ** 0.5).all()
+        assert MultiPoly.const(reg, 3).compile_float([0])(0.5) == 3.0
