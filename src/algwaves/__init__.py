@@ -4,7 +4,6 @@ from .qfield import (
     QuadExt,
     RadicandMismatchError,
     Rat,
-    gamma_ratio,
     parse_quadext,
     pochhammer,
     try_sqrt,
@@ -67,8 +66,8 @@ from .waves import (
 )
 
 __all__ = [
-    "QuadExt", "RadicandMismatchError", "Rat", "gamma_ratio", "parse_quadext",
-    "pochhammer", "try_sqrt",
+    "QuadExt", "RadicandMismatchError", "Rat", "parse_quadext", "pochhammer",
+    "try_sqrt",
     "MultiPoly", "VarRegistry", "sylvester_resultant", "trial_divide",
     "ExprSyntaxError", "parse_poly",
     "DerivSymbol", "PDESpec", "PDESyntaxError", "bind_params", "parse_pde",

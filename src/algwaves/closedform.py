@@ -315,10 +315,6 @@ class Dn(_Elliptic):
         )
 
 
-def sqrt_expr(e: Expr) -> Expr:
-    return RatPow(e, Fraction(1, 2))
-
-
 # -- exp-rational profiles -----------------------------------------------------
 
 

@@ -6,7 +6,8 @@ Grammar (ASCII only, no implicit multiplication):
     expr     := term (("+" | "-") term)*
     term     := factor ("*" factor)*
     factor   := atom ("^" uint)?
-    atom     := name | rational | "sqrt" "(" uint ")" | "(" expr ")" | "-" atom
+    atom     := name | rational | "sqrt" "(" uint ")" | "(" expr ")"
+              | ("+" | "-") atom
     rational := int ("/" uint)?
 
 Division appears only inside rational literals; "u/2" and fractional powers
@@ -21,6 +22,10 @@ from typing import Callable, Optional
 
 from .poly import MultiPoly, VarRegistry
 from .qfield import QuadExt, squarefree_decompose
+
+# Largest n accepted in sqrt(n).  Finding the squarefree part is trial
+# division, about 0.1 s at 10^12 and ten times slower per two more digits.
+MAX_SQRT_ARG = 10**12
 
 
 class ExprSyntaxError(ValueError):
@@ -173,9 +178,10 @@ class ExprParser:
 
     def parse_atom(self) -> MultiPoly:
         t = self.peek()
-        if t.kind == "-":
+        if t.kind in ("+", "-"):
             self.take()
-            return -self.parse_atom()
+            a = self.parse_atom()
+            return -a if t.kind == "-" else a
         if t.kind == "(":
             self.take()
             e = self.parse_expr()
@@ -200,6 +206,9 @@ class ExprParser:
                 n = int(nt.text)
                 if n < 1:
                     raise ExprSyntaxError("sqrt needs a positive integer",
+                                          nt.line, nt.col)
+                if n > MAX_SQRT_ARG:
+                    raise ExprSyntaxError("sqrt argument exceeds 10^12",
                                           nt.line, nt.col)
                 self.take(")")
                 s, d = squarefree_decompose(n)

@@ -354,114 +354,21 @@ def pochhammer(x: RatLike, m: int) -> Fraction:
     return out
 
 
-def gamma_ratio(x: RatLike, m: int) -> Fraction:
-    """Gamma(x+m)/Gamma(x) computed as a rising factorial, never via Gamma."""
-    return pochhammer(x, m)
-
-
-def binomial(n: int, k: int) -> int:
-    return math.comb(n, k)
-
-
 # -- textual form ---------------------------------------------------------
 
 def parse_quadext(text: str, d: Optional[int] = None) -> QuadExt:
-    """Parse 'a + b*sqrt(d)' style literals: '2', '-1/3', '5/6*sqrt(6)',
-    'sqrt(2)', '1/2 - 3/4*sqrt(5)'.  If d is given the literal must live in
-    Q(sqrt(d))."""
-    toks = _tokenize_value(text)
-    pos = 0
+    """Parse a constant field literal: '2', '-1/3', '5/6*sqrt(6)', 'sqrt(2)',
+    '1/2 - 3/4*sqrt(5)'.  The grammar is the expression grammar of
+    exprparse with every name rejected.  If d is given the literal must live
+    in Q(sqrt(d))."""
+    from .exprparse import ExprParser, ExprSyntaxError
+    from .poly import VarRegistry
 
-    def peek():
-        return toks[pos] if pos < len(toks) else ("eof", "")
+    def no_names(name, tok):
+        raise ExprSyntaxError("a field literal has no names, found %r" % (name,),
+                              tok.line, tok.col)
 
-    def take(kind=None):
-        nonlocal pos
-        t = peek()
-        if kind is not None and t[0] != kind:
-            raise ValueError("bad field literal %r: expected %s near %r" % (text, kind, t[1]))
-        pos += 1
-        return t
-
-    def parse_uint() -> int:
-        t = take("int")
-        return int(t[1])
-
-    def parse_rational() -> Fraction:
-        num = parse_uint()
-        if peek() == ("op", "/"):
-            take()
-            den = parse_uint()
-            if den == 0:
-                raise ValueError("zero denominator in %r" % (text,))
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def parse_sqrt() -> QuadExt:
-        take("sqrt")
-        take_op("(")
-        n = parse_uint()
-        take_op(")")
-        if n < 1:
-            raise ValueError("sqrt of a nonpositive integer in %r" % (text,))
-        s, df = squarefree_decompose(n)
-        return QuadExt(0, s, df) if df > 1 else QuadExt(s)
-
-    def take_op(sym):
-        t = take("op")
-        if t[1] != sym:
-            raise ValueError("bad field literal %r: expected %r" % (text, sym))
-
-    def parse_term() -> QuadExt:
-        sign = 1
-        while peek()[0] == "op" and peek()[1] in "+-":
-            if take()[1] == "-":
-                sign = -sign
-        if peek()[0] == "sqrt":
-            val = parse_sqrt()
-        else:
-            r = parse_rational()
-            val = QuadExt(r)
-            if peek() == ("op", "*"):
-                take()
-                val = val * parse_sqrt()
-        return -val if sign < 0 else val
-
-    out = parse_term()
-    while peek()[0] == "op" and peek()[1] in "+-":
-        op = take()[1]
-        t = parse_term()
-        out = out - t if op == "-" else out + t
-    if peek()[0] != "eof":
-        raise ValueError("trailing input in field literal %r" % (text,))
+    out = ExprParser(text, VarRegistry(), no_names).parse_expression_only().constant_value()
     if d is not None and out.d not in (1, d):
         raise ValueError("literal %r lives in Q(sqrt(%d)), expected Q(sqrt(%d))" % (text, out.d, d))
     return out
-
-
-def _tokenize_value(text: str):
-    toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("int", text[i:j]))
-            i = j
-            continue
-        if text.startswith("sqrt", i):
-            toks.append(("sqrt", "sqrt"))
-            i += 4
-            continue
-        if ch in "+-*/()":
-            toks.append(("op", ch))
-            i += 1
-            continue
-        raise ValueError("bad character %r in field literal %r" % (ch, text))
-    return toks

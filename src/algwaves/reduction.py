@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .pde import PDESpec
-from .poly import MultiPoly, VarRegistry, sylvester_resultant, trial_divide
+from .poly import MultiPoly, VarRegistry, trial_divide
 from .qfield import QuadExt, field_sqrt, parse_quadext, try_sqrt
 
 ScalarLike = Union[int, Fraction, QuadExt]
@@ -39,10 +39,6 @@ class DegenerateSpeedError(ReductionError):
 
 class EquilibriumContinuumError(ReductionError):
     """Rest states form a continuum instead of isolated points."""
-
-
-class CommonComponentError(ReductionError):
-    """Two relations share a component, so elimination degenerates."""
 
 
 def _lift_speed(c: SpeedLike) -> QuadExt:
@@ -507,92 +503,6 @@ def to_planar(sys_spec: ODESystemSpec, names: tuple[str, str] = ("x", "y")) -> P
     return PlanarSystem(reg, xv, yv, MultiPoly.var(reg, yv), Q)
 
 
-def change_coordinates(
-    ps: PlanarSystem,
-    A: Sequence[Sequence[ScalarLike]],
-    b: Sequence[ScalarLike] = (0, 0),
-    names: tuple[str, str] = ("x", "y"),
-) -> PlanarSystem:
-    """Push the system through the affine map (X, Y) = A (x, y) + b."""
-    a11, a12 = QuadExt.lift(A[0][0]), QuadExt.lift(A[0][1])
-    a21, a22 = QuadExt.lift(A[1][0]), QuadExt.lift(A[1][1])
-    b1, b2 = QuadExt.lift(b[0]), QuadExt.lift(b[1])
-    det = a11 * a22 - a12 * a21
-    if det.is_zero():
-        raise ReductionError("coordinate change is singular")
-    i11, i12 = a22 / det, -a12 / det
-    i21, i22 = -a21 / det, a11 / det
-    reg = VarRegistry()
-    Xv, Yv = reg.var(names[0]), reg.var(names[1])
-    X = MultiPoly.var(reg, Xv)
-    Y = MultiPoly.var(reg, Yv)
-    old_x = (X - b1) * i11 + (Y - b2) * i12
-    old_y = (X - b1) * i21 + (Y - b2) * i22
-    sub = {ps.x_var: old_x, ps.y_var: old_y}
-    Pn = (ps.P * a11 + ps.Q * a12).substitute(sub, registry=reg)
-    Qn = (ps.P * a21 + ps.Q * a22).substitute(sub, registry=reg)
-    return PlanarSystem(reg, Xv, Yv, Pn, Qn)
-
-
-def apply_affine(
-    A: Sequence[Sequence[float]], b: Sequence[float], pts: np.ndarray
-) -> np.ndarray:
-    """Map an (m, 2) array of plane points through (X, Y) = A (x, y) + b."""
-    mat = np.array([[float(A[0][0]), float(A[0][1])], [float(A[1][0]), float(A[1][1])]])
-    off = np.array([float(b[0]), float(b[1])])
-    return pts @ mat.T + off
-
-
-def planar_equilibria(ps: PlanarSystem) -> list[Equilibrium]:
-    """Common zeros of P and Q, found by elimination in y then exact solving."""
-    xv, yv = ps.x_var, ps.y_var
-    P, Q = ps.P, ps.Q
-    py, qy = P.degree_in(yv), Q.degree_in(yv)
-    if py > 0 and qy > 0:
-        R = sylvester_resultant(P, Q, yv)
-        if R.is_zero:
-            raise CommonComponentError("P and Q share a curve of zeros")
-        x_poly = R
-    elif py > 0:
-        x_poly = Q
-    elif qy > 0:
-        x_poly = P
-    else:
-        raise EquilibriumContinuumError("neither field component involves y")
-    if x_poly.degree_in(xv) <= 0:
-        if x_poly.is_zero:
-            raise EquilibriumContinuumError("zero constraint in x")
-        return []
-    xcols = x_poly.as_univariate(xv)
-    if not all(p.is_constant() for p in xcols):
-        raise ReductionError("unbound parameters remain")
-    xroots, _ = real_univariate_roots([p.constant_value() for p in xcols])
-
-    out: list[Equilibrium] = []
-    for xr in xroots:
-        if not xr.exact:
-            continue  # only certified points qualify
-        x0 = QuadExt.lift(xr.value) if not isinstance(xr.value, QuadExt) else xr.value
-        slice_p = P.substitute({xv: x0})
-        slice_q = Q.substitute({xv: x0})
-        carrier = slice_p if not slice_p.is_zero else slice_q
-        if carrier.is_zero:
-            raise EquilibriumContinuumError(f"vertical line x = {x0} of rest states")
-        if carrier.degree_in(yv) == 0:
-            continue  # no y solves this x
-        ycols = carrier.as_univariate(yv)
-        yroots, _ = real_univariate_roots([p.constant_value() for p in ycols])
-        other = slice_q if carrier is slice_p else slice_p
-        for yr in yroots:
-            if not yr.exact:
-                continue
-            y0 = QuadExt.lift(yr.value)
-            if other.is_zero or other.evaluate({yv: y0}).is_zero():
-                out.append(Equilibrium((x0, y0), True, 1))
-    out.sort(key=lambda e: (float(e.point[0]), float(e.point[1])))
-    return out
-
-
 # -- local spectra -----------------------------------------------------------
 
 
@@ -667,49 +577,3 @@ def jacobian_eigen(ps: PlanarSystem, point: Sequence[ScalarLike]) -> EigenData:
     return EigenData(
         tr, det, disc, saddle, degenerate, False, (lp, lm), (fvec(lp), fvec(lm))
     )
-
-
-# -- variable elimination ----------------------------------------------------
-
-
-def resultant_chain_reduce(
-    polys: Sequence[MultiPoly],
-    eliminate: Sequence[int],
-) -> MultiPoly:
-    """Eliminate the given variables from a family of polynomial relations.
-
-    For each variable in turn: a single relation carrying it is dropped
-    (it only serves to define that variable), while several carriers are
-    merged pairwise through resultants against a minimal-degree pivot.
-    The survivor of smallest degree (then fewest terms) is returned in
-    unit leading form.
-    """
-    pool = [p for p in polys if not p.is_zero]
-    if not pool:
-        raise ReductionError("no nonzero relations to reduce")
-    reg = pool[0].registry
-    for v in eliminate:
-        carriers = [p for p in pool if p.degree_in(v) > 0]
-        rest = [p for p in pool if p.degree_in(v) <= 0]
-        if not carriers:
-            continue
-        if len(carriers) == 1:
-            pool = rest
-            continue
-        carriers.sort(key=lambda p: (p.degree_in(v), len(p.terms), str(p)))
-        pivot = carriers[0]
-        new = []
-        for other in carriers[1:]:
-            r = sylvester_resultant(pivot, other, v)
-            if r.is_zero:
-                raise CommonComponentError(
-                    f"relations share a component in {reg.name(v)}"
-                )
-            new.append(r)
-        pool = rest + new
-        if not pool:
-            raise ReductionError("elimination consumed every relation")
-    if not pool:
-        raise ReductionError("elimination consumed every relation")
-    pool.sort(key=lambda p: (p.degree(), len(p.terms), str(p)))
-    return pool[0].monic()

@@ -1,6 +1,7 @@
 """End-to-end command line checks, including exit codes and JSON shape."""
 
 import json
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from algwaves.cli import main
 
 FISHER = "u_t - u_xx - u + u^2 = 0"
 FRONT_SPEED = "5/6*sqrt(6)"
+HUGE_SQRT = "sqrt(100000000000000000039)"
 
 
 def run(capsys, *argv):
@@ -48,6 +50,13 @@ class TestReduce:
         assert code == 1
         assert "no equation" in err
 
+    def test_huge_radicand_in_pde_fails_fast(self, capsys):
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, "reduce", "--pde",
+                           "u_t - %s*u_xx = 0" % HUGE_SQRT)
+        assert code == 1 and "exceeds" in err
+        assert time.perf_counter() - t0 < 1.0
+
     def test_bad_flag_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["reduce", "--no-such-flag"])
@@ -64,6 +73,13 @@ class TestEquilibria:
     def test_requires_speed(self, capsys):
         code, _, err = run(capsys, "equilibria", "--pde", FISHER)
         assert code == 1
+
+    def test_huge_radicand_speed_fails_fast(self, capsys):
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, "equilibria", "--pde", FISHER,
+                           "--speed", HUGE_SQRT)
+        assert code == 1 and "exceeds" in err
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestFindCurve:
@@ -89,6 +105,12 @@ class TestFindCurve:
         assert "undetermined" in out
         assert "no invariant curve" not in out
         assert "eigenvalues at (1, 0) are not exactly representable" in out
+
+    def test_name_as_speed_exit_1(self, capsys):
+        code, _, err = run(capsys, "find-curve", "--pde", FISHER,
+                           "--speed", "c")
+        assert code == 1
+        assert "no names" in err
 
     def test_negative_degree_bound_exit_1(self, capsys):
         code, _, err = run(capsys, "find-curve", "--pde", FISHER,

@@ -1,4 +1,4 @@
-"""Traveling-frame reduction, rest states, local spectra, elimination."""
+"""Traveling-frame reduction, rest states, local spectra, real roots."""
 
 from fractions import Fraction as Fr
 
@@ -6,21 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from algwaves.fisher import front_system
 from algwaves.pde import bind_params, parse_pde
 from algwaves.poly import MultiPoly, VarRegistry
 from algwaves.qfield import QuadExt
 from algwaves.reduction import (
-    CommonComponentError,
     DegenerateSpeedError,
     EquilibriumContinuumError,
     PlanarSystem,
     ReductionError,
-    change_coordinates,
     equilibria,
     jacobian_eigen,
-    planar_equilibria,
     real_univariate_roots,
-    resultant_chain_reduce,
     to_planar,
     travelling_wave_reduce,
 )
@@ -201,37 +198,19 @@ class TestPlanar:
         assert ps.Q == x * x - x - c * y
 
     def test_front_frame_change(self):
-        # (X, Y) = (1 - x, y) turns the Fisher plane system into
-        # X' = -Y, Y' = -X - c Y + X^2
-        ps = to_planar(_fisher_system(c=C_FRONT))
-        ps6 = change_coordinates(ps, [[-1, 0], [0, 1]], (1, 0))
-        reg = ps6.registry
-        X = MultiPoly.var(reg, ps6.x_var)
-        Y = MultiPoly.var(reg, ps6.y_var)
+        # under x = 1 - X, y = Y the pipeline system x' = y, y' = x^2 - x - c y
+        # becomes the front system X' = -Y, Y' = X^2 - X - c Y
         c = QuadExt(0, Fr(5, 6), 6)
-        assert ps6.P == -Y
-        assert ps6.Q == X * X - X - c * Y
-
-    def test_front_frame_equilibria(self):
         ps = to_planar(_fisher_system(c=C_FRONT))
-        ps6 = change_coordinates(ps, [[-1, 0], [0, 1]], (1, 0))
-        eqs = planar_equilibria(ps6)
-        assert [(e.x, e.y) for e in eqs] == [(0, 0), (1, 0)]
-
-    def test_planar_equilibria_resultant_branch(self):
-        reg = VarRegistry(["x", "y"])
-        x = MultiPoly.var(reg, "x")
-        y = MultiPoly.var(reg, "y")
-        ps = PlanarSystem.from_polys(x * x + y * y - 5, x * y - 2)
-        pts = {(float(e.x), float(e.y)) for e in planar_equilibria(ps)}
-        assert pts == {(1, 2), (2, 1), (-1, -2), (-2, -1)}
-
-    def test_cubic_line(self):
-        reg = VarRegistry(["x", "y"])
-        x = MultiPoly.var(reg, "x")
-        y = MultiPoly.var(reg, "y")
-        ps = PlanarSystem.from_polys(y, x**3 - x)
-        assert [(e.x, e.y) for e in planar_equilibria(ps)] == [(-1, 0), (0, 0), (1, 0)]
+        front = front_system(c)
+        reg = front.registry
+        X = MultiPoly.var(reg, front.x_var)
+        Y = MultiPoly.var(reg, front.y_var)
+        sub = {ps.x_var: 1 - X, ps.y_var: Y}
+        assert front.P == -ps.P.substitute(sub, registry=reg)
+        assert front.Q == ps.Q.substitute(sub, registry=reg)
+        assert front.P == -Y
+        assert front.Q == X * X - X - c * Y
 
 
 class TestSpectra:
@@ -278,33 +257,6 @@ class TestSpectra:
         ps = PlanarSystem.from_polys(x, x + y * 0)
         ed = jacobian_eigen(ps, (0, 0))
         assert ed.is_degenerate and not ed.is_saddle
-
-
-class TestElimination:
-    def test_chain(self):
-        reg = VarRegistry(["y1", "y2", "y3"])
-        y1 = MultiPoly.var(reg, "y1")
-        y2 = MultiPoly.var(reg, "y2")
-        y3 = MultiPoly.var(reg, "y3")
-        out = resultant_chain_reduce(
-            [y3 - y1 * y2, y3 * y3 - y1], [reg.id_of("y3")]
-        )
-        assert out == (y1 * y1 * y2 * y2 - y1).monic()
-
-    def test_single_carrier_dropped(self):
-        reg = VarRegistry(["y1", "y2", "y3"])
-        y1 = MultiPoly.var(reg, "y1")
-        y2 = MultiPoly.var(reg, "y2")
-        y3 = MultiPoly.var(reg, "y3")
-        out = resultant_chain_reduce([y3 - y1 * y2, y1 + y2], [reg.id_of("y3")])
-        assert out == y1 + y2
-
-    def test_common_component(self):
-        reg = VarRegistry(["y1", "y3"])
-        y1 = MultiPoly.var(reg, "y1")
-        y3 = MultiPoly.var(reg, "y3")
-        with pytest.raises(CommonComponentError):
-            resultant_chain_reduce([y1 * y3, y1 * y1 * y3], [reg.id_of("y3")])
 
 
 @settings(max_examples=50, deadline=None)
