@@ -16,10 +16,10 @@ whenever the exponent pattern is even.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .poly import MultiPoly, VarRegistry, sylvester_resultant
 from .qfield import QuadExt
@@ -78,9 +78,14 @@ class Expr:
 @dataclass(frozen=True)
 class Const(Expr):
     value: Number
+    # float(value), converted once: evaluate runs once per sample point
+    as_float: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "as_float", float(self.value))
 
     def evaluate(self, env):
-        return float(self.value)
+        return self.as_float
 
     def diff(self, name):
         return Const(0)
@@ -98,7 +103,7 @@ class Sym(Expr):
 
 
 def _is_const(e: Expr, v=None) -> bool:
-    return isinstance(e, Const) and (v is None or float(e.value) == v)
+    return isinstance(e, Const) and (v is None or e.as_float == v)
 
 
 def _fold(a: Number, b: Number, op) -> Number:

@@ -26,7 +26,6 @@ from .linalg import independent_prefix_mod_p, nullspace
 from .poly import (
     Monomial,
     MultiPoly,
-    VarRegistry,
     grlex_key,
     mono_degree,
     mono_div,
@@ -202,7 +201,12 @@ def poly_square_root(f: MultiPoly) -> Optional[MultiPoly]:
     lt_m, lt_c = f.leading_term("grlex")
     if any(e % 2 for _, e in lt_m):
         return None
-    s = try_sqrt(lt_c) if lt_c.is_rational() else field_sqrt(lt_c)
+    if lt_c.is_rational():
+        # the root must lie in f's own field, so its radicand is known and
+        # no squarefree part is searched for
+        s = try_sqrt(lt_c, d=max(c.d for c in f.terms.values()))
+    else:
+        s = field_sqrt(lt_c)
     if s is None:
         return None
     half = tuple((v, e // 2) for v, e in lt_m)

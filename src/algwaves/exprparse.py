@@ -21,11 +21,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .poly import MultiPoly, VarRegistry
-from .qfield import QuadExt, squarefree_decompose
-
-# Largest n accepted in sqrt(n).  Finding the squarefree part is trial
-# division, about 0.1 s at 10^12 and ten times slower per two more digits.
-MAX_SQRT_ARG = 10**12
+from .qfield import MAX_SQRT_ARG, QuadExt, squarefree_decompose
 
 
 class ExprSyntaxError(ValueError):

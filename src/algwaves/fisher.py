@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .darboux import DarbouxResult, cofactor_residual, solve_fixed_cofactor
+from .darboux import cofactor_residual, solve_fixed_cofactor
 from .poly import MultiPoly, VarRegistry
 from .qfield import QuadExt, pochhammer, squarefree_decompose, try_sqrt
 from .reduction import PlanarSystem, jacobian_eigen

@@ -1,66 +1,134 @@
 """Exact linear algebra over Q(sqrt(d)): reduced row echelon form, nullspaces,
-and a modular certificate of column independence."""
+and a modular certificate of column independence.
+
+Elimination is fraction-free.  Each row is scaled by the lcm of its
+denominators, so every entry a + b*sqrt(d) becomes an integer pair (a, b) in
+Z[sqrt(d)], and Gauss-Jordan elimination runs on those pairs with Bareiss's
+exact division by the previous pivot (Bareiss 1968, Math. Comp. 22).  At the
+end every pivot equals the last one, D, and dividing by D once gives the
+reduced row echelon form, which is unique.  A matrix lives in one field: its
+entries may not mix radicands.
+"""
 
 from __future__ import annotations
 
-from .qfield import QuadExt
+import math
+from fractions import Fraction
+
+from .qfield import QuadExt, RadicandMismatchError
+
+Pair = tuple[int, int]  # a + b*sqrt(d) with integer a, b
 
 
-def rref(rows: list[list[QuadExt]]) -> tuple[list[list[QuadExt]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = [row[:] for row in rows]
+def _integer_rows(rows: list[list[QuadExt]]) -> tuple[int, list[list[Pair]], list[int]]:
+    """The radicand d, every row over Z[sqrt(d)], and each row's scale.
+
+    Row i times scales[i] (the lcm of its denominators) has integer pairs
+    as entries.  Raises RadicandMismatchError when entries mix radicands.
+    """
+    radicands = {x.d for row in rows for x in row if x.d != 1}
+    if len(radicands) > 1:
+        raise RadicandMismatchError(
+            "cannot combine %s in one matrix"
+            % " with ".join("sqrt(%d)" % r for r in sorted(radicands)))
+    d = radicands.pop() if radicands else 1
+    out: list[list[Pair]] = []
+    scales: list[int] = []
+    for row in rows:
+        scale = math.lcm(*(q.denominator for x in row for q in (x.a, x.b)))
+        out.append([(x.a.numerator * (scale // x.a.denominator),
+                     x.b.numerator * (scale // x.b.denominator)) for x in row])
+        scales.append(scale)
+    return d, out, scales
+
+
+def _eliminate(rows: list[list[QuadExt]]) -> tuple[int, list[list[Pair]], list[int], Pair]:
+    """Fraction-free Gauss-Jordan elimination over Z[sqrt(d)].
+
+    Returns (d, pivot rows, pivot columns, D).  Every pivot row holds D in
+    its own pivot column and 0 in the others; dividing the rows by D gives
+    the reduced row echelon form.  Each step replaces every other row by
+    (piv*row - row[c]*top) / prev, where prev is the previous pivot; the
+    quotient lies in Z[sqrt(d)] (every entry is a minor of the scaled
+    matrix) and is computed as x*conj(prev) / N(prev).
+    """
+    d, m, _ = _integer_rows(rows)
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots: list[int] = []
+    prev: Pair = (1, 0)
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if not m[i][c].is_zero():
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, nrows) if m[i][c] != (0, 0)), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
+        top = m[r]
+        pa, pb = top[c]
+        qa, qb = prev
+        norm = qa * qa - d * qb * qb
+        divide_by_prev = prev != (1, 0)
         for i in range(nrows):
-            if i != r and not m[i][c].is_zero():
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+            if i == r:
+                continue
+            fa, fb = m[i][c]
+            new = []
+            for (xa, xb), (ta, tb) in zip(m[i], top):
+                na = pa * xa - fa * ta + d * (pb * xb - fb * tb)
+                nb = pa * xb + pb * xa - fa * tb - fb * ta
+                if divide_by_prev:
+                    na, nb = (na * qa - d * nb * qb) // norm, (nb * qa - na * qb) // norm
+                new.append((na, nb))
+            m[i] = new
+        prev = top[c]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return m[:r], pivots
+    return d, m[:r], pivots, prev
+
+
+def _divider(d: int, den: Pair):
+    """x -> x / den as a QuadExt, for integer pairs x over Z[sqrt(d)]."""
+    ca, cb = den[0], -den[1]
+    norm = ca * ca - d * cb * cb
+
+    def divide(x: Pair) -> QuadExt:
+        xa, xb = x
+        return QuadExt(Fraction(xa * ca + d * xb * cb, norm),
+                       Fraction(xa * cb + xb * ca, norm), d)
+
+    return divide
+
+
+def rref(rows: list[list[QuadExt]]) -> tuple[list[list[QuadExt]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    d, m, pivots, D = _eliminate(rows)
+    divide = _divider(d, D)
+    return [[divide(x) for x in row] for row in m], pivots
 
 
 def nullspace(rows: list[list[QuadExt]], ncols: int) -> list[list[QuadExt]]:
     """Basis of the right nullspace, one vector per free column, in column order."""
     zero = QuadExt(0)
     one = QuadExt(1)
-    if not rows:
-        basis = []
-        for c in range(ncols):
-            v = [zero] * ncols
-            v[c] = one
-            basis.append(v)
-        return basis
-    red, pivots = rref(rows)
+    d, m, pivots, D = _eliminate(rows)
+    divide = _divider(d, (-D[0], -D[1]))
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
         v = [zero] * ncols
         v[fc] = one
-        for ri, pc in enumerate(pivots):
-            v[pc] = -red[ri][fc]
+        for row, pc in zip(m, pivots):
+            v[pc] = divide(row[fc])
         basis.append(v)
     return basis
 
 
 def rank(rows: list[list[QuadExt]]) -> int:
-    return len(rref(rows)[0]) if rows else 0
+    return len(_eliminate(rows)[2])
 
 
 def in_row_span(rows: list[list[QuadExt]], vec: list[QuadExt]) -> bool:
@@ -83,33 +151,30 @@ MODULAR_PRIMES = tuple(2**61 - k for k in (
 def independent_prefix_mod_p(rows: list[list[QuadExt]], ncols: int) -> int:
     """How many leading columns are provably linearly independent.
 
-    Entries are mapped into GF(p) by sending sqrt(d) to a root r of
-    r*r = d (mod p).  On values whose rational and radical parts have
-    denominators prime to p this map is a ring homomorphism, so a minor
-    that is nonzero mod p is nonzero over Q(sqrt(d)).  Gaussian
-    elimination mod p in column order stops at the first column without
-    a pivot; the columns before it are independent, and the returned
-    count is its index (ncols when every column has a pivot).
+    Each row is scaled to entries in Z[sqrt(d)] (as for elimination), and
+    entries are mapped into GF(p) by sending sqrt(d) to a root r of
+    r*r = d (mod p).  That map is a ring homomorphism, so a minor that is
+    nonzero mod p is nonzero over Q(sqrt(d)).  Gaussian elimination mod p
+    in column order stops at the first column without a pivot; the columns
+    before it are independent, and the returned count is its index (ncols
+    when every column has a pivot).
 
     A prime qualifies when d is a nonzero square mod p and p divides no
-    denominator; the first qualifying prime is used.  The answer is 0
-    (nothing proved) when the entries mix radicands or no prime qualifies.
+    denominator (so no row scale); the first qualifying prime is used.  The
+    answer is 0 (nothing proved) when the entries mix radicands or no prime
+    qualifies.
     """
-    radicands = {x.d for row in rows for x in row if x.d != 1}
-    if len(radicands) > 1:
+    try:
+        d, m, scales = _integer_rows(rows)
+    except RadicandMismatchError:
         return 0
-    d = radicands.pop() if radicands else 1
-    dens = {q.denominator for row in rows for x in row for q in (x.a, x.b)}
     for p in MODULAR_PRIMES:
         r = pow(d, (p + 1) // 4, p)
-        if d % p and r * r % p == d % p and all(den % p for den in dens):
+        if d % p and r * r % p == d % p and all(s % p for s in scales):
             break
     else:
         return 0
-    inv = {den: pow(den, -1, p) for den in dens}
-    m = [[(x.a.numerator * inv[x.a.denominator]
-           + x.b.numerator * inv[x.b.denominator] * r) % p for x in row]
-         for row in rows]
+    m = [[(a + b * r) % p for a, b in row] for row in m]
     for c in range(ncols):
         piv = next((i for i in range(c, len(m)) if m[i][c]), None)
         if piv is None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .qfield import QuadExt, ScalarLike
+from .qfield import QuadExt
 
 Monomial = tuple[tuple[int, int], ...]
 

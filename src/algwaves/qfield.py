@@ -19,6 +19,11 @@ Rat = Fraction
 RatLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "QuadExt"]
 
+# Largest integer whose squarefree part is looked for (in sqrt(n) literals
+# and in try_sqrt).  That is trial division, about 0.1 s at 10^12 and ten
+# times slower per two more digits.
+MAX_SQRT_ARG = 10**12
+
 
 class RadicandMismatchError(ArithmeticError):
     """Combining values that live in different quadratic extensions."""
@@ -287,7 +292,8 @@ def try_sqrt(x: ScalarLike, d: Optional[int] = None) -> Optional[QuadExt]:
     that, as a rational multiple of sqrt(d).  With d = None the radicand is
     inferred from the squarefree part of x itself, so a representable root is
     always found.  Returns None when x is negative or (for fixed d) when no
-    exact root exists.
+    exact root exists.  Inferring the radicand raises ValueError when the
+    numerator times the denominator exceeds MAX_SQRT_ARG.
     """
     x = QuadExt.lift(x)
     if x.b != 0:
@@ -301,7 +307,11 @@ def try_sqrt(x: ScalarLike, d: Optional[int] = None) -> Optional[QuadExt]:
     if s is not None:
         return QuadExt(s)
     if d is None:
-        sq, df = squarefree_decompose(r.numerator * r.denominator)
+        n = r.numerator * r.denominator
+        if n > MAX_SQRT_ARG:
+            raise ValueError("exact square root of %s: numerator times denominator "
+                             "exceeds the trial-division cap 10^12" % (r,))
+        sq, df = squarefree_decompose(n)
         return QuadExt(0, Fraction(sq, r.denominator), df)
     if d < 2 or not is_squarefree(d):
         return None

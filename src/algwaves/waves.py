@@ -19,8 +19,7 @@ import numpy as np
 
 from .closedform import (
     Cn, Const, Exp, ExpRational, Expr, IntPow, PRelation, Sym, Tanh, Cosh,
-    exp_rational_membership, p_from_exp_rational, solve_logistic,
-    solve_power_logistic,
+    exp_rational_membership, solve_logistic, solve_power_logistic,
 )
 from .pde import bind_params, parse_pde
 from .poly import MultiPoly, VarRegistry

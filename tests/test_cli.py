@@ -10,6 +10,7 @@ from algwaves.cli import main
 FISHER = "u_t - u_xx - u + u^2 = 0"
 FRONT_SPEED = "5/6*sqrt(6)"
 HUGE_SQRT = "sqrt(100000000000000000039)"
+HUGE_SPEED = "100000000000000000039"
 
 
 def run(capsys, *argv):
@@ -111,6 +112,15 @@ class TestFindCurve:
                            "--speed", "c")
         assert code == 1
         assert "no names" in err
+
+    def test_huge_rational_speed_fails_fast(self, capsys):
+        # the saddle eigenvalues need the square root of c^2 + 4, a 41-digit
+        # integer whose squarefree part would take trial division for ever
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, "find-curve", "--pde", FISHER,
+                           "--speed", HUGE_SPEED, "--max-degree", "2")
+        assert code == 1 and "10^12" in err
+        assert time.perf_counter() - t0 < 1.0
 
     def test_negative_degree_bound_exit_1(self, capsys):
         code, _, err = run(capsys, "find-curve", "--pde", FISHER,
@@ -222,6 +232,14 @@ class TestShoot:
         lines = csv.read_text().splitlines()
         assert lines[0] == "t,x,y"
         assert len(lines) > 100
+
+    def test_huge_rational_speed_fails_fast(self, capsys):
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, "shoot", "--pde", FISHER,
+                           "--speed", HUGE_SPEED, "--saddle", "1,0",
+                           "--target", "0,0")
+        assert code == 1 and "10^12" in err
+        assert time.perf_counter() - t0 < 1.0
 
     def test_wrong_speed_exit_3(self, capsys):
         code, out, _ = run(capsys, "shoot", "--pde", FISHER,

@@ -146,6 +146,17 @@ class TestScreening:
         g = QuadExt(0, 1, 2) * x + y
         assert poly_square_root(g * g) == g
 
+    def test_huge_leading_coefficient_is_screened(self):
+        # a 13-digit squarefree part is never looked for: the root of the
+        # leading coefficient must lie in the coefficient field Q
+        reg = VarRegistry(["x", "y"])
+        x = MultiPoly.var(reg, "x")
+        y = MultiPoly.var(reg, "y")
+        assert poly_square_root(1000003 * 1000033 * x * x + y + 1) is None
+        assert irreducibility_screen(1000003 * 1000033 * x * x + y + 1) == (True, None)
+        g = 1000003 * x + y
+        assert poly_square_root(g * g) == g
+
     def test_square_root_rejects_non_square(self):
         reg = VarRegistry(["x", "y"])
         x = MultiPoly.var(reg, "x")

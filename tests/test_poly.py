@@ -12,6 +12,7 @@ from algwaves.linalg import (
     in_row_span,
     independent_prefix_mod_p,
     nullspace,
+    rank,
     rref,
 )
 from algwaves.poly import (
@@ -22,7 +23,7 @@ from algwaves.poly import (
     sylvester_resultant,
     trial_divide,
 )
-from algwaves.qfield import QuadExt
+from algwaves.qfield import QuadExt, RadicandMismatchError
 
 
 def xy():
@@ -190,6 +191,100 @@ class TestLinalg:
         rows = [[one, zero, one], [zero, one, one]]
         assert in_row_span(rows, [one, one, QuadExt(2)])
         assert not in_row_span(rows, [one, one, QuadExt(3)])
+
+    def test_empty_row_list(self):
+        assert rref([]) == ([], [])
+        assert nullspace([], 2) == [[QuadExt(1), QuadExt(0)], [QuadExt(0), QuadExt(1)]]
+        assert rank([]) == 0
+
+    def test_negative_first_pivot_is_divided_out(self):
+        # the second step divides by the first pivot, -1; skipping that
+        # division (its norm is 1) scales the rows inconsistently
+        rows = [[QuadExt(x) for x in row] for row in ([-1, 1, 2], [1, 1, 1], [2, 3, 1])]
+        assert rref(rows) == reference_rref(rows)
+        s2 = QuadExt(0, 1, 2)
+        rows = [[1 + s2, QuadExt(1), QuadExt(2)], [QuadExt(1), s2, QuadExt(0)]]
+        assert nullspace(rows, 3) == reference_nullspace(rows, 3)
+
+    def test_mixed_radicands_raise(self):
+        rows = [[QuadExt(0, 1, 2), QuadExt(0)], [QuadExt(0), QuadExt(0, 1, 3)]]
+        with pytest.raises(RadicandMismatchError):
+            rref(rows)
+
+
+def reference_rref(rows):
+    """Gauss-Jordan elimination in QuadExt arithmetic, with a division per
+    pivot: the exact rref before fraction-free elimination, kept as the
+    reference for the differential tests."""
+    m = [row[:] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if not m[i][c].is_zero()), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = m[r][c].inverse()
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and not m[i][c].is_zero():
+                factor = m[i][c]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m[:r], pivots
+
+
+def reference_nullspace(rows, ncols):
+    red, pivots = reference_rref(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [QuadExt(0)] * ncols
+        v[fc] = QuadExt(1)
+        for ri, pc in enumerate(pivots):
+            v[pc] = -red[ri][fc]
+        basis.append(v)
+    return basis
+
+
+@st.composite
+def elimination_matrices(draw):
+    """Matrices up to 8x8 over Q or Q(sqrt(d)), possibly with no rows, with
+    zero rows and columns, rows that combine earlier rows, and small
+    integer entries (so pivots of -1 and other units are common)."""
+    d = draw(st.sampled_from((1, 2, 3, 5, 6)))
+    nrows = draw(st.integers(min_value=0, max_value=8))
+    ncols = draw(st.integers(min_value=1, max_value=8))
+    part = st.one_of(st.integers(min_value=-2, max_value=2),
+                     st.fractions(min_value=-5, max_value=5, max_denominator=6))
+
+    def entry():
+        return QuadExt(draw(part), draw(part) if d > 1 else 0, d)
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    for i in range(1, nrows):
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            coeffs = [entry() for _ in range(i)]
+            rows[i] = [sum((k * row[j] for k, row in zip(coeffs, rows)), QuadExt(0))
+                       for j in range(ncols)]
+    zero_rows = draw(st.sets(st.integers(min_value=0, max_value=7), max_size=2))
+    zero_cols = draw(st.sets(st.integers(min_value=0, max_value=7), max_size=2))
+    return [[QuadExt(0) if i in zero_rows or j in zero_cols else x
+             for j, x in enumerate(row)] for i, row in enumerate(rows)], ncols
+
+
+@settings(max_examples=100, deadline=None)
+@given(elimination_matrices())
+def test_fraction_free_elimination_matches_reference(case):
+    rows, ncols = case
+    want_rows, want_pivots = reference_rref(rows)
+    assert rref(rows) == (want_rows, want_pivots)
+    assert nullspace(rows, ncols) == reference_nullspace(rows, ncols)
+    assert rank(rows) == len(want_pivots)
 
 
 class TestModularPrefix:
