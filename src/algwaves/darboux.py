@@ -237,16 +237,18 @@ def irreducibility_screen(
 ) -> tuple[bool, Optional[str]]:
     """Cheap factorization screen: True means no obstruction was found.
 
-    Divisibility by an already accepted curve and exact squares are
-    detected; higher prime powers are not chased, so a True verdict is a
-    screen, not a proof of irreducibility.
+    Divisibility by an already accepted curve and exact squares up to a
+    constant factor are detected; higher prime powers are not chased, so a
+    True verdict is a screen, not a proof of irreducibility.
     """
     for g in accepted:
         if g.degree() < 1 or g == f:
             continue
         if g.degree() <= f.degree() and trial_divide(f, g) is not None:
             return False, "divisible by a previously accepted curve"
-    if f.degree() >= 2 and poly_square_root(f) is not None:
+    # f = c*g**2 for a constant c exactly when monic f is the square of a
+    # polynomial over f's own field, which is where poly_square_root looks
+    if f.degree() >= 2 and poly_square_root(f.monic("ylex")) is not None:
         return False, "exact square of a lower degree curve"
     return True, None
 

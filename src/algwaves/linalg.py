@@ -48,9 +48,9 @@ def _eliminate(rows: list[list[QuadExt]]) -> tuple[int, list[list[Pair]], list[i
     Returns (d, pivot rows, pivot columns, D).  Every pivot row holds D in
     its own pivot column and 0 in the others; dividing the rows by D gives
     the reduced row echelon form.  Each step replaces every other row by
-    (piv*row - row[c]*top) / prev, where prev is the previous pivot; the
-    quotient lies in Z[sqrt(d)] (every entry is a minor of the scaled
-    matrix) and is computed as x*conj(prev) / N(prev).
+    (piv*row - row[c]*top) / prev, where prev is the previous pivot (1 at
+    the first step); the quotient lies in Z[sqrt(d)] (every entry is a
+    minor of the scaled matrix) and is computed as x*conj(prev) / N(prev).
     """
     d, m, _ = _integer_rows(rows)
     nrows = len(m)
@@ -67,7 +67,6 @@ def _eliminate(rows: list[list[QuadExt]]) -> tuple[int, list[list[Pair]], list[i
         pa, pb = top[c]
         qa, qb = prev
         norm = qa * qa - d * qb * qb
-        divide_by_prev = prev != (1, 0)
         for i in range(nrows):
             if i == r:
                 continue
@@ -76,9 +75,7 @@ def _eliminate(rows: list[list[QuadExt]]) -> tuple[int, list[list[Pair]], list[i
             for (xa, xb), (ta, tb) in zip(m[i], top):
                 na = pa * xa - fa * ta + d * (pb * xb - fb * tb)
                 nb = pa * xb + pb * xa - fa * tb - fb * ta
-                if divide_by_prev:
-                    na, nb = (na * qa - d * nb * qb) // norm, (nb * qa - na * qb) // norm
-                new.append((na, nb))
+                new.append(((na * qa - d * nb * qb) // norm, (nb * qa - na * qb) // norm))
             m[i] = new
         prev = top[c]
         pivots.append(c)

@@ -19,10 +19,14 @@ Rat = Fraction
 RatLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "QuadExt"]
 
-# Largest integer whose squarefree part is looked for (in sqrt(n) literals
-# and in try_sqrt).  That is trial division, about 0.1 s at 10^12 and ten
-# times slower per two more digits.
+# Finding a squarefree part is trial division, about 0.1 s at 10^12 and ten
+# times slower per two more digits.  squarefree_decompose divides by
+# candidates up to isqrt(MAX_SQRT_ARG) only, so it decomposes every
+# n <= MAX_SQRT_ARG, and a larger n when at most about MAX_SQRT_ARG is left
+# after those divisions; otherwise it raises.  sqrt(n) literals accept
+# n <= MAX_SQRT_ARG only.
 MAX_SQRT_ARG = 10**12
+_MAX_TRIAL_DIVISOR = math.isqrt(MAX_SQRT_ARG)
 
 
 class RadicandMismatchError(ArithmeticError):
@@ -30,14 +34,18 @@ class RadicandMismatchError(ArithmeticError):
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write n = s**2 * d with d squarefree; return (s, d).  Requires n >= 1."""
+    """Write n = s**2 * d with d squarefree; return (s, d).  Requires n >= 1.
+
+    Raises ValueError when trial division would have to pass
+    isqrt(MAX_SQRT_ARG) (see MAX_SQRT_ARG).
+    """
     if n < 1:
         raise ValueError("squarefree_decompose needs a positive integer, got %r" % (n,))
     s = 1
     d = 1
     m = n
     p = 2
-    while p * p <= m:
+    while p * p <= m and p <= _MAX_TRIAL_DIVISOR:
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -47,6 +55,9 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             if e % 2:
                 d *= p
         p += 1 if p == 2 else 2
+    if p * p <= m:
+        raise ValueError("squarefree part of %d: trial division up to 10^6 leaves "
+                         "%d, above the cap 10^12" % (n, m))
     return s, d * m
 
 
@@ -292,8 +303,8 @@ def try_sqrt(x: ScalarLike, d: Optional[int] = None) -> Optional[QuadExt]:
     that, as a rational multiple of sqrt(d).  With d = None the radicand is
     inferred from the squarefree part of x itself, so a representable root is
     always found.  Returns None when x is negative or (for fixed d) when no
-    exact root exists.  Inferring the radicand raises ValueError when the
-    numerator times the denominator exceeds MAX_SQRT_ARG.
+    exact root exists.  Inferring the radicand raises ValueError when
+    squarefree_decompose gives up on the numerator times the denominator.
     """
     x = QuadExt.lift(x)
     if x.b != 0:
@@ -307,11 +318,7 @@ def try_sqrt(x: ScalarLike, d: Optional[int] = None) -> Optional[QuadExt]:
     if s is not None:
         return QuadExt(s)
     if d is None:
-        n = r.numerator * r.denominator
-        if n > MAX_SQRT_ARG:
-            raise ValueError("exact square root of %s: numerator times denominator "
-                             "exceeds the trial-division cap 10^12" % (r,))
-        sq, df = squarefree_decompose(n)
+        sq, df = squarefree_decompose(r.numerator * r.denominator)
         return QuadExt(0, Fraction(sq, r.denominator), df)
     if d < 2 or not is_squarefree(d):
         return None

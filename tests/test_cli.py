@@ -122,6 +122,13 @@ class TestFindCurve:
         assert code == 1 and "10^12" in err
         assert time.perf_counter() - t0 < 1.0
 
+    def test_speed_with_large_denominator(self, capsys):
+        # c^2 + 4 = 5002001/10^6: numerator times denominator is above 10^12,
+        # but trial division leaves only 5002001 once 2 and 5 are divided out
+        code, out, _ = run(capsys, "find-curve", "--pde", FISHER,
+                           "--speed", "1001/1000", "--max-degree", "2")
+        assert code == 2 and "no invariant curve" in out
+
     def test_negative_degree_bound_exit_1(self, capsys):
         code, _, err = run(capsys, "find-curve", "--pde", FISHER,
                            "--speed", "2", "--max-degree", "-1")

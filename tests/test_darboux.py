@@ -171,6 +171,19 @@ class TestScreening:
         ok, reason = irreducibility_screen((x + y) ** 2)
         assert not ok and "square" in reason
 
+    def test_screen_flags_square_times_constant(self):
+        # 2*(x + y)**2 is a square only over Q(sqrt(2)); the screen still
+        # sees the repeated factor
+        reg = VarRegistry(["x", "y"])
+        x = MultiPoly.var(reg, "x")
+        y = MultiPoly.var(reg, "y")
+        ok, reason = irreducibility_screen(2 * (x + y) ** 2)
+        assert not ok and "square" in reason
+        g = x + QuadExt(0, 1, 2) * y + 1
+        ok, reason = irreducibility_screen(QuadExt(3, 1, 2) * g * g)
+        assert not ok and "square" in reason
+        assert irreducibility_screen(2 * (x + y) ** 2 + 1) == (True, None)
+
     def test_screen_flags_known_factor(self):
         reg = VarRegistry(["x", "y"])
         x = MultiPoly.var(reg, "x")

@@ -93,6 +93,18 @@ class TestFrozenValues:
         assert is_squarefree(6)
         assert not is_squarefree(12)
 
+    def test_squarefree_decompose_cap(self):
+        # trial division stops at 10^6: a large smooth number or a cofactor
+        # up to about 10^12 is fine, two primes above 10^6 are not
+        assert squarefree_decompose(2**80 * 3 * 5**6 * 999983) == (2**40 * 5**3, 3 * 999983)
+        assert squarefree_decompose(999983 * 999979) == (1, 999983 * 999979)
+        assert squarefree_decompose(10**12 + 39) == (1, 10**12 + 39)
+        with pytest.raises(ValueError, match="10\\^12"):
+            squarefree_decompose(1000003 * 1000033)
+        assert try_sqrt(Fr(5002001, 10**6)) == q(0, Fr(1, 1000), 5002001)
+        with pytest.raises(ValueError, match="10\\^12"):
+            try_sqrt(Fr(1000003 * 1000033, 7))
+
     def test_rational_sqrt(self):
         assert rational_sqrt(Fr(49, 36)) == Fr(7, 6)
         assert rational_sqrt(Fr(2)) is None
