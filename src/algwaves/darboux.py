@@ -11,10 +11,11 @@ computation.  Constant cofactors of curves passing through a hyperbolic
 saddle are constrained to the two eigenvalues and their sum, which
 turns an open-ended search into a finite one.
 
-A negative search answer is a rank certificate: the invariance matrix of
-each candidate cofactor, built once at the degree bound, has full column
-rank modulo a prime, which proves it has full rank over Q(sqrt(d)).  Only
-the degrees the certificate leaves open are solved exactly.
+Each candidate cofactor's invariance matrix is built once, at the degree
+bound.  A negative answer is a rank certificate: the matrix has full column
+rank modulo a prime, which proves it has full rank over Q(sqrt(d)).  When
+the certificate leaves a column open, one exact elimination of the same
+matrix gives the curves of every degree up to the bound.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .poly import (
     Monomial,
     MultiPoly,
     grlex_key,
-    mono_degree,
     mono_div,
     trial_divide,
 )
@@ -76,8 +76,6 @@ class DarbouxResult:
     cofactor: Union[MultiPoly, QuadExt]
     degree: int
     nullspace_dim: int
-    contains_required_points: bool = True
-    irreducibility_screened: bool = False
     notes: list = field(default_factory=list)
 
     @property
@@ -97,6 +95,11 @@ def invariance_matrix(
     grlex order, so the basis of any lower degree bound is a column prefix,
     and the rows a lower bound lacks vanish on that prefix.  One row per
     monomial of P f_x + Q f_y - k f, then one per required point.
+
+    search_constant_cofactor relies on this prefix property: the
+    column-order reduced echelon form of a prefix is the prefix of the
+    full one, so each null vector of the matrix at the degree bound is the
+    null vector the matrix at its own degree gives for the same free column.
     """
     if degree < 0:
         raise ValueError("degree bound must be nonnegative")
@@ -117,6 +120,30 @@ def invariance_matrix(
     return basis, rows
 
 
+def _monic_curves(
+    ps: PlanarSystem,
+    cofactor: Union[MultiPoly, ScalarLike],
+    basis: Sequence[Monomial],
+    null: Sequence[Sequence[QuadExt]],
+    required_points: Sequence[Sequence[ScalarLike]],
+) -> list[MultiPoly]:
+    """The polynomial of each null vector, with unit leading coefficient in
+    y-priority order, checked exactly to be invariant and to vanish at each
+    required point."""
+    curves = []
+    for vec in null:
+        f = MultiPoly(ps.registry, {m: c for m, c in zip(basis, vec) if not c.is_zero()})
+        f = f.monic("ylex")
+        if not cofactor_residual(ps, f, cofactor).is_zero:
+            raise AssertionError("exact solve produced a non-invariant curve")
+        for pt in required_points:
+            point = {ps.x_var: QuadExt.lift(pt[0]), ps.y_var: QuadExt.lift(pt[1])}
+            if not f.evaluate(point).is_zero():
+                raise AssertionError("exact solve missed a required point")
+        curves.append(f)
+    return curves
+
+
 def solve_fixed_cofactor(
     ps: PlanarSystem,
     cofactor: Union[MultiPoly, ScalarLike],
@@ -130,22 +157,10 @@ def solve_fixed_cofactor(
     unit leading coefficient in y-priority order.  None means the only
     solution is zero.
     """
-    reg = ps.registry
     basis, rows = invariance_matrix(ps, cofactor, degree, required_points)
     null = nullspace(rows, len(basis))
-    curves = []
-    for vec in null:
-        f = MultiPoly(reg, {m: c for m, c in zip(basis, vec) if not c.is_zero()})
-        if f.is_zero or f.is_constant():
-            continue
-        f = f.monic("ylex")
-        if not cofactor_residual(ps, f, cofactor).is_zero:
-            raise AssertionError("exact solve produced a non-invariant curve")
-        for pt in required_points:
-            point = {ps.x_var: QuadExt.lift(pt[0]), ps.y_var: QuadExt.lift(pt[1])}
-            if not f.evaluate(point).is_zero():
-                raise AssertionError("exact solve missed a required point")
-        curves.append(f)
+    curves = [f for f in _monic_curves(ps, cofactor, basis, null, required_points)
+              if not f.is_constant()]
     if not curves:
         return None
     return DarbouxResult(
@@ -267,9 +282,12 @@ def search_constant_cofactor(
     curve exists with any candidate cofactor; with no candidates at all it
     proves nothing (see eigenvalue_cofactor_candidates).
 
-    Each candidate's invariance matrix is reduced mod a prime once, at
-    max_degree.  The degree of its first column without a pivot mod p is
-    the lowest at which a curve can exist; the exact solve runs from there.
+    Each candidate's invariance matrix is built once, at max_degree, and
+    reduced mod a prime.  A candidate with a pivot in every column has no
+    curve.  Otherwise one exact nullspace of the same matrix gives the
+    curves of every degree: a null vector has the degree of its free
+    column, and a hit's nullspace_dim counts the null vectors of degree at
+    most its own, as a solve at that degree would (see invariance_matrix).
     """
     for pt in points:
         point = {ps.x_var: QuadExt.lift(pt[0]), ps.y_var: QuadExt.lift(pt[1])}
@@ -285,30 +303,24 @@ def search_constant_cofactor(
     accepted: list[MultiPoly] = []
     for k in cands:
         basis, rows = invariance_matrix(ps, k, max_degree, points)
-        proved = independent_prefix_mod_p(rows, len(basis))
-        if proved == len(basis):
+        if independent_prefix_mod_p(rows, len(basis)) == len(basis):
             continue
-        for deg in range(max(1, mono_degree(basis[proved])), max_degree + 1):
-            sol = solve_fixed_cofactor(ps, k, deg, required_points=points)
-            if sol is None:
+        curves = _monic_curves(ps, k, basis, nullspace(rows, len(basis)), points)
+        for f in curves:
+            if f.is_constant() or f in seen:
                 continue
-            for f in sol.curves:
-                if f in seen:
-                    continue
-                seen.add(f)
-                ok, reason = irreducibility_screen(f, accepted)
-                if not ok:
-                    continue
-                accepted.append(f)
-                results.append(
-                    DarbouxResult(
-                        curves=[f],
-                        cofactor=k,
-                        degree=f.degree(),
-                        nullspace_dim=sol.nullspace_dim,
-                        contains_required_points=True,
-                        irreducibility_screened=True,
-                        notes=list(notes),
-                    )
+            seen.add(f)
+            ok, reason = irreducibility_screen(f, accepted)
+            if not ok:
+                continue
+            accepted.append(f)
+            results.append(
+                DarbouxResult(
+                    curves=[f],
+                    cofactor=k,
+                    degree=f.degree(),
+                    nullspace_dim=sum(g.degree() <= f.degree() for g in curves),
+                    notes=list(notes),
                 )
+            )
     return results

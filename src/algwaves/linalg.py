@@ -1,4 +1,4 @@
-"""Exact linear algebra over Q(sqrt(d)): reduced row echelon form, nullspaces,
+"""Exact linear algebra over Q(sqrt(d)): nullspaces, rank, span membership,
 and a modular certificate of column independence.
 
 Elimination is fraction-free.  Each row is scaled by the lcm of its
@@ -6,8 +6,8 @@ denominators, so every entry a + b*sqrt(d) becomes an integer pair (a, b) in
 Z[sqrt(d)], and Gauss-Jordan elimination runs on those pairs with Bareiss's
 exact division by the previous pivot (Bareiss 1968, Math. Comp. 22).  At the
 end every pivot equals the last one, D, and dividing by D once gives the
-reduced row echelon form, which is unique.  A matrix lives in one field: its
-entries may not mix radicands.
+reduced row echelon form, which is unique; the nullspace is read from it.
+A matrix lives in one field: its entries may not mix radicands.
 """
 
 from __future__ import annotations
@@ -85,32 +85,14 @@ def _eliminate(rows: list[list[QuadExt]]) -> tuple[int, list[list[Pair]], list[i
     return d, m[:r], pivots, prev
 
 
-def _divider(d: int, den: Pair):
-    """x -> x / den as a QuadExt, for integer pairs x over Z[sqrt(d)]."""
-    ca, cb = den[0], -den[1]
-    norm = ca * ca - d * cb * cb
-
-    def divide(x: Pair) -> QuadExt:
-        xa, xb = x
-        return QuadExt(Fraction(xa * ca + d * xb * cb, norm),
-                       Fraction(xa * cb + xb * ca, norm), d)
-
-    return divide
-
-
-def rref(rows: list[list[QuadExt]]) -> tuple[list[list[QuadExt]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    d, m, pivots, D = _eliminate(rows)
-    divide = _divider(d, D)
-    return [[divide(x) for x in row] for row in m], pivots
-
-
 def nullspace(rows: list[list[QuadExt]], ncols: int) -> list[list[QuadExt]]:
     """Basis of the right nullspace, one vector per free column, in column order."""
     zero = QuadExt(0)
     one = QuadExt(1)
     d, m, pivots, D = _eliminate(rows)
-    divide = _divider(d, (-D[0], -D[1]))
+    # entry -x / D of a pivot row x, as x * conj(-D) / N(D)
+    ca, cb = -D[0], D[1]
+    norm = ca * ca - d * cb * cb
     pivot_set = set(pivots)
     basis = []
     for fc in range(ncols):
@@ -119,7 +101,9 @@ def nullspace(rows: list[list[QuadExt]], ncols: int) -> list[list[QuadExt]]:
         v = [zero] * ncols
         v[fc] = one
         for row, pc in zip(m, pivots):
-            v[pc] = divide(row[fc])
+            xa, xb = row[fc]
+            v[pc] = QuadExt(Fraction(xa * ca + d * xb * cb, norm),
+                            Fraction(xa * cb + xb * ca, norm), d)
         basis.append(v)
     return basis
 

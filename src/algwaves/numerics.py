@@ -198,14 +198,6 @@ def curve_residual_along_orbit(f, orbit: Orbit, x_var: int = 0, y_var: int = 1,
     return float(np.max(np.abs(values), initial=0.0))
 
 
-def richardson_derivative(fn: Callable[[float], float], x: float,
-                          h: float = 1e-5) -> float:
-    """Central difference with one Richardson extrapolation step."""
-    d1 = (fn(x + h) - fn(x - h)) / (2 * h)
-    d2 = (fn(x + h / 2) - fn(x - h / 2)) / h
-    return (4 * d2 - d1) / 3
-
-
 def jacobi_elliptic(x: float, m: float, _tol: float = 1e-15):
     """Jacobi sn, cn, dn with parameter m (so cn(x, 0) = cos x).
 

@@ -204,9 +204,6 @@ class QuadExt:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.d)
-
     def inverse(self) -> "QuadExt":
         norm = self.a * self.a - self.d * self.b * self.b
         if norm == 0:

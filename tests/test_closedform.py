@@ -23,7 +23,6 @@ from algwaves.closedform import (
     solve_logistic,
     solve_power_logistic,
 )
-from algwaves.numerics import richardson_derivative
 from algwaves.qfield import QuadExt
 
 S = Sym("s")
@@ -34,6 +33,14 @@ rationals = st.builds(Fr, st.integers(min_value=-30, max_value=30),
 
 def d_at(expr, s0):
     return expr.diff("s").evaluate({"s": s0})
+
+
+def richardson_derivative(fn, x, h=1e-5):
+    """Central difference with one Richardson extrapolation step: the
+    numerical reference the exact derivatives are checked against."""
+    d1 = (fn(x + h) - fn(x - h)) / (2 * h)
+    d2 = (fn(x + h / 2) - fn(x - h / 2)) / h
+    return (4 * d2 - d1) / 3
 
 
 def numeric_d(expr, s0):

@@ -242,18 +242,46 @@ def hit_keys(hits):
             for h in hits]
 
 
-@settings(max_examples=20, deadline=None)
-@given(
-    wc=st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=2),
-                min_size=1, max_size=4),
-    pc=st.lists(st.integers(min_value=-2, max_value=2), min_size=6, max_size=6),
-    knum=st.integers(min_value=-4, max_value=4).filter(lambda k: k != 0),
-    kden=st.integers(min_value=1, max_value=2),
-    shift=st.integers(min_value=-2, max_value=2),
-)
-def test_certified_search_matches_exact_loop(wc, pc, knum, kden, shift):
-    # criterion 09's planted systems: f* = y + w(x) is invariant with
-    # cofactor k; the candidate list also holds a shifted cofactor
+def reference_search(ps, points, max_degree, candidates=None):
+    """The search as a loop over degrees: one fresh matrix and one exact
+    solve per candidate and degree, then deduplication and screening.  The
+    search reads every degree from one nullspace at max_degree; this is the
+    reference it must agree with."""
+    notes = []
+    if candidates is None:
+        cands, notes = eigenvalue_cofactor_candidates(ps, points)
+    else:
+        cands = [QuadExt.lift(k) for k in candidates]
+    results, seen, accepted = [], set(), []
+    for k in cands:
+        for deg in range(1, max_degree + 1):
+            sol = solve_fixed_cofactor(ps, k, deg, required_points=points)
+            if sol is None:
+                continue
+            for f in sol.curves:
+                if f in seen:
+                    continue
+                seen.add(f)
+                if not irreducibility_screen(f, accepted)[0]:
+                    continue
+                accepted.append(f)
+                results.append(darboux.DarbouxResult(
+                    curves=[f], cofactor=k, degree=f.degree(),
+                    nullspace_dim=sol.nullspace_dim, notes=list(notes)))
+    return results
+
+
+@st.composite
+def planted_searches(draw):
+    """Criterion 09's planted systems: f* = y + w(x) is invariant with
+    cofactor k; the candidate list may also hold a shifted cofactor.
+    Returns (system, points, degree bound, candidates, k)."""
+    wc = draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=2),
+                       min_size=1, max_size=4))
+    pc = draw(st.lists(st.integers(min_value=-2, max_value=2), min_size=6, max_size=6))
+    k = Fr(draw(st.integers(min_value=-4, max_value=4).filter(lambda k: k != 0)),
+           draw(st.integers(min_value=1, max_value=2)))
+    shift = draw(st.integers(min_value=-2, max_value=2))
     reg = VarRegistry(["x", "y"])
     x = MultiPoly.var(reg, "x")
     y = MultiPoly.var(reg, "y")
@@ -267,16 +295,65 @@ def test_certified_search_matches_exact_loop(wc, pc, knum, kden, shift):
         P = P + c * m
     if P.is_zero:
         P = x
-    k = Fr(knum, kden)
     Q = k * fstar - P * w.partial_derivative(0)
     from algwaves.reduction import PlanarSystem
 
     ps = PlanarSystem(reg, 0, 1, P, Q)
     cands = [k, k + shift] if shift else [k]
-    top = max(fstar.degree(), 1)
-    got = search_constant_cofactor(ps, [], top, cands)
-    assert hit_keys(got) == hit_keys(exact_search(ps, [], top, cands))
+    return ps, [], max(fstar.degree(), 1), cands, k
+
+
+@settings(max_examples=20, deadline=None)
+@given(planted_searches())
+def test_certified_search_matches_exact_loop(case):
+    ps, points, top, cands, k = case
+    got = search_constant_cofactor(ps, points, top, cands)
+    assert hit_keys(got) == hit_keys(exact_search(ps, points, top, cands))
     assert any(h.cofactor == k for h in got)
+
+
+FRONT_SPEEDS = (FRONT_SPEED, QuadExt(2), QuadExt(Fr(7, 3)))
+
+
+@st.composite
+def front_searches(draw):
+    """The front system through both rest states, at a speed with a curve
+    and at two without, up to degree 6."""
+    c = draw(st.sampled_from(FRONT_SPEEDS))
+    return front_system(c), [(0, 0), (1, 0)], draw(st.integers(min_value=1, max_value=6)), None
+
+
+@st.composite
+def monomial_searches(draw):
+    """x' = x, y' = -a*y, where every monomial x^i y^j is invariant with
+    cofactor i - a*j: nullspaces of dimension above 1, constant curves,
+    squares, multiples of accepted curves and repeated candidates."""
+    a = draw(st.integers(min_value=1, max_value=2))
+    ps = make_plane(lambda x, y: x, lambda x, y: -a * y)
+    cands = draw(st.lists(st.integers(min_value=-2, max_value=3), min_size=1, max_size=4))
+    return ps, [], draw(st.integers(min_value=1, max_value=4)), cands
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(planted_searches().map(lambda case: case[:4]), front_searches(),
+                 monomial_searches()))
+def test_search_matches_per_degree_reference(case):
+    ps, points, top, cands = case
+    got = search_constant_cofactor(ps, points, top, cands)
+    assert hit_keys(got) == hit_keys(reference_search(ps, points, top, cands))
+
+
+def test_search_builds_and_eliminates_once_per_candidate():
+    for c, top in ((FRONT_SPEED, 6), (QuadExt(2), 6), (FRONT_SPEED, 3)):
+        ps = front_system(c)
+        cands, _ = eigenvalue_cofactor_candidates(ps, [(0, 0), (1, 0)])
+        with mock.patch.object(darboux, "invariance_matrix",
+                               wraps=darboux.invariance_matrix) as build, \
+                mock.patch.object(darboux, "nullspace", wraps=darboux.nullspace) as solve:
+            hits = search_constant_cofactor(ps, [(0, 0), (1, 0)], top)
+        assert build.call_count == len(cands) == 3
+        assert all(call.args[2] == top for call in build.call_args_list)
+        assert (1 if hits else 0) <= solve.call_count <= len(cands)
 
 
 class TestCertificateFallback:

@@ -14,11 +14,11 @@ from algwaves.numerics import (
     integrate_rk4,
     integrate_rkf45,
     jacobi_elliptic,
-    richardson_derivative,
     shoot_unstable_manifold,
 )
 from algwaves.poly import MultiPoly, VarRegistry
 from algwaves.qfield import QuadExt
+from test_closedform import richardson_derivative
 
 FRONT_SPEED = QuadExt(0, Fr(5, 6), 6)
 
