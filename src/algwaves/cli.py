@@ -6,8 +6,9 @@ by default or a stable JSON document with --json.
 
 Exit codes: 0 success, 1 bad input or flags, 2 empty result (no curve,
 no discrete equilibria, failed certificate), 3 numeric tolerance miss,
-4 undetermined (find-curve had no cofactor candidate, so an empty search
-proves nothing).
+4 undetermined (find-curve searched no cofactor candidate, or only
+constant ones where a curve may have a nonconstant cofactor, so an empty
+search proves nothing).
 """
 
 from __future__ import annotations
@@ -158,7 +159,11 @@ def cmd_equilibria(args):
 
 
 def cmd_find_curve(args):
-    from .darboux import eigenvalue_cofactor_candidates, search_constant_cofactor
+    from .darboux import (
+        constant_cofactor_weight,
+        eigenvalue_cofactor_candidates,
+        search_constant_cofactor,
+    )
 
     sys_spec = _reduced(args)
     if sys_spec.c is None:
@@ -181,15 +186,16 @@ def cmd_find_curve(args):
              "degree": h.degree, "nullspace_dim": h.nullspace_dim}
             for h in hits]
     status = "found" if hits else "proved-none" if cands else "undetermined"
+    if status == "proved-none" and constant_cofactor_weight(ps) is None:
+        # only constant cofactors were searched, and no weights show that
+        # every cofactor is constant
+        status = "undetermined"
+        notes = notes + ["no weights (1, t) for (x, y) make every cofactor "
+                         "constant; nonconstant cofactors were not searched"]
     result = {"count": len(hits), "curves": rows, "status": status,
               "notes": notes,
               "points": ["(%s, %s)" % (p[0], p[1]) for p in points]}
-    if not cands:
-        text = ["undetermined: no cofactor candidate for a curve through %s"
-                % ", ".join(result["points"])]
-        text += ["  " + n for n in notes]
-        code = 4
-    elif hits:
+    if hits:
         text = ["%d invariant curve(s) through %s"
                 % (len(hits), ", ".join(result["points"]))]
         for r in rows:
@@ -197,10 +203,20 @@ def cmd_find_curve(args):
             text.append("    cofactor %s, degree %d, nullspace dimension %d"
                         % (r["cofactor"], r["degree"], r["nullspace_dim"]))
         code = 0
-    else:
+    elif status == "proved-none":
         text = ["no invariant curve up to degree %d through %s"
                 % (args.max_degree, ", ".join(result["points"]))]
         code = 2
+    else:
+        if cands:
+            text = ["undetermined: no curve with a constant cofactor up to "
+                    "degree %d through %s"
+                    % (args.max_degree, ", ".join(result["points"]))]
+        else:
+            text = ["undetermined: no cofactor candidate for a curve through %s"
+                    % ", ".join(result["points"])]
+        text += ["  " + n for n in notes]
+        code = 4
     return "find-curve", _config(args), result, text, code
 
 

@@ -9,10 +9,17 @@ For a fixed cofactor k this is a linear condition on the coefficients
 of f, so candidates of bounded degree drop out of an exact nullspace
 computation.  Constant cofactors of curves passing through a hyperbolic
 saddle are constrained to the two eigenvalues and their sum, which
-turns an open-ended search into a finite one.
+turns an open-ended search into a finite one.  Weights on x and y under
+which the field raises the weight by less than the weight of every
+nonconstant monomial prove that every cofactor is constant
+(constant_cofactor_weight).
 
 Each candidate cofactor's invariance matrix is built once, at the degree
-bound.  A negative answer is a rank certificate: the matrix has full column
+bound, straight into integer rows over Z[sqrt(d)] with one scale per row:
+a column shifts the exponents of the terms of P, Q and k, and a point row
+holds powers of the point's coordinates, so no polynomial is multiplied.
+The basis is in grlex order, so every lower degree bound is a column
+prefix.  A negative answer is a rank certificate: the matrix has full column
 rank modulo a prime, which proves it has full rank over Q(sqrt(d)).  When
 the certificate leaves a column open, one exact elimination of the same
 matrix gives the curves of every degree up to the bound.
@@ -21,9 +28,17 @@ matrix gives the curves of every degree up to the bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .linalg import independent_prefix_mod_p, nullspace
+from .linalg import (
+    IntegerMatrix,
+    Pair,
+    common_radicand,
+    independent_prefix_mod_p,
+    integer_pairs,
+    nullspace,
+)
 from .poly import (
     Monomial,
     MultiPoly,
@@ -83,41 +98,93 @@ class DarbouxResult:
         return self.curves[0]
 
 
+def _pair_mul(p: Pair, q: Pair, d: int) -> Pair:
+    return p[0] * q[0] + d * p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+
 def invariance_matrix(
     ps: PlanarSystem,
     cofactor: Union[MultiPoly, ScalarLike],
     degree: int,
     required_points: Sequence[Sequence[ScalarLike]] = (),
-) -> tuple[list[Monomial], list[list[QuadExt]]]:
+) -> tuple[list[Monomial], IntegerMatrix]:
     """Linear system for the coefficients of curves of bounded degree.
 
     Column j stands for the coefficient of basis[j].  The basis is in
     grlex order, so the basis of any lower degree bound is a column prefix,
     and the rows a lower bound lacks vanish on that prefix.  One row per
-    monomial of P f_x + Q f_y - k f, then one per required point.
+    monomial of P f_x + Q f_y - k f in grlex order, then one per required
+    point.
 
-    search_constant_cofactor relies on this prefix property: the
+    The rows are integer pairs over Z[sqrt(d)], each with a scale (see
+    linalg.IntegerMatrix), built without polynomial arithmetic.  The
+    residual of x^i y^j is i P x^(i-1) y^j + j Q x^i y^(j-1) - k x^i y^j, so
+    a column shifts the exponents of the terms of P, Q and k, whose
+    coefficients are integer pairs over one common denominator, the scale
+    of every residual row.  A point row holds the point's coordinate powers,
+    also computed once as integer pairs.  Raises RadicandMismatchError when
+    the system, the cofactor and the points mix radicands.
+
+    search_constant_cofactor relies on the prefix property: the
     column-order reduced echelon form of a prefix is the prefix of the
     full one, so each null vector of the matrix at the degree bound is the
     null vector the matrix at its own degree gives for the same free column.
     """
     if degree < 0:
         raise ValueError("degree bound must be nonnegative")
-    reg = ps.registry
-    basis = monomial_basis([ps.x_var, ps.y_var], degree)
-    resids = [
-        cofactor_residual(ps, MultiPoly(reg, {m: QuadExt(1)}), cofactor)
-        for m in basis
-    ]
-    row_monos = sorted(
-        {mon for r in resids for mon in r.terms},
-        key=lambda m: grlex_key(m, len(reg)),
-    )
-    rows = [[r.coeff(mon) for r in resids] for mon in row_monos]
-    for pt in required_points:
-        point = {ps.x_var: QuadExt.lift(pt[0]), ps.y_var: QuadExt.lift(pt[1])}
-        rows.append([MultiPoly(reg, {m: QuadExt(1)}).evaluate(point) for m in basis])
-    return basis, rows
+    xv, yv = ps.x_var, ps.y_var
+
+    def xy_exponents(m: Monomial) -> tuple[int, int]:
+        e = dict(m)
+        return e.get(xv, 0), e.get(yv, 0)
+
+    k = MultiPoly.zero(ps.registry) + cofactor  # raises on a foreign registry
+    points = [(QuadExt.lift(pt[0]), QuadExt.lift(pt[1])) for pt in required_points]
+    polys = (ps.P, ps.Q, k)
+    coeffs = [c for f in polys for c in f.terms.values()]
+    d = common_radicand(coeffs + [c for pt in points for c in pt])
+    scale, pairs = integer_pairs(coeffs)
+    pairs = iter(pairs)
+    # each term as (x exponent, y exponent, other variables, integer pair)
+    P, Q, K = [[(*xy_exponents(m), tuple(ve for ve in m if ve[0] not in (xv, yv)),
+                 next(pairs)) for m in f.terms] for f in polys]
+    basis = monomial_basis([xv, yv], degree)
+    exps = [xy_exponents(m) for m in basis]
+    columns = []
+    for i, j in exps:
+        col: dict = {}
+        for terms, di, dj, w in ((P, i - 1, j, i), (Q, i, j - 1, j), (K, i, j, -1)):
+            if w:
+                for ex, ey, rest, (a, b) in terms:
+                    key = (ex + di, ey + dj, rest)
+                    ca, cb = col.get(key, (0, 0))
+                    col[key] = (ca + w * a, cb + w * b)
+        columns.append({key: v for key, v in col.items() if v != (0, 0)})
+    nvars = len(ps.registry)
+
+    def monomial(key) -> Monomial:
+        ex, ey, rest = key
+        return tuple(sorted(rest + tuple((v, e) for v, e in ((xv, ex), (yv, ey)) if e)))
+
+    row_keys = sorted({key for col in columns for key in col},
+                      key=lambda key: grlex_key(monomial(key), nvars))
+    rows = [[col.get(key, (0, 0)) for col in columns] for key in row_keys]
+    scales = [scale] * len(rows)
+    for pt in points:
+        # a coordinate n/s has powers n^e / s^e = n^e s^(degree - e) / s^degree
+        powers, point_scale = [], 1
+        for c in pt:
+            s, (n,) = integer_pairs([c])
+            p = [(1, 0)]
+            for _ in range(degree):
+                p.append(_pair_mul(p[-1], n, d))
+            powers.append([(a * s ** (degree - e), b * s ** (degree - e))
+                           for e, (a, b) in enumerate(p)])
+            point_scale *= s ** degree
+        px, py = powers
+        rows.append([_pair_mul(px[i], py[j], d) for i, j in exps])
+        scales.append(point_scale)
+    return basis, IntegerMatrix(rows, d, scales)
 
 
 def _monic_curves(
@@ -172,6 +239,42 @@ def solve_fixed_cofactor(
 
 
 # -- constant cofactors from saddle spectra ----------------------------------
+
+
+def constant_cofactor_weight(ps: PlanarSystem) -> Optional[Fraction]:
+    """A weight t > 0 proving that every cofactor of the field is constant,
+    or None when there is none.
+
+    Give x the weight 1 and y the weight t.  A term x^a y^b of P raises the
+    weight by a + b*t - 1 (it multiplies f_x) and a term of Q by
+    a + (b - 1)*t.  When every term raises it by less than min(1, t), the
+    weight of P f_x + Q f_y = k f exceeds that of f by less than the least
+    weight of a nonconstant monomial, so k is constant.  Each condition is
+    linear in t; the t that meet all of them form an open interval, found
+    exactly, and its midpoint (its lower end plus 1 when it is unbounded)
+    is returned.  For x' = y, y' = x^2 - x - c*y the interval is (1, 2) and
+    t = 3/2.  A term in a variable other than x and y gives None.
+    """
+    lo, hi = Fraction(0), None
+    for f, (ax, ay) in ((ps.P, (-1, 0)), (ps.Q, (0, -1))):
+        for m in f.terms:
+            e = dict(m)
+            if set(e) - {ps.x_var, ps.y_var}:
+                return None
+            # the term raises the weight by alpha + beta*t
+            alpha, beta = e.get(ps.x_var, 0) + ax, e.get(ps.y_var, 0) + ay
+            # alpha + beta*t < 1 and alpha + beta*t < t, each as u + v*t < 0
+            for u, v in ((alpha - 1, beta), (alpha, beta - 1)):
+                if v == 0:
+                    if u >= 0:
+                        return None
+                elif v > 0:
+                    hi = Fraction(-u, v) if hi is None else min(hi, Fraction(-u, v))
+                else:
+                    lo = max(lo, Fraction(-u, v))
+    if hi is None:
+        return lo + 1
+    return (lo + hi) / 2 if lo < hi else None
 
 
 def eigenvalue_cofactor_candidates(
@@ -280,7 +383,8 @@ def search_constant_cofactor(
     deduplicated across degrees, screened for obvious reducibility, and
     returned in (candidate, degree) order.  An empty list proves that no
     curve exists with any candidate cofactor; with no candidates at all it
-    proves nothing (see eigenvalue_cofactor_candidates).
+    proves nothing (see eigenvalue_cofactor_candidates), and it says nothing
+    of nonconstant cofactors unless constant_cofactor_weight rules them out.
 
     Each candidate's invariance matrix is built once, at max_degree, and
     reduced mod a prime.  A candidate with a pivot in every column has no

@@ -8,41 +8,78 @@ exact division by the previous pivot (Bareiss 1968, Math. Comp. 22).  At the
 end every pivot equals the last one, D, and dividing by D once gives the
 reduced row echelon form, which is unique; the nullspace is read from it.
 A matrix lives in one field: its entries may not mix radicands.
+
+A matrix is given either as rows of QuadExt or as an IntegerMatrix, whose
+rows already hold the integer pairs with their scales (darboux builds its
+invariance matrices that way); an IntegerMatrix passes straight through to
+elimination.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterable, Union
 
 from .qfield import QuadExt, RadicandMismatchError
 
 Pair = tuple[int, int]  # a + b*sqrt(d) with integer a, b
 
 
-def _integer_rows(rows: list[list[QuadExt]]) -> tuple[int, list[list[Pair]], list[int]]:
-    """The radicand d, every row over Z[sqrt(d)], and each row's scale.
+class IntegerMatrix(list):
+    """Rows over Z[sqrt(d)]: entry (a, b) of row i stands for
+    (a + b*sqrt(d)) / scales[i].  len() is the row count."""
 
-    Row i times scales[i] (the lcm of its denominators) has integer pairs
-    as entries.  Raises RadicandMismatchError when entries mix radicands.
+    def __init__(self, rows: Iterable[list[Pair]], d: int, scales: list[int]):
+        super().__init__(rows)
+        self.d = d
+        self.scales = scales
+
+
+Matrix = Union[IntegerMatrix, list[list[QuadExt]]]
+
+
+def common_radicand(values: Iterable[QuadExt]) -> int:
+    """The one radicand d > 1 among the values, or 1 when all are rational.
+
+    Raises RadicandMismatchError when they carry two different radicands.
     """
-    radicands = {x.d for row in rows for x in row if x.d != 1}
+    radicands = {x.d for x in values if x.d != 1}
     if len(radicands) > 1:
         raise RadicandMismatchError(
             "cannot combine %s in one matrix"
             % " with ".join("sqrt(%d)" % r for r in sorted(radicands)))
-    d = radicands.pop() if radicands else 1
+    return radicands.pop() if radicands else 1
+
+
+def integer_pairs(values: list[QuadExt]) -> tuple[int, list[Pair]]:
+    """(s, pairs) with s the lcm of the denominators and pairs[i] the
+    integer pair of s * values[i]."""
+    scale = math.lcm(*(q.denominator for x in values for q in (x.a, x.b)))
+    return scale, [(x.a.numerator * (scale // x.a.denominator),
+                    x.b.numerator * (scale // x.b.denominator)) for x in values]
+
+
+def _integer_rows(rows: Matrix) -> tuple[int, list[list[Pair]], list[int]]:
+    """The radicand d, every row over Z[sqrt(d)], and each row's scale.
+
+    Row i times scales[i] has integer pairs as entries.  An IntegerMatrix
+    is passed through (its outer list copied, since _eliminate swaps rows in
+    place).  Raises RadicandMismatchError when QuadExt entries mix radicands.
+    """
+    if isinstance(rows, IntegerMatrix):
+        return rows.d, list(rows), rows.scales
+    d = common_radicand(x for row in rows for x in row)
     out: list[list[Pair]] = []
     scales: list[int] = []
     for row in rows:
-        scale = math.lcm(*(q.denominator for x in row for q in (x.a, x.b)))
-        out.append([(x.a.numerator * (scale // x.a.denominator),
-                     x.b.numerator * (scale // x.b.denominator)) for x in row])
+        scale, pairs = integer_pairs(row)
+        out.append(pairs)
         scales.append(scale)
     return d, out, scales
 
 
-def _eliminate(rows: list[list[QuadExt]]) -> tuple[int, list[list[Pair]], list[int], Pair]:
+def _eliminate(rows: Matrix) -> tuple[int, list[list[Pair]], list[int], Pair]:
     """Fraction-free Gauss-Jordan elimination over Z[sqrt(d)].
 
     Returns (d, pivot rows, pivot columns, D).  Every pivot row holds D in
@@ -85,7 +122,7 @@ def _eliminate(rows: list[list[QuadExt]]) -> tuple[int, list[list[Pair]], list[i
     return d, m[:r], pivots, prev
 
 
-def nullspace(rows: list[list[QuadExt]], ncols: int) -> list[list[QuadExt]]:
+def nullspace(rows: Matrix, ncols: int) -> list[list[QuadExt]]:
     """Basis of the right nullspace, one vector per free column, in column order."""
     zero = QuadExt(0)
     one = QuadExt(1)
@@ -108,7 +145,7 @@ def nullspace(rows: list[list[QuadExt]], ncols: int) -> list[list[QuadExt]]:
     return basis
 
 
-def rank(rows: list[list[QuadExt]]) -> int:
+def rank(rows: Matrix) -> int:
     return len(_eliminate(rows)[2])
 
 
@@ -129,7 +166,7 @@ MODULAR_PRIMES = tuple(2**61 - k for k in (
     1609, 1621, 1669, 1741, 1753, 1813, 1845, 1849, 1869, 1909, 1921, 1945))
 
 
-def independent_prefix_mod_p(rows: list[list[QuadExt]], ncols: int) -> int:
+def independent_prefix_mod_p(rows: Matrix, ncols: int) -> int:
     """How many leading columns are provably linearly independent.
 
     Each row is scaled to entries in Z[sqrt(d)] (as for elimination), and

@@ -107,6 +107,21 @@ class TestFindCurve:
         assert "no invariant curve" not in out
         assert "eigenvalues at (1, 0) are not exactly representable" in out
 
+    def test_nonconstant_cofactor_is_undetermined(self, capsys):
+        # y - x^2 + x = 0 passes through both points and is invariant with
+        # cofactor x - 3; the search tries constant cofactors only
+        argv = ("find-curve", "--pde", "u_t - u_xx + 3*u*u_x - u^3 + 4*u^2 - 3*u = 0",
+                "--speed", "4", "--max-degree", "4", "--point", "0,0", "--point", "1,0")
+        code, out, _ = run(capsys, *argv)
+        assert code == 4
+        assert "undetermined" in out and "no invariant curve" not in out
+        code, out, _ = run(capsys, *argv, "--json")
+        doc = json.loads(out)
+        assert code == 4
+        assert doc["result"]["status"] == "undetermined"
+        assert any("nonconstant cofactors were not searched" in n
+                   for n in doc["result"]["notes"])
+
     def test_name_as_speed_exit_1(self, capsys):
         code, _, err = run(capsys, "find-curve", "--pde", FISHER,
                            "--speed", "c")

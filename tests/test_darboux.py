@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from algwaves.darboux import (
     cofactor_residual,
+    constant_cofactor_weight,
     eigenvalue_cofactor_candidates,
+    invariance_matrix,
     irreducibility_screen,
     monomial_basis,
     poly_square_root,
@@ -16,9 +18,9 @@ from algwaves.darboux import (
     solve_fixed_cofactor,
 )
 from algwaves import darboux
-from algwaves.linalg import MODULAR_PRIMES, in_row_span
-from algwaves.poly import MultiPoly, VarRegistry
-from algwaves.qfield import QuadExt
+from algwaves.linalg import MODULAR_PRIMES, in_row_span, independent_prefix_mod_p, nullspace
+from algwaves.poly import MultiPoly, RegistryMismatchError, VarRegistry, grlex_key
+from algwaves.qfield import QuadExt, RadicandMismatchError
 
 
 def make_plane(P_builder, Q_builder):
@@ -36,6 +38,13 @@ def front_system(c):
 
 
 FRONT_SPEED = QuadExt(0, Fr(5, 6), 6)
+
+
+def cubic_system():
+    # the plane system of u_t - u_xx + 3 u u_x - u^3 + 4 u^2 - 3 u = 0 at
+    # speed 4, where y - x^2 + x = 0 is invariant with cofactor x - 3
+    return make_plane(lambda x, y: y,
+                      lambda x, y: -x**3 + 4 * x * x + 3 * x * y - 3 * x - 4 * y)
 
 
 def front_curve(ps):
@@ -392,3 +401,132 @@ class TestCertificateFallback:
         cands, notes = eigenvalue_cofactor_candidates(ps, [(0, 0), (1, 0)])
         assert cands == []
         assert any("not exactly representable" in n for n in notes)
+
+
+def reference_invariance_matrix(ps, cofactor, degree, required_points=()):
+    """The invariance matrix over QuadExt, with one cofactor_residual
+    product per column and one evaluation per point and basis monomial:
+    the construction before integer rows, kept as the reference for
+    invariance_matrix."""
+    reg = ps.registry
+    basis = monomial_basis([ps.x_var, ps.y_var], degree)
+    resids = [cofactor_residual(ps, MultiPoly(reg, {m: QuadExt(1)}), cofactor)
+              for m in basis]
+    row_monos = sorted({mon for r in resids for mon in r.terms},
+                       key=lambda m: grlex_key(m, len(reg)))
+    rows = [[r.coeff(mon) for r in resids] for mon in row_monos]
+    for pt in required_points:
+        point = {ps.x_var: QuadExt.lift(pt[0]), ps.y_var: QuadExt.lift(pt[1])}
+        rows.append([MultiPoly(reg, {m: QuadExt(1)}).evaluate(point) for m in basis])
+    return basis, rows
+
+
+@st.composite
+def invariance_cases(draw):
+    """A system, a cofactor, a degree bound from 0 and up to two required
+    points with integer, fractional and sqrt(d) coordinates: criterion 09's
+    planted systems, the front system at a speed with a curve and at two
+    without, the cubic system with the polynomial cofactor x - 3, and
+    x' = x, y' = -a*y, whose residual of x^i y^j vanishes when k = i - a*j."""
+    kind = draw(st.sampled_from(("planted", "front", "cubic", "monomial")))
+    if kind == "planted":
+        ps, _, _, cands, _ = draw(planted_searches())
+        k = QuadExt.lift(draw(st.sampled_from(cands)))
+    elif kind == "monomial":
+        ps, _, _, cands = draw(monomial_searches())
+        k = QuadExt.lift(draw(st.sampled_from(cands)))
+    elif kind == "front":
+        ps = front_system(draw(st.sampled_from(FRONT_SPEEDS)))
+        k = draw(st.sampled_from(eigenvalue_cofactor_candidates(ps, [(0, 0), (1, 0)])[0]))
+    else:
+        ps = cubic_system()
+        k = MultiPoly.var(ps.registry, "x") - 3
+    coeffs = list(ps.P.terms.values()) + list(ps.Q.terms.values())
+    coeffs += list(k.terms.values()) if isinstance(k, MultiPoly) else [k]
+    d = max(c.d for c in coeffs)
+    if d == 1:
+        d = draw(st.sampled_from((2, 3, 5)))
+    rat = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    coord = st.one_of(st.integers(min_value=-2, max_value=2), rat,
+                      st.builds(lambda a, b: QuadExt(a, b, d), rat, rat))
+    points = draw(st.lists(st.tuples(coord, coord), max_size=2))
+    return ps, k, draw(st.integers(min_value=0, max_value=6)), points
+
+
+@settings(max_examples=60, deadline=None)
+@given(invariance_cases())
+def test_invariance_matrix_matches_reference(case):
+    ps, k, degree, points = case
+    basis, rows = invariance_matrix(ps, k, degree, points)
+    want_basis, want = reference_invariance_matrix(ps, k, degree, points)
+    assert basis == want_basis
+    assert len(rows) == len(rows.scales) == len(want)
+    for row, scale, ref in zip(rows, rows.scales, want):
+        assert [QuadExt(Fr(a, scale), Fr(b, scale), rows.d) for a, b in row] == ref
+
+
+def test_invariance_matrix_rejects_mixed_fields():
+    ps = front_system(FRONT_SPEED)
+    with pytest.raises(RadicandMismatchError):
+        invariance_matrix(ps, QuadExt(0, 1, 2), 2)
+    with pytest.raises(RadicandMismatchError):
+        invariance_matrix(ps, QuadExt(0, -1, 6), 2, [(QuadExt(0, 1, 3), 0)])
+    with pytest.raises(RegistryMismatchError):
+        invariance_matrix(ps, MultiPoly.var(VarRegistry(["x", "y"]), "x"), 2)
+
+
+def test_elimination_leaves_invariance_matrix_unchanged():
+    ps = front_system(FRONT_SPEED)
+    basis, rows = invariance_matrix(ps, QuadExt(0, -1, 6), 4, [(0, 0), (1, 0)])
+    before = ([list(row) for row in rows], rows.d, list(rows.scales))
+    assert independent_prefix_mod_p(rows, len(basis)) < len(basis)
+    first = nullspace(rows, len(basis))
+    assert first and nullspace(rows, len(basis)) == first
+    assert ([list(row) for row in rows], rows.d, list(rows.scales)) == before
+
+
+def test_invariance_matrix_multiplies_no_polynomials():
+    cubic = cubic_system()
+    cases = [(front_system(FRONT_SPEED), QuadExt(0, -1, 6)),
+             (front_system(QuadExt(2)), QuadExt(-1)),
+             (cubic, MultiPoly.var(cubic.registry, "x") - 3)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("polynomial arithmetic in invariance_matrix")
+
+    with mock.patch.object(darboux, "cofactor_residual", forbidden), \
+            mock.patch.object(MultiPoly, "__mul__", forbidden), \
+            mock.patch.object(MultiPoly, "__rmul__", forbidden), \
+            mock.patch.object(MultiPoly, "evaluate", forbidden):
+        for ps, k in cases:
+            basis, rows = invariance_matrix(ps, k, 6, [(0, 0), (1, 0)])
+            assert len(basis) == 28 and len(rows) > len(basis)
+
+
+class TestCofactorWeight:
+    def test_fisher_cofactors_are_constant(self):
+        # x' = -y, y' = x^2 - x - c*y: weights (1, t) work for 1 < t < 2
+        for c in FRONT_SPEEDS:
+            assert constant_cofactor_weight(front_system(c)) == Fr(3, 2)
+
+    def test_cubic_system_has_no_weights(self):
+        # the term 3*x*y of Q raises the weight by exactly 1 for every t
+        ps = cubic_system()
+        x, y = MultiPoly.var(ps.registry, "x"), MultiPoly.var(ps.registry, "y")
+        assert cofactor_residual(ps, y - x * x + x, x - 3).is_zero
+        assert constant_cofactor_weight(ps) is None
+
+    def test_linear_field_has_constant_cofactors(self):
+        assert constant_cofactor_weight(make_plane(lambda x, y: x, lambda x, y: -y)) == 1
+
+    def test_weights_below_one(self):
+        # x' = x + y^3, y' = y: with t = weight of y, y^3 raises by 3t - 1,
+        # which is below min(1, t) for t < 1/2
+        ps = make_plane(lambda x, y: x + y**3, lambda x, y: y)
+        assert constant_cofactor_weight(ps) == Fr(1, 4)
+        # x' = y^2, y' = x: 1/2 < t < 1; x' = y^2, y' = x^2: t < 1 for the
+        # first term and t > 1 for the second
+        ps = make_plane(lambda x, y: y * y, lambda x, y: x)
+        assert constant_cofactor_weight(ps) == Fr(3, 4)
+        ps = make_plane(lambda x, y: y * y, lambda x, y: x * x)
+        assert constant_cofactor_weight(ps) is None
