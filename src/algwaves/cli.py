@@ -250,15 +250,9 @@ def cmd_certify_fisher(args):
 
 
 def cmd_catalog(args):
-    from .waves import catalog, make_entry
-
-    if args.entry:
-        entries = [make_entry(args.entry, **_entry_overrides(args))]
-    else:
-        entries = list(catalog().values())
     rows = []
     text = []
-    for e in entries:
+    for e in _entries(args):
         row = {
             "name": e.name,
             "equation": e.equation,
@@ -282,27 +276,29 @@ def cmd_catalog(args):
     return "catalog", _config(args), {"entries": rows}, text, 0
 
 
-def _entry_overrides(args) -> dict:
+def _entries(args) -> list:
+    """The --entry catalog entry with its --param overrides, or the whole
+    catalog."""
+    from .waves import catalog, make_entry
+
+    if not args.entry:
+        return list(catalog().values())
     values = {}
-    for name, literal in _parse_params(getattr(args, "param", None)).items():
+    for name, literal in _parse_params(args.param).items():
         try:
             values[name] = int(literal)
         except ValueError:
             values[name] = parse_quadext(literal)
-    return values
+    return [make_entry(args.entry, **values)]
 
 
 def cmd_verify(args):
-    from .waves import catalog, make_entry, pde_residual_along_profile, verify_entry
+    from .waves import pde_residual_along_profile, verify_entry
 
-    if args.entry:
-        entries = [make_entry(args.entry, **_entry_overrides(args))]
-    else:
-        entries = list(catalog().values())
     rows = []
     text = []
     worst_fail = False
-    for e in entries:
+    for e in _entries(args):
         rep = verify_entry(e, n=args.samples, lo=args.lo, hi=args.hi)
         pde_res = pde_residual_along_profile(e)
         good = (rep.max_residual <= args.tol and pde_res <= args.tol

@@ -10,7 +10,8 @@ floating point at all:
      leaves a single admissible pair (m = 1, slow eigenvalue);
   2. the coefficient recurrence agrees with its closed forms;
   3. the binomial convolution identities behind those closed forms hold
-     as exact polynomial identities in rising factorials;
+     as polynomial identities in rising factorials, checked exactly in
+     integers on the grid of points that determines them;
   4. the plane system x' = -y, y' = -x - c y + x^2 carries exactly one
      cubic invariant curve through both rest states at that speed;
   5. the curve is re-verified against the invariance identity and
@@ -21,12 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import Optional, Sequence
 
 from .darboux import cofactor_residual, solve_fixed_cofactor
 from .poly import MultiPoly, VarRegistry
-from .qfield import QuadExt, pochhammer, squarefree_decompose, try_sqrt
+from .qfield import (QuadExt, is_squarefree, pochhammer, squarefree_decompose,
+                     try_sqrt)
 from .reduction import PlanarSystem, jacobian_eigen
 
 Rat = Fraction
@@ -87,16 +89,16 @@ class LeadingCoeffTable:
         return self.entries[j]
 
 
-def _table_registry() -> tuple[VarRegistry, MultiPoly, MultiPoly]:
-    reg = VarRegistry(["c0", "c"])
-    return reg, MultiPoly.var(reg, "c0"), MultiPoly.var(reg, "c")
+# one registry for every table, so that their entries compare with ==
+_TABLE_REGISTRY = VarRegistry(["c0", "c"])
+_C0, _C = MultiPoly.var(_TABLE_REGISTRY, "c0"), MultiPoly.var(_TABLE_REGISTRY, "c")
 
 
 def leading_coeffs_recurrence(m: int) -> LeadingCoeffTable:
     """Downward recurrence from a_{2m} = 1."""
     if m < 1:
         raise ValueError("index m must be positive")
-    reg, c0, c = _table_registry()
+    reg, c0, c = _TABLE_REGISTRY, _C0, _C
     a: dict[int, MultiPoly] = {2 * m: MultiPoly.one(reg)}
     a[2 * m - 1] = -(c0 + 2 * m * c)
 
@@ -122,7 +124,7 @@ def leading_coeffs_closed_form(m: int) -> LeadingCoeffTable:
     """Closed forms: binomial even block, the top odd entry, and a_1."""
     if m < 1:
         raise ValueError("index m must be positive")
-    reg, c0, c = _table_registry()
+    reg, c0, c = _TABLE_REGISTRY, _C0, _C
     a: dict[int, MultiPoly] = {}
     for j in range(m + 1):
         a[2 * m - 2 * j] = MultiPoly.const(reg, Rat(2, 3) ** j * comb(m, j))
@@ -132,29 +134,12 @@ def leading_coeffs_closed_form(m: int) -> LeadingCoeffTable:
     return LeadingCoeffTable(m, reg, a)
 
 
-def _same_poly(p1: MultiPoly, p2: MultiPoly) -> bool:
-    """Equality across registries, matching variables by name."""
-    if p1.registry is p2.registry:
-        return p1 == p2
-    sub = {
-        v: MultiPoly.var(p1.registry, p2.registry.name(v)) for v in p2.variables()
-    }
-    return p1 == p2.substitute(sub, registry=p1.registry)
-
-
 def tables_agree(t1: LeadingCoeffTable, t2: LeadingCoeffTable) -> bool:
     shared = set(t1.entries) & set(t2.entries)
-    return all(_same_poly(t1.entries[j], t2.entries[j]) for j in shared)
+    return all(t1.entries[j] == t2.entries[j] for j in shared)
 
 
 # -- factorial identities -----------------------------------------------------
-
-
-def rising_factorial_poly(p: MultiPoly, m: int) -> MultiPoly:
-    out = MultiPoly.one(p.registry)
-    for i in range(m):
-        out = out * (p + i)
-    return out
 
 
 def verify_gamma_identities(m_max: int) -> bool:
@@ -164,21 +149,26 @@ def verify_gamma_identities(m_max: int) -> bool:
     sum_j C(m,j) (m-j) x^(j) y^(m-j) == m y (x+y+1)^(m-1)
 
     with p^(j) the rising factorial p(p+1)...(p+j-1).
+
+    Both sides of each identity have degree at most m in x and in y.  A
+    polynomial of degree at most m in each of two variables that vanishes
+    at every integer point 0 <= x, y <= m is zero: for each such y it is a
+    polynomial in x of degree at most m with m + 1 roots, so each of its
+    coefficients, a polynomial in y of degree at most m, has m + 1 roots.
+    Checking that grid in integers therefore proves the identities.
     """
-    reg = VarRegistry(["x", "y"])
-    x = MultiPoly.var(reg, "x")
-    y = MultiPoly.var(reg, "y")
     for m in range(1, m_max + 1):
-        lhs1 = MultiPoly.zero(reg)
-        lhs2 = MultiPoly.zero(reg)
-        for j in range(m + 1):
-            term = rising_factorial_poly(x, j) * rising_factorial_poly(y, m - j)
-            lhs1 = lhs1 + comb(m, j) * term
-            lhs2 = lhs2 + comb(m, j) * (m - j) * term
-        if lhs1 != rising_factorial_poly(x + y, m):
-            return False
-        if lhs2 != m * y * rising_factorial_poly(x + y + 1, m - 1):
-            return False
+        for x in range(m + 1):
+            for y in range(m + 1):
+                terms = [
+                    comb(m, j) * prod(range(x, x + j)) * prod(range(y, y + m - j))
+                    for j in range(m + 1)
+                ]
+                if sum(terms) != prod(range(x + y, x + y + m)):
+                    return False
+                lhs2 = sum((m - j) * t for j, t in enumerate(terms))
+                if lhs2 != m * y * prod(range(x + y + 1, x + y + m)):
+                    return False
     return True
 
 
@@ -279,7 +269,15 @@ def certify(
     m_gamma: int = 10,
     radicand: int = 6,
 ) -> CurveCertificate:
-    """Run the whole exact certificate chain for the algebraic front."""
+    """Run the whole exact certificate chain for the algebraic front.
+
+    Raises ValueError for a range below 1, under which a stage would check
+    nothing, and for a radicand that is not a squarefree positive integer."""
+    for name, m in (("m_enum", m_enum), ("m_recur", m_recur), ("m_gamma", m_gamma)):
+        if m < 1:
+            raise ValueError("%s must be at least 1, got %d" % (name, m))
+    if not is_squarefree(radicand):
+        raise ValueError("radicand must be squarefree and positive, got %d" % radicand)
     stages: list[StageReport] = []
 
     speeds = enumerate_speeds(m_enum)

@@ -381,7 +381,9 @@ def verify_entry(entry: CatalogEntry, n: int = 201, lo: float = -10.0,
     The derivative comes from the expression's exact derivative chain, and
     the relation is evaluated once over all n samples.  Exp-rational
     entries additionally get the relation checked as a polynomial
-    identity."""
+    identity.  Raises ValueError for n < 1: no sample shows no residual."""
+    if n < 1:
+        raise ValueError("verify needs at least one sample, got %d" % n)
     prof = entry.profile
     dprof = prof.diff("s")
 

@@ -2,6 +2,7 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ FISHER = "u_t - u_xx - u + u^2 = 0"
 FRONT_SPEED = "5/6*sqrt(6)"
 HUGE_SQRT = "sqrt(100000000000000000039)"
 HUGE_SPEED = "100000000000000000039"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -196,6 +198,26 @@ class TestCertify:
         assert doc["result"]["coefficients"]["y^2"] == "1"
         assert doc["result"]["coefficients"]["x*y"] == "-2/3*sqrt(6)"
 
+    def test_json_matches_golden_copy(self, capsys):
+        code, out, _ = run(capsys, "certify-fisher", "--json")
+        assert code == 0
+        assert out == (DATA / "certify_fisher.json").read_text()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--m-gamma", "-1", "m_gamma must be at least 1"),
+        ("--m-gamma", "0", "m_gamma must be at least 1"),
+        ("--m-recur", "0", "m_recur must be at least 1"),
+        ("--m-enum", "0", "m_enum must be at least 1"),
+        ("--radicand", "0", "squarefree and positive"),
+        ("--radicand", "-6", "squarefree and positive"),
+        ("--radicand", "24", "squarefree and positive"),
+    ])
+    def test_empty_range_or_bad_radicand_exit_1(self, capsys, flag, value, message):
+        code, out, err = run(capsys, "certify-fisher", flag, value)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
 
 class TestCatalogAndVerify:
     def test_catalog_lists_everything(self, capsys):
@@ -221,6 +243,13 @@ class TestCatalogAndVerify:
                            "--tol", "1e-20")
         assert code == 3
         assert "[BAD]" in out
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_verify_without_samples_exit_1(self, capsys, samples):
+        code, out, err = run(capsys, "verify", "--samples", samples)
+        assert code == 1
+        assert out == ""
+        assert "at least one sample" in err
 
     def test_unknown_entry_exit_1(self, capsys):
         code, _, err = run(capsys, "verify", "--entry", "sine-gordon")

@@ -1,9 +1,11 @@
 """Front certification: recurrences, closed forms, speeds, the curve."""
 
 from fractions import Fraction as Fr
+from math import comb, prod
 
 import pytest
 
+from algwaves import fisher
 from algwaves.fisher import (
     FRONT_SPEED,
     FRONT_SPEED_SQUARED,
@@ -19,7 +21,7 @@ from algwaves.fisher import (
     tables_agree,
     verify_gamma_identities,
 )
-from algwaves.poly import MultiPoly
+from algwaves.poly import MultiPoly, VarRegistry
 from algwaves.qfield import QuadExt
 
 
@@ -68,9 +70,63 @@ class TestTables:
             leading_coeffs_recurrence(0)
 
 
+def rising_factorial_poly(p: MultiPoly, m: int) -> MultiPoly:
+    out = MultiPoly.one(p.registry)
+    for i in range(m):
+        out = out * (p + i)
+    return out
+
+
+def gamma_identity_sides(m: int):
+    """Both sides of both convolution identities as polynomials in (x, y);
+    the binomials come from fisher.comb, so that a test can perturb them."""
+    reg = VarRegistry(["x", "y"])
+    x = MultiPoly.var(reg, "x")
+    y = MultiPoly.var(reg, "y")
+    lhs1 = MultiPoly.zero(reg)
+    lhs2 = MultiPoly.zero(reg)
+    for j in range(m + 1):
+        term = rising_factorial_poly(x, j) * rising_factorial_poly(y, m - j)
+        lhs1 = lhs1 + fisher.comb(m, j) * term
+        lhs2 = lhs2 + fisher.comb(m, j) * (m - j) * term
+    return [(lhs1, rising_factorial_poly(x + y, m)),
+            (lhs2, m * y * rising_factorial_poly(x + y + 1, m - 1))]
+
+
+def reference_gamma_identities(m_max: int) -> bool:
+    """The identities proved by expanding both sides as polynomials."""
+    return all(lhs == rhs for m in range(1, m_max + 1)
+               for lhs, rhs in gamma_identity_sides(m))
+
+
 class TestIdentities:
     def test_gamma_identities(self):
         assert verify_gamma_identities(6)
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_grid_lemma_premise(self, m):
+        # a polynomial of degree <= m in x and in y is fixed by its values
+        # on {0..m}^2, so the grid check is a proof only if this holds
+        for side in (s for pair in gamma_identity_sides(m) for s in pair):
+            assert side.degree_in(0) <= m and side.degree_in(1) <= m
+
+    @pytest.mark.parametrize("m_max", range(0, 7))
+    def test_grid_agrees_with_expansion(self, m_max):
+        assert verify_gamma_identities(m_max) == reference_gamma_identities(m_max)
+
+    @pytest.mark.parametrize("bad", [(1, 0), (1, 1), (3, 1), (4, 4), (6, 0), (6, 3)])
+    def test_perturbed_binomial_is_rejected(self, monkeypatch, bad):
+        monkeypatch.setattr(fisher, "comb",
+                            lambda m, j: comb(m, j) + ((m, j) == bad))
+        assert not verify_gamma_identities(6)
+        assert not reference_gamma_identities(6)
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_identity_false_only_off_the_diagonal_is_rejected(self, monkeypatch, m):
+        # (x+y)^(m) made wrong at x + y = 2m - 1, which no point x = y reaches
+        monkeypatch.setattr(fisher, "prod", lambda r: prod(r) + (
+            r.start == 2 * m - 1 and len(r) == m))
+        assert not verify_gamma_identities(m)
 
 
 class TestSpeeds:
