@@ -4,7 +4,8 @@ Every subcommand works from exact input: equations as text, parameters
 and speeds as field literals such as 5/6*sqrt(6).  Output is plain text
 by default or a stable JSON document with --json.
 
-Exit codes: 0 success, 1 bad input or flags, 2 empty result (no curve,
+Exit codes: 0 success, 1 bad input or flags (a shooting run that
+diverges or would need too many steps included), 2 empty result (no curve,
 no discrete equilibria, failed certificate), 3 numeric tolerance miss,
 4 undetermined (find-curve searched no cofactor candidate, or only
 constant ones where a curve may have a nonconstant cofactor, so an empty
@@ -22,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .exprparse import ExprSyntaxError
+from .numerics import DivergenceError, StepSizeError, shoot_unstable_manifold
 from .pde import bind_params, parse_pde
 from .poly import MultiPoly
 from .qfield import QuadExt, parse_quadext
@@ -282,6 +284,8 @@ def _entries(args) -> list:
     from .waves import catalog, make_entry
 
     if not args.entry:
+        if args.param:
+            raise ValueError("--param needs --entry")
         return list(catalog().values())
     values = {}
     for name, literal in _parse_params(args.param).items():
@@ -336,8 +340,6 @@ def cmd_p_from_exp(args):
 
 
 def cmd_shoot(args):
-    from .numerics import shoot_unstable_manifold
-
     sys_spec = _reduced(args)
     if sys_spec.c is None:
         raise ValueError("--speed is required for shooting")
@@ -498,7 +500,8 @@ def main(argv: Optional[list] = None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (ExprSyntaxError, ReductionError, DegenerateSpeedError, ValueError,
-            KeyError, ArithmeticError, OSError) as exc:
+            KeyError, ArithmeticError, OSError, DivergenceError,
+            StepSizeError) as exc:
         msg = exc.args[0] if exc.args else exc
         print("error: %s" % msg, file=sys.stderr)
         return 1

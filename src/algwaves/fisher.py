@@ -36,6 +36,12 @@ Rat = Fraction
 FRONT_SPEED_SQUARED = Rat(25, 6)
 FRONT_SPEED = QuadExt(0, Rat(5, 6), 6)
 
+# The largest ranges certify() accepts.  Each keeps its stage to a few
+# seconds; the identity grid of stage 3 alone costs about m^5.
+M_ENUM_MAX = 2000
+M_RECUR_MAX = 60
+M_GAMMA_MAX = 40
+
 
 def front_system(c: QuadExt) -> PlanarSystem:
     """x' = -y, y' = -x - c y + x^2 on a fresh (x, y) registry."""
@@ -272,10 +278,15 @@ def certify(
     """Run the whole exact certificate chain for the algebraic front.
 
     Raises ValueError for a range below 1, under which a stage would check
-    nothing, and for a radicand that is not a squarefree positive integer."""
-    for name, m in (("m_enum", m_enum), ("m_recur", m_recur), ("m_gamma", m_gamma)):
+    nothing, for one above its M_*_MAX cap, and for a radicand that is not a
+    squarefree positive integer."""
+    for name, m, cap in (("m_enum", m_enum, M_ENUM_MAX),
+                         ("m_recur", m_recur, M_RECUR_MAX),
+                         ("m_gamma", m_gamma, M_GAMMA_MAX)):
         if m < 1:
             raise ValueError("%s must be at least 1, got %d" % (name, m))
+        if m > cap:
+            raise ValueError("%s must be at most %d, got %d" % (name, cap, m))
     if not is_squarefree(radicand):
         raise ValueError("radicand must be squarefree and positive, got %d" % radicand)
     stages: list[StageReport] = []

@@ -5,6 +5,11 @@ deliberately plain: classical RK4 with a fixed step, an adaptive
 Fehlberg 4(5) pair, and AGM-based Jacobi elliptic functions.  Accuracy
 targets are around 1e-10, far tighter than any tolerance the
 verification layer asks for.
+
+The integrators step on tuples of Python floats: a right-hand side
+rhs(t, y) receives y as a tuple of floats and returns a sequence of
+floats, one per component (the plane systems' rhs_float closures return
+tuples).  Only the finished orbit becomes numpy arrays.
 """
 
 from __future__ import annotations
@@ -15,9 +20,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-Rhs = Callable[[float, np.ndarray], np.ndarray]
+Rhs = Callable[[float, tuple[float, ...]], Sequence[float]]
+"""rhs(t, y): y is a tuple of Python floats; returns one float per component."""
 
 DIVERGENCE_NORM = 1e12
+MAX_STEPS = 2_000_000
 
 
 class DivergenceError(RuntimeError):
@@ -25,7 +32,8 @@ class DivergenceError(RuntimeError):
 
 
 class StepSizeError(RuntimeError):
-    """The adaptive integrator could not meet the tolerance."""
+    """The adaptive integrator could not meet the tolerance, or a fixed
+    step would need more than MAX_STEPS steps."""
 
 
 @dataclass
@@ -41,29 +49,46 @@ class Orbit:
         return self.ys[-1]
 
 
+def _norm(v: Sequence[float]) -> float:
+    return math.sqrt(sum([x * x for x in v]))
+
+
+def _check_bounded(norm: float, t: float) -> None:
+    """Raise unless the solution norm is finite and at most DIVERGENCE_NORM.
+
+    A NaN or infinite component makes the norm NaN or infinite."""
+    if not math.isfinite(norm) or norm > DIVERGENCE_NORM:
+        raise DivergenceError("solution norm exceeded %.1e at t=%.3f"
+                              % (DIVERGENCE_NORM, t))
+
+
 def integrate_rk4(rhs: Rhs, t0: float, y0: Sequence[float], t1: float,
                   h: float = 1e-3) -> Orbit:
     """Classical fixed-step fourth order Runge-Kutta."""
     if t1 <= t0:
         raise ValueError("integration interval must run forward")
-    y = np.asarray(y0, dtype=float)
+    if (t1 - t0) / h > MAX_STEPS:
+        raise StepSizeError("step %g needs more than %d steps from t=%g to t=%g"
+                            % (h, MAX_STEPS, t0, t1))
+    y = tuple(float(v) for v in y0)
     n = max(1, int(math.ceil((t1 - t0) / h)))
     hh = (t1 - t0) / n
+    h6 = hh / 6
     ts = [t0]
-    ys = [y.copy()]
+    ys = [y]
     t = t0
     for _ in range(n):
+        tm = t + hh / 2
         k1 = rhs(t, y)
-        k2 = rhs(t + hh / 2, y + hh * k1 / 2)
-        k3 = rhs(t + hh / 2, y + hh * k2 / 2)
-        k4 = rhs(t + hh, y + hh * k3)
-        y = y + (hh / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        k2 = rhs(tm, tuple([a + hh * b / 2 for a, b in zip(y, k1)]))
+        k3 = rhs(tm, tuple([a + hh * b / 2 for a, b in zip(y, k2)]))
+        k4 = rhs(t + hh, tuple([a + hh * b for a, b in zip(y, k3)]))
+        y = tuple([a + h6 * (b1 + 2 * b2 + 2 * b3 + b4)
+                   for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
         t += hh
-        if not np.all(np.isfinite(y)) or np.linalg.norm(y) > DIVERGENCE_NORM:
-            raise DivergenceError("solution norm exceeded %.1e at t=%.3f"
-                                  % (DIVERGENCE_NORM, t))
+        _check_bounded(_norm(y), t)
         ts.append(t)
-        ys.append(y.copy())
+        ys.append(y)
     return Orbit(np.array(ts), np.array(ys))
 
 
@@ -81,17 +106,21 @@ _W5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 _W4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 
 
+def _axpy(y: tuple[float, ...], a: float, k: Sequence[float]) -> tuple[float, ...]:
+    return tuple([v + a * w for v, w in zip(y, k)])
+
+
 def integrate_rkf45(rhs: Rhs, t0: float, y0: Sequence[float], t1: float,
                     atol: float = 1e-10, rtol: float = 1e-10,
-                    h0: float = 1e-2, max_steps: int = 2_000_000) -> Orbit:
+                    h0: float = 1e-2, max_steps: int = MAX_STEPS) -> Orbit:
     """Adaptive Fehlberg 4(5); keeps the fifth order value on acceptance."""
     if t1 <= t0:
         raise ValueError("integration interval must run forward")
-    y = np.asarray(y0, dtype=float)
+    y = tuple(float(v) for v in y0)
     t = t0
     h = min(h0, t1 - t0)
     ts = [t0]
-    ys = [y.copy()]
+    ys = [y]
     ks = [None] * 6
     for _ in range(max_steps):
         if t >= t1:
@@ -101,25 +130,23 @@ def integrate_rkf45(rhs: Rhs, t0: float, y0: Sequence[float], t1: float,
             raise StepSizeError("step size underflow at t=%.6f" % t)
         ks[0] = rhs(t, y)
         for i in range(1, 6):
-            yi = y.copy()
+            yi = y
             for j, b in enumerate(_B[i]):
-                yi = yi + h * b * ks[j]
+                yi = _axpy(yi, h * b, ks[j])
             ks[i] = rhs(t + _C[i] * h, yi)
-        y5 = y.copy()
-        y4 = y.copy()
+        y5 = y4 = y
         for i in range(6):
-            y5 = y5 + h * _W5[i] * ks[i]
-            y4 = y4 + h * _W4[i] * ks[i]
-        scale = atol + rtol * max(np.linalg.norm(y), np.linalg.norm(y5))
-        err = np.linalg.norm(y5 - y4)
+            y5 = _axpy(y5, h * _W5[i], ks[i])
+            y4 = _axpy(y4, h * _W4[i], ks[i])
+        norm5 = _norm(y5)
+        scale = atol + rtol * max(_norm(y), norm5)
+        err = _norm([a - b for a, b in zip(y5, y4)])
         if err <= scale or h <= 1e-12:
             t += h
             y = y5
-            if not np.all(np.isfinite(y)) or np.linalg.norm(y) > DIVERGENCE_NORM:
-                raise DivergenceError("solution norm exceeded %.1e at t=%.3f"
-                                      % (DIVERGENCE_NORM, t))
+            _check_bounded(norm5, t)
             ts.append(t)
-            ys.append(y.copy())
+            ys.append(y)
         if err == 0:
             h *= 5.0
         else:

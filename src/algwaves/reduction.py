@@ -17,10 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .numerics import Rhs
 from .pde import PDESpec
 from .poly import MultiPoly, VarRegistry, trial_divide
 from .qfield import QuadExt, field_sqrt, parse_quadext, try_sqrt
@@ -295,7 +296,7 @@ class ODESystemSpec:
             )
         return self.gc_num * self.gc_den.constant_value().inverse()
 
-    def rhs_float(self) -> Callable[[float, np.ndarray], np.ndarray]:
+    def rhs_float(self) -> Rhs:
         if self.c is None:
             raise ReductionError("bind a speed before numeric evaluation")
         g = self.gc()
@@ -305,11 +306,8 @@ class ODESystemSpec:
             raise ReductionError(f"unbound parameters remain: {names}")
         gf = g.compile_float(self.y_vars)
 
-        def rhs(t: float, y: np.ndarray) -> np.ndarray:
-            out = np.empty(len(y))
-            out[:-1] = y[1:]
-            out[-1] = gf(*y.tolist())
-            return out
+        def rhs(t: float, y: tuple[float, ...]) -> tuple[float, ...]:
+            return (*y[1:], gf(*y))
 
         return rhs
 
@@ -468,13 +466,12 @@ class PlanarSystem:
             raise ReductionError("P and Q must share a registry")
         return cls(reg, reg.id_of(x), reg.id_of(y), P, Q)
 
-    def rhs_float(self) -> Callable[[float, np.ndarray], np.ndarray]:
+    def rhs_float(self) -> Rhs:
         order = (self.x_var, self.y_var)
         P, Q = self.P.compile_float(order), self.Q.compile_float(order)
 
-        def rhs(t: float, u: np.ndarray) -> np.ndarray:
-            x, y = u.tolist()
-            return np.array([P(x, y), Q(x, y)])
+        def rhs(t: float, u: tuple[float, float]) -> tuple[float, float]:
+            return (P(*u), Q(*u))
 
         return rhs
 

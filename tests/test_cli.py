@@ -211,6 +211,9 @@ class TestCertify:
         ("--radicand", "0", "squarefree and positive"),
         ("--radicand", "-6", "squarefree and positive"),
         ("--radicand", "24", "squarefree and positive"),
+        ("--m-gamma", "41", "m_gamma must be at most 40"),
+        ("--m-recur", "61", "m_recur must be at most 60"),
+        ("--m-enum", "2001", "m_enum must be at most 2000"),
     ])
     def test_empty_range_or_bad_radicand_exit_1(self, capsys, flag, value, message):
         code, out, err = run(capsys, "certify-fisher", flag, value)
@@ -250,6 +253,13 @@ class TestCatalogAndVerify:
         assert code == 1
         assert out == ""
         assert "at least one sample" in err
+
+    @pytest.mark.parametrize("command", ["catalog", "verify"])
+    def test_param_without_entry_exit_1(self, capsys, command):
+        code, out, err = run(capsys, command, "--param", "q=3")
+        assert code == 1
+        assert out == ""
+        assert "--param needs --entry" in err
 
     def test_unknown_entry_exit_1(self, capsys):
         code, _, err = run(capsys, "verify", "--entry", "sine-gordon")
@@ -298,6 +308,28 @@ class TestShoot:
                            "--target", "0,0", "--tol", "1e-6")
         assert code == 3
         assert "target missed" in out
+
+
+    def test_divergence_exit_1(self, capsys):
+        # at c = 1 the unstable manifold of (0, 0) runs off to infinity
+        code, out, err = run(capsys, "shoot", "--pde", "u_t - u_xx + u - u^2 = 0",
+                             "--speed", "1", "--saddle", "0,0",
+                             "--target=-2,-2", "--horizon", "30")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: solution norm exceeded")
+        assert "Traceback" not in err
+
+    def test_rk4_huge_horizon_fails_fast(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "shoot", "--pde", FISHER, "--speed", "2",
+                             "--saddle", "1,0", "--target", "0,0",
+                             "--method", "rk4", "--horizon", "1e8")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1
+        assert out == ""
+        assert "needs more than 2000000 steps" in err
+        assert "Traceback" not in err
 
 
 class TestOutputFile:

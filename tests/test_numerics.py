@@ -5,8 +5,14 @@ from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algwaves.numerics import (
+    DIVERGENCE_NORM,
+    _B,
+    _C,
+    _W4,
+    _W5,
     DivergenceError,
     Orbit,
     StepSizeError,
@@ -33,6 +39,103 @@ def front_plane(c):
     return PlanarSystem(reg, 0, 1, y, x * x - x - QuadExt.lift(c) * y)
 
 
+def _numpy_rhs(rhs):
+    # the references step on numpy arrays; rhs still gets a tuple of floats
+    return lambda t, y: np.array(rhs(t, tuple(y.tolist())), dtype=float)
+
+
+def reference_rk4(rhs, t0, y0, t1, h=1e-3):
+    """The numpy RK4 the plain-float one replaced."""
+    rhs = _numpy_rhs(rhs)
+    y = np.asarray(y0, dtype=float)
+    n = max(1, int(math.ceil((t1 - t0) / h)))
+    hh = (t1 - t0) / n
+    ts = [t0]
+    ys = [y.copy()]
+    t = t0
+    for _ in range(n):
+        k1 = rhs(t, y)
+        k2 = rhs(t + hh / 2, y + hh * k1 / 2)
+        k3 = rhs(t + hh / 2, y + hh * k2 / 2)
+        k4 = rhs(t + hh, y + hh * k3)
+        y = y + (hh / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += hh
+        if not np.all(np.isfinite(y)) or np.linalg.norm(y) > DIVERGENCE_NORM:
+            raise DivergenceError("solution norm exceeded at t=%.3f" % t)
+        ts.append(t)
+        ys.append(y.copy())
+    return Orbit(np.array(ts), np.array(ys))
+
+
+def reference_rkf45(rhs, t0, y0, t1, atol=1e-10, rtol=1e-10, h0=1e-2,
+                    max_steps=2_000_000):
+    """The numpy Fehlberg 4(5) the plain-float one replaced."""
+    rhs = _numpy_rhs(rhs)
+    y = np.asarray(y0, dtype=float)
+    t = t0
+    h = min(h0, t1 - t0)
+    ts = [t0]
+    ys = [y.copy()]
+    ks = [None] * 6
+    for _ in range(max_steps):
+        if t >= t1:
+            return Orbit(np.array(ts), np.array(ys))
+        h = min(h, t1 - t)
+        if h < 1e-14 * max(1.0, abs(t)):
+            raise StepSizeError("step size underflow at t=%.6f" % t)
+        ks[0] = rhs(t, y)
+        for i in range(1, 6):
+            yi = y.copy()
+            for j, b in enumerate(_B[i]):
+                yi = yi + h * b * ks[j]
+            ks[i] = rhs(t + _C[i] * h, yi)
+        y5 = y.copy()
+        y4 = y.copy()
+        for i in range(6):
+            y5 = y5 + h * _W5[i] * ks[i]
+            y4 = y4 + h * _W4[i] * ks[i]
+        scale = atol + rtol * max(np.linalg.norm(y), np.linalg.norm(y5))
+        err = np.linalg.norm(y5 - y4)
+        if err <= scale or h <= 1e-12:
+            t += h
+            y = y5
+            if not np.all(np.isfinite(y)) or np.linalg.norm(y) > DIVERGENCE_NORM:
+                raise DivergenceError("solution norm exceeded at t=%.3f" % t)
+            ts.append(t)
+            ys.append(y.copy())
+        if err == 0:
+            h *= 5.0
+        else:
+            h *= min(5.0, max(0.2, 0.9 * (scale / err) ** 0.2))
+    raise StepSizeError("step budget exhausted before reaching t1")
+
+
+def _outcome(integrate, *args, **kw):
+    try:
+        return integrate(*args, **kw)
+    except DivergenceError:
+        return DivergenceError
+
+
+@st.composite
+def quadratic_planes(draw):
+    """x' = P, y' = Q with P, Q random quadratics in x, y, a start in the
+    unit square, a short horizon and a step."""
+    from algwaves.reduction import PlanarSystem
+
+    reg = VarRegistry(["x", "y"])
+    x = MultiPoly.var(reg, "x")
+    y = MultiPoly.var(reg, "y")
+    monos = [MultiPoly.one(reg), x, y, x * x, x * y, y * y]
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+    P, Q = (sum((QuadExt.lift(draw(coeff)) * m for m in monos), MultiPoly.zero(reg))
+            for _ in range(2))
+    start = draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+    horizon = draw(st.floats(0.01, 1.5))
+    h = draw(st.sampled_from([1e-3, 5e-3, 1e-2, 0.05]))
+    return PlanarSystem(reg, 0, 1, P, Q).rhs_float(), start, horizon, h
+
+
 class TestIntegrators:
     def test_rk4_exponential(self):
         orb = integrate_rk4(lambda t, y: y, 0.0, [1.0], 1.0, h=1e-3)
@@ -47,23 +150,75 @@ class TestIntegrators:
         assert np.max(np.abs(energy - 1.0)) < 1e-10
 
     def test_rkf45_matches_closed_form(self):
-        orb = integrate_rkf45(lambda t, y: -2.0 * y, 0.0, [1.0], 3.0)
+        orb = integrate_rkf45(lambda t, y: (-2.0 * y[0],), 0.0, [1.0], 3.0)
         assert orb.end[0] == pytest.approx(math.exp(-6.0), abs=1e-9)
 
     def test_rkf45_adapts_steps(self):
-        orb = integrate_rkf45(lambda t, y: -y, 0.0, [1.0], 10.0)
-        fixed = integrate_rk4(lambda t, y: -y, 0.0, [1.0], 10.0, h=1e-3)
+        orb = integrate_rkf45(lambda t, y: (-y[0],), 0.0, [1.0], 10.0)
+        fixed = integrate_rk4(lambda t, y: (-y[0],), 0.0, [1.0], 10.0, h=1e-3)
         assert len(orb) < len(fixed) / 10
 
     def test_divergence_guard(self):
         with pytest.raises(DivergenceError):
-            integrate_rkf45(lambda t, y: y * y, 0.0, [1.0], 2.0)
+            integrate_rkf45(lambda t, y: (y[0] * y[0],), 0.0, [1.0], 2.0)
+
+    def test_rk4_divergence_guard(self):
+        # y' = y^2 from 1 blows up at t = 1
+        with pytest.raises(DivergenceError):
+            integrate_rk4(lambda t, y: (y[0] * y[0],), 0.0, [1.0], 2.0)
+
+    @pytest.mark.parametrize("integrate", [integrate_rk4, integrate_rkf45])
+    def test_nan_is_divergence(self, integrate):
+        with pytest.raises(DivergenceError):
+            integrate(lambda t, y: (y[0], math.nan), 0.0, [1.0, 0.0], 1.0)
+
+    def test_rk4_step_budget(self):
+        with pytest.raises(StepSizeError):
+            integrate_rk4(lambda t, y: y, 0.0, [1.0], 1e8)
 
     def test_backward_interval_rejected(self):
         with pytest.raises(ValueError):
             integrate_rk4(lambda t, y: y, 1.0, [1.0], 0.0)
         with pytest.raises(ValueError):
             integrate_rkf45(lambda t, y: y, 1.0, [1.0], 1.0)
+
+
+class TestAgainstNumpyReference:
+    @settings(max_examples=40, deadline=None)
+    @given(quadratic_planes())
+    def test_rk4_bit_identical_on_quadratic_planes(self, case):
+        rhs, start, horizon, h = case
+        got = _outcome(integrate_rk4, rhs, 0.0, start, horizon, h=h)
+        want = _outcome(reference_rk4, rhs, 0.0, start, horizon, h=h)
+        if want is DivergenceError:
+            assert got is DivergenceError
+        else:
+            assert np.array_equal(got.ts, want.ts)
+            assert np.array_equal(got.ys, want.ys)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0), st.floats(-2.0, 2.0),
+           st.floats(0.01, 3.0))
+    def test_rk4_bit_identical_on_linear_lines(self, a, b, y0, horizon):
+        rhs = lambda t, y: (a * y[0] + b,)
+        got = integrate_rk4(rhs, 0.0, [y0], horizon, h=1e-2)
+        want = reference_rk4(rhs, 0.0, [y0], horizon, h=1e-2)
+        assert np.array_equal(got.ts, want.ts)
+        assert np.array_equal(got.ys, want.ys)
+
+    @pytest.mark.parametrize("c", [FRONT_SPEED, Fr(12, 5), 2])
+    def test_rkf45_matches_reference(self, c):
+        ps = front_plane(c)
+        res = shoot_unstable_manifold(ps, (QuadExt(1), QuadExt(0)), (0.0, 0.0))
+        want = reference_rkf45(ps.rhs_float(), 0.0, res.start, 60.0)
+        # np.linalg.norm may fuse the sum of squares (FMA), so the error
+        # estimate can differ in its last bit.  Near the saddle that estimate
+        # is rounding noise, the accepted step sizes drift apart (by up to
+        # 8e-7 in t at c = 12/5) and points of equal index sit at slightly
+        # different times.
+        assert len(res.orbit) == len(want)
+        assert np.max(np.abs(res.orbit.ys - want.ys)) <= 2e-8
+        assert np.max(np.abs(res.orbit.end - want.end)) <= 1e-8
 
 
 class TestShooting:

@@ -165,7 +165,7 @@ class TestReduce:
     def test_rhs_float(self):
         sys_spec = _fisher_system(c=1)
         rhs = sys_spec.rhs_float()
-        out = rhs(0.0, np.array([0.5, 0.2]))
+        out = rhs(0.0, (0.5, 0.2))
         assert np.allclose(out, [0.2, -0.45])
 
     def test_rhs_requires_bound_speed(self):
