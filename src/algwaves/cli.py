@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -289,10 +290,9 @@ def _entries(args) -> list:
         return list(catalog().values())
     values = {}
     for name, literal in _parse_params(args.param).items():
-        try:
-            values[name] = int(literal)
-        except ValueError:
-            values[name] = parse_quadext(literal)
+        v = parse_quadext(literal)
+        # integer parameters such as the exponent q must arrive as int
+        values[name] = v.a.numerator if v.is_rational() and v.a.denominator == 1 else v
     return [make_entry(args.entry, **values)]
 
 
@@ -343,6 +343,8 @@ def cmd_shoot(args):
     sys_spec = _reduced(args)
     if sys_spec.c is None:
         raise ValueError("--speed is required for shooting")
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError("--tol must be finite and nonnegative, got %r" % (args.tol,))
     ps = to_planar(sys_spec)
     saddle = _parse_point(args.saddle)
     target = _parse_point(args.target)

@@ -22,7 +22,7 @@ from math import gcd
 from typing import Sequence, Union
 
 from .poly import MultiPoly, VarRegistry, sylvester_resultant
-from .qfield import QuadExt
+from .qfield import QuadExt, try_sqrt
 
 Number = Union[int, float, Fraction, QuadExt]
 
@@ -503,16 +503,13 @@ class PowerLogisticWave:
 
 def solve_power_logistic(q: int, k=1, var: str = "s",
                          gamma=None) -> PowerLogisticWave:
-    from .qfield import squarefree_decompose
-
     if q < 1:
         raise ValueError("the exponent q must be a positive integer")
     kk = QuadExt.lift(k)
     if float(kk) <= 0:
         raise ValueError("the shift parameter must be positive")
     if gamma is None:
-        s0, dt = squarefree_decompose(q + 1)
-        gamma = QuadExt(0, Fraction(1, s0 * dt), dt)  # 1 / sqrt(q + 1)
+        gamma = try_sqrt(q + 1).inverse()
     else:
         gamma = QuadExt.lift(gamma)
         if gamma.is_zero():

@@ -34,7 +34,6 @@ from typing import Optional, Sequence, Union
 from .linalg import (
     IntegerMatrix,
     Pair,
-    common_radicand,
     independent_prefix_mod_p,
     integer_pairs,
     nullspace,
@@ -46,7 +45,7 @@ from .poly import (
     mono_div,
     trial_divide,
 )
-from .qfield import QuadExt, field_sqrt, try_sqrt
+from .qfield import QuadExt, common_radicand, field_sqrt
 from .reduction import PlanarSystem, jacobian_eigen
 
 ScalarLike = Union[int, "QuadExt"]
@@ -319,12 +318,8 @@ def poly_square_root(f: MultiPoly) -> Optional[MultiPoly]:
     lt_m, lt_c = f.leading_term("grlex")
     if any(e % 2 for _, e in lt_m):
         return None
-    if lt_c.is_rational():
-        # the root must lie in f's own field, so its radicand is known and
-        # no squarefree part is searched for
-        s = try_sqrt(lt_c, d=max(c.d for c in f.terms.values()))
-    else:
-        s = field_sqrt(lt_c)
+    # the root must lie in f's own field, so no squarefree part is searched for
+    s = field_sqrt(lt_c, d=common_radicand(f.terms.values()))
     if s is None:
         return None
     half = tuple((v, e // 2) for v, e in lt_m)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .poly import MultiPoly, VarRegistry
-from .qfield import MAX_SQRT_ARG, QuadExt, squarefree_decompose
+from .qfield import MAX_SQRT_ARG, try_sqrt
 
 
 class ExprSyntaxError(ValueError):
@@ -207,9 +207,7 @@ class ExprParser:
                     raise ExprSyntaxError("sqrt argument exceeds 10^12",
                                           nt.line, nt.col)
                 self.take(")")
-                s, d = squarefree_decompose(n)
-                val = QuadExt(s) if d == 1 else QuadExt(0, s, d)
-                return MultiPoly.const(self.registry, val)
+                return MultiPoly.const(self.registry, try_sqrt(n))
             return self.resolver(t.text, t)
         self.fail("expected a term, found %r" % (t.text or "end of input"))
 

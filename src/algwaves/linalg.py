@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .qfield import QuadExt, RadicandMismatchError
+from .qfield import QuadExt, RadicandMismatchError, common_radicand
 
 Pair = tuple[int, int]  # a + b*sqrt(d) with integer a, b
 
@@ -37,19 +37,6 @@ class IntegerMatrix(list):
 
 
 Matrix = Union[IntegerMatrix, list[list[QuadExt]]]
-
-
-def common_radicand(values: Iterable[QuadExt]) -> int:
-    """The one radicand d > 1 among the values, or 1 when all are rational.
-
-    Raises RadicandMismatchError when they carry two different radicands.
-    """
-    radicands = {x.d for x in values if x.d != 1}
-    if len(radicands) > 1:
-        raise RadicandMismatchError(
-            "cannot combine %s in one matrix"
-            % " with ".join("sqrt(%d)" % r for r in sorted(radicands)))
-    return radicands.pop() if radicands else 1
 
 
 def integer_pairs(values: list[QuadExt]) -> tuple[int, list[Pair]]:

@@ -65,8 +65,8 @@ def _check_bounded(norm: float, t: float) -> None:
 def integrate_rk4(rhs: Rhs, t0: float, y0: Sequence[float], t1: float,
                   h: float = 1e-3) -> Orbit:
     """Classical fixed-step fourth order Runge-Kutta."""
-    if t1 <= t0:
-        raise ValueError("integration interval must run forward")
+    if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
+        raise ValueError("integration interval must be finite and run forward")
     if (t1 - t0) / h > MAX_STEPS:
         raise StepSizeError("step %g needs more than %d steps from t=%g to t=%g"
                             % (h, MAX_STEPS, t0, t1))
@@ -114,8 +114,8 @@ def integrate_rkf45(rhs: Rhs, t0: float, y0: Sequence[float], t1: float,
                     atol: float = 1e-10, rtol: float = 1e-10,
                     h0: float = 1e-2, max_steps: int = MAX_STEPS) -> Orbit:
     """Adaptive Fehlberg 4(5); keeps the fifth order value on acceptance."""
-    if t1 <= t0:
-        raise ValueError("integration interval must run forward")
+    if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
+        raise ValueError("integration interval must be finite and run forward")
     y = tuple(float(v) for v in y0)
     t = t0
     h = min(h0, t1 - t0)
@@ -172,16 +172,25 @@ def shoot_unstable_manifold(ps, saddle, target, eps: float = 1e-6,
     """Follow the unstable manifold of a planar saddle toward a target.
 
     The start point sits eps along the unstable eigenvector, on the side
-    pointing at the target.  Integration stops at the horizon, on
-    divergence, or once the target is approached within stop_tol.
+    pointing at the target.  The orbit is integrated to the horizon (a
+    divergence raises DivergenceError); with stop_tol > 0 it is then cut
+    after its first point within stop_tol of the target.  Raises
+    ValueError unless eps and horizon are finite and positive and stop_tol
+    is finite and nonnegative.
     """
     from .reduction import jacobian_eigen
 
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError("eps must be finite and positive, got %r" % (eps,))
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError("horizon must be finite and positive, got %r" % (horizon,))
+    if not (math.isfinite(stop_tol) and stop_tol >= 0):
+        raise ValueError("stop_tol must be finite and nonnegative, got %r" % (stop_tol,))
     ed = jacobian_eigen(ps, saddle)
     if not ed.is_saddle:
         raise ValueError("the base point is not a saddle")
-    lams = [complex(l).real if isinstance(l, complex) else float(l)
-            for l in ed.eigenvalues]
+    # a saddle's eigenvalues are real
+    lams = [float(l) for l in ed.eigenvalues]
     idx = 0 if lams[0] > 0 else 1
     lam = lams[idx]
     if lam <= 0:

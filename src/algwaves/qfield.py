@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 Rat = Fraction
 
@@ -293,6 +293,19 @@ class QuadExt:
         return "QuadExt(%r, %r, %r)" % (str(self.a), str(self.b), self.d)
 
 
+def common_radicand(values: Iterable[QuadExt]) -> int:
+    """The one radicand d > 1 among the values, or 1 when all are rational.
+
+    Raises RadicandMismatchError when they carry two different radicands.
+    """
+    radicands = {x.d for x in values if x.d != 1}
+    if len(radicands) > 1:
+        raise RadicandMismatchError(
+            "cannot combine %s"
+            % " with ".join("sqrt(%d)" % r for r in sorted(radicands)))
+    return radicands.pop() if radicands else 1
+
+
 def try_sqrt(x: ScalarLike, d: Optional[int] = None) -> Optional[QuadExt]:
     """Exact square root of a nonnegative rational value, if representable.
 
@@ -325,18 +338,20 @@ def try_sqrt(x: ScalarLike, d: Optional[int] = None) -> Optional[QuadExt]:
     return None
 
 
-def field_sqrt(x: ScalarLike) -> Optional[QuadExt]:
-    """Square root of x inside its own field Q(sqrt(d)), or None.
+def field_sqrt(x: ScalarLike, d: Optional[int] = None) -> Optional[QuadExt]:
+    """The exact square root of x, or None: the one place where the field of
+    a root is chosen.
 
-    Unlike try_sqrt this also handles values with a nonzero radical part,
-    but it never enlarges the field.
+    A rational x has its root sought by try_sqrt(x, d): in Q(sqrt(d)) when
+    d is given, otherwise in the field of x's squarefree part.  Any other x
+    has its root sought in its own field, which is never enlarged; with d
+    given, that field must be Q(sqrt(d)).
     """
     x = QuadExt.lift(x)
     if x.b == 0:
-        if x.a < 0:
-            return None
-        s = rational_sqrt(x.a)
-        return None if s is None else QuadExt(s)
+        return try_sqrt(x, d)
+    if d is not None and d != x.d:
+        return None
     # (p + q*sqrt(d))^2 = p^2 + d q^2 + 2 p q sqrt(d)
     norm = x.a * x.a - x.d * x.b * x.b
     t = rational_sqrt(norm)
@@ -355,6 +370,27 @@ def field_sqrt(x: ScalarLike) -> Optional[QuadExt]:
         if cand * cand == x:
             return cand
     return None
+
+
+def quadratic_roots(a: ScalarLike, b: ScalarLike, c: ScalarLike
+                    ) -> Optional[tuple[QuadExt, QuadExt]]:
+    """The roots ((-b + s) / 2a, (-b - s) / 2a) of a*x^2 + b*x + c, with
+    s = field_sqrt(b^2 - 4ac) sought in the coefficients' own field, or in
+    any Q(sqrt(d)) when all three are rational.  a must be nonzero.
+
+    Returns None when there is no such s (a negative discriminant
+    included) or when the coefficients mix two radicands.
+    """
+    a, b, c = QuadExt.lift(a), QuadExt.lift(b), QuadExt.lift(c)
+    try:
+        d = common_radicand((a, b, c))
+    except RadicandMismatchError:
+        return None
+    s = field_sqrt(b * b - 4 * a * c, None if d == 1 else d)
+    if s is None:
+        return None
+    nb, inv = -b, (2 * a).inverse()
+    return (nb + s) * inv, (nb - s) * inv
 
 
 def pochhammer(x: RatLike, m: int) -> Fraction:

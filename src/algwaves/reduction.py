@@ -24,7 +24,7 @@ import numpy as np
 from .numerics import Rhs
 from .pde import PDESpec
 from .poly import MultiPoly, VarRegistry, trial_divide
-from .qfield import QuadExt, field_sqrt, parse_quadext, try_sqrt
+from .qfield import QuadExt, RadicandMismatchError, parse_quadext, quadratic_roots
 
 ScalarLike = Union[int, Fraction, QuadExt]
 SpeedLike = Union[int, Fraction, QuadExt, str]
@@ -155,12 +155,6 @@ def _numeric_real_roots(coeffs_desc: Sequence[QuadExt]) -> list[RealRoot]:
     return out
 
 
-def _exact_sqrt(x: QuadExt) -> Optional[QuadExt]:
-    if x.is_rational():
-        return try_sqrt(x)
-    return field_sqrt(x)
-
-
 def real_univariate_roots(
     coeffs_ascending: Sequence[ScalarLike],
 ) -> tuple[list[RealRoot], bool]:
@@ -189,20 +183,15 @@ def real_univariate_roots(
             continue
         if deg == 2:
             a, b, c = desc
+            exact = quadratic_roots(a, b, c)
+            if exact is not None:
+                r1, r2 = exact
+                found.extend([(r1, 2)] if r1 == r2 else [(r1, 1), (r2, 1)])
+                desc = desc[:1]
+                continue
             disc = b * b - 4 * a * c
             if disc.sign() < 0:
                 break  # complex pair, no real roots left
-            s = _exact_sqrt(disc)
-            if s is not None:
-                r1 = (-b + s) / (2 * a)
-                r2 = (-b - s) / (2 * a)
-                if r1 == r2:
-                    found.append((r1, 2))
-                else:
-                    found.append((r1, 1))
-                    found.append((r2, 1))
-                desc = desc[:1]
-                continue
             all_exact = False
             sd = math.sqrt(float(disc))
             numeric.append(RealRoot((-float(b) + sd) / (2 * float(a)), 1, False))
@@ -234,15 +223,9 @@ def real_univariate_roots(
             if len(desc) == 1:
                 break
         found.append((hit, mult))
-    merged: dict[QuadExt, int] = {}
-    order: list[QuadExt] = []
-    for v, m in found:
-        if v in merged:
-            merged[v] += m
-        else:
-            merged[v] = m
-            order.append(v)
-    exact_roots = [RealRoot(v, merged[v], True) for v in order]
+    # zero roots were stripped first and each root deflated completely, so
+    # no value appears twice in found
+    exact_roots = [RealRoot(v, m, True) for v, m in found]
     roots = sorted(exact_roots + numeric, key=float)
     return roots, all_exact
 
@@ -529,9 +512,9 @@ def jacobian_eigen(ps: PlanarSystem, point: Sequence[ScalarLike]) -> EigenData:
     """Exact spectral data of the linearization at a plane point.
 
     Saddle detection is a pure sign test on the determinant, so it never
-    depends on floating point.  Eigenvalues stay exact whenever the
-    discriminant has a representable square root; otherwise floats (or a
-    complex pair) are returned with exact=False.
+    depends on floating point.  Eigenvalues stay exact whenever
+    quadratic_roots finds them and the eigenvectors can be formed exactly;
+    otherwise floats (or a complex pair) are returned with exact=False.
     """
     pt = {ps.x_var: QuadExt.lift(point[0]), ps.y_var: QuadExt.lift(point[1])}
     jac = ps.jacobian()
@@ -545,16 +528,13 @@ def jacobian_eigen(ps: PlanarSystem, point: Sequence[ScalarLike]) -> EigenData:
     saddle = det.sign() < 0
     degenerate = det.is_zero()
 
-    s = _exact_sqrt(disc) if disc.sign() >= 0 else None
-    if s is not None:
+    vals = quadratic_roots(1, -tr, det)
+    if vals is not None:
         try:
-            lp = (tr + s) / 2
-            lm = (tr - s) / 2
-            vals = (lp, lm)
-            vecs = (_eigvec(j11, j12, j21, j22, lp), _eigvec(j11, j12, j21, j22, lm))
+            vecs = tuple(_eigvec(j11, j12, j21, j22, lam) for lam in vals)
             return EigenData(tr, det, disc, saddle, degenerate, True, vals, vecs)
-        except ArithmeticError:
-            pass  # radicands clash; fall through to floats
+        except RadicandMismatchError:
+            pass  # the entries lie in another field than tr and det
     ft, fd = float(tr), float(disc)
     f11, f12, f21, f22 = float(j11), float(j12), float(j21), float(j22)
     if float(disc) >= 0:

@@ -23,7 +23,7 @@ from .closedform import (
 )
 from .pde import bind_params, parse_pde
 from .poly import MultiPoly, VarRegistry
-from .qfield import QuadExt, try_sqrt
+from .qfield import QuadExt, quadratic_roots, try_sqrt
 from .reduction import PlanarSystem, real_univariate_roots
 
 
@@ -157,13 +157,10 @@ def fisher_front_reconstruct(k=1) -> FrontReconstruction:
     # explicit quadratic roots at x = 3/4
     amp = QuadExt(0, Fr(1, 3), 6)  # sqrt(6)/3
     x0 = Fr(3, 4)
-    b0 = cb.evaluate({xv: x0})
-    d0 = disc.evaluate({xv: x0})
-    root = try_sqrt(d0)
-    if root is None:
+    roots = quadratic_roots(*(p.evaluate({xv: x0}) for p in (ca, cb, cc)))
+    if roots is None:
         raise AssertionError("discriminant is not a square at the test point")
-    a0 = ca.evaluate({xv: x0})
-    y_plus = (-b0 + root) / (2 * a0)
+    y_plus = roots[0]
     y_param = -amp * QuadExt(Fr(1, 2)) * QuadExt(Fr(1, 4))
     branch = "+" if y_plus == y_param else "-"
 

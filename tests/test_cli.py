@@ -37,6 +37,15 @@ class TestReduce:
         assert doc["result"]["order"] == 2
         assert doc["result"]["exceptional_speeds"] == []
 
+    def test_exceptional_speeds_in_no_single_field(self, capsys):
+        # c^2 - sqrt(2)*c - 1 = 0 at c = (sqrt(2) +- sqrt(6))/2
+        code, out, err = run(capsys, "reduce", "--pde",
+                             "u_tt - u_xx + sqrt(2)*u_xt - u = 0", "--json")
+        assert code == 0 and err == ""
+        speeds = json.loads(out)["result"]["exceptional_speeds"]
+        assert [float(c) for c in speeds] == pytest.approx(
+            [-0.5176380902, 1.9318516526], abs=1e-9)
+
     def test_exceptional_speeds_reported(self, capsys):
         code, out, _ = run(capsys, "reduce", "--pde",
                            "u_tt - u_xx - u*u_x = 0")
@@ -83,6 +92,21 @@ class TestEquilibria:
                            "--speed", HUGE_SQRT)
         assert code == 1 and "exceeds" in err
         assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("pde,want", [
+        # roots (sqrt(2) +- sqrt(6))/2 lie in no single Q(sqrt(d))
+        ("u_t - u_xx + u^2 - sqrt(2)*u - 1 = 0", (-0.5176380902, 1.9318516526)),
+        # coefficients from two fields
+        ("u_t - u_xx + u^2 + sqrt(2)*u - 1/2 - 1/2*sqrt(3) = 0",
+         (-2.0731321850, 0.6589186226)),
+    ])
+    def test_roots_in_no_single_field_are_approximate(self, capsys, pde, want):
+        code, out, err = run(capsys, "equilibria", "--pde", pde, "--speed", "1",
+                             "--json")
+        assert code == 0 and err == ""
+        rows = json.loads(out)["result"]["equilibria"]
+        assert [r["exact"] for r in rows] == [False, False]
+        assert [float(r["value"]) for r in rows] == pytest.approx(want, abs=1e-9)
 
 
 class TestFindCurve:
@@ -261,6 +285,17 @@ class TestCatalogAndVerify:
         assert out == ""
         assert "--param needs --entry" in err
 
+    def test_param_is_a_field_literal(self, capsys):
+        _, want, _ = run(capsys, "catalog", "--entry", "power-logistic",
+                         "--param", "q=3")
+        code, out, _ = run(capsys, "catalog", "--entry", "power-logistic",
+                           "--param", "q=3/1")
+        assert code == 0 and out == want
+        code, out, err = run(capsys, "catalog", "--entry", "power-logistic",
+                             "--param", "q=1_0")
+        assert code == 1 and out == ""
+        assert err.startswith("error: unexpected '_0'")
+
     def test_unknown_entry_exit_1(self, capsys):
         code, _, err = run(capsys, "verify", "--entry", "sine-gordon")
         assert code == 1
@@ -330,6 +365,26 @@ class TestShoot:
         assert out == ""
         assert "needs more than 2000000 steps" in err
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--eps", "0"], "eps must be finite and positive"),
+        (["--eps", "nan"], "eps must be finite and positive"),
+        (["--horizon", "nan"], "horizon must be finite and positive"),
+        (["--method", "rk4", "--horizon", "nan"], "horizon must be finite and positive"),
+        (["--stop-tol", "-1"], "stop_tol must be finite and nonnegative"),
+        (["--stop-tol", "nan"], "stop_tol must be finite and nonnegative"),
+        (["--tol", "nan"], "--tol must be finite and nonnegative"),
+        (["--tol", "-1"], "--tol must be finite and nonnegative"),
+    ])
+    def test_meaningless_numbers_exit_1(self, capsys, flags, message):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "shoot", "--pde", FISHER, "--speed", "2",
+                             "--saddle", "1,0", "--target", "0,0", *flags)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: " + message)
+        assert err.count("\n") == 1
 
 
 class TestOutputFile:

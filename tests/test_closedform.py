@@ -23,7 +23,7 @@ from algwaves.closedform import (
     solve_logistic,
     solve_power_logistic,
 )
-from algwaves.qfield import QuadExt
+from algwaves.qfield import QuadExt, squarefree_decompose
 
 S = Sym("s")
 
@@ -228,6 +228,11 @@ class TestPowerLogistic:
             u = w.expr.evaluate({"s": s0})
             du = d.evaluate({"s": s0})
             assert du == pytest.approx(g * u * (u**q - 1), abs=1e-12)
+
+    def test_default_rate_matches_squarefree_construction(self):
+        for q in range(1, 31):
+            s0, dt = squarefree_decompose(q + 1)
+            assert solve_power_logistic(q).gamma == QuadExt(0, Fr(1, s0 * dt), dt)
 
     def test_custom_rate(self):
         w = solve_power_logistic(3, gamma=Fr(1, 2))

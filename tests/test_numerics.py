@@ -181,6 +181,11 @@ class TestIntegrators:
             integrate_rk4(lambda t, y: y, 1.0, [1.0], 0.0)
         with pytest.raises(ValueError):
             integrate_rkf45(lambda t, y: y, 1.0, [1.0], 1.0)
+        for integrate in (integrate_rk4, integrate_rkf45):
+            for t0, t1 in ((0.0, math.nan), (0.0, math.inf), (math.nan, 1.0),
+                           (-math.inf, 1.0)):
+                with pytest.raises(ValueError, match="interval"):
+                    integrate(lambda t, y: y, t0, [1.0], t1)
 
 
 class TestAgainstNumpyReference:

@@ -12,6 +12,7 @@ from algwaves.qfield import (
     is_squarefree,
     parse_quadext,
     pochhammer,
+    quadratic_roots,
     rational_sqrt,
     squarefree_decompose,
     try_sqrt,
@@ -114,6 +115,33 @@ class TestFrozenValues:
         r = field_sqrt(x)
         assert r is not None and r * r == x
         assert field_sqrt(q(1, 1, 2)) is None
+
+    def test_field_sqrt_picks_the_field(self):
+        assert field_sqrt(q(8)) == q(0, 2, 2)  # a rational x: any field
+        assert field_sqrt(q(8), d=2) == q(0, 2, 2)
+        assert field_sqrt(q(8), d=3) is None
+        assert field_sqrt(q(4), d=3) == q(2)
+        assert field_sqrt(q(-4)) is None
+        assert field_sqrt(q(3, 2, 2), d=2) == q(1, 1, 2)
+        assert field_sqrt(q(3, 2, 2), d=3) is None  # never enlarged
+
+    def test_quadratic_roots(self):
+        assert quadratic_roots(1, -5, 6) == (q(3), q(2))
+        assert quadratic_roots(1, 0, -2) == (q(0, 1, 2), q(0, -1, 2))
+        assert quadratic_roots(1, 0, 1) is None  # complex pair
+        # (x - sqrt(2))^2: a double root
+        assert quadratic_roots(1, q(0, -2, 2), 2) == (q(0, 1, 2), q(0, 1, 2))
+        # x^2 - sqrt(2) x - 1 has the roots (sqrt(2) +- sqrt(6))/2, in no
+        # single Q(sqrt(d))
+        assert quadratic_roots(1, q(0, -1, 2), -1) is None
+        # coefficients from two fields
+        assert quadratic_roots(1, q(0, 1, 2), q(Fr(-1, 2), Fr(-1, 2), 3)) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=10**6))
+    def test_sqrt_literal_matches_squarefree_construction(self, n):
+        s, d = squarefree_decompose(n)
+        assert parse_quadext("sqrt(%d)" % n) == (q(s) if d == 1 else q(0, s, d))
 
     def test_str_and_parse_roundtrip(self):
         vals = [q(2), q(Fr(-1, 3)), q(0, Fr(5, 6), 6), q(0, -1, 6),

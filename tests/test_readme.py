@@ -1,18 +1,35 @@
-"""The README's Python examples are the package contract: each must run."""
+"""The README's Python examples are the package contract: each must run.
+So is its command line block: each `algwaves` line must exit with the code
+its trailing `# exit N` comment gives, or 0."""
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from algwaves.cli import main
+
 README = Path(__file__).resolve().parents[1] / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+TEXT = README.read_text()
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, re.M | re.S)
+COMMANDS = [line for block in re.findall(r"^```sh\n(.*?)^```", TEXT, re.M | re.S)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("algwaves")]
 
 
 def test_readme_has_examples():
     assert len(BLOCKS) >= 4
+    assert len(COMMANDS) >= 10
 
 
 @pytest.mark.parametrize("code", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
 def test_readme_example_runs(code):
     exec(compile(code, str(README), "exec"), {"__name__": "readme_example"})
+
+
+@pytest.mark.parametrize("line", COMMANDS, ids=[f"cli{i}" for i in range(len(COMMANDS))])
+def test_readme_command_exit_code(line, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the shoot line writes orbit.csv
+    want = re.search(r"#\s*exit (\d+)", line)
+    assert main(shlex.split(line, comments=True)[1:]) == (int(want.group(1)) if want else 0)

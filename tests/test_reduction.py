@@ -1,20 +1,28 @@
 """Traveling-frame reduction, rest states, local spectra, real roots."""
 
+import math
 from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from algwaves.fisher import front_system
 from algwaves.pde import bind_params, parse_pde
 from algwaves.poly import MultiPoly, VarRegistry
-from algwaves.qfield import QuadExt
+from algwaves.qfield import QuadExt, RadicandMismatchError, rational_sqrt, try_sqrt
 from algwaves.reduction import (
     DegenerateSpeedError,
+    EigenData,
     EquilibriumContinuumError,
     PlanarSystem,
+    RealRoot,
     ReductionError,
+    _deflate_desc,
+    _eigvec,
+    _eval_desc,
+    _numeric_real_roots,
+    _rational_root_candidates,
     equilibria,
     jacobian_eigen,
     real_univariate_roots,
@@ -282,3 +290,250 @@ def test_roots_recovered_from_factored_form(root_list):
     )
     want = sorted(float(r) for r in root_list)
     assert got == pytest.approx(want)
+
+
+# -- references: root finding before the field of a root was chosen in qfield
+
+
+def reference_field_sqrt(x):
+    """qfield.field_sqrt as it was: a root in x's own field only."""
+    x = QuadExt.lift(x)
+    if x.b == 0:
+        if x.a < 0:
+            return None
+        s = rational_sqrt(x.a)
+        return None if s is None else QuadExt(s)
+    norm = x.a * x.a - x.d * x.b * x.b
+    t = rational_sqrt(norm)
+    if t is None:
+        return None
+    for sgn in (1, -1):
+        p2 = (x.a + sgn * t) / 2
+        p = rational_sqrt(p2)
+        if p is None or p == 0:
+            continue
+        q = x.b / (2 * p)
+        cand = QuadExt(p, q, x.d)
+        if cand * cand == x:
+            return cand
+        cand = QuadExt(-p, -q, x.d)
+        if cand * cand == x:
+            return cand
+    return None
+
+
+def reference_exact_sqrt(x):
+    if x.is_rational():
+        return try_sqrt(x)
+    return reference_field_sqrt(x)
+
+
+def reference_real_univariate_roots(coeffs_ascending):
+    asc = [QuadExt.lift(c) for c in coeffs_ascending]
+    while asc and asc[-1].is_zero():
+        asc.pop()
+    if not asc:
+        raise ValueError("zero polynomial has every value as a root")
+    zero_mult = 0
+    while asc and asc[0].is_zero():
+        asc.pop(0)
+        zero_mult += 1
+    desc = list(reversed(asc))
+    found = []
+    if zero_mult:
+        found.append((QuadExt.lift(0), zero_mult))
+    all_exact = True
+    numeric = []
+    while len(desc) > 1:
+        deg = len(desc) - 1
+        if deg == 1:
+            found.append((-desc[1] / desc[0], 1))
+            desc = desc[:1]
+            continue
+        if deg == 2:
+            a, b, c = desc
+            disc = b * b - 4 * a * c
+            if disc.sign() < 0:
+                break
+            s = reference_exact_sqrt(disc)
+            if s is not None:
+                r1 = (-b + s) / (2 * a)
+                r2 = (-b - s) / (2 * a)
+                if r1 == r2:
+                    found.append((r1, 2))
+                else:
+                    found.append((r1, 1))
+                    found.append((r2, 1))
+                desc = desc[:1]
+                continue
+            all_exact = False
+            sd = math.sqrt(float(disc))
+            numeric.append(RealRoot((-float(b) + sd) / (2 * float(a)), 1, False))
+            numeric.append(RealRoot((-float(b) - sd) / (2 * float(a)), 1, False))
+            break
+        if all(c.is_rational() for c in desc):
+            cands = _rational_root_candidates([c.rational_part for c in desc])
+        else:
+            fa = [c.rational_part for c in desc]
+            fb = [c.radical_part for c in desc]
+            base = fa if (any(fa) and fa[-1] != 0) else fb
+            cands = _rational_root_candidates(base)
+        hit = None
+        for r in cands:
+            if _eval_desc(desc, r).is_zero():
+                hit = QuadExt.lift(r)
+                break
+        if hit is None:
+            all_exact = False
+            numeric.extend(_numeric_real_roots(desc))
+            break
+        mult = 0
+        while _eval_desc(desc, hit).is_zero():
+            desc = _deflate_desc(desc, hit)
+            mult += 1
+            if len(desc) == 1:
+                break
+        found.append((hit, mult))
+    merged = {}
+    order = []
+    for v, m in found:
+        if v in merged:
+            merged[v] += m
+        else:
+            merged[v] = m
+            order.append(v)
+    exact_roots = [RealRoot(v, merged[v], True) for v in order]
+    return sorted(exact_roots + numeric, key=float), all_exact
+
+
+def reference_jacobian_eigen(ps, point):
+    pt = {ps.x_var: QuadExt.lift(point[0]), ps.y_var: QuadExt.lift(point[1])}
+    jac = ps.jacobian()
+    j11 = jac[0][0].evaluate(pt)
+    j12 = jac[0][1].evaluate(pt)
+    j21 = jac[1][0].evaluate(pt)
+    j22 = jac[1][1].evaluate(pt)
+    tr = j11 + j22
+    det = j11 * j22 - j12 * j21
+    disc = tr * tr - 4 * det
+    saddle = det.sign() < 0
+    degenerate = det.is_zero()
+    s = reference_exact_sqrt(disc) if disc.sign() >= 0 else None
+    if s is not None:
+        try:
+            lp = (tr + s) / 2
+            lm = (tr - s) / 2
+            vecs = (_eigvec(j11, j12, j21, j22, lp), _eigvec(j11, j12, j21, j22, lm))
+            return EigenData(tr, det, disc, saddle, degenerate, True, (lp, lm), vecs)
+        except ArithmeticError:
+            pass
+    ft, fd = float(tr), float(disc)
+    f11, f12, f21, f22 = float(j11), float(j12), float(j21), float(j22)
+    if float(disc) >= 0:
+        sq = math.sqrt(fd)
+        lp, lm = (ft + sq) / 2, (ft - sq) / 2
+    else:
+        sq = math.sqrt(-fd)
+        lp, lm = complex(ft / 2, sq / 2), complex(ft / 2, -sq / 2)
+
+    def fvec(lam):
+        if abs(f12) > 1e-300:
+            return (f12, lam - f11)
+        if abs(f21) > 1e-300:
+            return (lam - f22, f21)
+        return (1.0, 0.0)
+
+    return EigenData(tr, det, disc, saddle, degenerate, False, (lp, lm), (fvec(lp), fvec(lm)))
+
+
+# -- differential checks against the references
+
+
+RATS = st.builds(Fr, st.integers(-6, 6), st.integers(1, 4))
+RADICANDS = st.sampled_from((1, 2, 3, 5, 6))
+
+
+def _times(p, q):
+    out = [QuadExt(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+@st.composite
+def field_polynomials(draw):
+    """Ascending coefficients of a quadratic or cubic over Q(sqrt(d))."""
+    d = draw(RADICANDS)
+    elt = st.builds(lambda a, b: QuadExt(a, b, d), RATS, RATS)
+    nonzero = elt.filter(bool)
+    kind = draw(st.sampled_from(("random", "factored", "double", "radical-middle")))
+    if kind == "random":
+        quad = [draw(elt), draw(elt), draw(nonzero)]
+    elif kind == "factored":  # (x - r)(x - s), r and s in Q(sqrt(d))
+        quad = _times([-draw(elt), QuadExt(1)], [-draw(elt), QuadExt(1)])
+    elif kind == "double":
+        r = draw(elt)
+        quad = _times([-r, QuadExt(1)], [-r, QuadExt(1)])
+    else:
+        # a*x^2 + b*sqrt(d)*x + c with a, b, c rational: the discriminant is
+        # rational, so its root is often in another field than sqrt(d)
+        quad = [QuadExt(draw(RATS)), QuadExt(0, draw(RATS), d),
+                QuadExt(draw(RATS.filter(bool)))]
+    if draw(st.booleans()):  # a cubic: times a rational linear factor
+        quad = _times(quad, [QuadExt(-draw(RATS)), QuadExt(draw(RATS.filter(bool)))])
+    return quad
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_polynomials())
+@example([QuadExt(-1), QuadExt(0, -1, 2), QuadExt(1)])  # roots (sqrt(2) +- sqrt(6))/2
+@example(_times([QuadExt(-1), QuadExt(0, -1, 2), QuadExt(1)], [QuadExt(-3), QuadExt(2)]))
+def test_real_roots_match_reference(coeffs):
+    got = real_univariate_roots(coeffs)
+    try:
+        want = reference_real_univariate_roots(coeffs)
+    except RadicandMismatchError:
+        roots, ok = got
+        assert not ok and any(not r.exact for r in roots)
+        desc = [float(c) for c in reversed(coeffs)]
+        real = sorted(z.real for z in np.roots(desc) if abs(z.imag) < 1e-9)
+        values = sorted(float(r) for r in roots for _ in range(r.multiplicity))
+        assert len(values) == len(real)
+        for v, w in zip(values, real):
+            assert abs(v - w) <= 1e-9 * (1 + abs(w))
+        return
+    assert got == want
+
+
+@st.composite
+def linear_plane_fields(draw):
+    d = draw(RADICANDS)
+    elt = st.one_of(RATS, st.builds(lambda a, b: QuadExt(a, b, d), RATS, RATS))
+    reg = VarRegistry(["x", "y"])
+    x, y = MultiPoly.var(reg, "x"), MultiPoly.var(reg, "y")
+    a11, a12, a21, a22 = (draw(elt) for _ in range(4))
+    if draw(st.booleans()):
+        # irrational entries with rational tr and det: their eigenvalues
+        # often lie in another field than the entries
+        a12, a21 = draw(RATS), draw(RATS)
+        a22 = 2 * QuadExt.lift(a11).a - a11
+    P = a11 * x + a12 * y + draw(RATS)
+    Q = a21 * x + a22 * y + draw(RATS) * x * x
+    point = (draw(RATS), draw(RATS))
+    return PlanarSystem.from_polys(P, Q), point
+
+
+def _plane(a11, a12, a21, a22):
+    reg = VarRegistry(["x", "y"])
+    x, y = MultiPoly.var(reg, "x"), MultiPoly.var(reg, "y")
+    return PlanarSystem.from_polys(a11 * x + a12 * y, a21 * x + a22 * y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_plane_fields())
+# entries in Q(sqrt(2)), eigenvalues 1 +- sqrt(3)
+@example((_plane(QuadExt(1, 1, 2), 1, 1, QuadExt(1, -1, 2)), (0, 0)))
+def test_jacobian_eigen_matches_reference(case):
+    ps, point = case
+    assert jacobian_eigen(ps, point) == reference_jacobian_eigen(ps, point)

@@ -139,6 +139,12 @@ class TestFamily:
         assert cert.wave is None
         assert cert.curve.degree() == 3
 
+    def test_roots_in_no_single_field(self):
+        # f = u^2 - sqrt(2) u - 1 has the real roots (sqrt(2) +- sqrt(6))/2
+        cert = family_curve([-1, QuadExt(0, -1, 2), 1], 1)
+        assert cert.wave is None
+        assert cert.curve.degree() == 2
+
     def test_zero_diffusion_rejected(self):
         with pytest.raises(ValueError):
             family_curve([0, 1], 1, 0)
