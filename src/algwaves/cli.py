@@ -299,6 +299,8 @@ def _entries(args) -> list:
 def cmd_verify(args):
     from .waves import pde_residual_along_profile, verify_entry
 
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError("--tol must be finite and nonnegative, got %r" % (args.tol,))
     rows = []
     text = []
     worst_fail = False

@@ -1,14 +1,15 @@
 """Exact certification of the algebraic Fisher traveling front.
 
 The front of u_t = u_xx + u(1-u) with an algebraic profile exists only
-at one speed.  Everything here runs over Q(sqrt(6)) or as polynomial
-identities in the symbols (c0, c), so the certificate chain contains no
-floating point at all:
+at one speed.  Stages 1-3 run in rationals and integers and stages 4-5
+over Q(sqrt(6)), so the certificate chain contains no floating point at
+all:
 
   1. matching the leading coefficients of a candidate invariant curve
      forces 5 c0 + 6 m c = 0, which pins c^2 = 25 / (6m(6m-5)) and
      leaves a single admissible pair (m = 1, slow eigenvalue);
-  2. the coefficient recurrence agrees with its closed forms;
+  2. the coefficient recurrence agrees with its closed forms, decided at
+     three points because every entry is affine in (c0, c);
   3. the binomial convolution identities behind those closed forms hold
      as polynomial identities in rising factorials, checked exactly in
      integers on the grid of points that determines them;
@@ -27,8 +28,7 @@ from typing import Optional, Sequence
 
 from .darboux import cofactor_residual, solve_fixed_cofactor
 from .poly import MultiPoly, VarRegistry
-from .qfield import (QuadExt, is_squarefree, pochhammer, squarefree_decompose,
-                     try_sqrt)
+from .qfield import QuadExt, field_sqrt, is_squarefree, pochhammer
 from .reduction import PlanarSystem, jacobian_eigen
 
 Rat = Fraction
@@ -80,45 +80,43 @@ def coefficient_map(f: MultiPoly) -> dict[str, QuadExt]:
 
 
 # -- leading coefficient tables ----------------------------------------------
+#
+# Every entry a_j of a table is affine in the cofactor offset c0 and the
+# speed c.  By induction down from the top: a_2m = 1 and
+# a_(2m-1) = -(c0 + 2mc) are; each even entry is a rational multiple of the
+# entry above it, so every even entry is a rational constant; each odd entry
+# adds a rational multiple of an odd entry to h(j) = -(c0 + jc) times an even
+# entry, so it is affine.  The closed forms are affine by inspection.  An
+# affine function of (c0, c) that vanishes at three affinely independent
+# points is zero, so two tables agree as functions of (c0, c) exactly when
+# their entries agree at the three points below.  A table is therefore
+# {j: [a_j at each point]}, computed in plain Fractions.
+
+TABLE_POINTS = ((0, 0), (1, 0), (0, 1))
 
 
-@dataclass
-class LeadingCoeffTable:
-    """Coefficients a_j of the top block of a candidate curve of index m,
-    as exact polynomials in the cofactor offset c0 and the speed c."""
-
-    m: int
-    registry: VarRegistry
-    entries: dict[int, MultiPoly]
-
-    def __getitem__(self, j: int) -> MultiPoly:
-        return self.entries[j]
-
-
-# one registry for every table, so that their entries compare with ==
-_TABLE_REGISTRY = VarRegistry(["c0", "c"])
-_C0, _C = MultiPoly.var(_TABLE_REGISTRY, "c0"), MultiPoly.var(_TABLE_REGISTRY, "c")
-
-
-def leading_coeffs_recurrence(m: int) -> LeadingCoeffTable:
-    """Downward recurrence from a_{2m} = 1."""
+def _at_points(m: int, table_at) -> dict[int, list[Fraction]]:
     if m < 1:
         raise ValueError("index m must be positive")
-    reg, c0, c = _TABLE_REGISTRY, _C0, _C
-    a: dict[int, MultiPoly] = {2 * m: MultiPoly.one(reg)}
-    a[2 * m - 1] = -(c0 + 2 * m * c)
+    tables = [table_at(m, c0, c) for c0, c in TABLE_POINTS]
+    return {j: [t[j] for t in tables] for j in tables[0]}
 
-    def h(j: int) -> MultiPoly:
-        return -(c0 + j * c)
 
+def _recurrence_at(m: int, c0: int, c: int) -> dict[int, Fraction]:
+    a = {2 * m: Rat(1), 2 * m - 1: Rat(-(c0 + 2 * m * c))}
     for k in range(1, m + 1):
         a[2 * m - 2 * k] = a[2 * m - 2 * k + 2] * Rat(2 * m - 2 * k + 2, 3 * k)
     for k in range(1, m):
+        h = -(c0 + (2 * m - 2 * k) * c)
         a[2 * m - 2 * k - 1] = (
-            a[2 * m - 2 * k + 1] * (2 * m - 2 * k + 1)
-            + h(2 * m - 2 * k) * a[2 * m - 2 * k]
-        ) * Rat(1, 3 * k + 1)
-    return LeadingCoeffTable(m, reg, a)
+            a[2 * m - 2 * k + 1] * (2 * m - 2 * k + 1) + h * a[2 * m - 2 * k]
+        ) / (3 * k + 1)
+    return a
+
+
+def leading_coeffs_recurrence(m: int) -> dict[int, list[Fraction]]:
+    """Downward recurrence from a_{2m} = 1, at each of TABLE_POINTS."""
+    return _at_points(m, _recurrence_at)
 
 
 def gamma_factor(m: int) -> Fraction:
@@ -126,23 +124,21 @@ def gamma_factor(m: int) -> Fraction:
     return pochhammer(Rat(5, 6), m) / pochhammer(Rat(1, 3), m)
 
 
-def leading_coeffs_closed_form(m: int) -> LeadingCoeffTable:
-    """Closed forms: binomial even block, the top odd entry, and a_1."""
-    if m < 1:
-        raise ValueError("index m must be positive")
-    reg, c0, c = _TABLE_REGISTRY, _C0, _C
-    a: dict[int, MultiPoly] = {}
-    for j in range(m + 1):
-        a[2 * m - 2 * j] = MultiPoly.const(reg, Rat(2, 3) ** j * comb(m, j))
-    a[2 * m - 1] = -(c0 + 2 * m * c)
-    gam = gamma_factor(m)
-    a[1] = (c0 * 5 - (c0 * 5 + c * (6 * m)) * gam) * (Rat(1, 5) * Rat(2, 3) ** m)
-    return LeadingCoeffTable(m, reg, a)
+def _closed_form_at(m: int, c0: int, c: int) -> dict[int, Fraction]:
+    a = {2 * m - 2 * j: Rat(2, 3) ** j * comb(m, j) for j in range(m + 1)}
+    a[2 * m - 1] = Rat(-(c0 + 2 * m * c))
+    a[1] = (5 * c0 - (5 * c0 + 6 * m * c) * gamma_factor(m)) * Rat(2, 3) ** m / 5
+    return a
 
 
-def tables_agree(t1: LeadingCoeffTable, t2: LeadingCoeffTable) -> bool:
-    shared = set(t1.entries) & set(t2.entries)
-    return all(t1.entries[j] == t2.entries[j] for j in shared)
+def leading_coeffs_closed_form(m: int) -> dict[int, list[Fraction]]:
+    """Closed forms: binomial even block, the top odd entry, and a_1, at
+    each of TABLE_POINTS."""
+    return _at_points(m, _closed_form_at)
+
+
+def tables_agree(t1: dict[int, list[Fraction]], t2: dict[int, list[Fraction]]) -> bool:
+    return all(t1[j] == t2[j] for j in t1.keys() & t2.keys())
 
 
 # -- factorial identities -----------------------------------------------------
@@ -188,19 +184,28 @@ class SpeedCertificate:
     m: int
     choice: str
     c_squared: Fraction
-    c: QuadExt
+    sign: int
     consistent: bool
     admissible: bool
     reason: str
+
+    @property
+    def c(self) -> QuadExt:
+        """The speed, sign * sqrt(c_squared), in its own quadratic field."""
+        return self.sign * field_sqrt(self.c_squared)
 
 
 def consistency_condition(m: int, choice: str) -> SpeedCertificate:
     """Solve 5 c0 + 6 m c = 0 exactly for the chosen saddle cofactor c0.
 
-    The two eigenvalue choices force c^2 = 25/(6m(6m-5)); the eigenvalue
-    sum admits only c = 0.  Admissible means a positive speed at or above
-    the monotone front threshold c^2 >= 4, which singles out m = 1 with
-    the slow eigenvalue.
+    The saddle's eigenvalues are the roots of lambda^2 + c lambda - 1.  Their
+    product is -1, so lambda- < 0 < lambda+.  Matching puts c0 = -6mc/5,
+    which has the sign of -c: the slow eigenvalue lambda- needs c > 0 and
+    lambda+ needs c < 0.  That c0 is a root exactly when
+    c^2 (36m^2 - 30m) = 25, which is checked in rationals for the closed
+    form c^2 = 25/(6m(6m-5)).  The eigenvalue sum -c admits only c = 0.
+    Admissible means a positive speed at or above the monotone front
+    threshold c^2 >= 4, which singles out m = 1 with the slow eigenvalue.
     """
     if m < 1:
         raise ValueError("index m must be positive")
@@ -208,35 +213,22 @@ def consistency_condition(m: int, choice: str) -> SpeedCertificate:
         raise ValueError(f"choice must be one of {CHOICES}")
     if choice == "sum":
         return SpeedCertificate(
-            m, choice, Rat(0), QuadExt(0), True, False,
+            m, choice, Rat(0), 0, True, False,
             "only the zero speed satisfies the matching condition",
         )
-    D = 6 * m * (6 * m - 5)
-    c2 = Rat(25, D)
-    s, dt = squarefree_decompose(D)
-    c_pos = QuadExt(0, Rat(5, s * dt), dt)
-    root = QuadExt(0, Rat(12 * m - 5, s * dt), dt)  # sqrt(c^2 + 4)
-    assert root * root == c_pos * c_pos + 4
-    if choice == "lambda-":
-        c = c_pos
-        lam = (-c - root) / 2
-    else:
-        c = -c_pos
-        lam = (-c + root) / 2
-    consistent = (5 * lam + 6 * m * c).is_zero() and (c * c == QuadExt(c2))
+    c2 = Rat(25, 6 * m * (6 * m - 5))
+    sign = 1 if choice == "lambda-" else -1
+    consistent = c2 * (36 * m * m - 30 * m) == 25
+    admissible = consistent and sign > 0 and c2 >= 4
     if not consistent:
         reason = "matching condition failed"
-        admissible = False
-    elif c.sign() <= 0:
+    elif sign < 0:
         reason = "negative speed"
-        admissible = False
-    elif (c * c - 4).sign() < 0:
+    elif c2 < 4:
         reason = "speed below the monotone front threshold"
-        admissible = False
     else:
         reason = "admissible"
-        admissible = True
-    return SpeedCertificate(m, choice, c2, c, consistent, admissible, reason)
+    return SpeedCertificate(m, choice, c2, sign, consistent, admissible, reason)
 
 
 def enumerate_speeds(
@@ -330,7 +322,7 @@ def certify(
         )
     )
 
-    c = try_sqrt(FRONT_SPEED_SQUARED, d=radicand)
+    c = field_sqrt(FRONT_SPEED_SQUARED, d=radicand)
     if c is None:
         stages.append(
             StageReport(

@@ -25,6 +25,10 @@ Rhs = Callable[[float, tuple[float, ...]], Sequence[float]]
 
 DIVERGENCE_NORM = 1e12
 MAX_STEPS = 2_000_000
+# The longest interval integrate_rkf45 accepts.  Near a stable rest state
+# the step stays at the method's stability limit, so the work grows
+# linearly with the span.
+MAX_RKF45_SPAN = 1e5
 
 
 class DivergenceError(RuntimeError):
@@ -32,8 +36,9 @@ class DivergenceError(RuntimeError):
 
 
 class StepSizeError(RuntimeError):
-    """The adaptive integrator could not meet the tolerance, or a fixed
-    step would need more than MAX_STEPS steps."""
+    """The adaptive integrator could not meet the tolerance or was given a
+    span above MAX_RKF45_SPAN, or a fixed step would need more than
+    MAX_STEPS steps."""
 
 
 @dataclass
@@ -116,6 +121,9 @@ def integrate_rkf45(rhs: Rhs, t0: float, y0: Sequence[float], t1: float,
     """Adaptive Fehlberg 4(5); keeps the fifth order value on acceptance."""
     if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
         raise ValueError("integration interval must be finite and run forward")
+    if t1 - t0 > MAX_RKF45_SPAN:
+        raise StepSizeError("span %g from t=%g to t=%g exceeds the rkf45 limit %g"
+                            % (t1 - t0, t0, t1, MAX_RKF45_SPAN))
     y = tuple(float(v) for v in y0)
     t = t0
     h = min(h0, t1 - t0)

@@ -175,6 +175,11 @@ def real_univariate_roots(
         found.append((QuadExt.lift(0), zero_mult))
     all_exact = True
     numeric: list[RealRoot] = []
+    if len({c.d for c in desc} - {1}) > 1:
+        # the coefficients span two radicands: no exact step can combine them
+        all_exact = False
+        numeric = _numeric_real_roots(desc)
+        desc = desc[:1]
     while len(desc) > 1:
         deg = len(desc) - 1
         if deg == 1:

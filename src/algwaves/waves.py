@@ -11,6 +11,7 @@ the quadratic, and ends with the explicit profile.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction as Fr
 from typing import Callable, Optional
@@ -378,9 +379,12 @@ def verify_entry(entry: CatalogEntry, n: int = 201, lo: float = -10.0,
     The derivative comes from the expression's exact derivative chain, and
     the relation is evaluated once over all n samples.  Exp-rational
     entries additionally get the relation checked as a polynomial
-    identity.  Raises ValueError for n < 1: no sample shows no residual."""
+    identity.  Raises ValueError for n < 1, since no sample shows no
+    residual, and for a non-finite lo or hi."""
     if n < 1:
         raise ValueError("verify needs at least one sample, got %d" % n)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("sample range must be finite, got [%r, %r]" % (lo, hi))
     prof = entry.profile
     dprof = prof.diff("s")
 

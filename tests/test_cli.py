@@ -99,14 +99,35 @@ class TestEquilibria:
         # coefficients from two fields
         ("u_t - u_xx + u^2 + sqrt(2)*u - 1/2 - 1/2*sqrt(3) = 0",
          (-2.0731321850, 0.6589186226)),
+        ("u_t - u_xx + sqrt(2)*u^2 - u - sqrt(3) = 0",
+         (-0.8082318182, 1.5153385994)),
+        ("u_t - u_xx + u^3 - sqrt(2)*u^2 - sqrt(3)*u + 1 = 0",
+         (-1.0719245073, 0.4605608193, 2.0255772504)),
     ])
     def test_roots_in_no_single_field_are_approximate(self, capsys, pde, want):
         code, out, err = run(capsys, "equilibria", "--pde", pde, "--speed", "1",
                              "--json")
         assert code == 0 and err == ""
         rows = json.loads(out)["result"]["equilibria"]
-        assert [r["exact"] for r in rows] == [False, False]
+        assert [r["exact"] for r in rows] == [False] * len(want)
         assert [float(r["value"]) for r in rows] == pytest.approx(want, abs=1e-9)
+
+    def test_coefficients_from_two_fields_without_real_root(self, capsys):
+        # sqrt(2) u^2 - u + sqrt(3) has discriminant 1 - 4 sqrt(6) < 0
+        code, out, err = run(capsys, "equilibria", "--pde",
+                             "u_t - u_xx + sqrt(2)*u^2 - u + sqrt(3) = 0",
+                             "--speed", "1")
+        assert code == 2 and err == ""
+        assert out == "0 rest value(s)\n"
+
+    def test_sum_of_two_radicands_is_not_a_literal(self, capsys):
+        # sqrt(2) + sqrt(3) lies in no single Q(sqrt(d)): the equation
+        # itself is rejected before any root is sought
+        code, out, err = run(capsys, "equilibria", "--pde",
+                             "u_t - u_xx + u^3 - sqrt(2)*u^2 - sqrt(3)*u"
+                             " + sqrt(2) + sqrt(3) - 1 = 0", "--speed", "1")
+        assert code == 1 and out == ""
+        assert err == "error: cannot combine sqrt(2) with sqrt(3)\n"
 
 
 class TestFindCurve:
@@ -278,6 +299,21 @@ class TestCatalogAndVerify:
         assert out == ""
         assert "at least one sample" in err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--lo", "nan"], "sample range must be finite"),
+        (["--hi", "inf"], "sample range must be finite"),
+        (["--tol", "nan"], "--tol must be finite and nonnegative"),
+        (["--tol", "-1"], "--tol must be finite and nonnegative"),
+        (["--tol", "inf"], "--tol must be finite and nonnegative"),
+    ])
+    def test_verify_meaningless_numbers_exit_1(self, capsys, flags, message):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "verify", *flags)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: " + message)
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["catalog", "verify"])
     def test_param_without_entry_exit_1(self, capsys, command):
         code, out, err = run(capsys, command, "--param", "q=3")
@@ -366,6 +402,16 @@ class TestShoot:
         assert "needs more than 2000000 steps" in err
         assert "Traceback" not in err
 
+    def test_rkf45_huge_horizon_fails_fast(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "shoot", "--pde", FISHER, "--speed", "2",
+                             "--saddle", "1,0", "--target", "0,0",
+                             "--horizon", "1e8")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: span 1e+08 from t=0 to t=1e+08 exceeds "
+                              "the rkf45 limit 100000")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("flags,message", [
         (["--eps", "0"], "eps must be finite and positive"),

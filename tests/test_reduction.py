@@ -84,6 +84,15 @@ class TestRealRoots:
         with pytest.raises(ValueError):
             real_univariate_roots([0, 0])
 
+    def test_two_fields_go_numeric_after_zero_roots(self):
+        # x (sqrt(2) x^2 - sqrt(3)): the zero root stays exact
+        roots, ok = real_univariate_roots([0, QuadExt(0, -1, 3), 0, QuadExt(0, 1, 2)])
+        assert not ok
+        assert [r.exact for r in roots] == [False, True, False]
+        assert roots[1].value == 0
+        w = (3 / 2) ** 0.25
+        assert [float(r.value) for r in roots] == pytest.approx([-w, 0, w], abs=1e-12)
+
 
 def _fisher_system(c=None):
     spec = parse_pde("u_t = u_xx + u*(1-u)")
