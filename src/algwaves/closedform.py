@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Sequence, Union
 
@@ -383,9 +384,11 @@ class PRelation:
     u_var: int
     du_var: int
 
-    def residual_at(self, u, du):
-        """p(u, du); u and du may be floats or numpy arrays of one shape."""
-        return self.p.compile_float((self.u_var, self.du_var))(u, du)
+    @cached_property
+    def residual_at(self):
+        """p(u, du) as a function of (u, du), compiled once per relation; u
+        and du may be floats or numpy arrays of one shape."""
+        return self.p.compile_float((self.u_var, self.du_var))
 
 
 def _pair_polys(er: ExpRational, reg: VarRegistry, zv: int):

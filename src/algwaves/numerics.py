@@ -8,8 +8,9 @@ verification layer asks for.
 
 The integrators step on tuples of Python floats: a right-hand side
 rhs(t, y) receives y as a tuple of floats and returns a sequence of
-floats, one per component (the plane systems' rhs_float closures return
-tuples).  Only the finished orbit becomes numpy arrays.
+floats, one per component.  A plane system's rhs_float is one generated
+function (poly.compile_float_field) that unpacks y and returns the tuple
+(P, Q).  Only the finished orbit becomes numpy arrays.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def integrate_rk4(rhs: Rhs, t0: float, y0: Sequence[float], t1: float,
         y = tuple([a + h6 * (b1 + 2 * b2 + 2 * b3 + b4)
                    for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
         t += hh
-        _check_bounded(_norm(y), t)
+        _check_bounded(math.hypot(*y), t)
         ts.append(t)
         ys.append(y)
     return Orbit(np.array(ts), np.array(ys))

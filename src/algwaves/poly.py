@@ -354,34 +354,13 @@ class MultiPoly:
         return self.compile_float(list(point))(*point.values())
 
     def compile_float(self, order: Sequence[int]) -> Callable[..., float]:
-        """Float evaluator with positional arguments in the given variable order.
+        """Float evaluator f(x0, x1, ...) with positional arguments in the
+        given variable order.
 
-        The returned function sums c * x**e products over the terms.  Each
-        term is a float coefficient and a tuple of (argument position,
-        exponent) pairs.  Arguments may be floats or numpy arrays of one
-        shape; with arrays the result has that shape, for constant and zero
-        polynomials too."""
-        pos = {v: i for i, v in enumerate(order)}
-        for v in self.variables():
-            if v not in pos:
-                raise ValueError("unbound variable %r in evaluation"
-                                 % (self.registry.name(v),))
-        if self.is_constant():
-            # x**0 for every argument gives the result the arguments' shape
-            terms = [(float(self.coeff(())), tuple((i, 0) for i in range(len(order))))]
-        else:
-            terms = [(float(c), tuple((pos[v], e) for v, e in m))
-                     for m, c in self.terms.items()]
-
-        def evaluate(*xs):
-            total = 0.0
-            for c, mono in terms:
-                for i, e in mono:
-                    c = c * xs[i] ** e
-                total = total + c
-            return total
-
-        return evaluate
+        The evaluator is straight-line Python generated by _compile_float.
+        Arguments may be floats or numpy arrays of one shape; with arrays
+        the result has that shape, for constant and zero polynomials too."""
+        return _compile_float([self], order, field=False)
 
     def as_univariate(self, v: int) -> list["MultiPoly"]:
         """Coefficients in v, ascending; index i holds the v**i coefficient."""
@@ -435,6 +414,66 @@ class MultiPoly:
 
     def __repr__(self):
         return "<MultiPoly %s>" % (self,)
+
+
+# -- generated float evaluators ----------------------------------------------
+
+MAX_TERMS_PER_EXPR = 200
+"""Terms per generated expression.  A longer sum continues in further
+statements, since CPython's compiler recurses once per operator of a
+chain and raises RecursionError on a few thousand terms."""
+
+
+def _compile_float(polys: Sequence[MultiPoly], order: Sequence[int],
+                   field: bool) -> Callable:
+    """Generate, compile and return def f(x0, x1, ...) returning polys[0],
+    or with field=True def f(t, u) returning the tuple of all polys.
+
+    Argument i is the variable order[i].  Each term is c * x_i ** e * ...
+    in the polynomial's term order, with x_i ** 1 written x_i, and each
+    sum runs left to right.  A constant (or zero) polynomial keeps
+    x_i ** 0 for every argument, so that array arguments broadcast.  The
+    source holds only generated names, operators and integer exponents:
+    the coefficients are bound by name in the namespace."""
+    pos = {v: i for i, v in enumerate(order)}
+    args = ", ".join("x%d" % i for i in range(len(order)))
+    lines = ["def f(t, u):", "    [%s] = u" % args] if field else ["def f(%s):" % args]
+    namespace: dict = {"__builtins__": {}}
+    for k, f in enumerate(polys):
+        for v in f.variables():
+            if v not in pos:
+                raise ValueError("unbound variable %r in evaluation"
+                                 % (f.registry.name(v),))
+        if f.is_constant():
+            terms = [(f.coeff(()), [(i, 0) for i in range(len(order))])]
+        else:
+            terms = [(c, [(pos[v], e) for v, e in m]) for m, c in f.terms.items()]
+        sources = []
+        for j, (c, factors) in enumerate(terms):
+            name = "c%d_%d" % (k, j)
+            namespace[name] = float(c)
+            sources.append(" * ".join([name] + ["x%d" % i if e == 1 else "x%d ** %d" % (i, e)
+                                                for i, e in factors]))
+        acc = "s%d" % k
+        for i in range(0, len(sources), MAX_TERMS_PER_EXPR):
+            chunk = sources[i:i + MAX_TERMS_PER_EXPR]
+            lines.append("    %s = %s" % (acc, " + ".join(chunk if i == 0 else [acc] + chunk)))
+    if field:
+        lines.append("    return (%s,)" % ", ".join("s%d" % k for k in range(len(polys))))
+    else:
+        lines.append("    return s0")
+    exec(compile("\n".join(lines) + "\n", "<compile_float>", "exec"), namespace)
+    return namespace["f"]
+
+
+def compile_float_field(polys: Sequence[MultiPoly], order: Sequence[int]
+                        ) -> Callable[[float, Sequence[float]], tuple[float, ...]]:
+    """Right-hand side f(t, u) of the system u' = (polys[0](u), ...).
+
+    u holds one float per variable of order, in that order; t is ignored.
+    Each component is computed as compile_float computes it, so the values
+    are the same floats."""
+    return _compile_float(polys, order, field=True)
 
 
 # -- division and resultants -----------------------------------------------

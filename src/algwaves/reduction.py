@@ -23,7 +23,7 @@ import numpy as np
 
 from .numerics import Rhs
 from .pde import PDESpec
-from .poly import MultiPoly, VarRegistry, trial_divide
+from .poly import MultiPoly, VarRegistry, compile_float_field, trial_divide
 from .qfield import QuadExt, RadicandMismatchError, parse_quadext, quadratic_roots
 
 ScalarLike = Union[int, Fraction, QuadExt]
@@ -284,21 +284,6 @@ class ODESystemSpec:
             )
         return self.gc_num * self.gc_den.constant_value().inverse()
 
-    def rhs_float(self) -> Rhs:
-        if self.c is None:
-            raise ReductionError("bind a speed before numeric evaluation")
-        g = self.gc()
-        extra = set(g.variables()) - set(self.y_vars)
-        if extra:
-            names = ", ".join(self.registry.name(v) for v in sorted(extra))
-            raise ReductionError(f"unbound parameters remain: {names}")
-        gf = g.compile_float(self.y_vars)
-
-        def rhs(t: float, y: tuple[float, ...]) -> tuple[float, ...]:
-            return (*y[1:], gf(*y))
-
-        return rhs
-
 
 def travelling_wave_reduce(
     spec: PDESpec,
@@ -455,13 +440,8 @@ class PlanarSystem:
         return cls(reg, reg.id_of(x), reg.id_of(y), P, Q)
 
     def rhs_float(self) -> Rhs:
-        order = (self.x_var, self.y_var)
-        P, Q = self.P.compile_float(order), self.Q.compile_float(order)
-
-        def rhs(t: float, u: tuple[float, float]) -> tuple[float, float]:
-            return (P(*u), Q(*u))
-
-        return rhs
+        """rhs(t, u) = (P(u), Q(u)) as one generated function of u = (x, y)."""
+        return compile_float_field([self.P, self.Q], (self.x_var, self.y_var))
 
     def jacobian(self) -> list[list[MultiPoly]]:
         return [

@@ -371,6 +371,11 @@ class EntryReport:
         return good and self.symbolic_zero in (None, True)
 
 
+# The most samples verify_entry takes.  A sample costs about 60 us over the
+# catalog's seven entries, so `verify` on the whole catalog stays near 6 s.
+MAX_VERIFY_SAMPLES = 100_000
+
+
 def verify_entry(entry: CatalogEntry, n: int = 201, lo: float = -10.0,
                  hi: float = 10.0, span: float = 40.0,
                  boundary_tol: float = 1e-6) -> EntryReport:
@@ -380,9 +385,13 @@ def verify_entry(entry: CatalogEntry, n: int = 201, lo: float = -10.0,
     the relation is evaluated once over all n samples.  Exp-rational
     entries additionally get the relation checked as a polynomial
     identity.  Raises ValueError for n < 1, since no sample shows no
-    residual, and for a non-finite lo or hi."""
+    residual, for n above MAX_VERIFY_SAMPLES, and for a non-finite lo or
+    hi."""
     if n < 1:
         raise ValueError("verify needs at least one sample, got %d" % n)
+    if n > MAX_VERIFY_SAMPLES:
+        raise ValueError("verify takes at most %d samples, got %d"
+                         % (MAX_VERIFY_SAMPLES, n))
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("sample range must be finite, got [%r, %r]" % (lo, hi))
     prof = entry.profile

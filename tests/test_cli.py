@@ -305,6 +305,7 @@ class TestCatalogAndVerify:
         (["--tol", "nan"], "--tol must be finite and nonnegative"),
         (["--tol", "-1"], "--tol must be finite and nonnegative"),
         (["--tol", "inf"], "--tol must be finite and nonnegative"),
+        (["--samples", "100001"], "verify takes at most 100000 samples"),
     ])
     def test_verify_meaningless_numbers_exit_1(self, capsys, flags, message):
         t0 = time.perf_counter()

@@ -25,6 +25,7 @@ from algwaves.numerics import (
 from algwaves.poly import MultiPoly, VarRegistry
 from algwaves.qfield import QuadExt
 from test_closedform import richardson_derivative
+from test_poly import reference_compile_float
 
 FRONT_SPEED = QuadExt(0, Fr(5, 6), 6)
 
@@ -224,6 +225,24 @@ class TestAgainstNumpyReference:
         assert len(res.orbit) == len(want)
         assert np.max(np.abs(res.orbit.ys - want.ys)) <= 2e-8
         assert np.max(np.abs(res.orbit.end - want.end)) <= 1e-8
+
+    @pytest.mark.parametrize("method", ["rk4", "rkf45"])
+    def test_front_orbit_pinned_to_interpreted_rhs(self, method):
+        # the generated rhs gives the interpreted one's floats, so the
+        # shot orbit is the reference integrator's, bit for bit
+        ps = front_plane(FRONT_SPEED)
+        order = (ps.x_var, ps.y_var)
+        P, Q = (reference_compile_float(f, order) for f in (ps.P, ps.Q))
+        rhs = lambda t, u: (P(*u), Q(*u))
+        if method == "rk4":
+            kw, horizon, reference = {"h": 5e-3}, 30.0, reference_rk4
+        else:
+            kw, horizon, reference = {}, 60.0, reference_rkf45
+        res = shoot_unstable_manifold(ps, (QuadExt(1), QuadExt(0)), (0.0, 0.0),
+                                      horizon=horizon, method=method, **kw)
+        want = reference(rhs, 0.0, res.start, horizon, **kw)
+        assert np.array_equal(res.orbit.ts, want.ts)
+        assert np.array_equal(res.orbit.ys, want.ys)
 
 
 class TestShooting:

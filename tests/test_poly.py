@@ -1,5 +1,6 @@
 """Polynomial kernel: frozen oracles for derivatives, substitution, resultants."""
 
+import itertools
 import math
 from fractions import Fraction as Fr
 
@@ -15,10 +16,12 @@ from algwaves.linalg import (
     rank,
 )
 from algwaves.poly import (
+    MAX_TERMS_PER_EXPR,
     MultiPoly,
     RegistryMismatchError,
     VarRegistry,
     bareiss_determinant,
+    compile_float_field,
     sylvester_resultant,
     trial_divide,
 )
@@ -464,31 +467,61 @@ class TestRingLaws:
         assert sylvester_resultant(x - r, (x - r) * (y + 1), reg.id_of("x")).is_zero
 
 
+def reference_compile_float(f, order):
+    """The term-interpreting evaluator that the generated one replaced:
+    a loop over (coefficient, ((position, exponent), ...)) terms summed
+    from 0.0."""
+    pos = {v: i for i, v in enumerate(order)}
+    if f.is_constant():
+        terms = [(float(f.coeff(())), tuple((i, 0) for i in range(len(order))))]
+    else:
+        terms = [(float(c), tuple((pos[v], e) for v, e in m))
+                 for m, c in f.terms.items()]
+
+    def evaluate(*xs):
+        total = 0.0
+        for c, mono in terms:
+            for i, e in mono:
+                c = c * xs[i] ** e
+            total = total + c
+        return total
+
+    return evaluate
+
+
 @st.composite
 def float_eval_cases(draw):
-    """A polynomial over Q or Q(sqrt d) in 1-3 variables, an argument order
-    and a few dyadic points (so the float arguments are exact)."""
+    """Two polynomials f, g over Q or Q(sqrt d) in 1-3 variables, an
+    argument order, a few dyadic points indexed by variable (so the float
+    arguments are exact) and a few arbitrary argument tuples."""
     names = ["x", "y", "z"][:draw(st.integers(min_value=1, max_value=3))]
     d = draw(st.sampled_from((1, 2, 3, 6)))
     reg = VarRegistry(names)
     rat = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-    f = MultiPoly.zero(reg)
-    for _ in range(draw(st.integers(min_value=0, max_value=6))):
-        exps = [draw(st.integers(min_value=0, max_value=3)) for _ in names]
-        mono = tuple((v, e) for v, e in enumerate(exps) if e)
-        f = f + MultiPoly(reg, {mono: QuadExt(draw(rat), draw(rat), d)})
+
+    def poly():
+        f = MultiPoly.zero(reg)
+        for _ in range(draw(st.integers(min_value=0, max_value=6))):
+            exps = [draw(st.integers(min_value=0, max_value=3)) for _ in names]
+            mono = tuple((v, e) for v, e in enumerate(exps) if e)
+            f = f + MultiPoly(reg, {mono: QuadExt(draw(rat), draw(rat), d)})
+        return f
+
+    f, g = poly(), poly()
     order = draw(st.permutations(range(len(names))))
     dyadic = st.builds(lambda n, k: Fr(n, 2 ** k), st.integers(-64, 64),
                        st.integers(min_value=0, max_value=4))
     points = draw(st.lists(st.tuples(*[dyadic] * len(names)), min_size=1, max_size=5))
-    return f, order, points
+    args = draw(st.lists(st.tuples(*[st.floats(-8.0, 8.0)] * len(names)),
+                         min_size=1, max_size=5))
+    return f, g, order, points, args
 
 
 class TestCompiledFloat:
     @settings(max_examples=80, deadline=None)
     @given(float_eval_cases())
     def test_agrees_with_exact_evaluate(self, case):
-        f, order, points = case
+        f, _, order, points, _ = case
         ev = f.compile_float(order)
         cols = [np.array([float(pt[v]) for pt in points]) for v in order]
         on_array = ev(*cols)
@@ -503,6 +536,53 @@ class TestCompiledFloat:
             assert abs(ev(*args) - exact) <= 1e-12 * scale
             assert abs(on_array[k] - exact) <= 1e-12 * scale
             assert f.evaluate_float(dict(enumerate(map(float, pt)))) == ev(*args)
+
+    @settings(max_examples=80, deadline=None)
+    @given(float_eval_cases())
+    def test_same_floats_as_reference(self, case):
+        # the generated sum does the reference's operations in its order,
+        # without the leading 0.0 +, so only the sign of a zero may differ
+        f, g, order, _, args = case
+        ev, ref = f.compile_float(order), reference_compile_float(f, order)
+        for xs in args:
+            assert ev(*xs) == ref(*xs)
+        cols = [np.array(col) for col in zip(*args)]
+        assert np.array_equal(ev(*cols), ref(*cols))
+        rhs = compile_float_field([f, g], order)
+        ref_g = reference_compile_float(g, order)
+        for u in args:
+            assert rhs(0.0, u) == (ref(*u), ref_g(*u))
+
+    @pytest.mark.parametrize("nterms", [MAX_TERMS_PER_EXPR + 1, 20_000])
+    def test_long_sums_compile(self, nterms):
+        # one expression of 20,000 terms would overflow the compiler's stack
+        reg = VarRegistry(["x", "y", "z"])
+        exps = itertools.islice(itertools.product(range(28), repeat=3), nterms)
+        f = MultiPoly(reg, {tuple((v, e) for v, e in enumerate(es) if e):
+                            QuadExt(Fr((-1) ** k * (k % 7 + 1), k % 5 + 1))
+                            for k, es in enumerate(exps)})
+        assert len(f.terms) == nterms
+        order = [2, 0, 1]
+        ref = reference_compile_float(f, order)
+        ev = f.compile_float(order)
+        pt = (0.5, -0.97, 0.93)
+        assert ev(*pt) == ref(*pt)
+        cols = [np.linspace(-1.0, 1.0, 5)] * 3
+        assert np.array_equal(ev(*cols), ref(*cols))
+        assert compile_float_field([f], order)(0.0, pt) == (ref(*pt),)
+
+    def test_variable_names_never_reach_the_source(self):
+        # "lambda" in the source would be a syntax error and the second name
+        # a call; VarRegistry refuses the second, so it is put in by hand
+        reg = VarRegistry(["lambda", "y"])
+        reg._names[1] = "__import__('os')"
+        x, y = MultiPoly.var(reg, 0), MultiPoly.var(reg, 1)
+        f = 3 * x * y ** 2 - Fr(1, 3) * x
+        ev = f.compile_float([0, 1])
+        assert ev(2.0, 0.5) == reference_compile_float(f, [0, 1])(2.0, 0.5)
+        assert compile_float_field([f, y], [0, 1])(0.0, (2.0, 0.5)) == (ev(2.0, 0.5), 0.5)
+        # the coefficients are bound by name: the code holds no float
+        assert all(c is None or type(c) is int for c in ev.__code__.co_consts)
 
     def test_unbound_variable_names_it(self):
         reg, x, y = xy()

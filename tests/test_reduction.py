@@ -179,17 +179,6 @@ class TestReduce:
             (QuadExt(1), QuadExt(0), QuadExt(0)),
         ]
 
-    def test_rhs_float(self):
-        sys_spec = _fisher_system(c=1)
-        rhs = sys_spec.rhs_float()
-        out = rhs(0.0, (0.5, 0.2))
-        assert np.allclose(out, [0.2, -0.45])
-
-    def test_rhs_requires_bound_speed(self):
-        sys_spec = _fisher_system()
-        with pytest.raises(ReductionError):
-            sys_spec.rhs_float()
-
 
 class TestEquilibria:
     def test_fisher_rest_states(self):
