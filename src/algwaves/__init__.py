@@ -4,9 +4,9 @@ from .qfield import (
     QuadExt,
     RadicandMismatchError,
     Rat,
+    field_sqrt,
     parse_quadext,
     pochhammer,
-    try_sqrt,
 )
 from .poly import MultiPoly, VarRegistry, sylvester_resultant, trial_divide
 from .exprparse import ExprSyntaxError, parse_poly
@@ -66,8 +66,8 @@ from .waves import (
 )
 
 __all__ = [
-    "QuadExt", "RadicandMismatchError", "Rat", "parse_quadext", "pochhammer",
-    "try_sqrt",
+    "QuadExt", "RadicandMismatchError", "Rat", "field_sqrt", "parse_quadext",
+    "pochhammer",
     "MultiPoly", "VarRegistry", "sylvester_resultant", "trial_divide",
     "ExprSyntaxError", "parse_poly",
     "DerivSymbol", "PDESpec", "PDESyntaxError", "bind_params", "parse_pde",

@@ -7,9 +7,9 @@ by default or a stable JSON document with --json.
 Exit codes: 0 success, 1 bad input or flags (a shooting run that
 diverges or would need too many steps included), 2 empty result (no curve,
 no discrete equilibria, failed certificate), 3 numeric tolerance miss,
-4 undetermined (find-curve searched no cofactor candidate, or only
-constant ones where a curve may have a nonconstant cofactor, so an empty
-search proves nothing).
+4 undetermined (find-curve searched no cofactor candidate, only the
+--cofactor values given, or only constant ones where a curve may have a
+nonconstant cofactor, so an empty search proves nothing).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from .darboux import MAX_SEARCH_DEGREE
 from .exprparse import ExprSyntaxError
 from .numerics import DivergenceError, StepSizeError, shoot_unstable_manifold
 from .pde import bind_params, parse_pde
@@ -189,7 +190,11 @@ def cmd_find_curve(args):
              "degree": h.degree, "nullspace_dim": h.nullspace_dim}
             for h in hits]
     status = "found" if hits else "proved-none" if cands else "undetermined"
-    if status == "proved-none" and constant_cofactor_weight(ps) is None:
+    if status == "proved-none" and args.cofactor:
+        # a curve may have a cofactor the caller did not give
+        status = "undetermined"
+        notes = ["only the cofactors given with --cofactor were searched"]
+    elif status == "proved-none" and constant_cofactor_weight(ps) is None:
         # only constant cofactors were searched, and no weights show that
         # every cofactor is constant
         status = "undetermined"
@@ -212,9 +217,10 @@ def cmd_find_curve(args):
         code = 2
     else:
         if cands:
-            text = ["undetermined: no curve with a constant cofactor up to "
-                    "degree %d through %s"
-                    % (args.max_degree, ", ".join(result["points"]))]
+            text = ["undetermined: no curve with %s up to degree %d through %s"
+                    % ("a given cofactor" if args.cofactor
+                       else "a constant cofactor",
+                       args.max_degree, ", ".join(result["points"]))]
         else:
             text = ["undetermined: no cofactor candidate for a curve through %s"
                     % ", ".join(result["points"])]
@@ -227,7 +233,7 @@ def cmd_certify_fisher(args):
     from .fisher import certify
 
     cert = certify(m_enum=args.m_enum, m_recur=args.m_recur,
-                   m_gamma=args.m_gamma, radicand=args.radicand)
+                   m_gamma=args.m_gamma)
     result = {
         "ok": cert.ok,
         "stages": [{"name": s.name, "ok": s.ok, "detail": s.detail}
@@ -424,7 +430,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("find-curve", help="invariant algebraic curves of the plane system")
     _add_pde_flags(p, speed_required=True)
     p.add_argument("--max-degree", type=int, default=3, metavar="N",
-                   help="largest curve degree to try (default 3)")
+                   help="largest curve degree to try (default 3, at most %d)"
+                   % MAX_SEARCH_DEGREE)
     p.add_argument("--point", action="append", metavar="X,Y",
                    help="equilibrium the curve must pass through (repeatable)")
     p.add_argument("--cofactor", action="append", metavar="K",
@@ -439,8 +446,6 @@ def build_parser() -> _Parser:
                    help="recurrence cross-check range (default 20)")
     p.add_argument("--m-gamma", type=int, default=10, metavar="M",
                    help="factorial identity range (default 10)")
-    p.add_argument("--radicand", type=int, default=6,
-                   help="quadratic field to certify in (default 6)")
     _add_common(p)
     p.set_defaults(handler=cmd_certify_fisher)
 

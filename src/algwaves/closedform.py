@@ -23,7 +23,7 @@ from math import gcd
 from typing import Sequence, Union
 
 from .poly import MultiPoly, VarRegistry, sylvester_resultant
-from .qfield import QuadExt, try_sqrt
+from .qfield import QuadExt, field_sqrt
 
 Number = Union[int, float, Fraction, QuadExt]
 
@@ -361,19 +361,6 @@ class ExpRational:
             lam = self.lam
         return ExpRational(a1, a2, lam)
 
-    def profile(self, var: str = "s") -> Expr:
-        """The profile as an expression tree (for numeric cross-checks)."""
-        s = Sym(var)
-        z = Exp(_as_expr(self.lam) * s)
-
-        def horner(coeffs):
-            acc: Expr = Const(0)
-            for c in reversed(list(coeffs)):
-                acc = acc * z + Const(c)
-            return acc
-
-        return horner(self.q1) / horner(self.q2)
-
 
 @dataclass
 class PRelation:
@@ -463,17 +450,13 @@ def exp_rational_membership(er: ExpRational, rel: PRelation) -> MultiPoly:
 
 @dataclass
 class LogisticWave:
-    """Solution of U' = alpha (U - u_low)(U - u_high)."""
+    """Solution of U' = alpha (U - u_low)(U - u_high) in the variable s."""
 
     expr: Expr
-    alpha: QuadExt
-    u_low: QuadExt
-    u_high: QuadExt
-    k: QuadExt
     boundary: tuple
 
 
-def solve_logistic(alpha, u_low, u_high, k=1, var: str = "s") -> LogisticWave:
+def solve_logistic(alpha, u_low, u_high, k=1) -> LogisticWave:
     """Explicit monotone connection between the two rest values."""
     al = QuadExt.lift(alpha)
     u1 = QuadExt.lift(u_low)
@@ -483,42 +466,41 @@ def solve_logistic(alpha, u_low, u_high, k=1, var: str = "s") -> LogisticWave:
         raise ValueError("rest values must differ")
     if float(kk) <= 0:
         raise ValueError("the shift parameter must be positive")
-    s = Sym(var)
+    s = Sym("s")
     grow = Exp(_as_expr(al * (u3 - u1)) * s)
     expr = (Const(u3) + Const(kk * u1) * grow) / (Const(QuadExt(1)) + Const(kk) * grow)
     if float(al * (u3 - u1)) > 0:
         boundary = (u3, u1)  # s -> -inf, s -> +inf
     else:
         boundary = (u1, u3)
-    return LogisticWave(expr, al, u1, u3, kk, boundary)
+    return LogisticWave(expr, boundary)
 
 
 @dataclass
 class PowerLogisticWave:
-    """Solution of U' = gamma U (U^q - 1) decaying to 0 on the right."""
+    """Solution of U' = gamma U (U^q - 1) in the variable s, decaying to 0
+    on the right."""
 
     expr: Expr
     gamma: QuadExt
     q: int
-    k: QuadExt
     boundary: tuple
 
 
-def solve_power_logistic(q: int, k=1, var: str = "s",
-                         gamma=None) -> PowerLogisticWave:
+def solve_power_logistic(q: int, k=1, gamma=None) -> PowerLogisticWave:
     if q < 1:
         raise ValueError("the exponent q must be a positive integer")
     kk = QuadExt.lift(k)
     if float(kk) <= 0:
         raise ValueError("the shift parameter must be positive")
     if gamma is None:
-        gamma = try_sqrt(q + 1).inverse()
+        gamma = field_sqrt(q + 1).inverse()
     else:
         gamma = QuadExt.lift(gamma)
         if gamma.is_zero():
             raise ValueError("the rate must be nonzero")
-    s = Sym(var)
+    s = Sym("s")
     inner = Const(QuadExt(1)) + Const(kk) * Exp(_as_expr(gamma * q) * s)
     expr = RatPow(inner, Fraction(-1, q)) if q > 1 else IntPow(inner, -1)
     boundary = (QuadExt(1), QuadExt(0)) if float(gamma) > 0 else (QuadExt(0), QuadExt(1))
-    return PowerLogisticWave(expr, gamma, q, kk, boundary)
+    return PowerLogisticWave(expr, gamma, q, boundary)

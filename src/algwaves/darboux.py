@@ -50,6 +50,12 @@ from .reduction import PlanarSystem, jacobian_eigen
 
 ScalarLike = Union[int, "QuadExt"]
 
+# The largest degree bound search_constant_cofactor accepts.  A search at
+# the bound takes about 8 s at the Fisher front speed, where one exact
+# elimination finds the cubic, and 0.3 s at c = 2, where the mod-p rank
+# proves there is none; both costs grow about as d^5 to d^6.
+MAX_SEARCH_DEGREE = 20
+
 
 def monomial_basis(nvars_ids: Sequence[int], max_degree: int) -> list[Monomial]:
     """All monomials in the given variables up to total degree, grlex order."""
@@ -387,7 +393,11 @@ def search_constant_cofactor(
     curves of every degree: a null vector has the degree of its free
     column, and a hit's nullspace_dim counts the null vectors of degree at
     most its own, as a solve at that degree would (see invariance_matrix).
+    Raises ValueError for max_degree above MAX_SEARCH_DEGREE.
     """
+    if max_degree > MAX_SEARCH_DEGREE:
+        raise ValueError("degree bound must be at most %d, got %d"
+                         % (MAX_SEARCH_DEGREE, max_degree))
     for pt in points:
         point = {ps.x_var: QuadExt.lift(pt[0]), ps.y_var: QuadExt.lift(pt[1])}
         if not (ps.P.evaluate(point).is_zero() and ps.Q.evaluate(point).is_zero()):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .poly import MultiPoly, VarRegistry
-from .qfield import MAX_SQRT_ARG, try_sqrt
+from .qfield import MAX_SQRT_ARG, field_sqrt
 
 
 class ExprSyntaxError(ValueError):
@@ -207,7 +207,7 @@ class ExprParser:
                     raise ExprSyntaxError("sqrt argument exceeds 10^12",
                                           nt.line, nt.col)
                 self.take(")")
-                return MultiPoly.const(self.registry, try_sqrt(n))
+                return MultiPoly.const(self.registry, field_sqrt(n))
             return self.resolver(t.text, t)
         self.fail("expected a term, found %r" % (t.text or "end of input"))
 

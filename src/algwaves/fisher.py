@@ -24,11 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, prod
-from typing import Optional, Sequence
+from typing import Optional
 
 from .darboux import cofactor_residual, solve_fixed_cofactor
 from .poly import MultiPoly, VarRegistry
-from .qfield import QuadExt, field_sqrt, is_squarefree, pochhammer
+from .qfield import QuadExt, field_sqrt, pochhammer
 from .reduction import PlanarSystem, jacobian_eigen
 
 Rat = Fraction
@@ -51,13 +51,11 @@ def front_system(c: QuadExt) -> PlanarSystem:
     return PlanarSystem(reg, 0, 1, -y, x * x - x - c * y)
 
 
-def exact_front_curve(ps: Optional[PlanarSystem] = None) -> tuple[MultiPoly, QuadExt]:
+def exact_front_curve() -> tuple[MultiPoly, QuadExt]:
     """The cubic invariant curve of the front system and its cofactor."""
-    if ps is None:
-        ps = front_system(FRONT_SPEED)
-    reg = ps.registry
-    x = MultiPoly.var(reg, ps.x_var)
-    y = MultiPoly.var(reg, ps.y_var)
+    ps = front_system(FRONT_SPEED)
+    x = MultiPoly.var(ps.registry, ps.x_var)
+    y = MultiPoly.var(ps.registry, ps.y_var)
     r23 = QuadExt(0, Rat(2, 3), 6)
     f = (
         y * y
@@ -231,11 +229,9 @@ def consistency_condition(m: int, choice: str) -> SpeedCertificate:
     return SpeedCertificate(m, choice, c2, sign, consistent, admissible, reason)
 
 
-def enumerate_speeds(
-    m_max: int, choices: Sequence[str] = CHOICES
-) -> list[SpeedCertificate]:
+def enumerate_speeds(m_max: int) -> list[SpeedCertificate]:
     return [
-        consistency_condition(m, ch) for m in range(1, m_max + 1) for ch in choices
+        consistency_condition(m, ch) for m in range(1, m_max + 1) for ch in CHOICES
     ]
 
 
@@ -265,13 +261,13 @@ def certify(
     m_enum: int = 100,
     m_recur: int = 20,
     m_gamma: int = 10,
-    radicand: int = 6,
 ) -> CurveCertificate:
     """Run the whole exact certificate chain for the algebraic front.
 
-    Raises ValueError for a range below 1, under which a stage would check
-    nothing, for one above its M_*_MAX cap, and for a radicand that is not a
-    squarefree positive integer."""
+    Stage 4 solves at c = field_sqrt(FRONT_SPEED_SQUARED), whose field
+    Q(sqrt(6)) is inferred from 25/6 itself.  Raises ValueError for a range
+    below 1, under which a stage would check nothing, and for one above its
+    M_*_MAX cap."""
     for name, m, cap in (("m_enum", m_enum, M_ENUM_MAX),
                          ("m_recur", m_recur, M_RECUR_MAX),
                          ("m_gamma", m_gamma, M_GAMMA_MAX)):
@@ -279,8 +275,6 @@ def certify(
             raise ValueError("%s must be at least 1, got %d" % (name, m))
         if m > cap:
             raise ValueError("%s must be at most %d, got %d" % (name, cap, m))
-    if not is_squarefree(radicand):
-        raise ValueError("radicand must be squarefree and positive, got %d" % radicand)
     stages: list[StageReport] = []
 
     speeds = enumerate_speeds(m_enum)
@@ -322,18 +316,7 @@ def certify(
         )
     )
 
-    c = field_sqrt(FRONT_SPEED_SQUARED, d=radicand)
-    if c is None:
-        stages.append(
-            StageReport(
-                "invariant curve",
-                False,
-                f"25/6 has no square root in Q(sqrt({radicand})); "
-                "the certificate needs the field Q(sqrt(6))",
-            )
-        )
-        return CurveCertificate(ok=False, stages=stages)
-
+    c = field_sqrt(FRONT_SPEED_SQUARED)
     ps = front_system(c)
     ed = jacobian_eigen(ps, (0, 0))
     cof = ed.eigenvalues[1]

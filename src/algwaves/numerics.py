@@ -2,9 +2,11 @@
 
 Everything here is a cross-check for the exact layer, so the methods are
 deliberately plain: classical RK4 with a fixed step, an adaptive
-Fehlberg 4(5) pair, and AGM-based Jacobi elliptic functions.  Accuracy
-targets are around 1e-10, far tighter than any tolerance the
-verification layer asks for.
+Fehlberg 4(5) pair, and AGM-based Jacobi elliptic functions.  Their
+settings are the constants below: RKF45 keeps its local error under
+RKF45_ATOL + RKF45_RTOL * |y| (about 1e-10, far tighter than any
+tolerance the verification layer asks for) from a first step RKF45_H0,
+and only RK4's step h is a parameter.
 
 The integrators step on tuples of Python floats: a right-hand side
 rhs(t, y) receives y as a tuple of floats and returns a sequence of
@@ -30,6 +32,11 @@ MAX_STEPS = 2_000_000
 # the step stays at the method's stability limit, so the work grows
 # linearly with the span.
 MAX_RKF45_SPAN = 1e5
+RKF45_ATOL = 1e-10
+RKF45_RTOL = 1e-10
+RKF45_H0 = 1e-2
+# the AGM stops once its c_n falls below this
+JACOBI_TOL = 1e-15
 
 
 class DivergenceError(RuntimeError):
@@ -116,22 +123,22 @@ def _axpy(y: tuple[float, ...], a: float, k: Sequence[float]) -> tuple[float, ..
     return tuple([v + a * w for v, w in zip(y, k)])
 
 
-def integrate_rkf45(rhs: Rhs, t0: float, y0: Sequence[float], t1: float,
-                    atol: float = 1e-10, rtol: float = 1e-10,
-                    h0: float = 1e-2, max_steps: int = MAX_STEPS) -> Orbit:
-    """Adaptive Fehlberg 4(5); keeps the fifth order value on acceptance."""
+def integrate_rkf45(rhs: Rhs, t0: float, y0: Sequence[float], t1: float) -> Orbit:
+    """Adaptive Fehlberg 4(5) for at most MAX_STEPS steps; keeps the fifth
+    order value on acceptance."""
     if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
         raise ValueError("integration interval must be finite and run forward")
     if t1 - t0 > MAX_RKF45_SPAN:
         raise StepSizeError("span %g from t=%g to t=%g exceeds the rkf45 limit %g"
                             % (t1 - t0, t0, t1, MAX_RKF45_SPAN))
+    atol, rtol = RKF45_ATOL, RKF45_RTOL
     y = tuple(float(v) for v in y0)
     t = t0
-    h = min(h0, t1 - t0)
+    h = min(RKF45_H0, t1 - t0)
     ts = [t0]
     ys = [y]
     ks = [None] * 6
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         if t >= t1:
             return Orbit(np.array(ts), np.array(ys))
         h = min(h, t1 - t)
@@ -168,7 +175,6 @@ class ShootResult:
     orbit: Orbit
     start: np.ndarray
     eigenvalue: float
-    direction: np.ndarray
     min_distance: float
     min_point: np.ndarray
     min_time: float
@@ -181,7 +187,8 @@ def shoot_unstable_manifold(ps, saddle, target, eps: float = 1e-6,
     """Follow the unstable manifold of a planar saddle toward a target.
 
     The start point sits eps along the unstable eigenvector, on the side
-    pointing at the target.  The orbit is integrated to the horizon (a
+    pointing at the target.  The orbit is integrated to the horizon (kw
+    goes to the integrator: rk4 takes its step h, rkf45 nothing; a
     divergence raises DivergenceError); with stop_tol > 0 it is then cut
     after its first point within stop_tol of the target.  Raises
     ValueError unless eps and horizon are finite and positive and stop_tol
@@ -225,25 +232,26 @@ def shoot_unstable_manifold(ps, saddle, target, eps: float = 1e-6,
             orbit = Orbit(orbit.ts[:cut], orbit.ys[:cut])
             d = d[:cut]
     i = int(np.argmin(d))
-    return ShootResult(orbit, start, lam, v, float(d[i]), orbit.ys[i],
+    return ShootResult(orbit, start, lam, float(d[i]), orbit.ys[i],
                        float(orbit.ts[i]), float(d[-1]))
 
 
-def curve_residual_along_orbit(f, orbit: Orbit, x_var: int = 0, y_var: int = 1,
+def curve_residual_along_orbit(f, orbit: Orbit,
                                transform: Optional[Callable] = None) -> float:
     """Largest |f| along the orbit, optionally after a coordinate map.
 
-    f is evaluated on the whole orbit at once.  transform receives the
-    coordinate columns (xs, ys) as numpy arrays and returns the mapped
-    columns, e.g. lambda p: (1.0 - p[0], p[1])."""
+    f is a polynomial in the registry variables 0 and 1, which take the
+    orbit's two columns, and is evaluated on the whole orbit at once.
+    transform receives the coordinate columns (xs, ys) as numpy arrays and
+    returns the mapped columns, e.g. lambda p: (1.0 - p[0], p[1])."""
     cols = (orbit.ys[:, 0], orbit.ys[:, 1])
     if transform is not None:
         cols = transform(cols)
-    values = f.compile_float((x_var, y_var))(*cols)
+    values = f.compile_float((0, 1))(*cols)
     return float(np.max(np.abs(values), initial=0.0))
 
 
-def jacobi_elliptic(x: float, m: float, _tol: float = 1e-15):
+def jacobi_elliptic(x: float, m: float):
     """Jacobi sn, cn, dn with parameter m (so cn(x, 0) = cos x).
 
     Uses the arithmetic-geometric mean with the standard descending
@@ -260,7 +268,7 @@ def jacobi_elliptic(x: float, m: float, _tol: float = 1e-15):
     agm_a = [1.0]
     agm_c = [math.sqrt(m)]
     b = math.sqrt(1.0 - m)
-    while abs(agm_c[-1]) > _tol and len(agm_a) < 64:
+    while abs(agm_c[-1]) > JACOBI_TOL and len(agm_a) < 64:
         an = (agm_a[-1] + b) / 2.0
         agm_c.append((agm_a[-1] - b) / 2.0)
         b = math.sqrt(agm_a[-1] * b)

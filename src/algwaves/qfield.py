@@ -306,50 +306,31 @@ def common_radicand(values: Iterable[QuadExt]) -> int:
     return radicands.pop() if radicands else 1
 
 
-def try_sqrt(x: ScalarLike, d: Optional[int] = None) -> Optional[QuadExt]:
-    """Exact square root of a nonnegative rational value, if representable.
-
-    x must have zero radical part.  The root is searched first in Q; failing
-    that, as a rational multiple of sqrt(d).  With d = None the radicand is
-    inferred from the squarefree part of x itself, so a representable root is
-    always found.  Returns None when x is negative or (for fixed d) when no
-    exact root exists.  Inferring the radicand raises ValueError when
-    squarefree_decompose gives up on the numerator times the denominator.
-    """
-    x = QuadExt.lift(x)
-    if x.b != 0:
-        raise ValueError("try_sqrt needs a radical-free value, got %s" % (x,))
-    r = x.a
-    if r < 0:
-        return None
-    if r == 0:
-        return QuadExt(0)
-    s = rational_sqrt(r)
-    if s is not None:
-        return QuadExt(s)
-    if d is None:
-        sq, df = squarefree_decompose(r.numerator * r.denominator)
-        return QuadExt(0, Fraction(sq, r.denominator), df)
-    if d < 2 or not is_squarefree(d):
-        return None
-    s = rational_sqrt(r / d)
-    if s is not None:
-        return QuadExt(0, s, d)
-    return None
-
-
 def field_sqrt(x: ScalarLike, d: Optional[int] = None) -> Optional[QuadExt]:
     """The exact square root of x, or None: the one place where the field of
     a root is chosen.
 
-    A rational x has its root sought by try_sqrt(x, d): in Q(sqrt(d)) when
-    d is given, otherwise in the field of x's squarefree part.  Any other x
-    has its root sought in its own field, which is never enlarged; with d
-    given, that field must be Q(sqrt(d)).
+    A rational x has its root sought first in Q, then as a rational multiple
+    of sqrt(d) when the squarefree radicand d is given, otherwise in the
+    field of x's squarefree part, where a nonnegative x always has one
+    (finding that part raises ValueError when squarefree_decompose gives up
+    on the numerator times the denominator).  Any other x has its root
+    sought in its own field, which is never enlarged; with d given, that
+    field must be Q(sqrt(d)).  A negative x has no root.
     """
     x = QuadExt.lift(x)
     if x.b == 0:
-        return try_sqrt(x, d)
+        r = x.a
+        if r < 0:
+            return None
+        s = rational_sqrt(r)
+        if s is not None:
+            return QuadExt(s)
+        if d is None:
+            sq, df = squarefree_decompose(r.numerator * r.denominator)
+            return QuadExt(0, Fraction(sq, r.denominator), df)
+        s = rational_sqrt(r / d)
+        return None if s is None else QuadExt(0, s, d)
     if d is not None and d != x.d:
         return None
     # (p + q*sqrt(d))^2 = p^2 + d q^2 + 2 p q sqrt(d)
@@ -406,11 +387,10 @@ def pochhammer(x: RatLike, m: int) -> Fraction:
 
 # -- textual form ---------------------------------------------------------
 
-def parse_quadext(text: str, d: Optional[int] = None) -> QuadExt:
+def parse_quadext(text: str) -> QuadExt:
     """Parse a constant field literal: '2', '-1/3', '5/6*sqrt(6)', 'sqrt(2)',
     '1/2 - 3/4*sqrt(5)'.  The grammar is the expression grammar of
-    exprparse with every name rejected.  If d is given the literal must live
-    in Q(sqrt(d))."""
+    exprparse with every name rejected."""
     from .exprparse import ExprParser, ExprSyntaxError
     from .poly import VarRegistry
 
@@ -418,7 +398,4 @@ def parse_quadext(text: str, d: Optional[int] = None) -> QuadExt:
         raise ExprSyntaxError("a field literal has no names, found %r" % (name,),
                               tok.line, tok.col)
 
-    out = ExprParser(text, VarRegistry(), no_names).parse_expression_only().constant_value()
-    if d is not None and out.d not in (1, d):
-        raise ValueError("literal %r lives in Q(sqrt(%d)), expected Q(sqrt(%d))" % (text, out.d, d))
-    return out
+    return ExprParser(text, VarRegistry(), no_names).parse_expression_only().constant_value()

@@ -256,7 +256,6 @@ class ODESystemSpec:
     c: Optional[QuadExt] = None
     param_vars: dict[str, int] = field(default_factory=dict)
     exceptional_speeds: Optional[list[RealRoot]] = None
-    source: Optional[PDESpec] = None
 
     def unbound_params(self) -> list[str]:
         used = set(self.gc_num.variables()) | set(self.gc_den.variables())
@@ -285,28 +284,23 @@ class ODESystemSpec:
         return self.gc_num * self.gc_den.constant_value().inverse()
 
 
-def travelling_wave_reduce(
-    spec: PDESpec,
-    c: Optional[SpeedLike] = None,
-    speed_name: str = "c",
-) -> ODESystemSpec:
+def travelling_wave_reduce(spec: PDESpec) -> ODESystemSpec:
     """Reduce an evolution equation to its traveling-frame companion system.
 
-    With c omitted the speed stays symbolic; exceptional speeds (roots of
-    the leading coefficient, where the reduction breaks down) are then
-    enumerated whenever that coefficient involves no other parameters.
+    The speed stays the symbol c, which bind_speed fixes; exceptional
+    speeds (roots of the leading coefficient, where the reduction breaks
+    down) are enumerated whenever that coefficient involves no other
+    parameters.
     """
     unbound = spec.unbound_params()
-    if speed_name in unbound:
-        raise ReductionError(
-            f"parameter {speed_name!r} collides with the speed symbol"
-        )
+    if "c" in unbound:
+        raise ReductionError("parameter 'c' collides with the speed symbol")
     n = spec.order
     if n < 1:
         raise ReductionError("equation contains no derivatives")
     reg = VarRegistry()
     y_ids = [reg.var(f"y{i + 1}") for i in range(n + 1)]
-    c_id = reg.var(speed_name)
+    c_id = reg.var("c")
     param_ids = {p: reg.var(p) for p in unbound}
 
     bindings: dict[int, MultiPoly] = {}
@@ -362,7 +356,7 @@ def travelling_wave_reduce(
         else:
             exceptional = None  # depends on parameters, not enumerable
 
-    sys_spec = ODESystemSpec(
+    return ODESystemSpec(
         registry=reg,
         n=n,
         gc_num=num,
@@ -371,11 +365,7 @@ def travelling_wave_reduce(
         c_var=c_id,
         param_vars=param_ids,
         exceptional_speeds=exceptional,
-        source=spec,
     )
-    if c is not None:
-        sys_spec = sys_spec.bind_speed(c)
-    return sys_spec
 
 
 # -- rest states and their local linearization ------------------------------
@@ -433,11 +423,12 @@ class PlanarSystem:
     Q: MultiPoly
 
     @classmethod
-    def from_polys(cls, P: MultiPoly, Q: MultiPoly, x: str = "x", y: str = "y"):
+    def from_polys(cls, P: MultiPoly, Q: MultiPoly):
+        """The system on the variables named x and y of P's registry."""
         reg = P.registry
         if Q.registry is not reg:
             raise ReductionError("P and Q must share a registry")
-        return cls(reg, reg.id_of(x), reg.id_of(y), P, Q)
+        return cls(reg, reg.id_of("x"), reg.id_of("y"), P, Q)
 
     def rhs_float(self) -> Rhs:
         """rhs(t, u) = (P(u), Q(u)) as one generated function of u = (x, y)."""
@@ -450,7 +441,8 @@ class PlanarSystem:
         ]
 
 
-def to_planar(sys_spec: ODESystemSpec, names: tuple[str, str] = ("x", "y")) -> PlanarSystem:
+def to_planar(sys_spec: ODESystemSpec) -> PlanarSystem:
+    """The bound second order system as x' = y, y' = G(x, y)."""
     if sys_spec.n != 2:
         raise ReductionError(f"system has dimension {sys_spec.n}, not 2")
     if sys_spec.c is None:
@@ -459,7 +451,7 @@ def to_planar(sys_spec: ODESystemSpec, names: tuple[str, str] = ("x", "y")) -> P
     if set(g.variables()) - set(sys_spec.y_vars):
         raise ReductionError("unbound parameters remain")
     reg = VarRegistry()
-    xv, yv = reg.var(names[0]), reg.var(names[1])
+    xv, yv = reg.var("x"), reg.var("y")
     sub = {
         sys_spec.y_vars[0]: MultiPoly.var(reg, xv),
         sys_spec.y_vars[1]: MultiPoly.var(reg, yv),

@@ -24,7 +24,7 @@ from .closedform import (
 )
 from .pde import bind_params, parse_pde
 from .poly import MultiPoly, VarRegistry
-from .qfield import QuadExt, quadratic_roots, try_sqrt
+from .qfield import QuadExt, field_sqrt, quadratic_roots
 from .reduction import PlanarSystem, real_univariate_roots
 
 
@@ -39,8 +39,6 @@ class FamilyCertificate:
     curve: MultiPoly
     cofactor: MultiPoly
     speed: QuadExt
-    diffusion: QuadExt
-    f: MultiPoly
     wave: Optional[object] = None
 
 
@@ -92,8 +90,7 @@ def family_curve(f_coeffs, speed, diffusion=1) -> FamilyCertificate:
 
     if not cofactor_residual(ps, curve, cofactor).is_zero:
         raise AssertionError("family invariance identity failed")
-    return FamilyCertificate(ps, curve, cofactor, c, d, f,
-                             wave=_recognize_profile(f))
+    return FamilyCertificate(ps, curve, cofactor, c, wave=_recognize_profile(f))
 
 
 def _recognize_profile(f: MultiPoly):
@@ -128,7 +125,6 @@ class FrontReconstruction:
     substitution_zero: bool
     wave: Expr
     rate: QuadExt
-    shift: QuadExt
 
 
 def fisher_front_reconstruct(k=1) -> FrontReconstruction:
@@ -173,7 +169,7 @@ def fisher_front_reconstruct(k=1) -> FrontReconstruction:
     rate = QuadExt(0, Fr(1, 6), 6)  # 1/sqrt(6)
     s = Sym("s")
     wave = IntPow(Const(QuadExt(1)) + Const(kk) * Exp(Const(rate) * s), -2)
-    return FrontReconstruction(f, disc, branch, sub.is_zero, wave, rate, kk)
+    return FrontReconstruction(f, disc, branch, sub.is_zero, wave, rate)
 
 
 # -- the catalog -----------------------------------------------------------------
@@ -215,7 +211,7 @@ def burgers_entry(a=1, c=1) -> CatalogEntry:
 
 def kdv_entry(c=4) -> CatalogEntry:
     c = QuadExt.lift(c)
-    rc = try_sqrt(c)
+    rc = field_sqrt(c)
     if rc is None or float(c) <= 0:
         raise ValueError("the speed must be positive with an exact square root")
     rel = _relation(lambda u, du: du * du - (c + 2 * u) * u * u)
@@ -305,8 +301,8 @@ def nagumo_entry(a=2, d=1, b=Fr(1, 4), k=1) -> CatalogEntry:
     b = QuadExt.lift(b)
     if float(a) <= 0 or float(d) <= 0:
         raise ValueError("reaction strength and diffusion must be positive")
-    alpha = try_sqrt(a / (2 * d))
-    half_ad = try_sqrt(a * d / 2)
+    alpha = field_sqrt(a / (2 * d))
+    half_ad = field_sqrt(a * d / 2)
     if alpha is None or half_ad is None:
         raise ValueError("a/(2d) must have an exact square root")
     c = half_ad * (1 - 2 * b)
@@ -374,11 +370,16 @@ class EntryReport:
 # The most samples verify_entry takes.  A sample costs about 60 us over the
 # catalog's seven entries, so `verify` on the whole catalog stays near 6 s.
 MAX_VERIFY_SAMPLES = 100_000
+# A profile with limits must be within BOUNDARY_TOL of them at
+# s = -BOUNDARY_SPAN and s = BOUNDARY_SPAN.
+BOUNDARY_SPAN = 40.0
+BOUNDARY_TOL = 1e-6
+# where pde_residual_along_profile samples the equation
+PDE_SAMPLES = np.linspace(-8.0, 8.0, 81)
 
 
 def verify_entry(entry: CatalogEntry, n: int = 201, lo: float = -10.0,
-                 hi: float = 10.0, span: float = 40.0,
-                 boundary_tol: float = 1e-6) -> EntryReport:
+                 hi: float = 10.0) -> EntryReport:
     """Residual of the first order relation along the profile.
 
     The derivative comes from the expression's exact derivative chain, and
@@ -408,8 +409,8 @@ def verify_entry(entry: CatalogEntry, n: int = 201, lo: float = -10.0,
     boundary_ok = None
     if entry.boundary is not None:
         left, right = entry.boundary
-        boundary_ok = (abs(u_at(-span) - float(left)) <= boundary_tol
-                       and abs(u_at(span) - float(right)) <= boundary_tol)
+        boundary_ok = (abs(u_at(-BOUNDARY_SPAN) - float(left)) <= BOUNDARY_TOL
+                       and abs(u_at(BOUNDARY_SPAN) - float(right)) <= BOUNDARY_TOL)
 
     symbolic = None
     if entry.exp_rational is not None:
@@ -418,7 +419,7 @@ def verify_entry(entry: CatalogEntry, n: int = 201, lo: float = -10.0,
     return EntryReport(entry.name, worst, boundary_ok, symbolic, n)
 
 
-def pde_residual_along_profile(entry: CatalogEntry, samples=None) -> float:
+def pde_residual_along_profile(entry: CatalogEntry) -> float:
     """Worst residual of the named equation under the travelling substitution.
 
     Each derivative of the unknown maps to (-c)^(t order) times the
@@ -434,9 +435,8 @@ def pde_residual_along_profile(entry: CatalogEntry, samples=None) -> float:
     derivs = [entry.profile]
     for _ in range(order):
         derivs.append(derivs[-1].diff("s"))
-    if samples is None:
-        samples = np.linspace(-8.0, 8.0, 81)
-    vals = [np.array([d.evaluate({"s": float(s)}) for s in samples]) for d in derivs]
+    vals = [np.array([d.evaluate({"s": float(s)}) for s in PDE_SAMPLES])
+            for d in derivs]
     cols = [((-c) ** dsym.t_order) * vals[dsym.order]
             for dsym in spec.deriv_vars.values()]
     residual = spec.poly.compile_float(list(spec.deriv_vars))(*cols)

@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from algwaves import fisher
 from algwaves.cli import main
+from algwaves.darboux import MAX_SEARCH_DEGREE
+from algwaves.qfield import QuadExt
 
 FISHER = "u_t - u_xx - u + u^2 = 0"
 FRONT_SPEED = "5/6*sqrt(6)"
@@ -197,6 +200,35 @@ class TestFindCurve:
         assert code == 1
         assert "nonnegative" in err
 
+    def test_degree_bound_above_the_cap_exit_1(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "find-curve", "--pde", FISHER,
+                             "--speed", FRONT_SPEED, "--max-degree",
+                             str(MAX_SEARCH_DEGREE + 1))
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1 and out == ""
+        assert err == "error: degree bound must be at most %d, got %d\n" % (
+            MAX_SEARCH_DEGREE, MAX_SEARCH_DEGREE + 1)
+
+    def test_given_cofactor_proves_nothing(self, capsys):
+        # the cubic through both points has the cofactor -sqrt(6), not 1
+        argv = ("find-curve", "--pde", FISHER, "--speed", FRONT_SPEED,
+                "--cofactor", "1")
+        code, out, _ = run(capsys, *argv)
+        assert code == 4
+        assert out == ("undetermined: no curve with a given cofactor up to "
+                       "degree 3 through (0, 0), (1, 0)\n"
+                       "  only the cofactors given with --cofactor were searched\n")
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 4
+        result = json.loads(out)["result"]
+        assert result["status"] == "undetermined" and result["count"] == 0
+        assert result["notes"] == ["only the cofactors given with --cofactor "
+                                   "were searched"]
+        code, out, _ = run(capsys, *argv, "--cofactor=-sqrt(6)", "--json")
+        assert code == 0
+        assert json.loads(out)["result"]["status"] == "found"
+
     def test_status_in_json(self, capsys):
         for speed, status, want in (("sqrt(2)", "undetermined", 4),
                                     ("2", "proved-none", 2),
@@ -231,10 +263,13 @@ class TestCertify:
         assert "speed: c = 5/6*sqrt(6) with c^2 = 25/6" in out
         assert out.count("[ok ]") == 5
 
-    def test_wrong_field_fails(self, capsys):
-        code, out, _ = run(capsys, "certify-fisher", "--radicand", "5")
+    def test_wrong_field_fails(self, capsys, monkeypatch):
+        # stage 4 run at the speed sqrt(5), whose plane system has no cubic
+        monkeypatch.setattr(fisher, "field_sqrt", lambda r: QuadExt(0, 1, 5))
+        code, out, _ = run(capsys, "certify-fisher")
         assert code == 2
-        assert "[FAIL]" in out
+        assert out.count("[ok ]") == 3
+        assert "[FAIL] invariant curve: curve solve did not return a single cubic" in out
 
     def test_json_coefficients(self, capsys):
         code, out, _ = run(capsys, "certify-fisher", "--json")
@@ -253,9 +288,6 @@ class TestCertify:
         ("--m-gamma", "0", "m_gamma must be at least 1"),
         ("--m-recur", "0", "m_recur must be at least 1"),
         ("--m-enum", "0", "m_enum must be at least 1"),
-        ("--radicand", "0", "squarefree and positive"),
-        ("--radicand", "-6", "squarefree and positive"),
-        ("--radicand", "24", "squarefree and positive"),
         ("--m-gamma", "41", "m_gamma must be at most 40"),
         ("--m-recur", "61", "m_recur must be at most 60"),
         ("--m-enum", "2001", "m_enum must be at most 2000"),
@@ -285,6 +317,25 @@ class TestCatalogAndVerify:
         code, out, _ = run(capsys, "verify")
         assert code == 0
         assert out.count("[ok ]") == 7
+
+    @pytest.mark.parametrize("entry, param", [
+        ("kdv", "c=3+2*sqrt(2)"),  # sqrt(c) = 1 + sqrt(2)
+        ("nagumo", "a=6+4*sqrt(2)"),  # sqrt(a/2) = 1 + sqrt(2)
+    ])
+    def test_verify_radical_parameter_with_a_root(self, capsys, entry, param):
+        code, out, _ = run(capsys, "verify", "--entry", entry, "--param", param)
+        assert code == 0
+        assert out.startswith("[ok ]") and "(boundary ok)" in out
+
+    @pytest.mark.parametrize("entry, param, message", [
+        ("kdv", "c=sqrt(2)", "exact square root"),
+        ("nagumo", "a=2*sqrt(2)", "exact square root"),
+    ])
+    def test_radical_parameter_without_a_root_exit_1(self, capsys, entry, param,
+                                                      message):
+        code, out, err = run(capsys, "verify", "--entry", entry, "--param", param)
+        assert code == 1 and out == ""
+        assert message in err
 
     def test_verify_unreachable_tolerance_exit_3(self, capsys):
         code, out, _ = run(capsys, "verify", "--entry", "imbq",

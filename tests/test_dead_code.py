@@ -2,10 +2,13 @@
 
 Each must be read by the package itself, listed in an __all__, or read by
 the benchmark (perfbench/*.py) or a script (scripts/*.py); a name only the
-tests read belongs in the tests.
+tests read belongs in the tests.  Every dataclass field must be read as an
+attribute somewhere: in the package, perfbench/, scripts/, tests/ or
+README's python blocks.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,3 +94,75 @@ def test_no_dead_definitions():
     outside = [p.read_text() for folder in ("perfbench", "scripts")
                for p in sorted((ROOT / folder).glob("*.py"))]
     assert dead_definitions(package, outside) == []
+
+
+def dataclass_fields(tree: ast.Module) -> dict[str, int]:
+    """'Class.field' -> line for every annotated field of a module-level
+    @dataclass class."""
+    out = {}
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d
+                      for d in cls.decorator_list]
+        if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+                   for d in decorators):
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                out["%s.%s" % (cls.name, stmt.target.id)] = stmt.lineno
+    return out
+
+
+def attribute_reads(tree: ast.AST) -> set[str]:
+    """Attribute names the code loads (x.name); a keyword at construction
+    or an assignment to x.name is not a read."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def dead_fields(package: dict[str, str], others: list[str]) -> list[str]:
+    """'module.Class.field (line n)' for every dataclass field of the package
+    that no source, package or other, reads as an attribute."""
+    trees = {name: ast.parse(src) for name, src in package.items()}
+    read = set()
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        read |= attribute_reads(tree)
+    return sorted("%s.%s (line %d)" % (module, name, line)
+                  for module, tree in trees.items()
+                  for name, line in dataclass_fields(tree).items()
+                  if name.split(".")[1] not in read)
+
+
+def test_scan_finds_dead_fields():
+    package = {
+        "a": "from dataclasses import dataclass, field\n"
+             "@dataclass\n"
+             "class Result:\n"
+             "    value: int\n"
+             "    planted: int\n"
+             "    notes: list = field(default_factory=list)\n"
+             "    def total(self): return self.value\n"
+             "def make(): return Result(value=1, planted=2)\n",
+        "b": "import dataclasses\n"
+             "@dataclasses.dataclass(frozen=True)\n"
+             "class Pair:\n"
+             "    left: int\n"
+             "    right: int\n"
+             "    scale = 2\n"
+             "class Plain:\n"
+             "    hidden: int\n",
+    }
+    others = ["r = make()\nr.planted = 3\nprint(r.notes)\n",
+              "def f(p): return p.left\n"]
+    assert dead_fields(package, others) == [
+        "a.Result.planted (line 5)", "b.Pair.right (line 5)"]
+
+
+def test_no_dead_fields():
+    package = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    readme = (ROOT / "README.md").read_text()
+    others = [p.read_text() for folder in ("perfbench", "scripts", "tests")
+              for p in sorted((ROOT / folder).rglob("*.py"))]
+    others += re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert dead_fields(package, others) == []

@@ -257,17 +257,16 @@ class TestShooting:
         from algwaves.fisher import exact_front_curve
 
         f, _ = exact_front_curve()
-        xv, yv = f.registry.var("x"), f.registry.var("y")
         flip = lambda p: (1.0 - p[0], p[1])
 
         ps = front_plane(FRONT_SPEED)
         res = shoot_unstable_manifold(ps, (QuadExt(1), QuadExt(0)), (0.0, 0.0))
-        good = curve_residual_along_orbit(f, res.orbit, xv, yv, transform=flip)
+        good = curve_residual_along_orbit(f, res.orbit, transform=flip)
         assert good < 1e-5
 
         ps3 = front_plane(3)
         res3 = shoot_unstable_manifold(ps3, (QuadExt(1), QuadExt(0)), (0.0, 0.0))
-        bad = curve_residual_along_orbit(f, res3.orbit, xv, yv, transform=flip)
+        bad = curve_residual_along_orbit(f, res3.orbit, transform=flip)
         assert bad > 1e-3
 
     def test_stop_tol_truncates(self):
