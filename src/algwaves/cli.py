@@ -21,8 +21,6 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .darboux import MAX_SEARCH_DEGREE
 from .exprparse import ExprSyntaxError
 from .numerics import DivergenceError, StepSizeError, shoot_unstable_manifold
@@ -51,10 +49,6 @@ class _Parser(argparse.ArgumentParser):
 def _jsonable(obj):
     if isinstance(obj, (QuadExt, MultiPoly, Fraction)):
         return str(obj)
-    if isinstance(obj, np.ndarray):
-        return [float(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return float(obj)
     raise TypeError("cannot serialize %r" % type(obj).__name__)
 
 

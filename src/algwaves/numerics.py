@@ -12,16 +12,19 @@ The integrators step on tuples of Python floats: a right-hand side
 rhs(t, y) receives y as a tuple of floats and returns a sequence of
 floats, one per component.  A plane system's rhs_float is one generated
 function (poly.compile_float_field) that unpacks y and returns the tuple
-(P, Q).  Only the finished orbit becomes numpy arrays.
+(P, Q).  Only the finished orbit becomes numpy arrays, so numpy is
+imported by the functions that build or read them and not by the module:
+exact work that imports this module never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Rhs = Callable[[float, tuple[float, ...]], Sequence[float]]
 """rhs(t, y): y is a tuple of Python floats; returns one float per component."""
@@ -60,6 +63,12 @@ class Orbit:
     @property
     def end(self) -> np.ndarray:
         return self.ys[-1]
+
+
+def _orbit(ts: list[float], ys: list[tuple[float, ...]]) -> Orbit:
+    import numpy as np
+
+    return Orbit(np.array(ts), np.array(ys))
 
 
 def _norm(v: Sequence[float]) -> float:
@@ -102,7 +111,7 @@ def integrate_rk4(rhs: Rhs, t0: float, y0: Sequence[float], t1: float,
         _check_bounded(math.hypot(*y), t)
         ts.append(t)
         ys.append(y)
-    return Orbit(np.array(ts), np.array(ys))
+    return _orbit(ts, ys)
 
 
 # Fehlberg 4(5) tableau.
@@ -140,7 +149,7 @@ def integrate_rkf45(rhs: Rhs, t0: float, y0: Sequence[float], t1: float) -> Orbi
     ks = [None] * 6
     for _ in range(MAX_STEPS):
         if t >= t1:
-            return Orbit(np.array(ts), np.array(ys))
+            return _orbit(ts, ys)
         h = min(h, t1 - t)
         if h < 1e-14 * max(1.0, abs(t)):
             raise StepSizeError("step size underflow at t=%.6f" % t)
@@ -194,6 +203,8 @@ def shoot_unstable_manifold(ps, saddle, target, eps: float = 1e-6,
     ValueError unless eps and horizon are finite and positive and stop_tol
     is finite and nonnegative.
     """
+    import numpy as np
+
     from .reduction import jacobian_eigen
 
     if not (math.isfinite(eps) and eps > 0):
@@ -244,6 +255,8 @@ def curve_residual_along_orbit(f, orbit: Orbit,
     orbit's two columns, and is evaluated on the whole orbit at once.
     transform receives the coordinate columns (xs, ys) as numpy arrays and
     returns the mapped columns, e.g. lambda p: (1.0 - p[0], p[1])."""
+    import numpy as np
+
     cols = (orbit.ys[:, 0], orbit.ys[:, 1])
     if transform is not None:
         cols = transform(cols)

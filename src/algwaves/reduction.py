@@ -19,8 +19,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from .numerics import Rhs
 from .pde import PDESpec
 from .poly import MultiPoly, VarRegistry, compile_float_field, trial_divide
@@ -111,6 +109,8 @@ def _rational_root_candidates(coeffs: Sequence[Fraction]) -> list[Fraction]:
 
 
 def _numeric_real_roots(coeffs_desc: Sequence[QuadExt]) -> list[RealRoot]:
+    import numpy as np
+
     fl = [float(c) for c in coeffs_desc]
     scale = max(abs(v) for v in fl)
     if scale == 0.0:

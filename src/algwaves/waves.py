@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction as Fr
 from typing import Callable, Optional
 
-import numpy as np
-
 from .closedform import (
     Cn, Const, Exp, ExpRational, Expr, IntPow, PRelation, Sym, Tanh, Cosh,
     exp_rational_membership, solve_logistic, solve_power_logistic,
@@ -374,8 +372,9 @@ MAX_VERIFY_SAMPLES = 100_000
 # s = -BOUNDARY_SPAN and s = BOUNDARY_SPAN.
 BOUNDARY_SPAN = 40.0
 BOUNDARY_TOL = 1e-6
-# where pde_residual_along_profile samples the equation
-PDE_SAMPLES = np.linspace(-8.0, 8.0, 81)
+# where pde_residual_along_profile samples the equation: the values of
+# numpy.linspace(-8.0, 8.0, 81), built without loading numpy
+PDE_SAMPLES = tuple([-8.0 + 0.2 * i for i in range(80)] + [8.0])
 
 
 def verify_entry(entry: CatalogEntry, n: int = 201, lo: float = -10.0,
@@ -388,6 +387,8 @@ def verify_entry(entry: CatalogEntry, n: int = 201, lo: float = -10.0,
     identity.  Raises ValueError for n < 1, since no sample shows no
     residual, for n above MAX_VERIFY_SAMPLES, and for a non-finite lo or
     hi."""
+    import numpy as np
+
     if n < 1:
         raise ValueError("verify needs at least one sample, got %d" % n)
     if n > MAX_VERIFY_SAMPLES:
@@ -424,6 +425,8 @@ def pde_residual_along_profile(entry: CatalogEntry) -> float:
 
     Each derivative of the unknown maps to (-c)^(t order) times the
     matching profile derivative; the profile is differentiated exactly."""
+    import numpy as np
+
     spec = parse_pde(entry.equation)
     binds = {name: entry.params[name] for name in spec.unbound_params()}
     if binds:
@@ -435,7 +438,7 @@ def pde_residual_along_profile(entry: CatalogEntry) -> float:
     derivs = [entry.profile]
     for _ in range(order):
         derivs.append(derivs[-1].diff("s"))
-    vals = [np.array([d.evaluate({"s": float(s)}) for s in PDE_SAMPLES])
+    vals = [np.array([d.evaluate({"s": s}) for s in PDE_SAMPLES])
             for d in derivs]
     cols = [((-c) ** dsym.t_order) * vals[dsym.order]
             for dsym in spec.deriv_vars.values()]

@@ -7,6 +7,7 @@ import pytest
 
 from algwaves.closedform import LogisticWave, PowerLogisticWave, p_from_exp_rational
 from algwaves.poly import MultiPoly, VarRegistry
+from algwaves import waves
 from algwaves.qfield import QuadExt
 from algwaves.waves import (
     CATALOG_BUILDERS,
@@ -41,6 +42,20 @@ class TestCatalog:
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_profile_solves_stated_equation(self, name):
         assert pde_residual_along_profile(make_entry(name)) < 1e-10
+
+    def test_pde_samples_are_linspace(self):
+        want = np.linspace(-8.0, 8.0, 81)
+        assert all(type(s) is float for s in waves.PDE_SAMPLES)
+        assert np.array_equal(np.array(waves.PDE_SAMPLES), want)
+        assert np.array(waves.PDE_SAMPLES).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_pde_residual_unchanged_by_samples(self, name, monkeypatch):
+        entry = make_entry(name)
+        got = pde_residual_along_profile(entry)
+        # the samples as an ndarray, as they were built before
+        monkeypatch.setattr(waves, "PDE_SAMPLES", np.linspace(-8.0, 8.0, 81))
+        assert pde_residual_along_profile(entry) == got
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_power_logistic_variants(self, q):
