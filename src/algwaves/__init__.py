@@ -9,7 +9,7 @@ from .qfield import (
     pochhammer,
 )
 from .poly import MultiPoly, VarRegistry, sylvester_resultant, trial_divide
-from .exprparse import ExprSyntaxError, parse_poly
+from .exprparse import ExprSyntaxError
 from .pde import DerivSymbol, PDESpec, PDESyntaxError, bind_params, parse_pde
 from .reduction import (
     DegenerateSpeedError,
@@ -24,6 +24,7 @@ from .reduction import (
     travelling_wave_reduce,
 )
 from .darboux import (
+    CurveSearch,
     DarbouxResult,
     cofactor_residual,
     search_constant_cofactor,
@@ -69,12 +70,12 @@ __all__ = [
     "QuadExt", "RadicandMismatchError", "Rat", "field_sqrt", "parse_quadext",
     "pochhammer",
     "MultiPoly", "VarRegistry", "sylvester_resultant", "trial_divide",
-    "ExprSyntaxError", "parse_poly",
+    "ExprSyntaxError",
     "DerivSymbol", "PDESpec", "PDESyntaxError", "bind_params", "parse_pde",
     "DegenerateSpeedError", "Equilibrium", "EquilibriumContinuumError",
     "ODESystemSpec", "PlanarSystem", "ReductionError", "equilibria",
     "jacobian_eigen", "to_planar", "travelling_wave_reduce",
-    "DarbouxResult", "cofactor_residual", "search_constant_cofactor",
+    "CurveSearch", "DarbouxResult", "cofactor_residual", "search_constant_cofactor",
     "solve_fixed_cofactor",
     "FRONT_SPEED", "FRONT_SPEED_SQUARED", "CurveCertificate", "certify",
     "enumerate_speeds", "exact_front_curve", "front_system",

@@ -157,11 +157,7 @@ def cmd_equilibria(args):
 
 
 def cmd_find_curve(args):
-    from .darboux import (
-        constant_cofactor_weight,
-        eigenvalue_cofactor_candidates,
-        search_constant_cofactor,
-    )
+    from .darboux import search_constant_cofactor
 
     sys_spec = _reduced(args)
     if sys_spec.c is None:
@@ -174,27 +170,15 @@ def cmd_find_curve(args):
                   if e.exact]
         if not points:
             raise ValueError("no exact equilibria; give --point explicitly")
-    if args.cofactor:
-        cands, notes = [parse_quadext(k) for k in args.cofactor], []
-    else:
-        cands, notes = eigenvalue_cofactor_candidates(ps, points)
-    hits = search_constant_cofactor(ps, points, args.max_degree,
-                                    candidates=cands)
+    cands = [parse_quadext(k) for k in args.cofactor] if args.cofactor else None
+    hits = search_constant_cofactor(ps, points, args.max_degree, candidates=cands)
+    notes = hits.notes
+    if args.cofactor and hits.status == "undetermined":
+        notes = ["only the cofactors given with --cofactor were searched"]
     rows = [{"curve": str(h.curve), "cofactor": str(h.cofactor),
              "degree": h.degree, "nullspace_dim": h.nullspace_dim}
             for h in hits]
-    status = "found" if hits else "proved-none" if cands else "undetermined"
-    if status == "proved-none" and args.cofactor:
-        # a curve may have a cofactor the caller did not give
-        status = "undetermined"
-        notes = ["only the cofactors given with --cofactor were searched"]
-    elif status == "proved-none" and constant_cofactor_weight(ps) is None:
-        # only constant cofactors were searched, and no weights show that
-        # every cofactor is constant
-        status = "undetermined"
-        notes = notes + ["no weights (1, t) for (x, y) make every cofactor "
-                         "constant; nonconstant cofactors were not searched"]
-    result = {"count": len(hits), "curves": rows, "status": status,
+    result = {"count": len(hits), "curves": rows, "status": hits.status,
               "notes": notes,
               "points": ["(%s, %s)" % (p[0], p[1]) for p in points]}
     if hits:
@@ -205,12 +189,12 @@ def cmd_find_curve(args):
             text.append("    cofactor %s, degree %d, nullspace dimension %d"
                         % (r["cofactor"], r["degree"], r["nullspace_dim"]))
         code = 0
-    elif status == "proved-none":
+    elif hits.status == "proved-none":
         text = ["no invariant curve up to degree %d through %s"
                 % (args.max_degree, ", ".join(result["points"]))]
         code = 2
     else:
-        if cands:
+        if hits.candidates:
             text = ["undetermined: no curve with %s up to degree %d through %s"
                     % ("a given cofactor" if args.cofactor
                        else "a constant cofactor",

@@ -27,7 +27,7 @@ matrix gives the curves of every degree up to the bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -96,11 +96,24 @@ class DarbouxResult:
     cofactor: Union[MultiPoly, QuadExt]
     degree: int
     nullspace_dim: int
-    notes: list = field(default_factory=list)
 
     @property
     def curve(self) -> MultiPoly:
         return self.curves[0]
+
+
+class CurveSearch(list):
+    """The hits of search_constant_cofactor, a list of DarbouxResult, with
+    the search's verdict: status is "found", "proved-none" or
+    "undetermined"; notes say which points constrained nothing and why an
+    empty search proves nothing; candidates are the cofactors searched."""
+
+    def __init__(self, hits: list[DarbouxResult], status: str,
+                 notes: list[str], candidates: list[QuadExt]):
+        super().__init__(hits)
+        self.status = status
+        self.notes = notes
+        self.candidates = candidates
 
 
 def _pair_mul(p: Pair, q: Pair, d: int) -> Pair:
@@ -290,7 +303,7 @@ def eigenvalue_cofactor_candidates(
     At a hyperbolic saddle the cofactor of an invariant curve through it
     must equal one of the two eigenvalues or their sum; several saddles
     intersect their option sets.  Non-saddle points impose nothing here
-    and are reported in the notes.
+    and are reported in the notes, and so is an empty answer.
     """
     notes: list[str] = []
     option_sets: list[list[QuadExt]] = []
@@ -306,12 +319,14 @@ def eigenvalue_cofactor_candidates(
         lp, lm = ed.eigenvalues
         option_sets.append([lp, lm, lp + lm])
     if not option_sets:
-        return [], notes
+        return [], notes or ["no point was given"]
     cands: list[QuadExt] = []
     for k in option_sets[0]:
         if all(any(k == other for other in s) for s in option_sets[1:]):
             if not any(k == c for c in cands):
                 cands.append(k)
+    if not cands:
+        notes.append("no cofactor value is allowed at every saddle")
     return cands, notes
 
 
@@ -377,15 +392,17 @@ def search_constant_cofactor(
     points: Sequence[Sequence[ScalarLike]],
     max_degree: int,
     candidates: Optional[Sequence[ScalarLike]] = None,
-) -> list[DarbouxResult]:
+) -> CurveSearch:
     """Search invariant curves through given equilibria, constant cofactors.
 
     Candidate cofactors default to the saddle-spectrum values.  Hits are
     deduplicated across degrees, screened for obvious reducibility, and
-    returned in (candidate, degree) order.  An empty list proves that no
-    curve exists with any candidate cofactor; with no candidates at all it
-    proves nothing (see eigenvalue_cofactor_candidates), and it says nothing
-    of nonconstant cofactors unless constant_cofactor_weight rules them out.
+    returned in (candidate, degree) order, with the verdict:
+    - "found" when there is a hit;
+    - "proved-none" when the candidates are the saddle values, there is at
+      least one, and constant_cofactor_weight proves every cofactor
+      constant: a curve through the points would then have one of them;
+    - "undetermined" otherwise, with a note saying why.
 
     Each candidate's invariance matrix is built once, at max_degree, and
     reduced mod a prime.  A candidate with a pivot in every column has no
@@ -429,7 +446,18 @@ def search_constant_cofactor(
                     cofactor=k,
                     degree=f.degree(),
                     nullspace_dim=sum(g.degree() <= f.degree() for g in curves),
-                    notes=list(notes),
                 )
             )
-    return results
+    if results:
+        status = "found"
+    elif candidates is not None:
+        status, notes = "undetermined", ["only the given cofactors were searched"]
+    elif not cands:
+        status = "undetermined"  # eigenvalue_cofactor_candidates noted why
+    elif constant_cofactor_weight(ps) is None:
+        status = "undetermined"
+        notes = notes + ["no weights (1, t) for (x, y) make every cofactor "
+                         "constant; nonconstant cofactors were not searched"]
+    else:
+        status = "proved-none"
+    return CurveSearch(results, status, notes, cands)

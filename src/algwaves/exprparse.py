@@ -95,15 +95,11 @@ AtomResolver = Callable[[str, Token], MultiPoly]
 class ExprParser:
     """Parses one expression or equation into a MultiPoly."""
 
-    def __init__(self, text: str, registry: VarRegistry,
-                 resolver: Optional[AtomResolver] = None):
+    def __init__(self, text: str, registry: VarRegistry, resolver: AtomResolver):
         self.registry = registry
         self.toks = tokenize(text)
         self.pos = 0
-        self.resolver = resolver or self._default_resolver
-
-    def _default_resolver(self, name: str, tok: Token) -> MultiPoly:
-        return MultiPoly.var(self.registry, name)
+        self.resolver = resolver
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -211,10 +207,3 @@ class ExprParser:
             return self.resolver(t.text, t)
         self.fail("expected a term, found %r" % (t.text or "end of input"))
 
-
-def parse_poly(text: str, registry: Optional[VarRegistry] = None
-               ) -> tuple[MultiPoly, VarRegistry]:
-    """Parse a plain polynomial expression; names become registry variables."""
-    reg = registry if registry is not None else VarRegistry()
-    p = ExprParser(text, reg).parse_expression_only()
-    return p, reg

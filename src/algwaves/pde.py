@@ -9,7 +9,7 @@ convention E = 0.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -54,8 +54,6 @@ class PDESpec:
     deriv_vars: dict[int, DerivSymbol]
     param_vars: dict[str, int]
     params: list[str]
-    bound: dict[str, QuadExt] = field(default_factory=dict)
-    text: str = ""
 
     @property
     def order(self) -> int:
@@ -108,7 +106,7 @@ def parse_pde(text: str) -> PDESpec:
     present = set(poly.variables())
     if not any(vid in present for vid in deriv_vars):
         raise PDESyntaxError("the unknown u never appears", 1, 1)
-    return PDESpec(registry, poly, deriv_vars, param_vars, params, {}, text)
+    return PDESpec(registry, poly, deriv_vars, param_vars, params)
 
 
 BindValue = Union[int, Fraction, QuadExt, str]
@@ -120,16 +118,14 @@ def bind_params(spec: PDESpec, values: dict[str, BindValue]) -> PDESpec:
     Unknown names are rejected.  Values may be QuadExt, int, Fraction, or a
     field literal string such as '5/6*sqrt(6)'."""
     bindings: dict[int, QuadExt] = {}
-    bound = dict(spec.bound)
     for name, val in values.items():
         if name not in spec.param_vars:
             raise KeyError("unknown parameter %r; declared: %s"
                            % (name, ", ".join(spec.params) or "none"))
         v = parse_quadext(val) if isinstance(val, str) else QuadExt.lift(val)
         bindings[spec.param_vars[name]] = v
-        bound[name] = v
     poly = spec.poly.substitute(bindings)
     if poly.is_zero:
         raise ValueError("equation vanished identically after binding parameters")
     return PDESpec(spec.registry, poly, dict(spec.deriv_vars),
-                   dict(spec.param_vars), list(spec.params), bound, spec.text)
+                   dict(spec.param_vars), list(spec.params))

@@ -22,10 +22,9 @@ from typing import Optional, Sequence, Union
 from .numerics import Rhs
 from .pde import PDESpec
 from .poly import MultiPoly, VarRegistry, compile_float_field, trial_divide
-from .qfield import QuadExt, RadicandMismatchError, parse_quadext, quadratic_roots
+from .qfield import QuadExt, RadicandMismatchError, quadratic_roots
 
 ScalarLike = Union[int, Fraction, QuadExt]
-SpeedLike = Union[int, Fraction, QuadExt, str]
 
 
 class ReductionError(ValueError):
@@ -38,12 +37,6 @@ class DegenerateSpeedError(ReductionError):
 
 class EquilibriumContinuumError(ReductionError):
     """Rest states form a continuum instead of isolated points."""
-
-
-def _lift_speed(c: SpeedLike) -> QuadExt:
-    if isinstance(c, str):
-        return parse_quadext(c)
-    return QuadExt.lift(c)
 
 
 # -- exact real roots of a univariate polynomial ---------------------------
@@ -261,8 +254,8 @@ class ODESystemSpec:
         used = set(self.gc_num.variables()) | set(self.gc_den.variables())
         return [p for p, v in self.param_vars.items() if v in used]
 
-    def bind_speed(self, c: SpeedLike) -> "ODESystemSpec":
-        cval = _lift_speed(c)
+    def bind_speed(self, c: ScalarLike) -> "ODESystemSpec":
+        cval = QuadExt.lift(c)
         num = self.gc_num.substitute({self.c_var: cval})
         den = self.gc_den.substitute({self.c_var: cval})
         if den.is_zero:
@@ -315,11 +308,8 @@ def travelling_wave_reduce(spec: PDESpec) -> ODESystemSpec:
         mono.sort()
         coeff = QuadExt.lift((-1) ** j)
         bindings[vid] = MultiPoly(reg, {tuple(mono): coeff})
-    for p, vid in spec.param_vars.items():
-        if p in param_ids:
-            bindings[vid] = MultiPoly.var(reg, param_ids[p])
-        else:
-            bindings[vid] = MultiPoly.zero(reg)  # placeholder, never used
+    for p, vid in param_ids.items():
+        bindings[spec.param_vars[p]] = MultiPoly.var(reg, vid)
     relation = spec.poly.substitute(
         {v: bindings[v] for v in spec.poly.variables()}, registry=reg
     )
@@ -465,7 +455,6 @@ def to_planar(sys_spec: ODESystemSpec) -> PlanarSystem:
 
 @dataclass
 class EigenData:
-    trace: QuadExt
     det: QuadExt
     disc: QuadExt
     is_saddle: bool
@@ -509,7 +498,7 @@ def jacobian_eigen(ps: PlanarSystem, point: Sequence[ScalarLike]) -> EigenData:
     if vals is not None:
         try:
             vecs = tuple(_eigvec(j11, j12, j21, j22, lam) for lam in vals)
-            return EigenData(tr, det, disc, saddle, degenerate, True, vals, vecs)
+            return EigenData(det, disc, saddle, degenerate, True, vals, vecs)
         except RadicandMismatchError:
             pass  # the entries lie in another field than tr and det
     ft, fd = float(tr), float(disc)
@@ -529,5 +518,5 @@ def jacobian_eigen(ps: PlanarSystem, point: Sequence[ScalarLike]) -> EigenData:
         return (1.0, 0.0)
 
     return EigenData(
-        tr, det, disc, saddle, degenerate, False, (lp, lm), (fvec(lp), fvec(lm))
+        det, disc, saddle, degenerate, False, (lp, lm), (fvec(lp), fvec(lm))
     )

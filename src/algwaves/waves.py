@@ -357,7 +357,6 @@ class EntryReport:
     max_residual: float
     boundary_ok: Optional[bool]
     symbolic_zero: Optional[bool]
-    samples: int
 
     @property
     def ok(self) -> bool:
@@ -417,7 +416,7 @@ def verify_entry(entry: CatalogEntry, n: int = 201, lo: float = -10.0,
     if entry.exp_rational is not None:
         symbolic = exp_rational_membership(entry.exp_rational,
                                            entry.relation).is_zero
-    return EntryReport(entry.name, worst, boundary_ok, symbolic, n)
+    return EntryReport(entry.name, worst, boundary_ok, symbolic)
 
 
 def pde_residual_along_profile(entry: CatalogEntry) -> float:

@@ -46,7 +46,8 @@ def term_map(p: MultiPoly) -> dict:
 
 def empty_search_gaps(ps, points) -> list[str]:
     """Why an empty constant-cofactor search through the points would prove
-    nothing; find-curve says proved-none only when this is empty."""
+    nothing: the rule stated apart from the search, whose proved-none verdict
+    must agree with it."""
     gaps = []
     if not eigenvalue_cofactor_candidates(ps, points)[0]:
         gaps.append("no saddle cofactor candidate")
@@ -108,6 +109,8 @@ def test_criterion_02_no_curve_at_other_speeds():
         if hits:
             failures.append("c=%s: unexpected invariant curve %s"
                             % (c, hits[0].curve))
+        if hits.status != "proved-none":
+            failures.append("c=%s: status %s" % (c, hits.status))
         failures += ["c=%s: %s" % (c, gap)
                      for gap in empty_search_gaps(ps, [(0, 0), (1, 0)])]
     report(2, not failures,
@@ -295,6 +298,8 @@ def test_criterion_11_no_curve_up_to_degree_10():
         hits = search_constant_cofactor(front_system(c), [(0, 0), (1, 0)],
                                         max_degree=10)
         found += ["c=%s: %s" % (c, h.curve) for h in hits]
+        if hits.status != "proved-none":
+            found.append("c=%s: status %s" % (c, hits.status))
     elapsed = time.monotonic() - t0
     found += ["c=%s: %s" % (c, gap) for c in speeds
               for gap in empty_search_gaps(front_system(c), [(0, 0), (1, 0)])]

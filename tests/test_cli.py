@@ -8,10 +8,13 @@ import pytest
 
 from algwaves import fisher
 from algwaves.cli import main
-from algwaves.darboux import MAX_SEARCH_DEGREE
-from algwaves.qfield import QuadExt
+from algwaves.darboux import MAX_SEARCH_DEGREE, search_constant_cofactor
+from algwaves.pde import parse_pde
+from algwaves.qfield import QuadExt, parse_quadext
+from algwaves.reduction import to_planar, travelling_wave_reduce
 
 FISHER = "u_t - u_xx - u + u^2 = 0"
+CUBIC = "u_t - u_xx + 3*u*u_x - u^3 + 4*u^2 - 3*u = 0"
 FRONT_SPEED = "5/6*sqrt(6)"
 HUGE_SQRT = "sqrt(100000000000000000039)"
 HUGE_SPEED = "100000000000000000039"
@@ -160,8 +163,8 @@ class TestFindCurve:
     def test_nonconstant_cofactor_is_undetermined(self, capsys):
         # y - x^2 + x = 0 passes through both points and is invariant with
         # cofactor x - 3; the search tries constant cofactors only
-        argv = ("find-curve", "--pde", "u_t - u_xx + 3*u*u_x - u^3 + 4*u^2 - 3*u = 0",
-                "--speed", "4", "--max-degree", "4", "--point", "0,0", "--point", "1,0")
+        argv = ("find-curve", "--pde", CUBIC, "--speed", "4", "--max-degree", "4",
+                "--point", "0,0", "--point", "1,0")
         code, out, _ = run(capsys, *argv)
         assert code == 4
         assert "undetermined" in out and "no invariant curve" not in out
@@ -239,6 +242,34 @@ class TestFindCurve:
             assert code == want
             assert doc["schema"] == "dwv1"
             assert doc["result"]["status"] == status
+
+    @pytest.mark.parametrize("pde, speed, points, cofactors, degree", [
+        (FISHER, FRONT_SPEED, None, None, 3),
+        (FISHER, "2", None, None, 3),
+        (FISHER, "sqrt(2)", None, None, 3),
+        (CUBIC, "4", ["0,0", "1,0"], None, 4),
+        (FISHER, FRONT_SPEED, None, ["1"], 3),
+        (FISHER, FRONT_SPEED, ["0,0"], None, 3),
+    ])
+    def test_status_is_the_library_verdict(self, capsys, pde, speed, points,
+                                           cofactors, degree):
+        argv = ["find-curve", "--pde", pde, "--speed", speed,
+                "--max-degree", str(degree), "--json"]
+        for p in points or ():
+            argv += ["--point", p]
+        for k in cofactors or ():
+            argv += ["--cofactor", k]
+        code, out, _ = run(capsys, *argv)
+        result = json.loads(out)["result"]
+        ps = to_planar(travelling_wave_reduce(parse_pde(pde)).bind_speed(parse_quadext(speed)))
+        pts = [tuple(map(parse_quadext, p.split(","))) for p in points or ("0,0", "1,0")]
+        cands = None if cofactors is None else [parse_quadext(k) for k in cofactors]
+        hits = search_constant_cofactor(ps, pts, degree, cands)
+        assert result["status"] == hits.status
+        assert result["count"] == len(hits)
+        assert code == {"found": 0, "proved-none": 2, "undetermined": 4}[hits.status]
+        if cofactors is None:  # the --cofactor note names the flag
+            assert result["notes"] == hits.notes
 
     def test_explicit_points_and_json(self, capsys):
         code, out, _ = run(capsys, "find-curve", "--pde", FISHER,

@@ -247,15 +247,19 @@ def exact_search(ps, points, max_degree, candidates=None):
 
 
 def hit_keys(hits):
-    return [(str(h.curve), str(h.cofactor), h.degree, h.nullspace_dim, h.notes)
-            for h in hits]
+    return (hits.status, hits.notes,
+            [(str(h.curve), str(h.cofactor), h.degree, h.nullspace_dim) for h in hits])
+
+
+WEIGHT_NOTE = ("no weights (1, t) for (x, y) make every cofactor constant; "
+               "nonconstant cofactors were not searched")
 
 
 def reference_search(ps, points, max_degree, candidates=None):
     """The search as a loop over degrees: one fresh matrix and one exact
-    solve per candidate and degree, then deduplication and screening.  The
-    search reads every degree from one nullspace at max_degree; this is the
-    reference it must agree with."""
+    solve per candidate and degree, then deduplication and screening, and
+    the verdict.  The search reads every degree from one nullspace at
+    max_degree; this is the reference it must agree with."""
     notes = []
     if candidates is None:
         cands, notes = eigenvalue_cofactor_candidates(ps, points)
@@ -276,8 +280,17 @@ def reference_search(ps, points, max_degree, candidates=None):
                 accepted.append(f)
                 results.append(darboux.DarbouxResult(
                     curves=[f], cofactor=k, degree=f.degree(),
-                    nullspace_dim=sol.nullspace_dim, notes=list(notes)))
-    return results
+                    nullspace_dim=sol.nullspace_dim))
+    if results:
+        status = "found"
+    elif candidates is not None:
+        status, notes = "undetermined", ["only the given cofactors were searched"]
+    elif cands and constant_cofactor_weight(ps) is not None:
+        status = "proved-none"
+    else:
+        status = "undetermined"
+        notes = notes + ([WEIGHT_NOTE] if cands else [])
+    return darboux.CurveSearch(results, status, notes, cands)
 
 
 @st.composite
@@ -401,6 +414,69 @@ class TestCertificateFallback:
         cands, notes = eigenvalue_cofactor_candidates(ps, [(0, 0), (1, 0)])
         assert cands == []
         assert any("not exactly representable" in n for n in notes)
+
+
+SADDLE_NOTE = "(1, 0) is not a saddle; no cofactor constraint"
+
+
+class TestVerdict:
+    """The search's status, notes and candidates for each branch of its
+    rule."""
+
+    def test_found_at_front_speed(self):
+        ps = front_system(FRONT_SPEED)
+        hits = search_constant_cofactor(ps, [(0, 0), (1, 0)], 3)
+        assert (hits.status, hits.notes) == ("found", [SADDLE_NOTE])
+        assert hits.candidates == eigenvalue_cofactor_candidates(ps, [(0, 0), (1, 0)])[0]
+        assert len(hits.candidates) == 3
+
+    def test_proved_none_at_two(self):
+        # saddle candidates, all searched, and weights (1, 3/2) make every
+        # cofactor constant
+        hits = search_constant_cofactor(front_system(QuadExt(2)), [(0, 0), (1, 0)], 4)
+        assert hits == [] and len(hits.candidates) == 3
+        assert (hits.status, hits.notes) == ("proved-none", [SADDLE_NOTE])
+
+    def test_no_candidate_at_sqrt2_is_undetermined(self):
+        hits = search_constant_cofactor(front_system(QuadExt(0, 1, 2)), [(0, 0), (1, 0)], 4)
+        assert hits == [] and hits.candidates == []
+        assert hits.status == "undetermined"
+        assert hits.notes == ["eigenvalues at (0, 0) are not exactly representable",
+                              SADDLE_NOTE]
+
+    def test_no_weights_is_undetermined(self):
+        # the cubic system's curve y - x^2 + x has the cofactor x - 3, which
+        # no constant candidate finds
+        hits = search_constant_cofactor(cubic_system(), [(0, 0), (1, 0)], 4)
+        assert hits == [] and hits.candidates == [QuadExt(1), QuadExt(-2), QuadExt(-1)]
+        assert hits.status == "undetermined"
+        assert hits.notes == ["(0, 0) is not a saddle; no cofactor constraint", WEIGHT_NOTE]
+
+    def test_given_cofactors_prove_nothing(self):
+        ps = front_system(FRONT_SPEED)
+        hits = search_constant_cofactor(ps, [(0, 0), (1, 0)], 3, [1])
+        assert hits == [] and hits.candidates == [QuadExt(1)]
+        assert (hits.status, hits.notes) == (
+            "undetermined", ["only the given cofactors were searched"])
+        hits = search_constant_cofactor(ps, [(0, 0), (1, 0)], 3, [1, QuadExt(0, -1, 6)])
+        assert (hits.status, hits.notes, len(hits)) == ("found", [], 1)
+
+    def test_non_saddle_point_is_undetermined(self):
+        hits = search_constant_cofactor(front_system(QuadExt(2)), [(1, 0)], 4)
+        assert hits == [] and hits.candidates == []
+        assert (hits.status, hits.notes) == ("undetermined", [SADDLE_NOTE])
+
+    def test_no_point_is_undetermined(self):
+        hits = search_constant_cofactor(front_system(QuadExt(2)), [], 2)
+        assert (hits.status, hits.notes) == ("undetermined", ["no point was given"])
+
+    def test_saddles_sharing_no_value_are_undetermined(self):
+        # eigenvalues (-1 +- sqrt(13))/2 at (0, 0) and 1 +- sqrt(7) at (3, 0)
+        ps = make_plane(lambda x, y: y, lambda x, y: x * (x - 1) * (x - 3) + x * y - y)
+        hits = search_constant_cofactor(ps, [(0, 0), (3, 0)], 2)
+        assert hits == [] and hits.candidates == []
+        assert (hits.status, hits.notes) == (
+            "undetermined", ["no cofactor value is allowed at every saddle"])
 
 
 def reference_invariance_matrix(ps, cofactor, degree, required_points=()):

@@ -115,10 +115,12 @@ def dataclass_fields(tree: ast.Module) -> dict[str, int]:
 
 
 def attribute_reads(tree: ast.AST) -> set[str]:
-    """Attribute names the code loads (x.name); a keyword at construction
-    or an assignment to x.name is not a read."""
+    """Attribute names the code loads (x.name); a keyword at construction,
+    an assignment to x.name and a read of an argparse namespace (args.name)
+    are not reads."""
     return {node.attr for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and not (isinstance(node.value, ast.Name) and node.value.id == "args")}
 
 
 def dead_fields(package: dict[str, str], others: list[str]) -> list[str]:
@@ -142,6 +144,7 @@ def test_scan_finds_dead_fields():
              "    value: int\n"
              "    planted: int\n"
              "    notes: list = field(default_factory=list)\n"
+             "    samples: int = 0\n"
              "    def total(self): return self.value\n"
              "def make(): return Result(value=1, planted=2)\n",
         "b": "import dataclasses\n"
@@ -154,9 +157,11 @@ def test_scan_finds_dead_fields():
              "    hidden: int\n",
     }
     others = ["r = make()\nr.planted = 3\nprint(r.notes)\n",
-              "def f(p): return p.left\n"]
+              "def f(p): return p.left\n",
+              "def main(args): return make_report(n=args.samples)\n"]
     assert dead_fields(package, others) == [
-        "a.Result.planted (line 5)", "b.Pair.right (line 5)"]
+        "a.Result.planted (line 5)", "a.Result.samples (line 7)",
+        "b.Pair.right (line 5)"]
 
 
 def test_no_dead_fields():

@@ -102,7 +102,8 @@ class TestBinding:
         assert s2.unbound_params() == ["b"]
         s3 = bind_params(s2, {"b": "5/6*sqrt(6)"})
         assert s3.unbound_params() == []
-        assert s3.bound["b"] == QuadExt(0, Fr(5, 6), 6)
+        u = s3.registry.id_of("u")
+        assert s3.poly.coeff(((u, 1),)) == QuadExt(0, Fr(5, 6), 6)
 
     def test_bind_unknown_param(self):
         spec = parse_pde("u_t - a*u = 0")

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from algwaves.linalg import (
     MODULAR_PRIMES,
+    IntegerMatrix,
     in_row_span,
     independent_prefix_mod_p,
     nullspace,
@@ -151,7 +152,7 @@ class TestFrozen:
         assert g == f
 
     def test_str_parse_roundtrip(self):
-        from algwaves.exprparse import parse_poly
+        from algwaves.exprparse import ExprParser
         reg, x, y = xy()
         polys = [
             front_curve(reg, x, y),
@@ -161,7 +162,8 @@ class TestFrozen:
         ]
         for f in polys:
             reg2 = VarRegistry(["x", "y"])
-            g, _ = parse_poly(str(f), reg2)
+            parser = ExprParser(str(f), reg2, lambda name, tok: MultiPoly.var(reg2, name))
+            g = parser.parse_expression_only()
             assert str(g) == str(f)
             assert g.terms == {m: c for m, c in f.terms.items()}
 
@@ -309,6 +311,15 @@ class TestModularPrefix:
         rows = [[QuadExt(1), QuadExt(0)], [QuadExt(0), QuadExt(p)]]
         assert nullspace(rows, 2) == []
         assert independent_prefix_mod_p(rows, 2) == 1
+
+    def test_free_columns_mod_p_bound_only_the_nullity(self):
+        # the row (p, 1): mod p column 0 has no pivot, yet exactly it is
+        # the pivot and column 1 is free, so the mod-p free columns are no
+        # superset of the exact ones; only their count bounds the nullity
+        p = MODULAR_PRIMES[0]
+        rows = IntegerMatrix([[(p, 0), (1, 0)]], 1, [1])
+        assert independent_prefix_mod_p(rows, 2) == 0
+        assert nullspace(rows, 2) == [[QuadExt(Fr(-1, p)), QuadExt(1)]]
 
     def test_denominator_divisible_by_p_moves_to_next_prime(self):
         # mod the first prime 1/p has no image, so a later prime certifies

@@ -30,7 +30,7 @@ from algwaves.reduction import (
     travelling_wave_reduce,
 )
 
-C_FRONT = "5/6*sqrt(6)"
+C_FRONT = QuadExt(0, Fr(5, 6), 6)
 
 
 class TestRealRoots:
@@ -420,7 +420,7 @@ def reference_jacobian_eigen(ps, point):
             lp = (tr + s) / 2
             lm = (tr - s) / 2
             vecs = (_eigvec(j11, j12, j21, j22, lp), _eigvec(j11, j12, j21, j22, lm))
-            return EigenData(tr, det, disc, saddle, degenerate, True, (lp, lm), vecs)
+            return EigenData(det, disc, saddle, degenerate, True, (lp, lm), vecs)
         except ArithmeticError:
             pass
     ft, fd = float(tr), float(disc)
@@ -439,7 +439,7 @@ def reference_jacobian_eigen(ps, point):
             return (lam - f22, f21)
         return (1.0, 0.0)
 
-    return EigenData(tr, det, disc, saddle, degenerate, False, (lp, lm), (fvec(lp), fvec(lm)))
+    return EigenData(det, disc, saddle, degenerate, False, (lp, lm), (fvec(lp), fvec(lm)))
 
 
 # -- differential checks against the references
