@@ -35,7 +35,6 @@ from .fisher import (
     FRONT_SPEED_SQUARED,
     CurveCertificate,
     certify,
-    enumerate_speeds,
     exact_front_curve,
     front_system,
 )
@@ -78,7 +77,7 @@ __all__ = [
     "CurveSearch", "DarbouxResult", "cofactor_residual", "search_constant_cofactor",
     "solve_fixed_cofactor",
     "FRONT_SPEED", "FRONT_SPEED_SQUARED", "CurveCertificate", "certify",
-    "enumerate_speeds", "exact_front_curve", "front_system",
+    "exact_front_curve", "front_system",
     "ExpRational", "PRelation", "exp_rational_membership",
     "p_from_exp_rational", "solve_logistic", "solve_power_logistic",
     "Orbit", "curve_residual_along_orbit", "integrate_rk4", "integrate_rkf45",

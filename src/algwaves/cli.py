@@ -210,8 +210,7 @@ def cmd_find_curve(args):
 def cmd_certify_fisher(args):
     from .fisher import certify
 
-    cert = certify(m_enum=args.m_enum, m_recur=args.m_recur,
-                   m_gamma=args.m_gamma)
+    cert = certify()
     result = {
         "ok": cert.ok,
         "stages": [{"name": s.name, "ok": s.ok, "detail": s.detail}
@@ -418,12 +417,6 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=cmd_find_curve)
 
     p = sub.add_parser("certify-fisher", help="exact certificate for the algebraic front")
-    p.add_argument("--m-enum", type=int, default=100, metavar="M",
-                   help="enumeration range for the matching condition (default 100)")
-    p.add_argument("--m-recur", type=int, default=20, metavar="M",
-                   help="recurrence cross-check range (default 20)")
-    p.add_argument("--m-gamma", type=int, default=10, metavar="M",
-                   help="factorial identity range (default 10)")
     _add_common(p)
     p.set_defaults(handler=cmd_certify_fisher)
 

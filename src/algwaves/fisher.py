@@ -1,18 +1,18 @@
 """Exact certification of the algebraic Fisher traveling front.
 
 The front of u_t = u_xx + u(1-u) with an algebraic profile exists only
-at one speed.  Stages 1-3 run in rationals and integers and stages 4-5
-over Q(sqrt(6)), so the certificate chain contains no floating point at
-all:
+at one speed.  Stages 1-3 are fixed sets of polynomial identities in a
+symbolic curve index m, so they hold for every m, and stages 4-5 run
+over Q(sqrt(6)); the certificate chain contains no floating point at all:
 
   1. matching the leading coefficients of a candidate invariant curve
-     forces 5 c0 + 6 m c = 0, which pins c^2 = 25 / (6m(6m-5)) and
-     leaves a single admissible pair (m = 1, slow eigenvalue);
-  2. the coefficient recurrence agrees with its closed forms, decided at
-     three points because every entry is affine in (c0, c);
-  3. the binomial convolution identities behind those closed forms hold
-     as polynomial identities in rising factorials, checked exactly in
-     integers on the grid of points that determines them;
+     forces 5 c0 + 6 m c = 0, which pins c^2 = 25 / (6m(6m-5)); the
+     assumptions c > 0 and c^2 >= 4 (a monotone front) leave the single
+     pair (m = 1, slow eigenvalue);
+  2. the coefficient recurrence has closed forms: a binomial even block
+     and odd entries that are scaled partial sums of a hypergeometric term;
+  3. the convolution identities that sum those partial sums hold, the
+     first by a Wilf-Zeilberger certificate and the second as its corollary;
   4. the plane system x' = -y, y' = -x - c y + x^2 carries exactly one
      cubic invariant curve through both rest states at that speed;
   5. the curve is re-verified against the invariance identity and
@@ -21,6 +21,7 @@ all:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, prod
@@ -35,12 +36,6 @@ Rat = Fraction
 
 FRONT_SPEED_SQUARED = Rat(25, 6)
 FRONT_SPEED = QuadExt(0, Rat(5, 6), 6)
-
-# The largest ranges certify() accepts.  Each keeps its stage to a few
-# seconds; the identity grid of stage 3 alone costs about m^5.
-M_ENUM_MAX = 2000
-M_RECUR_MAX = 60
-M_GAMMA_MAX = 40
 
 
 def front_system(c: QuadExt) -> PlanarSystem:
@@ -79,67 +74,39 @@ def coefficient_map(f: MultiPoly) -> dict[str, QuadExt]:
 
 # -- leading coefficient tables ----------------------------------------------
 #
-# Every entry a_j of a table is affine in the cofactor offset c0 and the
-# speed c.  By induction down from the top: a_2m = 1 and
-# a_(2m-1) = -(c0 + 2mc) are; each even entry is a rational multiple of the
-# entry above it, so every even entry is a rational constant; each odd entry
-# adds a rational multiple of an odd entry to h(j) = -(c0 + jc) times an even
-# entry, so it is affine.  The closed forms are affine by inspection.  An
-# affine function of (c0, c) that vanishes at three affinely independent
-# points is zero, so two tables agree as functions of (c0, c) exactly when
-# their entries agree at the three points below.  A table is therefore
-# {j: [a_j at each point]}, computed in plain Fractions.
+# A curve of index m has leading coefficients a_2m = 1, a_(2m-1) = h_0 and,
+# for k >= 1, e_k = a_(2m-2k) = e_(k-1) (2m-2k+2) / (3k) and
+# o_k = a_(2m-2k-1) = (o_(k-1) (2m-2k+1) + h_k e_k) / (3k+1), where
+# h_k = -(c0 + (2m-2k)c) for the cofactor offset c0 and the speed c.  Every
+# entry is affine in (c0, c), so three affinely independent points decide a
+# table {j: [a_j at each point]}.
 
 TABLE_POINTS = ((0, 0), (1, 0), (0, 1))
 
 
-def _at_points(m: int, table_at) -> dict[int, list[Fraction]]:
-    if m < 1:
-        raise ValueError("index m must be positive")
-    tables = [table_at(m, c0, c) for c0, c in TABLE_POINTS]
-    return {j: [t[j] for t in tables] for j in tables[0]}
+def _steps(m, k):
+    """The even and the odd step, each as (numerator, denominator)."""
+    return (2 * m - 2 * k + 2, 3 * k), (2 * m - 2 * k + 1, 3 * k + 1)
 
 
 def _recurrence_at(m: int, c0: int, c: int) -> dict[int, Fraction]:
     a = {2 * m: Rat(1), 2 * m - 1: Rat(-(c0 + 2 * m * c))}
     for k in range(1, m + 1):
-        a[2 * m - 2 * k] = a[2 * m - 2 * k + 2] * Rat(2 * m - 2 * k + 2, 3 * k)
+        num, den = _steps(m, k)[0]
+        a[2 * m - 2 * k] = a[2 * m - 2 * k + 2] * num / den
     for k in range(1, m):
+        num, den = _steps(m, k)[1]
         h = -(c0 + (2 * m - 2 * k) * c)
-        a[2 * m - 2 * k - 1] = (
-            a[2 * m - 2 * k + 1] * (2 * m - 2 * k + 1) + h * a[2 * m - 2 * k]
-        ) / (3 * k + 1)
+        a[2 * m - 2 * k - 1] = (a[2 * m - 2 * k + 1] * num + h * a[2 * m - 2 * k]) / den
     return a
 
 
 def leading_coeffs_recurrence(m: int) -> dict[int, list[Fraction]]:
     """Downward recurrence from a_{2m} = 1, at each of TABLE_POINTS."""
-    return _at_points(m, _recurrence_at)
-
-
-def gamma_factor(m: int) -> Fraction:
-    """Rising factorial ratio (5/6)_m / (1/3)_m."""
-    return pochhammer(Rat(5, 6), m) / pochhammer(Rat(1, 3), m)
-
-
-def _closed_form_at(m: int, c0: int, c: int) -> dict[int, Fraction]:
-    a = {2 * m - 2 * j: Rat(2, 3) ** j * comb(m, j) for j in range(m + 1)}
-    a[2 * m - 1] = Rat(-(c0 + 2 * m * c))
-    a[1] = (5 * c0 - (5 * c0 + 6 * m * c) * gamma_factor(m)) * Rat(2, 3) ** m / 5
-    return a
-
-
-def leading_coeffs_closed_form(m: int) -> dict[int, list[Fraction]]:
-    """Closed forms: binomial even block, the top odd entry, and a_1, at
-    each of TABLE_POINTS."""
-    return _at_points(m, _closed_form_at)
-
-
-def tables_agree(t1: dict[int, list[Fraction]], t2: dict[int, list[Fraction]]) -> bool:
-    return all(t1[j] == t2[j] for j in t1.keys() & t2.keys())
-
-
-# -- factorial identities -----------------------------------------------------
+    if m < 1:
+        raise ValueError("index m must be positive")
+    tables = [_recurrence_at(m, c0, c) for c0, c in TABLE_POINTS]
+    return {j: [t[j] for t in tables] for j in tables[0]}
 
 
 def verify_gamma_identities(m_max: int) -> bool:
@@ -148,22 +115,16 @@ def verify_gamma_identities(m_max: int) -> bool:
     sum_j C(m,j) x^(j) y^(m-j)       == (x+y)^(m)
     sum_j C(m,j) (m-j) x^(j) y^(m-j) == m y (x+y+1)^(m-1)
 
-    with p^(j) the rising factorial p(p+1)...(p+j-1).
-
-    Both sides of each identity have degree at most m in x and in y.  A
-    polynomial of degree at most m in each of two variables that vanishes
-    at every integer point 0 <= x, y <= m is zero: for each such y it is a
-    polynomial in x of degree at most m with m + 1 roots, so each of its
-    coefficients, a polynomial in y of degree at most m, has m + 1 roots.
-    Checking that grid in integers therefore proves the identities.
+    with p^(j) the rising factorial p(p+1)...(p+j-1).  Both sides have
+    degree at most m in x and in y, so agreement on the integer grid
+    0 <= x, y <= m proves each identity: a polynomial of degree <= m with
+    m + 1 roots is zero, first in x and then coefficient by coefficient.
     """
     for m in range(1, m_max + 1):
         for x in range(m + 1):
             for y in range(m + 1):
-                terms = [
-                    comb(m, j) * prod(range(x, x + j)) * prod(range(y, y + m - j))
-                    for j in range(m + 1)
-                ]
+                terms = [comb(m, j) * prod(range(x, x + j)) * prod(range(y, y + m - j))
+                         for j in range(m + 1)]
                 if sum(terms) != prod(range(x + y, x + y + m)):
                     return False
                 lhs2 = sum((m - j) * t for j, t in enumerate(terms))
@@ -172,70 +133,102 @@ def verify_gamma_identities(m_max: int) -> bool:
     return True
 
 
-# -- speed selection ----------------------------------------------------------
-
-CHOICES = ("lambda+", "lambda-", "sum")
-
-
-@dataclass(frozen=True)
-class SpeedCertificate:
-    m: int
-    choice: str
-    c_squared: Fraction
-    sign: int
-    consistent: bool
-    admissible: bool
-    reason: str
-
-    @property
-    def c(self) -> QuadExt:
-        """The speed, sign * sqrt(c_squared), in its own quadratic field."""
-        return self.sign * field_sqrt(self.c_squared)
+# -- hypergeometric terms -----------------------------------------------------
+#
+# A term is a list of factors (kind, base, argument, exponent), b^a for
+# "pow" and ((p)_a)^e for "rise", whose arguments are integers or
+# polynomials in the index variables.  Two instances of a term differ in
+# each argument by an integer, so their quotient is rational (_ratio).
 
 
-def consistency_condition(m: int, choice: str) -> SpeedCertificate:
-    """Solve 5 c0 + 6 m c = 0 exactly for the chosen saddle cofactor c0.
-
-    The saddle's eigenvalues are the roots of lambda^2 + c lambda - 1.  Their
-    product is -1, so lambda- < 0 < lambda+.  Matching puts c0 = -6mc/5,
-    which has the sign of -c: the slow eigenvalue lambda- needs c > 0 and
-    lambda+ needs c < 0.  That c0 is a root exactly when
-    c^2 (36m^2 - 30m) = 25, which is checked in rationals for the closed
-    form c^2 = 25/(6m(6m-5)).  The eigenvalue sum -c admits only c = 0.
-    Admissible means a positive speed at or above the monotone front
-    threshold c^2 >= 4, which singles out m = 1 with the slow eigenvalue.
-    """
-    if m < 1:
-        raise ValueError("index m must be positive")
-    if choice not in CHOICES:
-        raise ValueError(f"choice must be one of {CHOICES}")
-    if choice == "sum":
-        return SpeedCertificate(
-            m, choice, Rat(0), 0, True, False,
-            "only the zero speed satisfies the matching condition",
-        )
-    c2 = Rat(25, 6 * m * (6 * m - 5))
-    sign = 1 if choice == "lambda-" else -1
-    consistent = c2 * (36 * m * m - 30 * m) == 25
-    admissible = consistent and sign > 0 and c2 >= 4
-    if not consistent:
-        reason = "matching condition failed"
-    elif sign < 0:
-        reason = "negative speed"
-    elif c2 < 4:
-        reason = "speed below the monotone front threshold"
-    else:
-        reason = "admissible"
-    return SpeedCertificate(m, choice, c2, sign, consistent, admissible, reason)
+def _binomial(n, r):
+    return [("rise", 1, n, 1), ("rise", 1, r, -1), ("rise", 1, n - r, -1)]
 
 
-def enumerate_speeds(m_max: int) -> list[SpeedCertificate]:
-    return [
-        consistency_condition(m, ch) for m in range(1, m_max + 1) for ch in CHOICES
-    ]
+def _closed_forms(m, k):
+    """The terms e_k = (2/3)^k C(m, k), K_k = 2^k / (3^(k+1) (1/2)_(m-k)
+    (1/3)_(k+1)) and A(m, k) = C(m, k) (1/3)_k (1/2)_(m-k)."""
+    return ([("pow", Rat(2, 3), k, 1), *_binomial(m, k)],
+            [("pow", 2, k, 1), ("pow", Rat(1, 3), k + 1, 1),
+             ("rise", Rat(1, 2), m - k, -1), ("rise", Rat(1, 3), k + 1, -1)],
+            [*_binomial(m, k), ("rise", Rat(1, 3), k, 1), ("rise", Rat(1, 2), m - k, 1)])
 
 
-# -- the full certificate ------------------------------------------------------
+def _wz_pair(m, j, x, y):
+    """The term F(m, j) = C(m, j) (x)_j (y)_(m-j) / (x+y)_m, which sums to 1
+    over j; its certificate R(m, j) = -j (m+y-j) / ((m+1-j) (m+x+y)) and the
+    boundary ratio F(m+1, m+1) / F(m, m) = (x+m) / (x+y+m) as factor lists."""
+    return ([*_binomial(m, j), ("rise", x, j, 1), ("rise", y, m - j, 1),
+             ("rise", x + y, m, -1)],
+            ([-j, m + y - j], [m + 1 - j, m + x + y]), ([x + m], [x + y + m]))
+
+
+def _int(a) -> int:
+    return a if isinstance(a, int) else int(a.constant_value().rational_part)
+
+
+def _ratio(new, old):
+    """new / old for two instances of one term, as factor lists."""
+    num, den = [], []
+    for (kind, base, a, e), (_, _, b, _) in zip(new, old):
+        d = _int(a - b)
+        if kind == "pow":
+            up, down = [Rat(base) ** d], []
+        else:  # (p)_a / (p)_b with a = b + d
+            up = [b + (base + i) for i in range(d)]
+            down = [a + (base + i) for i in range(-d)]
+        num += up if e > 0 else down
+        den += down if e > 0 else up
+    return num, den
+
+
+def _value(term) -> Optional[Fraction]:
+    """The term once equal factors cancel; None if a symbolic one is left."""
+    powers = Counter()
+    for kind, base, a, e in term:
+        powers[kind, base, a] += e
+    try:
+        return prod((Rat(b) ** _int(a) if kind == "pow" else pochhammer(b, _int(a))) ** e
+                    for (kind, b, a), e in powers.items() if e and a != 0)
+    except ValueError:  # an argument is symbolic or negative
+        return None
+
+
+def _vanishes(*fractions) -> bool:
+    """Whether a sum of fractions, given as factor lists, is zero: it is
+    zero times the least common multiple of the reduced denominators.  Each
+    polynomial factor is scaled to first coefficient 1, so that factors
+    equal up to a scalar cancel; a zero denominator raises."""
+    reduced = []
+    for num, den in fractions:
+        scalar, powers = QuadExt(1), Counter()
+        for factors, sign in ((num, 1), (den, -1)):
+            for f in factors:
+                if isinstance(f, MultiPoly):
+                    lead = f.terms[min(f.terms)] if f else QuadExt(0)
+                    if not f.is_constant():
+                        powers[f if lead == 1 else f * lead.inverse()] += sign
+                    f = lead
+                scalar = scalar * f if sign > 0 else scalar / f
+        reduced.append((scalar, powers))
+    common = Counter()
+    for _, powers in reduced:
+        for f, e in powers.items():
+            common[f] = max(common[f], -e)
+    total = 0
+    for scalar, powers in reduced:
+        for f in common.keys() | powers.keys():
+            for _ in range(powers[f] + common[f]):
+                scalar = f * scalar
+        total = scalar + total
+    return total == 0
+
+
+def _same(p, q) -> bool:
+    return _vanishes(p, ([-1, *q[0]], q[1]))
+
+
+# -- stages 1-3: identities in a symbolic index m -----------------------------
 
 
 @dataclass
@@ -243,6 +236,89 @@ class StageReport:
     name: str
     ok: bool
     detail: str
+
+
+def _stage(name: str, checks: list[tuple[str, bool]], detail: str) -> StageReport:
+    failed = [label for label, ok in checks if not ok]
+    return StageReport(name, not failed, "failed: " + ", ".join(failed) if failed else detail)
+
+
+def _threshold(m):
+    """g(m) = 6m(6m-5), where c^2 = 25 / g(m) at index m, and g(m+1) - g(m)."""
+    return 6 * m * (6 * m - 5), 72 * m + 6
+
+
+def _speed_stage(m: MultiPoly, c: MultiPoly) -> StageReport:
+    """The saddle's eigenvalues, the roots of lambda^2 + c lambda - 1, have
+    product -1, so lambda- < 0 < lambda+.  Matching puts c0 = -6mc/5, of the
+    sign of -c (lambda- needs c > 0), a root exactly when c^2 g(m) = 25.
+    The sum -c gives (6m-5) c = 0, and 6m - 5 is 1 mod 6, so c = 0.  g grows
+    on m >= 1, so c_m^2 = 25/g(m) falls, and c_1^2 >= 4 > c_2^2."""
+    lam = Rat(-6, 5) * m * c
+    g, step = _threshold(m)
+    c1, c2 = Rat(25, _threshold(1)[0]), Rat(25, _threshold(2)[0])
+    return _stage("speed enumeration", [
+        ("matching root", 25 * (lam * lam + c * lam - 1) == c * c * g - 25),
+        ("eigenvalue sum", 5 * -c + 6 * m * c == (6 * m - 5) * c),
+        ("threshold step", _threshold(m + 1)[0] - g == step
+         and all(v > 0 for v in step.terms.values())),
+        ("threshold", c1 == FRONT_SPEED_SQUARED and c1 >= 4 > c2),
+    ], "c^2 = 25/(6m(6m-5)) for every m and the eigenvalue sum forces c = 0; "
+       "under the assumptions c > 0 and c^2 >= 4 only (m=1, lambda-) remains: "
+       "m >= 2 and lambda+ (speed -c_m, the mirrored front) are excluded by "
+       "these assumptions, not by a proof")
+
+
+def _recurrence_stage(m: MultiPoly, k: MultiPoly) -> StageReport:
+    """e_k = (2/3)^k C(m, k) and o_k = K_k S_k, S_k = sum_(j<=k) h_j A(m, j),
+    by induction on k from e_0 = 1 and o_0 = K_0 A(m, 0) h_0 = h_0.  If
+    (3k+1) K_k = (2m-2k+1) K_(k-1) and (3k+1) K_k A(m, k) = e_k, then
+    (3k+1) K_k S_k = (2m-2k+1) o_(k-1) + h_k e_k, the odd step; the second
+    holds as both sides are 1 at k = 0 and share one ratio.  Ratios are
+    taken at 1 <= k <= m, where no denominator vanishes.  Stage 3 at
+    (x, y) = (1/3, 1/2) sums S_(m-1) to the closed form of a_1."""
+    (e, K, A), (e_, K_, A_), (e0, K0, A0) = (_closed_forms(m, i) for i in (k, k - 1, 0))
+    even = _ratio(e, e_)
+    num, den = _ratio([*K, *A], [*K_, *A_])
+    (even_num, even_den), (odd_num, odd_den) = _steps(m, k)
+    return _stage("coefficient recurrence", [
+        ("even step", _same(even, ([even_num], [even_den]))),
+        ("even base", _value(e0) == 1),
+        ("odd step", _same(_ratio(K, K_), ([odd_num], [odd_den]))),
+        ("odd weight", _same(([*num, odd_den], [*den, _steps(m, k - 1)[1][1]]), even)),
+        ("odd base", _value([*K0, *A0]) == Rat(1, _steps(m, 0)[1][1])),
+    ], "even entries (2/3)^k C(m,k) and odd entries K_k S_k solve the "
+       "recurrence for every m")
+
+
+def _identity_stage(m: MultiPoly, j: MultiPoly, x: MultiPoly, y: MultiPoly) -> StageReport:
+    """Identity 1 is S(m) = sum_j F(m, j) = 1.  With G = R F, the WZ
+    identity F(m+1, j) - F(m, j) = G(m, j+1) - G(m, j), checked divided by
+    F(m, j), holds at 0 <= j < m, where no denominator vanishes; summed, it
+    telescopes to G(m, m) - G(m, 0) = G(m, m).  The rest of S(m+1) - S(m),
+    F(m+1, m) - F(m, m) + F(m+1, m+1), is -G(m, m) by the boundary
+    identity, so S(m+1) = S(m) = F(0, 0) = 1.  Identity 2 is identity 1 at
+    (m-1, x, y+1), through C(m, j)(m-j) = m C(m-1, j) and
+    (y)_(m-j) = y (y+1)_(m-1-j)."""
+    def term(mm, jj):
+        return _wz_pair(mm, jj, x, y)[0]
+
+    step_m, step_j = _ratio(term(m + 1, j), term(m, j)), _ratio(term(m, j + 1), term(m, j))
+    _, here, boundary = _wz_pair(m, j, x, y)
+    there = _wz_pair(m, j + 1, x, y)[1]
+    return _stage("factorial identities", [
+        ("WZ identity", _vanishes(step_m, ([-1], []), here,
+                                  ([-1, *there[0], *step_j[0]], there[1] + step_j[1]))),
+        ("G(m, 0) = 0", _vanishes(_wz_pair(m, 0, x, y)[1])),
+        ("boundary ratio", _same(_ratio(term(m + 1, m + 1), term(m, m)), boundary)),
+        ("boundary identity", _vanishes(_ratio(term(m + 1, m), term(m, m)), ([-1], []),
+                                        boundary, _wz_pair(m, m, x, y)[1])),
+        ("F(0, 0) = 1", _value(term(0, 0)) == 1),
+    ], "identity 1 holds for every m by its WZ certificate, and identity 2 "
+       "follows from it")
+
+
+# -- the full certificate ------------------------------------------------------
 
 
 @dataclass
@@ -257,105 +333,33 @@ class CurveCertificate:
     nullspace_dim: int = 0
 
 
-def certify(
-    m_enum: int = 100,
-    m_recur: int = 20,
-    m_gamma: int = 10,
-) -> CurveCertificate:
+def certify() -> CurveCertificate:
     """Run the whole exact certificate chain for the algebraic front.
 
+    Stages 1-3 check their identities once, in symbols, for every index m.
     Stage 4 solves at c = field_sqrt(FRONT_SPEED_SQUARED), whose field
-    Q(sqrt(6)) is inferred from 25/6 itself.  Raises ValueError for a range
-    below 1, under which a stage would check nothing, and for one above its
-    M_*_MAX cap."""
-    for name, m, cap in (("m_enum", m_enum, M_ENUM_MAX),
-                         ("m_recur", m_recur, M_RECUR_MAX),
-                         ("m_gamma", m_gamma, M_GAMMA_MAX)):
-        if m < 1:
-            raise ValueError("%s must be at least 1, got %d" % (name, m))
-        if m > cap:
-            raise ValueError("%s must be at most %d, got %d" % (name, cap, m))
-    stages: list[StageReport] = []
-
-    speeds = enumerate_speeds(m_enum)
-    good = [s for s in speeds if s.admissible]
-    ok1 = (
-        all(s.consistent for s in speeds)
-        and len(good) == 1
-        and good[0].m == 1
-        and good[0].choice == "lambda-"
-        and good[0].c_squared == FRONT_SPEED_SQUARED
-    )
-    stages.append(
-        StageReport(
-            "speed enumeration",
-            ok1,
-            f"{len(speeds)} certificates, {len(good)} admissible "
-            f"(m={good[0].m}, {good[0].choice})" if good else "no admissible speed",
-        )
-    )
-
-    ok2 = all(
-        tables_agree(leading_coeffs_recurrence(m), leading_coeffs_closed_form(m))
-        for m in range(1, m_recur + 1)
-    )
-    stages.append(
-        StageReport(
-            "coefficient recurrence",
-            ok2,
-            f"closed forms match the recurrence for m <= {m_recur}",
-        )
-    )
-
-    ok3 = verify_gamma_identities(m_gamma)
-    stages.append(
-        StageReport(
-            "factorial identities",
-            ok3,
-            f"both convolution identities hold for m <= {m_gamma}",
-        )
-    )
+    Q(sqrt(6)) is inferred from 25/6 itself."""
+    reg = VarRegistry(["m", "k", "x", "y", "c"])
+    m, k, x, y, c = (MultiPoly.var(reg, name) for name in reg.names())
+    stages = [_speed_stage(m, c), _recurrence_stage(m, k), _identity_stage(m, k, x, y)]
 
     c = field_sqrt(FRONT_SPEED_SQUARED)
     ps = front_system(c)
-    ed = jacobian_eigen(ps, (0, 0))
-    cof = ed.eigenvalues[1]
+    cof = jacobian_eigen(ps, (0, 0)).eigenvalues[1]
     sol = solve_fixed_cofactor(ps, cof, 3, required_points=[(0, 0), (1, 0)])
     ok4 = sol is not None and sol.nullspace_dim == 1
-    stages.append(
-        StageReport(
-            "invariant curve",
-            ok4,
-            "one cubic through both rest states"
-            if ok4
-            else "curve solve did not return a single cubic",
-        )
-    )
+    stages.append(StageReport("invariant curve", ok4, "one cubic through both rest states"
+                              if ok4 else "curve solve did not return a single cubic"))
     if not ok4:
         return CurveCertificate(ok=False, stages=stages, speed=c, cofactor=cof)
 
     curve = sol.curve
-    resid = cofactor_residual(ps, curve, cof)
-    on_points = all(
-        curve.evaluate({ps.x_var: QuadExt.lift(px), ps.y_var: QuadExt.lift(py)}).is_zero()
-        for px, py in [(0, 0), (1, 0)]
-    )
-    ok5 = resid.is_zero and on_points
-    stages.append(
-        StageReport(
-            "curve verification",
-            ok5,
-            "invariance identity and point membership re-verified exactly",
-        )
-    )
-
+    on_points = all(curve.evaluate({ps.x_var: QuadExt.lift(px), ps.y_var: QuadExt.lift(py)})
+                    .is_zero() for px, py in [(0, 0), (1, 0)])
+    stages.append(StageReport(
+        "curve verification", cofactor_residual(ps, curve, cof).is_zero and on_points,
+        "invariance identity and point membership re-verified exactly"))
     return CurveCertificate(
-        ok=all(st.ok for st in stages),
-        stages=stages,
-        speed=c,
-        speed_squared=(c * c).rational_part,
-        cofactor=cof,
-        curve=curve,
-        coefficients=coefficient_map(curve),
-        nullspace_dim=sol.nullspace_dim,
-    )
+        ok=all(st.ok for st in stages), stages=stages, speed=c,
+        speed_squared=(c * c).rational_part, cofactor=cof, curve=curve,
+        coefficients=coefficient_map(curve), nullspace_dim=sol.nullspace_dim)

@@ -141,7 +141,6 @@ def fisher_front_reconstruct(k=1) -> FrontReconstruction:
     f, _cof = exact_front_curve()
     reg = f.registry
     xv, yv = reg.var("x"), reg.var("y")
-    ca, cb, cc = None, None, None
     parts = f.as_univariate(yv)
     if len(parts) != 3:
         raise AssertionError("the front curve should be quadratic in y")

@@ -18,13 +18,11 @@ from algwaves.darboux import (
 )
 from algwaves.fisher import (
     FRONT_SPEED,
+    _threshold,
     certify,
-    enumerate_speeds,
     exact_front_curve,
     front_system,
-    leading_coeffs_closed_form,
     leading_coeffs_recurrence,
-    tables_agree,
     verify_gamma_identities,
 )
 from algwaves.linalg import in_row_span
@@ -34,6 +32,12 @@ from algwaves.poly import MultiPoly, VarRegistry
 from algwaves.qfield import QuadExt
 from algwaves.reduction import jacobian_eigen, to_planar, travelling_wave_reduce
 from algwaves.waves import catalog, family_identity_symbolic
+from test_fisher import (
+    SPEED_CHOICES,
+    leading_coeffs_closed_form,
+    reference_consistency_condition,
+    tables_agree,
+)
 
 
 def report(num: int, ok: bool, desc: str) -> None:
@@ -124,40 +128,54 @@ def test_criterion_03_recurrence_matches_closed_forms():
     bad = [m for m in range(1, 21)
            if not tables_agree(leading_coeffs_recurrence(m),
                                leading_coeffs_closed_form(m))]
+    stage = certify().stages[1]
     elapsed = time.monotonic() - t0
-    ok = not bad and elapsed < 5.0
-    report(3, ok, "coefficient recurrence equals closed forms for m <= 20 "
-                  "(%.2f s < 5 s)" % elapsed)
+    ok = not bad and stage.ok and elapsed < 5.0
+    report(3, ok, "coefficient recurrence equals closed forms for m <= 20, "
+                  "and its closed forms hold for every m (%.2f s < 5 s)" % elapsed)
     assert not bad, bad
+    assert stage.name == "coefficient recurrence"
+    assert stage.ok, stage.detail
     assert elapsed < 5.0
 
 
 def test_criterion_04_factorial_identities():
-    ok = verify_gamma_identities(10)
-    report(4, ok, "rising-factorial convolution identities hold for m <= 10")
-    assert ok
+    grid = verify_gamma_identities(10)
+    stage = certify().stages[2]
+    ok = grid and stage.ok and stage.name == "factorial identities"
+    report(4, ok, "rising-factorial convolution identities hold for m <= 10 "
+                  "on the integer grid, and for every m by the WZ certificate")
+    assert grid
+    assert stage.name == "factorial identities"
+    assert stage.ok, stage.detail
 
 
 def test_criterion_05_speed_enumeration():
-    speeds = enumerate_speeds(100)
     failures = []
-    for s in speeds:
-        if not s.consistent:
-            failures.append("m=%d %s inconsistent" % (s.m, s.choice))
-        if s.choice == "sum":
-            if s.c_squared != 0 or s.admissible:
-                failures.append("m=%d sum should force c = 0" % s.m)
-        else:
-            want = Fr(25, 6 * s.m * (6 * s.m - 5))
-            if s.c_squared != want:
-                failures.append("m=%d %s: c^2 = %s, want %s"
-                                % (s.m, s.choice, s.c_squared, want))
-    good = [(s.m, s.choice) for s in speeds if s.admissible]
-    if good != [(1, "lambda-")]:
-        failures.append("admissible set %s" % good)
+    for m in range(1, 101):
+        for choice in SPEED_CHOICES:
+            c2, c, consistent, admissible, _ = \
+                reference_consistency_condition(m, choice)
+            if not consistent:
+                failures.append("m=%d %s inconsistent" % (m, choice))
+            if choice == "sum":
+                if c != 0 or admissible:
+                    failures.append("m=%d sum should force c = 0" % m)
+            elif c2 != Fr(25, _threshold(m)[0]):
+                failures.append("m=%d %s: c^2 = %s, want 25/%d"
+                                % (m, choice, c2, _threshold(m)[0]))
+            if admissible != ((m, choice) == (1, "lambda-")):
+                failures.append("m=%d %s admissible: %s" % (m, choice, admissible))
+    stage = certify().stages[0]
+    if not stage.ok:
+        failures.append("stage 1: %s" % stage.detail)
+    for phrase in ("(m=1, lambda-)", "c > 0", "c^2 >= 4", "not by a proof"):
+        if phrase not in stage.detail:
+            failures.append("stage 1 detail lacks %r" % phrase)
     report(5, not failures,
-           "c^2 = 25/(6m(6m-5)) for every eigenvalue branch m <= 100, "
-           "single admissible pair (m=1, lambda-)")
+           "c^2 = 25/(6m(6m-5)) for every eigenvalue branch, checked against "
+           "the reference for m <= 100; the certificate keeps (m=1, lambda-) "
+           "under its stated assumptions c > 0 and c^2 >= 4")
     assert not failures, failures
 
 

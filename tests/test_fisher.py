@@ -10,19 +10,55 @@ from algwaves import fisher
 from algwaves.fisher import (
     FRONT_SPEED,
     FRONT_SPEED_SQUARED,
+    TABLE_POINTS,
     certify,
     coefficient_map,
-    consistency_condition,
-    enumerate_speeds,
     exact_front_curve,
-    gamma_factor,
-    leading_coeffs_closed_form,
     leading_coeffs_recurrence,
-    tables_agree,
     verify_gamma_identities,
 )
 from algwaves.poly import MultiPoly, VarRegistry
-from algwaves.qfield import QuadExt, squarefree_decompose
+from algwaves.qfield import QuadExt, pochhammer, squarefree_decompose
+
+
+# -- the closed forms as tables at TABLE_POINTS, in Fractions ----------------
+
+
+def gamma_factor(m):
+    """Rising factorial ratio (5/6)_m / (1/3)_m."""
+    return pochhammer(Fr(5, 6), m) / pochhammer(Fr(1, 3), m)
+
+
+def closed_form_at(m, c0, c):
+    a = {2 * m - 2 * j: Fr(2, 3) ** j * comb(m, j) for j in range(m + 1)}
+    a[2 * m - 1] = Fr(-(c0 + 2 * m * c))
+    a[1] = (5 * c0 - (5 * c0 + 6 * m * c) * gamma_factor(m)) * Fr(2, 3) ** m / 5
+    return a
+
+
+def leading_coeffs_closed_form(m):
+    """Closed forms: binomial even block, the top odd entry, and a_1, at
+    each of TABLE_POINTS."""
+    if m < 1:
+        raise ValueError("index m must be positive")
+    tables = [closed_form_at(m, c0, c) for c0, c in TABLE_POINTS]
+    return {j: [t[j] for t in tables] for j in tables[0]}
+
+
+def tables_agree(t1, t2):
+    return all(t1[j] == t2[j] for j in t1.keys() & t2.keys())
+
+
+def certified_entries(m, c0, c):
+    """Every a_j from the terms stage 2 certifies, at one point (c0, c):
+    e_k = (2/3)^k C(m, k) and o_k = K_k sum_(j<=k) h_j A(m, j)."""
+    forms = [[fisher._value(t) for t in fisher._closed_forms(m, k)] for k in range(m + 1)]
+    a = {2 * m - 2 * k: forms[k][0] for k in range(m + 1)}
+    partial = 0
+    for k in range(m):
+        partial += -(c0 + (2 * m - 2 * k) * c) * forms[k][2]
+        a[2 * m - 2 * k - 1] = forms[k][1] * partial
+    return a
 
 
 # -- references: the tables as polynomials in (c0, c), built with MultiPoly --
@@ -73,7 +109,7 @@ def ref_value(poly, c0, c):
 class TestTables:
     def test_table_points(self):
         # affine_interpolant reads the values at exactly these points
-        assert fisher.TABLE_POINTS == ((0, 0), (1, 0), (0, 1))
+        assert TABLE_POINTS == ((0, 0), (1, 0), (0, 1))
 
     def test_m1_recurrence(self):
         t = leading_coeffs_recurrence(1)
@@ -108,7 +144,24 @@ class TestTables:
         with pytest.raises(ValueError):
             leading_coeffs_closed_form(0)
 
-    @pytest.mark.parametrize("m", range(1, fisher.M_RECUR_MAX + 1))
+    @pytest.mark.parametrize("m", range(1, 61))
+    def test_certified_closed_forms_match_recurrence(self, m):
+        # the terms stage 2 proves for every m, against the recurrence
+        table = leading_coeffs_recurrence(m)
+        points = [certified_entries(m, c0, c) for c0, c in TABLE_POINTS]
+        assert set(points[0]) == set(table) == set(range(2 * m + 1))
+        for j, values in table.items():
+            assert values == [p[j] for p in points]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 60), st.fractions(), st.fractions())
+    def test_certified_closed_forms_match_interpolant(self, m, c0, c):
+        table = leading_coeffs_recurrence(m)
+        got = certified_entries(m, c0, c)
+        for j, values in table.items():
+            assert affine_interpolant(values, c0, c) == got[j]
+
+    @pytest.mark.parametrize("m", range(1, 61))
     def test_affine_lemma_premise(self, m):
         # three points decide a table only if every entry is affine
         for table in (reference_recurrence(m), reference_closed_form(m)):
@@ -126,15 +179,15 @@ class TestTables:
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_perturbed_gamma_factor_is_rejected(self, monkeypatch, m):
-        monkeypatch.setattr(fisher, "gamma_factor",
-                            lambda k: gamma_factor(k) + Fr(1, 1000))
+        monkeypatch.setitem(globals(), "gamma_factor",
+                            lambda k, real=gamma_factor: real(k) + Fr(1, 1000))
         assert not tables_agree(leading_coeffs_recurrence(m),
                                 leading_coeffs_closed_form(m))
 
     @pytest.mark.parametrize("bad", [(1, 0), (1, 1), (3, 1), (4, 4), (6, 3)])
     def test_perturbed_even_binomial_is_rejected(self, monkeypatch, bad):
-        monkeypatch.setattr(fisher, "comb",
-                            lambda m, j: comb(m, j) + ((m, j) == bad))
+        monkeypatch.setitem(globals(), "comb",
+                            lambda m, j, real=comb: real(m, j) + ((m, j) == bad))
         m = bad[0]
         assert not tables_agree(leading_coeffs_recurrence(m),
                                 leading_coeffs_closed_form(m))
@@ -229,65 +282,84 @@ def reference_consistency_condition(m, choice):
     return c2, c, consistent, admissible, reason
 
 
+SPEED_CHOICES = ("lambda+", "lambda-", "sum")
+
+
+def speed_stage():
+    return certify().stages[0]
+
+
 class TestSpeeds:
+    """Stage 1's every-m statement, instantiated, against the reference:
+    c_m^2 = 25/(6m(6m-5)) for either eigenvalue, the sum gives c = 0, and
+    only (m = 1, lambda-) has c > 0 and c^2 >= 4."""
+
     def test_matches_reference(self):
-        for m in range(1, fisher.M_ENUM_MAX + 1):
-            for choice in fisher.CHOICES:
-                cert = consistency_condition(m, choice)
-                c2, c, consistent, admissible, reason = \
+        for m in range(1, 2001):
+            for choice in SPEED_CHOICES:
+                c2, c, consistent, admissible, _ = \
                     reference_consistency_condition(m, choice)
-                assert (cert.m, cert.choice) == (m, choice)
-                assert cert.c_squared == c2
-                assert cert.c == c
-                assert cert.sign == c.sign()
-                assert (cert.consistent, cert.admissible, cert.reason) == \
-                    (consistent, admissible, reason)
+                assert consistent
+                if choice == "sum":
+                    assert c == QuadExt(0)
+                else:
+                    assert c2 == Fr(25, fisher._threshold(m)[0])
+                    assert c.sign() == (1 if choice == "lambda-" else -1)
+                assert admissible == ((m, choice) == (1, "lambda-"))
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            consistency_condition(0, "lambda-")
-        with pytest.raises(ValueError):
-            consistency_condition(1, "lambda")
+        # the ranges are gone: every stage holds for every m
+        with pytest.raises(TypeError):
+            certify(100)
+        with pytest.raises(TypeError):
+            certify(m_enum=5)
 
     def test_front_speed(self):
-        cert = consistency_condition(1, "lambda-")
-        assert cert.consistent and cert.admissible
-        assert cert.c == FRONT_SPEED
-        assert cert.c_squared == FRONT_SPEED_SQUARED
+        c2, c, _, admissible, _ = reference_consistency_condition(1, "lambda-")
+        assert admissible
+        assert c == FRONT_SPEED
+        assert c2 == FRONT_SPEED_SQUARED == Fr(25, fisher._threshold(1)[0])
+        stage = speed_stage()
+        assert stage.ok and "(m=1, lambda-)" in stage.detail
 
     def test_fast_eigenvalue_gives_negative_speed(self):
-        cert = consistency_condition(1, "lambda+")
-        assert cert.consistent and not cert.admissible
-        assert cert.c == -FRONT_SPEED
-        assert "negative" in cert.reason
+        _, c, consistent, admissible, reason = \
+            reference_consistency_condition(1, "lambda+")
+        assert consistent and not admissible
+        assert c == -FRONT_SPEED
+        assert "negative" in reason
+        # excluded by the assumption c > 0, and the detail says so
+        detail = speed_stage().detail
+        assert "c > 0" in detail and "lambda+" in detail
+        assert "mirrored front" in detail and "not by a proof" in detail
 
     def test_sum_choice_collapses_to_zero_speed(self):
-        cert = consistency_condition(5, "sum")
-        assert not cert.admissible
-        assert cert.c == QuadExt(0)
+        _, c, _, admissible, _ = reference_consistency_condition(5, "sum")
+        assert not admissible
+        assert c == QuadExt(0)
+        assert "eigenvalue sum forces c = 0" in speed_stage().detail
 
     def test_higher_index_below_threshold(self):
-        cert = consistency_condition(2, "lambda-")
-        assert cert.consistent and not cert.admissible
-        assert cert.c_squared == Fr(25, 84)
-        assert cert.c == QuadExt(0, Fr(5, 42), 21)
-        assert "threshold" in cert.reason
+        c2, c, consistent, admissible, reason = \
+            reference_consistency_condition(2, "lambda-")
+        assert consistent and not admissible
+        assert c2 == Fr(25, 84) == Fr(25, fisher._threshold(2)[0])
+        assert c == QuadExt(0, Fr(5, 42), 21)
+        assert "threshold" in reason
+        assert "c^2 >= 4" in speed_stage().detail
 
     def test_enumeration(self):
-        certs = enumerate_speeds(50)
-        assert len(certs) == 150
-        assert all(c.consistent for c in certs)
-        good = [c for c in certs if c.admissible]
-        assert len(good) == 1
-        assert (good[0].m, good[0].choice) == (1, "lambda-")
-        for c in certs:
-            if c.choice in ("lambda+", "lambda-"):
-                assert c.c_squared == Fr(25, 6 * c.m * (6 * c.m - 5))
+        # the threshold argument at m <= 50: g grows by 72m + 6 > 0, so
+        # c_m^2 = 25/g(m) falls below 4 from m = 2 on
+        for m in range(1, 51):
+            g, step = fisher._threshold(m)
+            assert fisher._threshold(m + 1)[0] - g == step > 0
+            assert (Fr(25, g) >= 4) == (m == 1)
 
 
 class TestCertificate:
     def test_full_chain(self):
-        cert = certify(m_enum=30, m_recur=8, m_gamma=5)
+        cert = certify()
         assert cert.ok
         assert cert.speed == FRONT_SPEED
         assert cert.speed_squared == Fr(25, 6)
@@ -297,9 +369,10 @@ class TestCertificate:
         # registries differ between runs, compare via coefficient maps
         assert coefficient_map(cert.curve) == coefficient_map(expected)
         assert [s.ok for s in cert.stages] == [True] * 5
+        assert all("every m" in s.detail for s in cert.stages[:3])
 
     def test_coefficient_map_values(self):
-        cert = certify(m_enum=10, m_recur=3, m_gamma=2)
+        cert = certify()
         r23 = QuadExt(0, Fr(2, 3), 6)
         assert cert.coefficients == {
             "y^2": QuadExt(1),
@@ -314,8 +387,54 @@ class TestCertificate:
         # stage 4 run at the rational speed 3/2, whose saddle eigenvalues
         # 1/2 and -2 admit no cubic through both rest states
         monkeypatch.setattr(fisher, "field_sqrt", lambda r: QuadExt(Fr(3, 2)))
-        cert = certify(m_enum=10, m_recur=3, m_gamma=2)
+        cert = certify()
         assert not cert.ok
         assert cert.curve is None and cert.speed == Fr(3, 2)
         failing = [s for s in cert.stages if not s.ok]
         assert [s.name for s in failing] == ["invariant curve"]
+
+
+def replaced(name, index, value):
+    """fisher.<name> with item index of its result replaced by value(*args)."""
+    real = getattr(fisher, name)
+
+    def perturbed(*args):
+        out = list(real(*args))
+        out[index] = value(*args)
+        return tuple(out)
+    return perturbed
+
+
+class TestPerturbedCertificate:
+    """Each every-m identity, made false, fails its own stage and no other."""
+
+    @pytest.mark.parametrize("name, index, value, stage, check", [
+        ("_wz_pair", 1, lambda m, j, x, y: ([-j, m + y - j + 1], [m + 1 - j, m + x + y]),
+         "factorial identities", "WZ identity"),
+        ("_wz_pair", 2, lambda m, j, x, y: ([x + m + 1], [x + y + m]),
+         "factorial identities", "boundary ratio"),
+        ("_wz_pair", 0, lambda m, j, x, y: fisher._binomial(m, j) + [
+            ("rise", x, j, 1), ("rise", y + 1, m - j, 1), ("rise", x + y, m, -1)],
+         "factorial identities", "WZ identity"),
+        ("_steps", 1, lambda m, k: (2 * m - 2 * k + 3, 3 * k + 1),
+         "coefficient recurrence", "odd step"),
+        ("_steps", 0, lambda m, k: (2 * m - 2 * k + 2, 3 * k + 1),
+         "coefficient recurrence", "even step"),
+        ("_closed_forms", 2, lambda m, k: fisher._binomial(m, k) + [
+            ("rise", Fr(2, 3), k, 1), ("rise", Fr(1, 2), m - k, 1)],
+         "coefficient recurrence", "odd weight"),
+        ("_threshold", 1, lambda m: 72 * m + 5, "speed enumeration", "threshold step"),
+        ("_threshold", 0, lambda m: 6 * m * (6 * m - 4),
+         "speed enumeration", "matching root"),
+    ], ids=["wz-certificate", "boundary-ratio", "wz-term", "k-ratio",
+            "even-block-ratio", "odd-weight", "threshold-step",
+            "threshold-polynomial"])
+    def test_perturbed_identity_fails_its_stage(self, monkeypatch, name, index,
+                                                value, stage, check):
+        monkeypatch.setattr(fisher, name, replaced(name, index, value))
+        cert = certify()
+        assert not cert.ok
+        failing = [s for s in cert.stages if not s.ok]
+        assert [s.name for s in failing] == [stage]
+        assert failing[0].detail.startswith("failed: ")
+        assert check in failing[0].detail

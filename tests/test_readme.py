@@ -1,14 +1,16 @@
 """The README's Python examples are the package contract: each must run.
 So is its command line block: each `algwaves` line must exit with the code
-its trailing `# exit N` comment gives, or 0."""
+its trailing `# exit N` comment gives, or 0.  Every `--flag` it names outside
+the Install block must be an option of some `algwaves` subcommand."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from algwaves.cli import main
+from algwaves.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TEXT = README.read_text()
@@ -33,3 +35,18 @@ def test_readme_command_exit_code(line, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # the shoot line writes orbit.csv
     want = re.search(r"#\s*exit (\d+)", line)
     assert main(shlex.split(line, comments=True)[1:]) == (int(want.group(1)) if want else 0)
+
+
+def cli_options() -> set[str]:
+    """Every option string of every subcommand of the command line."""
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return {opt for p in subs.choices.values() for opt in p._option_string_actions}
+
+
+def test_readme_flags_are_cli_options():
+    # the Install block's flags are pip's
+    text = re.sub(r"^## Install\n.*?^```sh\n.*?^```", "", TEXT, flags=re.M | re.S)
+    flags = set(re.findall(r"--[a-z][a-z0-9-]*", text))
+    assert len(flags) >= 10
+    assert flags <= cli_options(), sorted(flags - cli_options())
