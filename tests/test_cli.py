@@ -314,14 +314,25 @@ class TestCertify:
         assert code == 0
         assert out == (DATA / "certify_fisher.json").read_text()
 
-    def test_removed_range_flag_exits_1(self, capsys):
-        # every stage holds for every m, so the range flags are gone
+    # every stage holds for every m, so the range flags and the range
+    # checks that once bounded them are gone: the parser rejects each flag
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--m-gamma", "-1", "m_gamma must be at least 1"),
+        ("--m-gamma", "0", "m_gamma must be at least 1"),
+        ("--m-recur", "0", "m_recur must be at least 1"),
+        ("--m-enum", "0", "m_enum must be at least 1"),
+        ("--m-gamma", "41", "m_gamma must be at most 40"),
+        ("--m-recur", "61", "m_recur must be at most 60"),
+        ("--m-enum", "2001", "m_enum must be at most 2000"),
+    ])
+    def test_empty_range_or_bad_radicand_exit_1(self, capsys, flag, value, message):
         with pytest.raises(SystemExit) as exc:
-            main(["certify-fisher", "--m-enum", "5"])
+            main(["certify-fisher", flag, value])
         assert exc.value.code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "unrecognized arguments: --m-enum 5" in captured.err
+        assert f"unrecognized arguments: {flag} {value}" in captured.err
+        assert message not in captured.err
 
 
 class TestCatalogAndVerify:
