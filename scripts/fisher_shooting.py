@@ -2,21 +2,23 @@
 
 At each speed the orbit leaves the rest state u = 1 along the unstable
 eigendirection and is integrated toward the origin; the table shows how close
-it comes and how far it drifts from the certified invariant cubic (measured
-in the coordinates where the curve lives).  Only the certified speed
+it comes and how far it drifts from the certified invariant cubic, which
+lives in the orbit's own coordinates x = u, y = u'.  Only the certified speed
 c = 5/6*sqrt(6) should land on both.
+
+Run from the repository root:
+
+    PYTHONPATH=src python scripts/fisher_shooting.py --speeds "5/6*sqrt(6),3"
 """
 
 import argparse
 import sys
 
-from algwaves.fisher import FRONT_SPEED, exact_front_curve
+from algwaves.fisher import FISHER_PDE, FRONT_SPEED, certify
 from algwaves.numerics import curve_residual_along_orbit, shoot_unstable_manifold
 from algwaves.pde import parse_pde
 from algwaves.qfield import parse_quadext
 from algwaves.reduction import to_planar, travelling_wave_reduce
-
-FISHER = "u_t - u_xx - u + u^2 = 0"
 
 
 def main() -> int:
@@ -27,10 +29,8 @@ def main() -> int:
     ap.add_argument("--eps", type=float, default=1e-6)
     args = ap.parse_args()
 
-    spec = parse_pde(FISHER)
-    reduced = travelling_wave_reduce(spec)
-    curve, _ = exact_front_curve()
-    flip = lambda p: (1.0 - p[0], p[1])
+    reduced = travelling_wave_reduce(parse_pde(FISHER_PDE))
+    curve = certify().curve
 
     print("certified speed: c = %s = %.9f" % (FRONT_SPEED, float(FRONT_SPEED)))
     print()
@@ -41,7 +41,7 @@ def main() -> int:
         ps = to_planar(reduced.bind_speed(c))
         res = shoot_unstable_manifold(ps, (1, 0), (0.0, 0.0), eps=args.eps,
                                       horizon=args.horizon)
-        drift = curve_residual_along_orbit(curve, res.orbit, transform=flip)
+        drift = curve_residual_along_orbit(curve, res.orbit)
         hit = res.min_distance < 1e-6 and drift < 1e-5
         print("%-16s %-14.3e %-14.3e %s"
               % (text.strip(), res.min_distance, drift,

@@ -36,7 +36,6 @@ from .fisher import (
     CurveCertificate,
     certify,
     exact_front_curve,
-    front_system,
 )
 from .closedform import (
     ExpRational,
@@ -77,7 +76,7 @@ __all__ = [
     "CurveSearch", "DarbouxResult", "cofactor_residual", "search_constant_cofactor",
     "solve_fixed_cofactor",
     "FRONT_SPEED", "FRONT_SPEED_SQUARED", "CurveCertificate", "certify",
-    "exact_front_curve", "front_system",
+    "exact_front_curve",
     "ExpRational", "PRelation", "exp_rational_membership",
     "p_from_exp_rational", "solve_logistic", "solve_power_logistic",
     "Orbit", "curve_residual_along_orbit", "integrate_rk4", "integrate_rkf45",

@@ -254,7 +254,8 @@ def curve_residual_along_orbit(f, orbit: Orbit,
     f is a polynomial in the registry variables 0 and 1, which take the
     orbit's two columns, and is evaluated on the whole orbit at once.
     transform receives the coordinate columns (xs, ys) as numpy arrays and
-    returns the mapped columns, e.g. lambda p: (1.0 - p[0], p[1])."""
+    returns the mapped columns; perfbench's shooting jobs pass the flip
+    x -> 1 - x that exact_front_curve needs."""
     import numpy as np
 
     cols = (orbit.ys[:, 0], orbit.ys[:, 1])

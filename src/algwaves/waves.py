@@ -126,21 +126,17 @@ class FrontReconstruction:
 
 
 def fisher_front_reconstruct(k=1) -> FrontReconstruction:
-    """From the certified invariant curve to the explicit front profile.
+    """From the catalog's front relation to the explicit front profile.
 
-    The curve is quadratic in y; its discriminant is a perfect cube, the
-    branch through the connecting orbit is the '+' root, and the
-    substitution x = 1 - w^2, y = -(sqrt(6)/3)(1 - w) w^2 turns the
-    branch into an identity.  The w equation is logistic with rate
+    The relation, made monic in y, is quadratic in y; its discriminant
+    (8/3) x^3 is a perfect cube, the branch through the connecting orbit is
+    the '+' root, and the substitution x = w^2, y = -(sqrt(6)/3)(1 - w) w^2
+    turns the branch into an identity.  The w equation is logistic with rate
     1/sqrt(6), giving U = (1 + k e^{s/sqrt(6)})^{-2}."""
-    from .fisher import exact_front_curve
-
     kk = QuadExt.lift(k)
-    if float(kk) <= 0:
-        raise ValueError("the shift parameter must be positive")
-    f, _cof = exact_front_curve()
-    reg = f.registry
-    xv, yv = reg.var("x"), reg.var("y")
+    rel = fisher_entry(kk).relation
+    f = rel.p.monic("ylex")
+    xv, yv = rel.registry.id_of("u"), rel.registry.id_of("du")
     parts = f.as_univariate(yv)
     if len(parts) != 3:
         raise AssertionError("the front curve should be quadratic in y")
@@ -148,9 +144,9 @@ def fisher_front_reconstruct(k=1) -> FrontReconstruction:
     disc = cb * cb - 4 * ca * cc
 
     # branch selection: compare the parametrized point at w = 1/2 with the
-    # explicit quadratic roots at x = 3/4
+    # explicit quadratic roots at x = 1/4
     amp = QuadExt(0, Fr(1, 3), 6)  # sqrt(6)/3
-    x0 = Fr(3, 4)
+    x0 = Fr(1, 4)
     roots = quadratic_roots(*(p.evaluate({xv: x0}) for p in (ca, cb, cc)))
     if roots is None:
         raise AssertionError("discriminant is not a square at the test point")
@@ -160,9 +156,7 @@ def fisher_front_reconstruct(k=1) -> FrontReconstruction:
 
     wreg = VarRegistry(["w"])
     w = MultiPoly.var(wreg, 0)
-    sub = f.substitute(
-        {xv: 1 - w * w, yv: -amp * (1 - w) * w * w}, registry=wreg
-    )
+    sub = f.substitute({xv: w * w, yv: -amp * (1 - w) * w * w}, registry=wreg)
     rate = QuadExt(0, Fr(1, 6), 6)  # 1/sqrt(6)
     s = Sym("s")
     wave = IntPow(Const(QuadExt(1)) + Const(kk) * Exp(Const(rate) * s), -2)
@@ -275,19 +269,17 @@ def imbq_entry(k=Fr(1, 2), c=2, m=Fr(1, 2)) -> CatalogEntry:
 
 
 def fisher_entry(k=1) -> CatalogEntry:
-    from .fisher import FRONT_SPEED
+    from .fisher import FISHER_PDE, FRONT_SPEED, front_relation
 
     kk = QuadExt.lift(k)
     if float(kk) <= 0:
         raise ValueError("the shift parameter must be positive")
-    root6 = QuadExt(0, 1, 6)
-    rel = _relation(lambda u, du: 3 * du * du + 2 * root6 * u * du
-                    + 2 * (1 - u) * u * u)
+    rel = _relation(front_relation)
     rate = QuadExt(0, Fr(1, 6), 6)
     s = Sym("s")
     profile = IntPow(Const(QuadExt(1)) + Const(kk) * Exp(Const(rate) * s), -2)
     er = ExpRational([QuadExt(1)], [QuadExt(1), 2 * kk, kk * kk], rate)
-    return CatalogEntry("fisher", "u_t - u_xx - u + u^2 = 0", {},
+    return CatalogEntry("fisher", FISHER_PDE, {},
                         FRONT_SPEED, rel, profile,
                         boundary=(QuadExt(1), QuadExt(0)), exp_rational=er)
 

@@ -17,11 +17,10 @@ from algwaves.darboux import (
     solve_fixed_cofactor,
 )
 from algwaves.fisher import (
+    FISHER_PDE,
     FRONT_SPEED,
     _threshold,
     certify,
-    exact_front_curve,
-    front_system,
     leading_coeffs_recurrence,
     verify_gamma_identities,
 )
@@ -38,6 +37,11 @@ from test_fisher import (
     reference_consistency_condition,
     tables_agree,
 )
+
+
+def fisher_system(c):
+    """The plane system find-curve builds: saddle at (1, 0), node at (0, 0)."""
+    return to_planar(travelling_wave_reduce(parse_pde(FISHER_PDE)).bind_speed(c))
 
 
 def report(num: int, ok: bool, desc: str) -> None:
@@ -65,14 +69,11 @@ def test_criterion_01_exact_front_certificate():
     t0 = time.monotonic()
     cert = certify()
     elapsed = time.monotonic() - t0
-    r23 = QuadExt(0, Fr(2, 3), 6)
     wanted = {
         "y^2": QuadExt(1),
-        "y": r23,
-        "x*y": -r23,
-        "x": QuadExt(Fr(2, 3)),
-        "x^2": QuadExt(Fr(-4, 3)),
-        "x^3": QuadExt(Fr(2, 3)),
+        "x*y": QuadExt(0, Fr(2, 3), 6),
+        "x^2": QuadExt(Fr(2, 3)),
+        "x^3": QuadExt(Fr(-2, 3)),
     }
     ok = (
         cert.ok
@@ -101,22 +102,22 @@ def test_criterion_02_no_curve_at_other_speeds():
     ]
     failures = []
     for c, want_d, want_disc in cases:
-        ps = front_system(c)
-        ed = jacobian_eigen(ps, (0, 0))
+        ps = fisher_system(c)
+        ed = jacobian_eigen(ps, (1, 0))
         if not (ed.exact and ed.is_saddle):
             failures.append("c=%s: saddle spectrum not exact" % c)
             continue
         if ed.disc != want_disc or ed.eigenvalues[0].d != want_d:
             failures.append("c=%s: expected disc %s in Q(sqrt(%d)), got %s"
                             % (c, want_disc, want_d, ed.disc))
-        hits = search_constant_cofactor(ps, [(0, 0), (1, 0)], max_degree=6)
+        hits = search_constant_cofactor(ps, [(1, 0), (0, 0)], max_degree=6)
         if hits:
             failures.append("c=%s: unexpected invariant curve %s"
                             % (c, hits[0].curve))
         if hits.status != "proved-none":
             failures.append("c=%s: status %s" % (c, hits.status))
         failures += ["c=%s: %s" % (c, gap)
-                     for gap in empty_search_gaps(ps, [(0, 0), (1, 0)])]
+                     for gap in empty_search_gaps(ps, [(1, 0), (0, 0)])]
     report(2, not failures,
            "no invariant curve through both rest states at c in {2, 5/2, 3} "
            "up to degree 6, exact eigenvalue fields Q(sqrt(2/41/13))")
@@ -212,17 +213,13 @@ def test_criterion_07_family_identity():
 
 def test_criterion_08_shooting_confirms_front():
     t0 = time.monotonic()
-    spec = parse_pde("u_t - u_xx - u + u^2 = 0")
-    sys_spec = travelling_wave_reduce(spec).bind_speed(FRONT_SPEED)
-    ps = to_planar(sys_spec)
-    res = shoot_unstable_manifold(ps, (1, 0), (0.0, 0.0), horizon=60.0)
-    curve, _ = exact_front_curve()
-    flip = lambda p: (1.0 - p[0], p[1])
-    on_curve = curve_residual_along_orbit(curve, res.orbit, transform=flip)
+    res = shoot_unstable_manifold(fisher_system(FRONT_SPEED), (1, 0), (0.0, 0.0),
+                                  horizon=60.0)
+    curve = certify().curve
+    on_curve = curve_residual_along_orbit(curve, res.orbit)
 
-    bad_sys = to_planar(travelling_wave_reduce(spec).bind_speed(3))
-    bad = shoot_unstable_manifold(bad_sys, (1, 0), (0.0, 0.0), horizon=60.0)
-    off_curve = curve_residual_along_orbit(curve, bad.orbit, transform=flip)
+    bad = shoot_unstable_manifold(fisher_system(3), (1, 0), (0.0, 0.0), horizon=60.0)
+    off_curve = curve_residual_along_orbit(curve, bad.orbit)
     elapsed = time.monotonic() - t0
 
     ok = (res.min_distance < 1e-6 and on_curve < 1e-5
@@ -313,14 +310,14 @@ def test_criterion_11_no_curve_up_to_degree_10():
     t0 = time.monotonic()
     found = []
     for c in speeds:
-        hits = search_constant_cofactor(front_system(c), [(0, 0), (1, 0)],
+        hits = search_constant_cofactor(fisher_system(c), [(1, 0), (0, 0)],
                                         max_degree=10)
         found += ["c=%s: %s" % (c, h.curve) for h in hits]
         if hits.status != "proved-none":
             found.append("c=%s: status %s" % (c, hits.status))
     elapsed = time.monotonic() - t0
     found += ["c=%s: %s" % (c, gap) for c in speeds
-              for gap in empty_search_gaps(front_system(c), [(0, 0), (1, 0)])]
+              for gap in empty_search_gaps(fisher_system(c), [(1, 0), (0, 0)])]
     ok = not found and elapsed < 10.0
     report(11, ok, "no invariant curve through both rest states at c in "
                    "{2, 5/2, 3} up to degree 10 (%.2f s < 10 s)" % elapsed)

@@ -307,7 +307,7 @@ class TestCertify:
         doc = json.loads(out)
         assert doc["result"]["ok"] is True
         assert doc["result"]["coefficients"]["y^2"] == "1"
-        assert doc["result"]["coefficients"]["x*y"] == "-2/3*sqrt(6)"
+        assert doc["result"]["coefficients"]["x*y"] == "2/3*sqrt(6)"
 
     def test_json_matches_golden_copy(self, capsys):
         code, out, _ = run(capsys, "certify-fisher", "--json")

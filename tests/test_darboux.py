@@ -18,9 +18,14 @@ from algwaves.darboux import (
     solve_fixed_cofactor,
 )
 from algwaves import darboux
+from algwaves.fisher import FISHER_PDE
 from algwaves.linalg import MODULAR_PRIMES, in_row_span, independent_prefix_mod_p, nullspace
+from algwaves.pde import parse_pde
 from algwaves.poly import MultiPoly, RegistryMismatchError, VarRegistry, grlex_key
 from algwaves.qfield import QuadExt, RadicandMismatchError
+from algwaves.reduction import to_planar, travelling_wave_reduce
+
+FISHER = travelling_wave_reduce(parse_pde(FISHER_PDE))
 
 
 def make_plane(P_builder, Q_builder):
@@ -32,9 +37,10 @@ def make_plane(P_builder, Q_builder):
     return PlanarSystem(reg, 0, 1, P_builder(x, y), Q_builder(x, y))
 
 
-def front_system(c):
-    # x' = -y, y' = -x - c y + x^2
-    return make_plane(lambda x, y: -y, lambda x, y: x * x - x * 0 - x - c * y)
+def fisher_system(c):
+    # the plane system find-curve builds: x' = y, y' = x^2 - x - c y,
+    # saddle at (1, 0), node at (0, 0)
+    return to_planar(FISHER.bind_speed(c))
 
 
 FRONT_SPEED = QuadExt(0, Fr(5, 6), 6)
@@ -48,18 +54,12 @@ def cubic_system():
 
 
 def front_curve(ps):
+    # the front's cubic, monic in y
     reg = ps.registry
     x = MultiPoly.var(reg, "x")
     y = MultiPoly.var(reg, "y")
     r23 = QuadExt(0, Fr(2, 3), 6)  # (2/3) sqrt(6)
-    return (
-        y * y
-        + r23 * y
-        - r23 * (x * y)
-        + Fr(2, 3) * x
-        - Fr(4, 3) * (x * x)
-        + Fr(2, 3) * (x**3)
-    )
+    return y * y + r23 * (x * y) + Fr(2, 3) * (x * x) - Fr(2, 3) * (x**3)
 
 
 class TestBasis:
@@ -75,47 +75,47 @@ class TestBasis:
 
 class TestFrontCurve:
     def test_invariance_residual_is_zero(self):
-        ps = front_system(FRONT_SPEED)
+        ps = fisher_system(FRONT_SPEED)
         f = front_curve(ps)
         k = QuadExt(0, -1, 6)
         assert cofactor_residual(ps, f, k).is_zero
 
     def test_fixed_cofactor_solve_recovers_curve(self):
-        ps = front_system(FRONT_SPEED)
+        ps = fisher_system(FRONT_SPEED)
         res = solve_fixed_cofactor(
-            ps, QuadExt(0, -1, 6), 3, required_points=[(0, 0), (1, 0)]
+            ps, QuadExt(0, -1, 6), 3, required_points=[(1, 0), (0, 0)]
         )
         assert res is not None
         assert res.nullspace_dim == 1
         assert res.curve == front_curve(ps)
 
     def test_eigenvalue_candidates(self):
-        ps = front_system(FRONT_SPEED)
-        cands, notes = eigenvalue_cofactor_candidates(ps, [(0, 0), (1, 0)])
+        ps = fisher_system(FRONT_SPEED)
+        cands, notes = eigenvalue_cofactor_candidates(ps, [(1, 0), (0, 0)])
         assert cands == [
             QuadExt(0, Fr(1, 6), 6),
             QuadExt(0, -1, 6),
             QuadExt(0, Fr(-5, 6), 6),
         ]
-        assert any("(1, 0)" in n for n in notes)
+        assert any("(0, 0)" in n for n in notes)
 
     def test_search_finds_exactly_one_curve(self):
-        ps = front_system(FRONT_SPEED)
-        hits = search_constant_cofactor(ps, [(0, 0), (1, 0)], 3)
+        ps = fisher_system(FRONT_SPEED)
+        hits = search_constant_cofactor(ps, [(1, 0), (0, 0)], 3)
         assert len(hits) == 1
         assert hits[0].curve == front_curve(ps)
         assert hits[0].cofactor == QuadExt(0, -1, 6)
         assert hits[0].degree == 3
 
     def test_search_empty_at_generic_speed(self):
-        ps = front_system(QuadExt(2))
-        hits = search_constant_cofactor(ps, [(0, 0), (1, 0)], 4)
+        ps = fisher_system(QuadExt(2))
+        hits = search_constant_cofactor(ps, [(1, 0), (0, 0)], 4)
         assert hits == []
 
     def test_non_equilibrium_rejected(self):
-        ps = front_system(FRONT_SPEED)
+        ps = fisher_system(FRONT_SPEED)
         with pytest.raises(ValueError):
-            search_constant_cofactor(ps, [(2, 0)], 2)
+            search_constant_cofactor(ps, [(-1, 0)], 2)
 
 
 class TestPlanted:
@@ -339,10 +339,10 @@ FRONT_SPEEDS = (FRONT_SPEED, QuadExt(2), QuadExt(Fr(7, 3)))
 
 @st.composite
 def front_searches(draw):
-    """The front system through both rest states, at a speed with a curve
-    and at two without, up to degree 6."""
+    """The Fisher plane system through both rest states, at a speed with a
+    curve and at two without, up to degree 6."""
     c = draw(st.sampled_from(FRONT_SPEEDS))
-    return front_system(c), [(0, 0), (1, 0)], draw(st.integers(min_value=1, max_value=6)), None
+    return fisher_system(c), [(1, 0), (0, 0)], draw(st.integers(min_value=1, max_value=6)), None
 
 
 @st.composite
@@ -367,12 +367,12 @@ def test_search_matches_per_degree_reference(case):
 
 def test_search_builds_and_eliminates_once_per_candidate():
     for c, top in ((FRONT_SPEED, 6), (QuadExt(2), 6), (FRONT_SPEED, 3)):
-        ps = front_system(c)
-        cands, _ = eigenvalue_cofactor_candidates(ps, [(0, 0), (1, 0)])
+        ps = fisher_system(c)
+        cands, _ = eigenvalue_cofactor_candidates(ps, [(1, 0), (0, 0)])
         with mock.patch.object(darboux, "invariance_matrix",
                                wraps=darboux.invariance_matrix) as build, \
                 mock.patch.object(darboux, "nullspace", wraps=darboux.nullspace) as solve:
-            hits = search_constant_cofactor(ps, [(0, 0), (1, 0)], top)
+            hits = search_constant_cofactor(ps, [(1, 0), (0, 0)], top)
         assert build.call_count == len(cands) == 3
         assert all(call.args[2] == top for call in build.call_args_list)
         assert (1 if hits else 0) <= solve.call_count <= len(cands)
@@ -381,9 +381,9 @@ def test_search_builds_and_eliminates_once_per_candidate():
 class TestCertificateFallback:
     def test_certified_front_search_matches_exact_loop(self):
         for c in (FRONT_SPEED, QuadExt(2)):
-            ps = front_system(c)
-            got = search_constant_cofactor(ps, [(0, 0), (1, 0)], 4)
-            want = exact_search(ps, [(0, 0), (1, 0)], 4)
+            ps = fisher_system(c)
+            got = search_constant_cofactor(ps, [(1, 0), (0, 0)], 4)
+            want = exact_search(ps, [(1, 0), (0, 0)], 4)
             assert hit_keys(got) == hit_keys(want)
 
     def test_unlucky_prime_falls_back_to_exact(self):
@@ -410,13 +410,13 @@ class TestCertificateFallback:
     def test_no_candidate_search_is_empty(self):
         # at c = sqrt(2) the saddle eigenvalues (-sqrt(2) +- sqrt(6))/2 lie
         # in no single Q(sqrt(d)); the empty list then proves nothing
-        ps = front_system(QuadExt(0, 1, 2))
-        cands, notes = eigenvalue_cofactor_candidates(ps, [(0, 0), (1, 0)])
+        ps = fisher_system(QuadExt(0, 1, 2))
+        cands, notes = eigenvalue_cofactor_candidates(ps, [(1, 0), (0, 0)])
         assert cands == []
         assert any("not exactly representable" in n for n in notes)
 
 
-SADDLE_NOTE = "(1, 0) is not a saddle; no cofactor constraint"
+SADDLE_NOTE = "(0, 0) is not a saddle; no cofactor constraint"
 
 
 class TestVerdict:
@@ -424,24 +424,24 @@ class TestVerdict:
     rule."""
 
     def test_found_at_front_speed(self):
-        ps = front_system(FRONT_SPEED)
-        hits = search_constant_cofactor(ps, [(0, 0), (1, 0)], 3)
+        ps = fisher_system(FRONT_SPEED)
+        hits = search_constant_cofactor(ps, [(1, 0), (0, 0)], 3)
         assert (hits.status, hits.notes) == ("found", [SADDLE_NOTE])
-        assert hits.candidates == eigenvalue_cofactor_candidates(ps, [(0, 0), (1, 0)])[0]
+        assert hits.candidates == eigenvalue_cofactor_candidates(ps, [(1, 0), (0, 0)])[0]
         assert len(hits.candidates) == 3
 
     def test_proved_none_at_two(self):
         # saddle candidates, all searched, and weights (1, 3/2) make every
         # cofactor constant
-        hits = search_constant_cofactor(front_system(QuadExt(2)), [(0, 0), (1, 0)], 4)
+        hits = search_constant_cofactor(fisher_system(QuadExt(2)), [(1, 0), (0, 0)], 4)
         assert hits == [] and len(hits.candidates) == 3
         assert (hits.status, hits.notes) == ("proved-none", [SADDLE_NOTE])
 
     def test_no_candidate_at_sqrt2_is_undetermined(self):
-        hits = search_constant_cofactor(front_system(QuadExt(0, 1, 2)), [(0, 0), (1, 0)], 4)
+        hits = search_constant_cofactor(fisher_system(QuadExt(0, 1, 2)), [(1, 0), (0, 0)], 4)
         assert hits == [] and hits.candidates == []
         assert hits.status == "undetermined"
-        assert hits.notes == ["eigenvalues at (0, 0) are not exactly representable",
+        assert hits.notes == ["eigenvalues at (1, 0) are not exactly representable",
                               SADDLE_NOTE]
 
     def test_no_weights_is_undetermined(self):
@@ -453,21 +453,21 @@ class TestVerdict:
         assert hits.notes == ["(0, 0) is not a saddle; no cofactor constraint", WEIGHT_NOTE]
 
     def test_given_cofactors_prove_nothing(self):
-        ps = front_system(FRONT_SPEED)
-        hits = search_constant_cofactor(ps, [(0, 0), (1, 0)], 3, [1])
+        ps = fisher_system(FRONT_SPEED)
+        hits = search_constant_cofactor(ps, [(1, 0), (0, 0)], 3, [1])
         assert hits == [] and hits.candidates == [QuadExt(1)]
         assert (hits.status, hits.notes) == (
             "undetermined", ["only the given cofactors were searched"])
-        hits = search_constant_cofactor(ps, [(0, 0), (1, 0)], 3, [1, QuadExt(0, -1, 6)])
+        hits = search_constant_cofactor(ps, [(1, 0), (0, 0)], 3, [1, QuadExt(0, -1, 6)])
         assert (hits.status, hits.notes, len(hits)) == ("found", [], 1)
 
     def test_non_saddle_point_is_undetermined(self):
-        hits = search_constant_cofactor(front_system(QuadExt(2)), [(1, 0)], 4)
+        hits = search_constant_cofactor(fisher_system(QuadExt(2)), [(0, 0)], 4)
         assert hits == [] and hits.candidates == []
         assert (hits.status, hits.notes) == ("undetermined", [SADDLE_NOTE])
 
     def test_no_point_is_undetermined(self):
-        hits = search_constant_cofactor(front_system(QuadExt(2)), [], 2)
+        hits = search_constant_cofactor(fisher_system(QuadExt(2)), [], 2)
         assert (hits.status, hits.notes) == ("undetermined", ["no point was given"])
 
     def test_saddles_sharing_no_value_are_undetermined(self):
@@ -501,8 +501,8 @@ def reference_invariance_matrix(ps, cofactor, degree, required_points=()):
 def invariance_cases(draw):
     """A system, a cofactor, a degree bound from 0 and up to two required
     points with integer, fractional and sqrt(d) coordinates: criterion 09's
-    planted systems, the front system at a speed with a curve and at two
-    without, the cubic system with the polynomial cofactor x - 3, and
+    planted systems, the Fisher plane system at a speed with a curve and at
+    two without, the cubic system with the polynomial cofactor x - 3, and
     x' = x, y' = -a*y, whose residual of x^i y^j vanishes when k = i - a*j."""
     kind = draw(st.sampled_from(("planted", "front", "cubic", "monomial")))
     if kind == "planted":
@@ -512,8 +512,8 @@ def invariance_cases(draw):
         ps, _, _, cands = draw(monomial_searches())
         k = QuadExt.lift(draw(st.sampled_from(cands)))
     elif kind == "front":
-        ps = front_system(draw(st.sampled_from(FRONT_SPEEDS)))
-        k = draw(st.sampled_from(eigenvalue_cofactor_candidates(ps, [(0, 0), (1, 0)])[0]))
+        ps = fisher_system(draw(st.sampled_from(FRONT_SPEEDS)))
+        k = draw(st.sampled_from(eigenvalue_cofactor_candidates(ps, [(1, 0), (0, 0)])[0]))
     else:
         ps = cubic_system()
         k = MultiPoly.var(ps.registry, "x") - 3
@@ -542,7 +542,7 @@ def test_invariance_matrix_matches_reference(case):
 
 
 def test_invariance_matrix_rejects_mixed_fields():
-    ps = front_system(FRONT_SPEED)
+    ps = fisher_system(FRONT_SPEED)
     with pytest.raises(RadicandMismatchError):
         invariance_matrix(ps, QuadExt(0, 1, 2), 2)
     with pytest.raises(RadicandMismatchError):
@@ -552,8 +552,8 @@ def test_invariance_matrix_rejects_mixed_fields():
 
 
 def test_elimination_leaves_invariance_matrix_unchanged():
-    ps = front_system(FRONT_SPEED)
-    basis, rows = invariance_matrix(ps, QuadExt(0, -1, 6), 4, [(0, 0), (1, 0)])
+    ps = fisher_system(FRONT_SPEED)
+    basis, rows = invariance_matrix(ps, QuadExt(0, -1, 6), 4, [(1, 0), (0, 0)])
     before = ([list(row) for row in rows], rows.d, list(rows.scales))
     assert independent_prefix_mod_p(rows, len(basis)) < len(basis)
     first = nullspace(rows, len(basis))
@@ -563,8 +563,8 @@ def test_elimination_leaves_invariance_matrix_unchanged():
 
 def test_invariance_matrix_multiplies_no_polynomials():
     cubic = cubic_system()
-    cases = [(front_system(FRONT_SPEED), QuadExt(0, -1, 6)),
-             (front_system(QuadExt(2)), QuadExt(-1)),
+    cases = [(fisher_system(FRONT_SPEED), QuadExt(0, -1, 6)),
+             (fisher_system(QuadExt(2)), QuadExt(-1)),
              (cubic, MultiPoly.var(cubic.registry, "x") - 3)]
 
     def forbidden(*args, **kwargs):
@@ -575,15 +575,15 @@ def test_invariance_matrix_multiplies_no_polynomials():
             mock.patch.object(MultiPoly, "__rmul__", forbidden), \
             mock.patch.object(MultiPoly, "evaluate", forbidden):
         for ps, k in cases:
-            basis, rows = invariance_matrix(ps, k, 6, [(0, 0), (1, 0)])
+            basis, rows = invariance_matrix(ps, k, 6, [(1, 0), (0, 0)])
             assert len(basis) == 28 and len(rows) > len(basis)
 
 
 class TestCofactorWeight:
     def test_fisher_cofactors_are_constant(self):
-        # x' = -y, y' = x^2 - x - c*y: weights (1, t) work for 1 < t < 2
+        # x' = y, y' = x^2 - x - c*y: weights (1, t) work for 1 < t < 2
         for c in FRONT_SPEEDS:
-            assert constant_cofactor_weight(front_system(c)) == Fr(3, 2)
+            assert constant_cofactor_weight(fisher_system(c)) == Fr(3, 2)
 
     def test_cubic_system_has_no_weights(self):
         # the term 3*x*y of Q raises the weight by exactly 1 for every t

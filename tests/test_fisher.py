@@ -19,6 +19,7 @@ from algwaves.fisher import (
 )
 from algwaves.poly import MultiPoly, VarRegistry
 from algwaves.qfield import QuadExt, pochhammer, squarefree_decompose
+from algwaves.waves import catalog
 
 
 # -- the closed forms as tables at TABLE_POINTS, in Fractions ----------------
@@ -365,23 +366,37 @@ class TestCertificate:
         assert cert.speed_squared == Fr(25, 6)
         assert cert.cofactor == QuadExt(0, -1, 6)
         assert cert.nullspace_dim == 1
-        expected, _ = exact_front_curve()
-        # registries differ between runs, compare via coefficient maps
-        assert coefficient_map(cert.curve) == coefficient_map(expected)
         assert [s.ok for s in cert.stages] == [True] * 5
         assert all("every m" in s.detail for s in cert.stages[:3])
 
+    def test_curve_is_the_catalog_relation(self):
+        # the certified cubic is the catalog's front relation made monic in
+        # y, under (u, du) -> (x, y)
+        curve = certify().curve
+        rel = catalog()["fisher"].relation
+        x, y = (MultiPoly.var(curve.registry, v) for v in ("x", "y"))
+        want = rel.p.monic("ylex").substitute({rel.u_var: x, rel.du_var: y},
+                                              registry=curve.registry)
+        assert curve == want
+
     def test_coefficient_map_values(self):
         cert = certify()
-        r23 = QuadExt(0, Fr(2, 3), 6)
         assert cert.coefficients == {
             "y^2": QuadExt(1),
-            "y": r23,
-            "x*y": -r23,
-            "x": QuadExt(Fr(2, 3)),
-            "x^2": QuadExt(Fr(-4, 3)),
-            "x^3": QuadExt(Fr(2, 3)),
+            "x*y": QuadExt(0, Fr(2, 3), 6),
+            "x^2": QuadExt(Fr(2, 3)),
+            "x^3": QuadExt(Fr(-2, 3)),
         }
+
+    def test_exact_front_curve_keeps_its_terms(self):
+        # the front relation at (1 - x, y), monic in y, typed out term by
+        # term as the reference
+        f, cofactor = exact_front_curve()
+        x, y = (MultiPoly.var(f.registry, v) for v in ("x", "y"))
+        r23 = QuadExt(0, Fr(2, 3), 6)
+        assert f == (y * y + r23 * y - r23 * (x * y) + Fr(2, 3) * x
+                     - Fr(4, 3) * (x * x) + Fr(2, 3) * (x**3))
+        assert cofactor == QuadExt(0, -1, 6)
 
     def test_rational_field_fails_cleanly(self, monkeypatch):
         # stage 4 run at the rational speed 3/2, whose saddle eigenvalues

@@ -254,19 +254,18 @@ class TestShooting:
         assert res.eigenvalue > 0
 
     def test_wrong_speed_misses_on_curve(self):
-        from algwaves.fisher import exact_front_curve
+        from algwaves.fisher import certify
 
-        f, _ = exact_front_curve()
-        flip = lambda p: (1.0 - p[0], p[1])
+        f = certify().curve
 
         ps = front_plane(FRONT_SPEED)
         res = shoot_unstable_manifold(ps, (QuadExt(1), QuadExt(0)), (0.0, 0.0))
-        good = curve_residual_along_orbit(f, res.orbit, transform=flip)
+        good = curve_residual_along_orbit(f, res.orbit)
         assert good < 1e-5
 
         ps3 = front_plane(3)
         res3 = shoot_unstable_manifold(ps3, (QuadExt(1), QuadExt(0)), (0.0, 0.0))
-        bad = curve_residual_along_orbit(f, res3.orbit, transform=flip)
+        bad = curve_residual_along_orbit(f, res3.orbit)
         assert bad > 1e-3
 
     def test_stop_tol_truncates(self):

@@ -407,6 +407,33 @@ def poly_strategy(reg_names=("x", "y")):
 
 
 class TestRingLaws:
+    @settings(max_examples=30, deadline=None)
+    @given(poly_strategy(), st.integers(min_value=0, max_value=6))
+    def test_power_is_repeated_product(self, case, n):
+        reg, f = case
+        want = MultiPoly.one(reg)
+        for _ in range(n):
+            want = want * f
+        assert f**n == want
+
+    def test_power_products(self, monkeypatch):
+        # square and multiply from the base itself: no product for f**1
+        # and no squaring past the top bit
+        _, x, y = xy()
+        f = x + y + 1
+        real = MultiPoly.__mul__
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(MultiPoly, "__mul__", counted)
+        for n, products in ((1, 0), (2, 1), (3, 2), (4, 2), (5, 3)):
+            calls.clear()
+            f**n
+            assert len(calls) == products, n
+
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_product_rule(self, data):

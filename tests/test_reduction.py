@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from algwaves.fisher import front_system
 from algwaves.pde import bind_params, parse_pde
 from algwaves.poly import MultiPoly, VarRegistry
 from algwaves.qfield import QuadExt, RadicandMismatchError, field_sqrt, rational_sqrt
@@ -200,21 +199,6 @@ class TestPlanar:
         c = QuadExt(0, Fr(5, 6), 6)
         assert ps.P == y
         assert ps.Q == x * x - x - c * y
-
-    def test_front_frame_change(self):
-        # under x = 1 - X, y = Y the pipeline system x' = y, y' = x^2 - x - c y
-        # becomes the front system X' = -Y, Y' = X^2 - X - c Y
-        c = QuadExt(0, Fr(5, 6), 6)
-        ps = to_planar(_fisher_system(c=C_FRONT))
-        front = front_system(c)
-        reg = front.registry
-        X = MultiPoly.var(reg, front.x_var)
-        Y = MultiPoly.var(reg, front.y_var)
-        sub = {ps.x_var: 1 - X, ps.y_var: Y}
-        assert front.P == -ps.P.substitute(sub, registry=reg)
-        assert front.Q == ps.Q.substitute(sub, registry=reg)
-        assert front.P == -Y
-        assert front.Q == X * X - X - c * Y
 
 
 class TestSpectra:
