@@ -1,7 +1,7 @@
-"""Invariant algebraic curves of plane polynomial fields.
+"""Invariant algebraic curves of plane fields x' = P(x, y), y' = Q(x, y).
 
-A curve f = 0 is invariant for x' = P, y' = Q when the directional
-derivative of f along the field is a polynomial multiple of f:
+A curve f = 0 is invariant when the derivative of f along the field (a
+PlanarSystem, in x and y alone) is a polynomial multiple of f:
 
     P f_x + Q f_y = k f.
 
@@ -57,34 +57,21 @@ ScalarLike = Union[int, "QuadExt"]
 MAX_SEARCH_DEGREE = 20
 
 
-def monomial_basis(nvars_ids: Sequence[int], max_degree: int) -> list[Monomial]:
-    """All monomials in the given variables up to total degree, grlex order."""
-    ids = list(nvars_ids)
-    out: list[Monomial] = []
-
-    def rec(pos: int, remaining: int, acc: list[tuple[int, int]]):
-        if pos == len(ids):
-            out.append(tuple(sorted((v, e) for v, e in acc if e)))
-            return
-        for e in range(remaining + 1):
-            rec(pos + 1, remaining - e, acc + [(ids[pos], e)])
-
-    rec(0, max_degree, [])
-    out.sort(key=lambda m: grlex_key(m, max(ids) + 1 if ids else 1))
-    return out
+def monomial_basis(ids: Sequence[int], max_degree: int) -> list[Monomial]:
+    """All monomials in two variables up to total degree, in grlex order."""
+    u, v = sorted(ids)
+    return [tuple((w, e) for w, e in ((u, a), (v, n - a)) if e)
+            for n in range(max_degree + 1) for a in range(n + 1)]
 
 
 def cofactor_residual(
     ps: PlanarSystem, f: MultiPoly, cofactor: Union[MultiPoly, ScalarLike]
 ) -> MultiPoly:
     """P f_x + Q f_y - k f; identically zero exactly when f = 0 is invariant."""
-    k = cofactor
-    if not isinstance(k, MultiPoly):
-        k = MultiPoly.const(ps.registry, k)
     return (
         ps.P * f.partial_derivative(ps.x_var)
         + ps.Q * f.partial_derivative(ps.y_var)
-        - k * f
+        - f * cofactor
     )
 
 
@@ -141,7 +128,8 @@ def invariance_matrix(
     coefficients are integer pairs over one common denominator, the scale
     of every residual row.  A point row holds the point's coordinate powers,
     also computed once as integer pairs.  Raises RadicandMismatchError when
-    the system, the cofactor and the points mix radicands.
+    the system, the cofactor and the points mix radicands, and ValueError
+    for a cofactor in a third variable.
 
     search_constant_cofactor relies on the prefix property: the
     column-order reduced echelon form of a prefix is the prefix of the
@@ -157,15 +145,16 @@ def invariance_matrix(
         return e.get(xv, 0), e.get(yv, 0)
 
     k = MultiPoly.zero(ps.registry) + cofactor  # raises on a foreign registry
+    if set(k.variables()) - {xv, yv}:
+        raise ValueError("a cofactor is a polynomial in x and y")
     points = [(QuadExt.lift(pt[0]), QuadExt.lift(pt[1])) for pt in required_points]
     polys = (ps.P, ps.Q, k)
     coeffs = [c for f in polys for c in f.terms.values()]
     d = common_radicand(coeffs + [c for pt in points for c in pt])
     scale, pairs = integer_pairs(coeffs)
     pairs = iter(pairs)
-    # each term as (x exponent, y exponent, other variables, integer pair)
-    P, Q, K = [[(*xy_exponents(m), tuple(ve for ve in m if ve[0] not in (xv, yv)),
-                 next(pairs)) for m in f.terms] for f in polys]
+    # each term as (x exponent, y exponent, integer pair)
+    P, Q, K = [[(*xy_exponents(m), next(pairs)) for m in f.terms] for f in polys]
     basis = monomial_basis([xv, yv], degree)
     exps = [xy_exponents(m) for m in basis]
     columns = []
@@ -173,19 +162,15 @@ def invariance_matrix(
         col: dict = {}
         for terms, di, dj, w in ((P, i - 1, j, i), (Q, i, j - 1, j), (K, i, j, -1)):
             if w:
-                for ex, ey, rest, (a, b) in terms:
-                    key = (ex + di, ey + dj, rest)
+                for ex, ey, (a, b) in terms:
+                    key = (ex + di, ey + dj)
                     ca, cb = col.get(key, (0, 0))
                     col[key] = (ca + w * a, cb + w * b)
         columns.append({key: v for key, v in col.items() if v != (0, 0)})
-    nvars = len(ps.registry)
-
-    def monomial(key) -> Monomial:
-        ex, ey, rest = key
-        return tuple(sorted(rest + tuple((v, e) for v, e in ((xv, ex), (yv, ey)) if e)))
-
+    # grlex on exponent pairs: by degree, then by the exponent of the lower id
+    lower = 0 if xv < yv else 1
     row_keys = sorted({key for col in columns for key in col},
-                      key=lambda key: grlex_key(monomial(key), nvars))
+                      key=lambda key: (key[0] + key[1], key[lower]))
     rows = [[col.get(key, (0, 0)) for col in columns] for key in row_keys]
     scales = [scale] * len(rows)
     for pt in points:
@@ -271,14 +256,12 @@ def constant_cofactor_weight(ps: PlanarSystem) -> Optional[Fraction]:
     linear in t; the t that meet all of them form an open interval, found
     exactly, and its midpoint (its lower end plus 1 when it is unbounded)
     is returned.  For x' = y, y' = x^2 - x - c*y the interval is (1, 2) and
-    t = 3/2.  A term in a variable other than x and y gives None.
+    t = 3/2.
     """
     lo, hi = Fraction(0), None
     for f, (ax, ay) in ((ps.P, (-1, 0)), (ps.Q, (0, -1))):
         for m in f.terms:
             e = dict(m)
-            if set(e) - {ps.x_var, ps.y_var}:
-                return None
             # the term raises the weight by alpha + beta*t
             alpha, beta = e.get(ps.x_var, 0) + ax, e.get(ps.y_var, 0) + ay
             # alpha + beta*t < 1 and alpha + beta*t < t, each as u + v*t < 0
@@ -320,11 +303,8 @@ def eigenvalue_cofactor_candidates(
         option_sets.append([lp, lm, lp + lm])
     if not option_sets:
         return [], notes or ["no point was given"]
-    cands: list[QuadExt] = []
-    for k in option_sets[0]:
-        if all(any(k == other for other in s) for s in option_sets[1:]):
-            if not any(k == c for c in cands):
-                cands.append(k)
+    # a saddle's three values are distinct: lp > 0 > lm
+    cands = [k for k in option_sets[0] if all(k in s for s in option_sets[1:])]
     if not cands:
         notes.append("no cofactor value is allowed at every saddle")
     return cands, notes
@@ -395,9 +375,10 @@ def search_constant_cofactor(
 ) -> CurveSearch:
     """Search invariant curves through given equilibria, constant cofactors.
 
-    Candidate cofactors default to the saddle-spectrum values.  Hits are
-    deduplicated across degrees, screened for obvious reducibility, and
-    returned in (candidate, degree) order, with the verdict:
+    Candidate cofactors default to the saddle-spectrum values; each is
+    searched once.  Hits are screened for obvious reducibility and returned
+    in (candidate, degree) order; none repeats, since one candidate's null
+    vectors are independent and a nonzero curve has one cofactor.  Verdict:
     - "found" when there is a hit;
     - "proved-none" when the candidates are the saddle values, there is at
       least one, and constant_cofactor_weight proves every cofactor
@@ -423,9 +404,8 @@ def search_constant_cofactor(
     if candidates is None:
         cands, notes = eigenvalue_cofactor_candidates(ps, points)
     else:
-        cands = [QuadExt.lift(k) for k in candidates]
+        cands = list(dict.fromkeys(QuadExt.lift(k) for k in candidates))
     results: list[DarbouxResult] = []
-    seen: set[MultiPoly] = set()
     accepted: list[MultiPoly] = []
     for k in cands:
         basis, rows = invariance_matrix(ps, k, max_degree, points)
@@ -433,9 +413,8 @@ def search_constant_cofactor(
             continue
         curves = _monic_curves(ps, k, basis, nullspace(rows, len(basis)), points)
         for f in curves:
-            if f.is_constant() or f in seen:
+            if f.is_constant():
                 continue
-            seen.add(f)
             ok, reason = irreducibility_screen(f, accepted)
             if not ok:
                 continue

@@ -404,13 +404,18 @@ def equilibria(sys_spec: ODESystemSpec) -> list[Equilibrium]:
 
 @dataclass
 class PlanarSystem:
-    """Autonomous plane system x' = P(x, y), y' = Q(x, y)."""
+    """Autonomous plane system x' = P(x, y), y' = Q(x, y), in x and y alone."""
 
     registry: VarRegistry
     x_var: int
     y_var: int
     P: MultiPoly
     Q: MultiPoly
+    _jacobian: Optional[list] = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if set(self.P.variables() + self.Q.variables()) - {self.x_var, self.y_var}:
+            raise ReductionError("P and Q of a plane system may involve only x and y")
 
     @classmethod
     def from_polys(cls, P: MultiPoly, Q: MultiPoly):
@@ -425,10 +430,11 @@ class PlanarSystem:
         return compile_float_field([self.P, self.Q], (self.x_var, self.y_var))
 
     def jacobian(self) -> list[list[MultiPoly]]:
-        return [
-            [self.P.partial_derivative(self.x_var), self.P.partial_derivative(self.y_var)],
-            [self.Q.partial_derivative(self.x_var), self.Q.partial_derivative(self.y_var)],
-        ]
+        """[[P_x, P_y], [Q_x, Q_y]], built on the first call and kept."""
+        if self._jacobian is None:
+            self._jacobian = [[f.partial_derivative(v) for v in (self.x_var, self.y_var)]
+                              for f in (self.P, self.Q)]
+        return self._jacobian
 
 
 def to_planar(sys_spec: ODESystemSpec) -> PlanarSystem:
@@ -483,11 +489,7 @@ def jacobian_eigen(ps: PlanarSystem, point: Sequence[ScalarLike]) -> EigenData:
     otherwise floats (or a complex pair) are returned with exact=False.
     """
     pt = {ps.x_var: QuadExt.lift(point[0]), ps.y_var: QuadExt.lift(point[1])}
-    jac = ps.jacobian()
-    j11 = jac[0][0].evaluate(pt)
-    j12 = jac[0][1].evaluate(pt)
-    j21 = jac[1][0].evaluate(pt)
-    j22 = jac[1][1].evaluate(pt)
+    (j11, j12), (j21, j22) = [[g.evaluate(pt) for g in row] for row in ps.jacobian()]
     tr = j11 + j22
     det = j11 * j22 - j12 * j21
     disc = tr * tr - 4 * det

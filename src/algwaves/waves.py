@@ -132,9 +132,10 @@ def fisher_front_reconstruct(k=1) -> FrontReconstruction:
     (8/3) x^3 is a perfect cube, the branch through the connecting orbit is
     the '+' root, and the substitution x = w^2, y = -(sqrt(6)/3)(1 - w) w^2
     turns the branch into an identity.  The w equation is logistic with rate
-    1/sqrt(6), giving U = (1 + k e^{s/sqrt(6)})^{-2}."""
-    kk = QuadExt.lift(k)
-    rel = fisher_entry(kk).relation
+    1/sqrt(6); that rate and the profile U = (1 + k e^{s/sqrt(6)})^{-2} it
+    gives are read from the catalog entry."""
+    entry = fisher_entry(k)
+    rel = entry.relation
     f = rel.p.monic("ylex")
     xv, yv = rel.registry.id_of("u"), rel.registry.id_of("du")
     parts = f.as_univariate(yv)
@@ -157,10 +158,8 @@ def fisher_front_reconstruct(k=1) -> FrontReconstruction:
     wreg = VarRegistry(["w"])
     w = MultiPoly.var(wreg, 0)
     sub = f.substitute({xv: w * w, yv: -amp * (1 - w) * w * w}, registry=wreg)
-    rate = QuadExt(0, Fr(1, 6), 6)  # 1/sqrt(6)
-    s = Sym("s")
-    wave = IntPow(Const(QuadExt(1)) + Const(kk) * Exp(Const(rate) * s), -2)
-    return FrontReconstruction(f, disc, branch, sub.is_zero, wave, rate)
+    return FrontReconstruction(f, disc, branch, sub.is_zero, entry.profile,
+                               entry.exp_rational.lam)
 
 
 # -- the catalog -----------------------------------------------------------------

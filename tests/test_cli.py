@@ -271,6 +271,19 @@ class TestFindCurve:
         if cofactors is None:  # the --cofactor note names the flag
             assert result["notes"] == hits.notes
 
+    # byte for byte: the README's three find-curve lines and a degree-6
+    # search at the front speed
+    @pytest.mark.parametrize("name, flags, want", [
+        ("find_curve_front.json", ["--speed", FRONT_SPEED], 0),
+        ("find_curve_two.json", ["--speed", "2"], 2),
+        ("find_curve_sqrt2.json", ["--speed", "sqrt(2)"], 4),
+        ("find_curve_front_degree6.json", ["--speed", FRONT_SPEED, "--max-degree", "6"], 0),
+    ])
+    def test_json_matches_golden_copy(self, capsys, name, flags, want):
+        code, out, err = run(capsys, "find-curve", "--pde", FISHER, *flags, "--json")
+        assert (code, err) == (want, "")
+        assert out == (DATA / name).read_text()
+
     def test_explicit_points_and_json(self, capsys):
         code, out, _ = run(capsys, "find-curve", "--pde", FISHER,
                            "--speed", FRONT_SPEED, "--point", "0,0",

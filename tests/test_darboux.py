@@ -23,14 +23,17 @@ from algwaves.linalg import MODULAR_PRIMES, in_row_span, independent_prefix_mod_
 from algwaves.pde import parse_pde
 from algwaves.poly import MultiPoly, RegistryMismatchError, VarRegistry, grlex_key
 from algwaves.qfield import QuadExt, RadicandMismatchError
-from algwaves.reduction import to_planar, travelling_wave_reduce
+from algwaves.reduction import (
+    PlanarSystem,
+    ReductionError,
+    to_planar,
+    travelling_wave_reduce,
+)
 
 FISHER = travelling_wave_reduce(parse_pde(FISHER_PDE))
 
 
 def make_plane(P_builder, Q_builder):
-    from algwaves.reduction import PlanarSystem
-
     reg = VarRegistry(["x", "y"])
     x = MultiPoly.var(reg, "x")
     y = MultiPoly.var(reg, "y")
@@ -128,8 +131,6 @@ class TestPlanted:
         P = x * x + 1
         k = QuadExt(2)
         Q = k * fstar - P * fstar.partial_derivative(reg.id_of("x"))
-        from algwaves.reduction import PlanarSystem
-
         ps = PlanarSystem(reg, 0, 1, P, Q)
         assert cofactor_residual(ps, fstar, k).is_zero
         res = solve_fixed_cofactor(ps, k, 2)
@@ -227,8 +228,6 @@ def test_planted_instances_always_recovered(wc, pc, knum):
         P = P + c * (x**i if i < 2 else x ** (i - 2) * y ** min(i - 1, 2))
     k = QuadExt(knum)
     Q = k * fstar - P * fstar.partial_derivative(0)
-    from algwaves.reduction import PlanarSystem
-
     ps = PlanarSystem(reg, 0, 1, P, Q)
     deg = max(fstar.degree(), 1)
     res = solve_fixed_cofactor(ps, k, deg)
@@ -318,8 +317,6 @@ def planted_searches(draw):
     if P.is_zero:
         P = x
     Q = k * fstar - P * w.partial_derivative(0)
-    from algwaves.reduction import PlanarSystem
-
     ps = PlanarSystem(reg, 0, 1, P, Q)
     cands = [k, k + shift] if shift else [k]
     return ps, [], max(fstar.degree(), 1), cands, k
@@ -470,6 +467,13 @@ class TestVerdict:
         hits = search_constant_cofactor(fisher_system(QuadExt(2)), [], 2)
         assert (hits.status, hits.notes) == ("undetermined", ["no point was given"])
 
+    def test_repeated_candidate_is_searched_once(self):
+        ps = fisher_system(FRONT_SPEED)
+        k = QuadExt(0, -1, 6)
+        hits = search_constant_cofactor(ps, [(1, 0), (0, 0)], 3, [k, k])
+        assert len(hits) == 1 and hits[0].curve == front_curve(ps)
+        assert hits.candidates == [k]
+
     def test_saddles_sharing_no_value_are_undetermined(self):
         # eigenvalues (-1 +- sqrt(13))/2 at (0, 0) and 1 +- sqrt(7) at (3, 0)
         ps = make_plane(lambda x, y: y, lambda x, y: x * (x - 1) * (x - 3) + x * y - y)
@@ -485,7 +489,10 @@ def reference_invariance_matrix(ps, cofactor, degree, required_points=()):
     the construction before integer rows, kept as the reference for
     invariance_matrix."""
     reg = ps.registry
-    basis = monomial_basis([ps.x_var, ps.y_var], degree)
+    xv, yv = ps.x_var, ps.y_var
+    basis = sorted((tuple(sorted((v, e) for v, e in ((xv, i), (yv, n - i)) if e))
+                    for n in range(degree + 1) for i in range(n + 1)),
+                   key=lambda m: grlex_key(m, len(reg)))
     resids = [cofactor_residual(ps, MultiPoly(reg, {m: QuadExt(1)}), cofactor)
               for m in basis]
     row_monos = sorted({mon for r in resids for mon in r.terms},
@@ -497,13 +504,26 @@ def reference_invariance_matrix(ps, cofactor, degree, required_points=()):
     return basis, rows
 
 
+def in_registry(names, ps, k):
+    """ps, and k when it is a polynomial, in a new registry of the given names."""
+    reg = VarRegistry(names)
+    sub = {ps.x_var: MultiPoly.var(reg, "x"), ps.y_var: MultiPoly.var(reg, "y")}
+
+    def move(f):
+        return f.substitute(sub, registry=reg)
+
+    return (PlanarSystem(reg, reg.id_of("x"), reg.id_of("y"), move(ps.P), move(ps.Q)),
+            move(k) if isinstance(k, MultiPoly) else k)
+
+
 @st.composite
 def invariance_cases(draw):
     """A system, a cofactor, a degree bound from 0 and up to two required
     points with integer, fractional and sqrt(d) coordinates: criterion 09's
     planted systems, the Fisher plane system at a speed with a curve and at
     two without, the cubic system with the polynomial cofactor x - 3, and
-    x' = x, y' = -a*y, whose residual of x^i y^j vanishes when k = i - a*j."""
+    x' = x, y' = -a*y, whose residual of x^i y^j vanishes when k = i - a*j.
+    The system lives in a registry that lists x first or y first."""
     kind = draw(st.sampled_from(("planted", "front", "cubic", "monomial")))
     if kind == "planted":
         ps, _, _, cands, _ = draw(planted_searches())
@@ -517,6 +537,7 @@ def invariance_cases(draw):
     else:
         ps = cubic_system()
         k = MultiPoly.var(ps.registry, "x") - 3
+    ps, k = in_registry(draw(st.sampled_from((["x", "y"], ["y", "x"]))), ps, k)
     coeffs = list(ps.P.terms.values()) + list(ps.Q.terms.values())
     coeffs += list(k.terms.values()) if isinstance(k, MultiPoly) else [k]
     d = max(c.d for c in coeffs)
@@ -549,6 +570,28 @@ def test_invariance_matrix_rejects_mixed_fields():
         invariance_matrix(ps, QuadExt(0, -1, 6), 2, [(QuadExt(0, 1, 3), 0)])
     with pytest.raises(RegistryMismatchError):
         invariance_matrix(ps, MultiPoly.var(VarRegistry(["x", "y"]), "x"), 2)
+
+
+def test_plane_system_lives_in_x_and_y():
+    reg = VarRegistry(["x", "y", "z"])
+    x, y, z = (MultiPoly.var(reg, name) for name in "xyz")
+    with pytest.raises(ReductionError):
+        PlanarSystem(reg, 0, 1, y, x * x - z * y)
+    ps = PlanarSystem(reg, 0, 1, y, x * x - x - y)
+    with pytest.raises(ValueError):
+        invariance_matrix(ps, z - 1, 2)
+
+
+def test_jacobian_is_built_once():
+    # two saddle spectra from one Jacobian: 4 partial derivatives, not 8
+    ps = fisher_system(FRONT_SPEED)
+    with mock.patch.object(MultiPoly, "partial_derivative", autospec=True,
+                           side_effect=MultiPoly.partial_derivative) as partial:
+        eigenvalue_cofactor_candidates(ps, [(1, 0), (0, 0)])
+    assert partial.call_count == 4
+    assert ps.jacobian() is ps.jacobian()
+    fresh = PlanarSystem(ps.registry, ps.x_var, ps.y_var, ps.P, ps.Q)
+    assert fresh == ps and repr(fresh) == repr(ps)
 
 
 def test_elimination_leaves_invariance_matrix_unchanged():

@@ -14,6 +14,7 @@ from algwaves.waves import (
     catalog,
     family_curve,
     family_identity_symbolic,
+    fisher_entry,
     fisher_front_reconstruct,
     make_entry,
     pde_residual_along_profile,
@@ -207,6 +208,7 @@ class TestFrontReconstruction:
     def test_shift_scales_translate(self):
         # changing k slides the front without leaving the curve
         fr = fisher_front_reconstruct(k=Fr(7, 2))
+        assert fr.wave == fisher_entry(Fr(7, 2)).profile
         d = fr.wave.diff("s")
         reg = fr.curve.registry
         uv, duv = reg.id_of("u"), reg.id_of("du")
