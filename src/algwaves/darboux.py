@@ -46,14 +46,14 @@ from .poly import (
     trial_divide,
 )
 from .qfield import QuadExt, common_radicand, field_sqrt
-from .reduction import PlanarSystem, jacobian_eigen
+from .reduction import PlanarSystem, exact_eigenvalues, linearization
 
 ScalarLike = Union[int, "QuadExt"]
 
-# The largest degree bound search_constant_cofactor accepts.  A search at
-# the bound takes about 8 s at the Fisher front speed, where one exact
-# elimination finds the cubic, and 0.3 s at c = 2, where the mod-p rank
-# proves there is none; both costs grow about as d^5 to d^6.
+# The largest degree bound search_constant_cofactor accepts.  On a 2-vCPU
+# VM a search at the bound takes about 6 s at the Fisher front speed, where
+# one exact elimination finds the cubic, a cost growing about as d^5 to
+# d^6, and 0.05 s at c = 2, where the sparse mod-p rank proves there is none.
 MAX_SEARCH_DEGREE = 20
 
 
@@ -284,23 +284,26 @@ def eigenvalue_cofactor_candidates(
     """Constant cofactor values allowed for a curve through the given points.
 
     At a hyperbolic saddle the cofactor of an invariant curve through it
-    must equal one of the two eigenvalues or their sum; several saddles
-    intersect their option sets.  Non-saddle points impose nothing here
-    and are reported in the notes, and so is an empty answer.
+    must equal one of the two eigenvalues or their sum, the trace; several
+    saddles intersect their option sets.  Only saddles (det < 0) get an
+    exact spectrum.  Non-saddle points impose nothing here and are reported
+    in the notes, and so is an empty answer.  The points are read as
+    jacobian_eigen reads them (the same linearization and exact_eigenvalues),
+    so a saddle has candidates exactly when jacobian_eigen calls it exact.
     """
     notes: list[str] = []
     option_sets: list[list[QuadExt]] = []
     for pt in points:
-        ed = jacobian_eigen(ps, pt)
+        jac, tr, det, _ = linearization(ps, pt)
         label = f"({pt[0]}, {pt[1]})"
-        if not ed.is_saddle:
+        if det.sign() >= 0:
             notes.append(f"{label} is not a saddle; no cofactor constraint")
             continue
-        if not ed.exact:
+        vals = exact_eigenvalues(jac, tr, det)
+        if vals is None:
             notes.append(f"eigenvalues at {label} are not exactly representable")
             continue
-        lp, lm = ed.eigenvalues
-        option_sets.append([lp, lm, lp + lm])
+        option_sets.append([*vals, tr])
     if not option_sets:
         return [], notes or ["no point was given"]
     # a saddle's three values are distinct: lp > 0 > lm

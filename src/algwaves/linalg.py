@@ -162,7 +162,13 @@ def independent_prefix_mod_p(rows: Matrix, ncols: int) -> int:
     nonzero mod p is nonzero over Q(sqrt(d)).  Gaussian elimination mod p
     in column order stops at the first column without a pivot; the columns
     before it are independent, and the returned count is its index (ncols
-    when every column has a pivot).
+    when every column has a pivot).  The count does not depend on which
+    rows serve as pivots: column c has no pivot exactly when it lies in the
+    span of columns 0..c-1 mod p.
+
+    Rows are sparse, {column: entry mod p} with the nonzero entries only,
+    and each is filed under its first column; eliminating column c touches
+    only the rows filed under c and the entries of the pivot row.
 
     A prime qualifies when d is a nonzero square mod p and p divides no
     denominator (so no row scale); the first qualifying prime is used.  The
@@ -179,17 +185,31 @@ def independent_prefix_mod_p(rows: Matrix, ncols: int) -> int:
             break
     else:
         return 0
-    m = [[(a + b * r) % p for a, b in row] for row in m]
+    by_first: dict[int, list[dict[int, int]]] = {}
+    for row in m:
+        sparse = {}
+        for j, (a, b) in enumerate(row):
+            if a or b:
+                v = (a + b * r) % p
+                if v:
+                    sparse[j] = v
+        if sparse:
+            by_first.setdefault(min(sparse), []).append(sparse)
     for c in range(ncols):
-        piv = next((i for i in range(c, len(m)) if m[i][c]), None)
-        if piv is None:
+        bucket = by_first.pop(c, None)
+        if not bucket:
             return c
-        m[c], m[piv] = m[piv], m[c]
-        top = m[c]
+        top = bucket.pop()
         scale = pow(top[c], -1, p)
-        for i in range(c + 1, len(m)):
-            f = m[i][c]
-            if f:
-                f = f * scale % p
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], top)]
+        tail = [(j, v) for j, v in top.items() if j != c]
+        for row in bucket:
+            f = row.pop(c) * scale % p
+            for j, v in tail:
+                x = (row.get(j, 0) - f * v) % p
+                if x:
+                    row[j] = x
+                else:
+                    row.pop(j, None)
+            if row:
+                by_first.setdefault(min(row), []).append(row)
     return ncols

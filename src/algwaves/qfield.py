@@ -225,14 +225,18 @@ class QuadExt:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = QuadExt(1)
-        base = self
-        while n:
+        if n == 0:
+            return QuadExt(1)
+        # square and multiply from the base itself: no product for x**1
+        # and no squaring past the top bit
+        out, base = None, self
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     # -- comparisons ------------------------------------------------------
 

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 from .numerics import Rhs
 from .pde import PDESpec
 from .poly import MultiPoly, VarRegistry, compile_float_field, trial_divide
-from .qfield import QuadExt, RadicandMismatchError, quadratic_roots
+from .qfield import QuadExt, RadicandMismatchError, common_radicand, quadratic_roots
 
 ScalarLike = Union[int, Fraction, QuadExt]
 
@@ -480,29 +480,54 @@ def _eigvec(j11, j12, j21, j22, lam):
     return (QuadExt.lift(0), QuadExt.lift(1))
 
 
+def linearization(ps: PlanarSystem, point: Sequence[ScalarLike]
+                  ) -> tuple[tuple[QuadExt, ...], QuadExt, QuadExt, QuadExt]:
+    """The Jacobian entries (P_x, P_y, Q_x, Q_y) at a plane point, with its
+    trace, determinant and discriminant tr^2 - 4 det, all exact.  Raises
+    RadicandMismatchError when the entries, or tr^2 and det, mix radicands."""
+    pt = {ps.x_var: QuadExt.lift(point[0]), ps.y_var: QuadExt.lift(point[1])}
+    (j11, j12), (j21, j22) = [[g.evaluate(pt) for g in row] for row in ps.jacobian()]
+    tr = j11 + j22
+    det = j11 * j22 - j12 * j21
+    return (j11, j12, j21, j22), tr, det, tr * tr - 4 * det
+
+
+def exact_eigenvalues(jac: Sequence[QuadExt], tr: QuadExt, det: QuadExt
+                      ) -> Optional[tuple[QuadExt, QuadExt]]:
+    """The eigenvalues (lp, lm) of the Jacobian entries jac from
+    quadratic_roots, or None when they are not exact or an eigenvector of
+    each cannot be formed exactly: _eigvec subtracts an eigenvalue from a
+    diagonal entry, which may lie in another field."""
+    vals = quadratic_roots(1, -tr, det)
+    if vals is None:
+        return None
+    j11, j12, j21, j22 = jac
+    # _eigvec subtracts from j11 when j12 != 0, else from j22 when j21 != 0
+    diagonal = [j11] if j12 else [j22] if j21 else []
+    try:
+        common_radicand([*vals, *diagonal])
+    except RadicandMismatchError:
+        return None
+    return vals
+
+
 def jacobian_eigen(ps: PlanarSystem, point: Sequence[ScalarLike]) -> EigenData:
     """Exact spectral data of the linearization at a plane point.
 
     Saddle detection is a pure sign test on the determinant, so it never
     depends on floating point.  Eigenvalues stay exact whenever
-    quadratic_roots finds them and the eigenvectors can be formed exactly;
-    otherwise floats (or a complex pair) are returned with exact=False.
+    exact_eigenvalues finds them; otherwise floats (or a complex pair) are
+    returned with exact=False.
     """
-    pt = {ps.x_var: QuadExt.lift(point[0]), ps.y_var: QuadExt.lift(point[1])}
-    (j11, j12), (j21, j22) = [[g.evaluate(pt) for g in row] for row in ps.jacobian()]
-    tr = j11 + j22
-    det = j11 * j22 - j12 * j21
-    disc = tr * tr - 4 * det
+    jac, tr, det, disc = linearization(ps, point)
     saddle = det.sign() < 0
     degenerate = det.is_zero()
 
-    vals = quadratic_roots(1, -tr, det)
+    vals = exact_eigenvalues(jac, tr, det)
     if vals is not None:
-        try:
-            vecs = tuple(_eigvec(j11, j12, j21, j22, lam) for lam in vals)
-            return EigenData(det, disc, saddle, degenerate, True, vals, vecs)
-        except RadicandMismatchError:
-            pass  # the entries lie in another field than tr and det
+        vecs = tuple(_eigvec(*jac, lam) for lam in vals)
+        return EigenData(det, disc, saddle, degenerate, True, vals, vecs)
+    j11, j12, j21, j22 = jac
     ft, fd = float(tr), float(disc)
     f11, f12, f21, f22 = float(j11), float(j12), float(j21), float(j22)
     if float(disc) >= 0:

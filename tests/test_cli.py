@@ -190,6 +190,16 @@ class TestFindCurve:
         assert code == 1 and "10^12" in err
         assert time.perf_counter() - t0 < 1.0
 
+    def test_node_spectrum_is_never_sought(self, capsys):
+        # c^2 - 4 = 10000453 * 10000457, two primes above 10^6, so the
+        # node's discriminant has no squarefree part below the cap; the node
+        # constrains nothing, and the saddle's c^2 + 4 = 13 * 5309 * 11953 *
+        # 121229 decomposes
+        code, out, err = run(capsys, "find-curve", "--pde", FISHER,
+                             "--speed", "10000455", "--max-degree", "4")
+        assert (code, err) == (2, "")
+        assert "no invariant curve" in out
+
     def test_speed_with_large_denominator(self, capsys):
         # c^2 + 4 = 5002001/10^6: numerator times denominator is above 10^12,
         # but trial division leaves only 5002001 once 2 and 5 are divided out
@@ -271,13 +281,18 @@ class TestFindCurve:
         if cofactors is None:  # the --cofactor note names the flag
             assert result["notes"] == hits.notes
 
-    # byte for byte: the README's three find-curve lines and a degree-6
-    # search at the front speed
+    # byte for byte: the README's three find-curve lines, a degree-6
+    # search at the front speed, and three negative searches: to the degree
+    # cap at c = 2, at sqrt(21) (saddle eigenvalues (-sqrt(21) +- 5)/2) and
+    # at a large rational speed whose saddle radicand is near 1e10
     @pytest.mark.parametrize("name, flags, want", [
         ("find_curve_front.json", ["--speed", FRONT_SPEED], 0),
         ("find_curve_two.json", ["--speed", "2"], 2),
         ("find_curve_sqrt2.json", ["--speed", "sqrt(2)"], 4),
         ("find_curve_front_degree6.json", ["--speed", FRONT_SPEED, "--max-degree", "6"], 0),
+        ("find_curve_two_degree20.json", ["--speed", "2", "--max-degree", "20"], 2),
+        ("find_curve_sqrt21_degree6.json", ["--speed", "sqrt(21)", "--max-degree", "6"], 2),
+        ("find_curve_large_rational.json", ["--speed", "97057/9", "--max-degree", "6"], 2),
     ])
     def test_json_matches_golden_copy(self, capsys, name, flags, want):
         code, out, err = run(capsys, "find-curve", "--pde", FISHER, *flags, "--json")

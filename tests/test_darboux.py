@@ -17,7 +17,7 @@ from algwaves.darboux import (
     search_constant_cofactor,
     solve_fixed_cofactor,
 )
-from algwaves import darboux
+from algwaves import darboux, reduction
 from algwaves.fisher import FISHER_PDE
 from algwaves.linalg import MODULAR_PRIMES, in_row_span, independent_prefix_mod_p, nullspace
 from algwaves.pde import parse_pde
@@ -26,6 +26,7 @@ from algwaves.qfield import QuadExt, RadicandMismatchError
 from algwaves.reduction import (
     PlanarSystem,
     ReductionError,
+    jacobian_eigen,
     to_planar,
     travelling_wave_reduce,
 )
@@ -481,6 +482,117 @@ class TestVerdict:
         assert hits == [] and hits.candidates == []
         assert (hits.status, hits.notes) == (
             "undetermined", ["no cofactor value is allowed at every saddle"])
+
+
+def reference_eigenvalue_cofactor_candidates(ps, points):
+    """The candidates read from jacobian_eigen, which finds the spectrum and
+    eigenvectors at every point and keeps them only at saddles: kept as the
+    reference for eigenvalue_cofactor_candidates."""
+    notes = []
+    option_sets = []
+    for pt in points:
+        ed = jacobian_eigen(ps, pt)
+        label = f"({pt[0]}, {pt[1]})"
+        if not ed.is_saddle:
+            notes.append(f"{label} is not a saddle; no cofactor constraint")
+            continue
+        if not ed.exact:
+            notes.append(f"eigenvalues at {label} are not exactly representable")
+            continue
+        lp, lm = ed.eigenvalues
+        option_sets.append([lp, lm, lp + lm])
+    if not option_sets:
+        return [], notes or ["no point was given"]
+    cands = [k for k in option_sets[0] if all(k in s for s in option_sets[1:])]
+    if not cands:
+        notes.append("no cofactor value is allowed at every saddle")
+    return cands, notes
+
+
+@st.composite
+def local_spectra(draw):
+    """A plane system and one to three points.  The system is built around
+    its first point with a chosen Jacobian there: a saddle, a node, a
+    degenerate point, irrational entries with rational trace and
+    determinant (eigenvalues then often lie in another field), entries
+    from two fields, or random entries; or it is the Fisher plane system
+    at a rational or Q(sqrt(d)) speed.  Coefficients are over Q or
+    Q(sqrt(d)); the other points are random or the rest points."""
+    d = draw(st.sampled_from((2, 3, 5, 6)))
+    e = draw(st.sampled_from(tuple({2, 3, 5, 6, 7} - {d})))
+    rat = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    elt = st.one_of(rat, st.builds(lambda a, b: QuadExt(a, b, d), rat, rat))
+    kind = draw(st.sampled_from(("saddle", "node", "degenerate", "rational-spectrum",
+                                 "mixed", "random", "fisher")))
+    if kind == "fisher":
+        c = draw(st.one_of(rat, st.builds(lambda a, b: QuadExt(a, b, d), rat, rat)))
+        ps = fisher_system(c)
+        rest = ((0, 0), (1, 0))
+        return ps, draw(st.lists(st.sampled_from(rest), min_size=1, max_size=3))
+    a11, a22 = QuadExt.lift(draw(elt)), QuadExt.lift(draw(elt))
+    a12, a21 = QuadExt.lift(draw(elt)), QuadExt.lift(draw(elt))
+    if kind == "saddle":  # det = a11*a22 - (a11*a22 + s^2) < 0
+        a12 = QuadExt(1)
+        a21 = a11 * a22 + QuadExt.lift(draw(rat.filter(bool))) ** 2
+    elif kind == "node":  # triangular, real eigenvalues of one sign
+        a12 = QuadExt(0)
+        a22 = a11 * QuadExt.lift(draw(st.fractions(min_value=Fr(1, 3), max_value=3)))
+    elif kind == "degenerate":
+        a12, a22 = QuadExt(0), QuadExt(0)
+    elif kind == "rational-spectrum":
+        a12, a21 = QuadExt.lift(draw(rat)), QuadExt.lift(draw(rat))
+        a22 = 2 * a11.a - a11
+    elif kind == "mixed":
+        other = st.builds(lambda a, b: QuadExt(a, b, e), rat, rat)
+        a12, a21 = QuadExt.lift(draw(other)), QuadExt.lift(draw(st.one_of(other, elt)))
+    # a point off the origin would give P and Q constant terms from two fields
+    px, py = (0, 0) if kind == "mixed" else (draw(rat), draw(rat))
+    reg = VarRegistry(["x", "y"])
+    u, v = MultiPoly.var(reg, "x") - px, MultiPoly.var(reg, "y") - py
+    P = a11 * u + a12 * v + draw(rat) * u * u
+    Q = a21 * u + a22 * v + draw(rat) * u * v
+    others = st.one_of(st.tuples(rat, rat), st.just((px, py)))
+    points = [(px, py)] + draw(st.lists(others, max_size=2))
+    return PlanarSystem.from_polys(P, Q), points
+
+
+def spectra_outcome(candidates, ps, points):
+    try:
+        return candidates(ps, points)
+    except RadicandMismatchError:
+        return RadicandMismatchError
+
+
+@settings(max_examples=200, deadline=None)
+@given(local_spectra())
+def test_saddle_candidates_match_jacobian_eigen_reference(case):
+    ps, points = case
+    assert (spectra_outcome(eigenvalue_cofactor_candidates, ps, points)
+            == spectra_outcome(reference_eigenvalue_cofactor_candidates, ps, points))
+
+
+def test_exact_roots_only_at_saddles():
+    calls = []
+    real = reduction.quadratic_roots
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    with mock.patch.object(reduction, "quadratic_roots", counted):
+        for c in (QuadExt(2), FRONT_SPEED, QuadExt(Fr(97057, 9))):
+            ps = fisher_system(c)
+            calls.clear()
+            cands, _ = eigenvalue_cofactor_candidates(ps, [(0, 0), (1, 0)])
+            assert len(calls) == 1 and len(cands) == 3  # the saddle (1, 0) only
+            calls.clear()
+            eigenvalue_cofactor_candidates(ps, [(0, 0)])
+            assert calls == []  # the node
+        # two saddles, one root-finding each
+        ps = make_plane(lambda x, y: y, lambda x, y: x * (x - 1) * (x - 3) + x * y - y)
+        calls.clear()
+        eigenvalue_cofactor_candidates(ps, [(0, 0), (1, 0), (3, 0)])
+        assert len(calls) == 2
 
 
 def reference_invariance_matrix(ps, cofactor, degree, required_points=()):

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from algwaves.darboux import invariance_matrix
 from algwaves.linalg import (
     MODULAR_PRIMES,
     IntegerMatrix,
+    _integer_rows,
     in_row_span,
     independent_prefix_mod_p,
     nullspace,
@@ -27,6 +29,7 @@ from algwaves.poly import (
     trial_divide,
 )
 from algwaves.qfield import QuadExt, RadicandMismatchError
+from algwaves.reduction import PlanarSystem
 
 
 def xy():
@@ -388,6 +391,114 @@ def test_modular_prefix_agrees_with_exact_rref(case):
         assert ns == []
     # and a 61-bit prime is not unlucky on entries this small
     assert proved == first_free
+
+
+def reference_independent_prefix_mod_p(rows, ncols):
+    """The dense mod-p elimination: every row a full list of residues, kept
+    as the reference for the sparse independent_prefix_mod_p."""
+    try:
+        d, m, scales = _integer_rows(rows)
+    except RadicandMismatchError:
+        return 0
+    for p in MODULAR_PRIMES:
+        r = pow(d, (p + 1) // 4, p)
+        if d % p and r * r % p == d % p and all(s % p for s in scales):
+            break
+    else:
+        return 0
+    m = [[(a + b * r) % p for a, b in row] for row in m]
+    for c in range(ncols):
+        piv = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if piv is None:
+            return c
+        m[c], m[piv] = m[piv], m[c]
+        top = m[c]
+        scale = pow(top[c], -1, p)
+        for i in range(c + 1, len(m)):
+            f = m[i][c]
+            if f:
+                f = f * scale % p
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], top)]
+    return ncols
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices_with_planted_dependencies())
+def test_sparse_modular_prefix_matches_dense_reference(case):
+    rows, ncols = case
+    assert (independent_prefix_mod_p(rows, ncols)
+            == reference_independent_prefix_mod_p(rows, ncols))
+
+
+@st.composite
+def integer_matrices_vanishing_mod_p(draw):
+    """IntegerMatrix rows whose entries are often multiples of the first
+    prime: zero mod p but not over Z[sqrt(d)], so the prime sees rows and
+    columns vanish that exact elimination does not."""
+    p = MODULAR_PRIMES[0]
+    d = draw(st.sampled_from((1, 2, 3, 5, 6, 7)))
+    nrows = draw(st.integers(min_value=1, max_value=7))
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    part = st.one_of(st.just(0), st.integers(min_value=-3, max_value=3),
+                     st.integers(min_value=-2, max_value=2).map(lambda k: k * p))
+    rows = [[(draw(part), draw(part) if d > 1 else 0) for _ in range(ncols)]
+            for _ in range(nrows)]
+    scales = [draw(st.sampled_from((1, 2, 3, 12))) for _ in range(nrows)]
+    return IntegerMatrix(rows, d, scales), ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices_vanishing_mod_p())
+def test_sparse_modular_prefix_matches_dense_on_entries_zero_mod_p(case):
+    rows, ncols = case
+    before = [list(row) for row in rows]
+    assert (independent_prefix_mod_p(rows, ncols)
+            == reference_independent_prefix_mod_p(rows, ncols))
+    assert [list(row) for row in rows] == before
+
+
+@st.composite
+def invariance_matrices(draw):
+    """The invariance matrix of x' = P, y' = Q, a constant cofactor, a
+    degree bound up to 8 and up to two required points.  P and Q are random
+    of degree at most 2 (small rational or Q(sqrt(d)) coefficients), or the
+    Fisher plane system at the front speed with a saddle cofactor (the
+    cubic's column is free for k = -sqrt(6)), or x' = x, y' = -a*y with
+    k = i - a*j (the column of x^i y^j is free)."""
+    d = draw(st.sampled_from((1, 2, 3, 5)))
+    rat = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    elt = st.one_of(rat, st.builds(lambda a, b: QuadExt(a, b, d), rat, rat))
+    reg, x, y = xy()
+    kind = draw(st.sampled_from(("random", "front", "monomial")))
+    if kind == "random":
+        monos = [MultiPoly.one(reg), x, y, x * x, x * y, y * y]
+        P, Q = (sum((draw(elt) * m for m in monos if draw(st.booleans())),
+                    MultiPoly.zero(reg)) for _ in range(2))
+        k = QuadExt.lift(draw(st.one_of(st.integers(min_value=-3, max_value=3), elt)))
+    elif kind == "front":
+        d = 6
+        P, Q = y, x * x - x - QuadExt(0, Fr(5, 6), 6) * y
+        k = draw(st.sampled_from((QuadExt(0, -1, 6), QuadExt(0, Fr(1, 6), 6),
+                                  QuadExt(0, Fr(-5, 6), 6))))
+    else:
+        a = draw(rat)
+        P, Q = x, -a * y
+        k = QuadExt.lift(draw(st.integers(min_value=0, max_value=4))
+                         - a * draw(st.integers(min_value=0, max_value=4)))
+    elt = st.one_of(rat, st.builds(lambda a, b: QuadExt(a, b, d), rat, rat))
+    points = draw(st.lists(st.one_of(st.tuples(elt, elt),
+                                     st.sampled_from(((0, 0), (1, 0)))), max_size=2))
+    degree = draw(st.integers(min_value=0, max_value=8))
+    return invariance_matrix(PlanarSystem(reg, x.variables()[0], y.variables()[0], P, Q),
+                             k, degree, points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(invariance_matrices())
+def test_sparse_modular_prefix_matches_dense_on_invariance_matrices(case):
+    basis, rows = case
+    assert (independent_prefix_mod_p(rows, len(basis))
+            == reference_independent_prefix_mod_p(rows, len(basis)))
 
 
 small_coeffs = st.integers(min_value=-4, max_value=4)

@@ -192,6 +192,35 @@ class TestFieldLaws:
             assert (x ** 3) * (x ** -3) == QuadExt(1)
 
     @settings(max_examples=60, deadline=None)
+    @given(st.one_of(rationals.map(QuadExt), elements),
+           st.integers(min_value=-6, max_value=6))
+    def test_power_matches_repeated_products(self, x, n):
+        if x.is_zero() and n < 0:
+            return
+        base = x if n >= 0 else x.inverse()
+        want = QuadExt(1)
+        for _ in range(abs(n)):
+            want = want * base
+        assert x**n == want
+
+    def test_power_products(self, monkeypatch):
+        # square and multiply from the base itself: no product for x**1
+        # and no squaring past the top bit
+        x = q(1, 2, 3)
+        real = QuadExt.__mul__
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(QuadExt, "__mul__", counted)
+        for n, products in ((1, 0), (2, 1), (3, 2), (4, 2), (5, 3)):
+            calls.clear()
+            x**n
+            assert len(calls) == products, n
+
+    @settings(max_examples=60, deadline=None)
     @given(elements)
     def test_sign_against_float(self, x):
         f = float(x)
