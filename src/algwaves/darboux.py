@@ -14,15 +14,17 @@ which the field raises the weight by less than the weight of every
 nonconstant monomial prove that every cofactor is constant
 (constant_cofactor_weight).
 
-Each candidate cofactor's invariance matrix is built once, at the degree
-bound, straight into integer rows over Z[sqrt(d)] with one scale per row:
-a column shifts the exponents of the terms of P, Q and k, and a point row
-holds powers of the point's coordinates, so no polynomial is multiplied.
-The basis is in grlex order, so every lower degree bound is a column
-prefix.  A negative answer is a rank certificate: the matrix has full column
-rank modulo a prime, which proves it has full rank over Q(sqrt(d)).  When
-the certificate leaves a column open, one exact elimination of the same
-matrix gives the curves of every degree up to the bound.
+A search builds the cofactor-free part of its invariance matrices once, at
+the degree bound: a column shifts the exponents of the terms of P and Q, and
+a point row holds powers of the point's coordinates, so no polynomial is
+multiplied.  The basis is in grlex order, so every lower degree bound is a
+column prefix.  Those rows are mapped once to sparse residues modulo one
+prime below 2**30, and a constant candidate k only writes -k into the entry
+of each column's own monomial.  A negative answer is a rank certificate: the
+matrix has full column rank modulo the prime, which proves it has full rank
+over Q(sqrt(d)).  When the certificate leaves a column open, the candidate's
+exact matrix, integer rows over Z[sqrt(d)] from the same exponent shifts, is
+eliminated once and gives the curves of every degree up to the bound.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ from .linalg import (
     Pair,
     independent_prefix_mod_p,
     integer_pairs,
+    modular_root,
     nullspace,
+    residue,
 )
 from .poly import (
     Monomial,
@@ -51,9 +55,10 @@ from .reduction import PlanarSystem, exact_eigenvalues, linearization
 ScalarLike = Union[int, "QuadExt"]
 
 # The largest degree bound search_constant_cofactor accepts.  On a 2-vCPU
-# VM a search at the bound takes about 6 s at the Fisher front speed, where
+# VM a search at the bound takes 6 to 8 s at the Fisher front speed, where
 # one exact elimination finds the cubic, a cost growing about as d^5 to
-# d^6, and 0.05 s at c = 2, where the sparse mod-p rank proves there is none.
+# d^6, and 0.02 to 0.03 s at c = 2, where one mod-p build and three sparse
+# rank certificates prove there is none.
 MAX_SEARCH_DEGREE = 20
 
 
@@ -107,6 +112,77 @@ def _pair_mul(p: Pair, q: Pair, d: int) -> Pair:
     return p[0] * q[0] + d * p[1] * q[1], p[0] * q[1] + p[1] * q[0]
 
 
+def _shifted_columns(
+    ps: PlanarSystem, polys: Sequence[MultiPoly], degree: int
+) -> tuple[list[Monomial], list[tuple[int, int]], int, list[dict]]:
+    """The residual columns of invariance_matrix, sparse and over Z[sqrt(d)].
+
+    polys are P and Q, and the cofactor k when it is to be included.  The
+    residual of x^i y^j is i P x^(i-1) y^j + j Q x^i y^(j-1) - k x^i y^j, so
+    column (i, j) shifts the exponents of the terms of P, Q and k.  Returns
+    the basis in grlex order, each basis monomial's (x, y) exponents, the
+    common scale (the lcm of the coefficients' denominators) and one column
+    per basis monomial, {(x exponent, y exponent): integer pair} holding the
+    nonzero entries times the scale.
+    """
+    if degree < 0:
+        raise ValueError("degree bound must be nonnegative")
+    xv, yv = ps.x_var, ps.y_var
+
+    def xy_exponents(m: Monomial) -> tuple[int, int]:
+        e = dict(m)
+        return e.get(xv, 0), e.get(yv, 0)
+
+    scale, pairs = integer_pairs([c for f in polys for c in f.terms.values()])
+    pairs = iter(pairs)
+    # each term as (x exponent, y exponent, integer pair)
+    terms = [[(*xy_exponents(m), next(pairs)) for m in f.terms] for f in polys]
+    basis = monomial_basis([xv, yv], degree)
+    exps = [xy_exponents(m) for m in basis]
+    columns = []
+    for i, j in exps:
+        col: dict = {}
+        for ts, di, dj, w in zip(terms, (i - 1, i, i), (j, j - 1, j), (i, j, -1)):
+            if w:
+                for ex, ey, (a, b) in ts:
+                    key = (ex + di, ey + dj)
+                    ca, cb = col.get(key, (0, 0))
+                    col[key] = (ca + w * a, cb + w * b)
+        columns.append({key: v for key, v in col.items() if v != (0, 0)})
+    return basis, exps, scale, columns
+
+
+def _grlex_rows(ps: PlanarSystem, keys) -> list[tuple[int, int]]:
+    """Exponent pairs in grlex order: by degree, then by the exponent of the
+    lower variable id."""
+    lower = 0 if ps.x_var < ps.y_var else 1
+    return sorted(keys, key=lambda key: (key[0] + key[1], key[lower]))
+
+
+def _point_rows(
+    points: Sequence[tuple[QuadExt, QuadExt]], exps: Sequence[tuple[int, int]],
+    degree: int, d: int,
+) -> tuple[list[list[Pair]], list[int]]:
+    """One row per point, its coordinate powers at each basis monomial, as
+    integer pairs over Z[sqrt(d)], with each row's scale."""
+    rows, scales = [], []
+    for pt in points:
+        # a coordinate n/s has powers n^e / s^e = n^e s^(degree - e) / s^degree
+        powers, point_scale = [], 1
+        for c in pt:
+            s, (n,) = integer_pairs([c])
+            p = [(1, 0)]
+            for _ in range(degree):
+                p.append(_pair_mul(p[-1], n, d))
+            powers.append([(a * s ** (degree - e), b * s ** (degree - e))
+                           for e, (a, b) in enumerate(p)])
+            point_scale *= s ** degree
+        px, py = powers
+        rows.append([_pair_mul(px[i], py[j], d) for i, j in exps])
+        scales.append(point_scale)
+    return rows, scales
+
+
 def invariance_matrix(
     ps: PlanarSystem,
     cofactor: Union[MultiPoly, ScalarLike],
@@ -122,72 +198,87 @@ def invariance_matrix(
     point.
 
     The rows are integer pairs over Z[sqrt(d)], each with a scale (see
-    linalg.IntegerMatrix), built without polynomial arithmetic.  The
-    residual of x^i y^j is i P x^(i-1) y^j + j Q x^i y^(j-1) - k x^i y^j, so
-    a column shifts the exponents of the terms of P, Q and k, whose
-    coefficients are integer pairs over one common denominator, the scale
-    of every residual row.  A point row holds the point's coordinate powers,
-    also computed once as integer pairs.  Raises RadicandMismatchError when
-    the system, the cofactor and the points mix radicands, and ValueError
-    for a cofactor in a third variable.
+    linalg.IntegerMatrix), built without polynomial arithmetic: the
+    residual rows by exponent shifts (_shifted_columns), over one common
+    denominator, the scale of every residual row, and a point row from the
+    point's coordinate powers, also computed once as integer pairs.  Raises
+    RadicandMismatchError when the system, the cofactor and the points mix
+    radicands, and ValueError for a cofactor in a third variable.
 
     search_constant_cofactor relies on the prefix property: the
     column-order reduced echelon form of a prefix is the prefix of the
     full one, so each null vector of the matrix at the degree bound is the
     null vector the matrix at its own degree gives for the same free column.
     """
-    if degree < 0:
-        raise ValueError("degree bound must be nonnegative")
-    xv, yv = ps.x_var, ps.y_var
-
-    def xy_exponents(m: Monomial) -> tuple[int, int]:
-        e = dict(m)
-        return e.get(xv, 0), e.get(yv, 0)
-
     k = MultiPoly.zero(ps.registry) + cofactor  # raises on a foreign registry
-    if set(k.variables()) - {xv, yv}:
+    if set(k.variables()) - {ps.x_var, ps.y_var}:
         raise ValueError("a cofactor is a polynomial in x and y")
     points = [(QuadExt.lift(pt[0]), QuadExt.lift(pt[1])) for pt in required_points]
     polys = (ps.P, ps.Q, k)
-    coeffs = [c for f in polys for c in f.terms.values()]
-    d = common_radicand(coeffs + [c for pt in points for c in pt])
-    scale, pairs = integer_pairs(coeffs)
-    pairs = iter(pairs)
-    # each term as (x exponent, y exponent, integer pair)
-    P, Q, K = [[(*xy_exponents(m), next(pairs)) for m in f.terms] for f in polys]
-    basis = monomial_basis([xv, yv], degree)
-    exps = [xy_exponents(m) for m in basis]
-    columns = []
-    for i, j in exps:
-        col: dict = {}
-        for terms, di, dj, w in ((P, i - 1, j, i), (Q, i, j - 1, j), (K, i, j, -1)):
-            if w:
-                for ex, ey, (a, b) in terms:
-                    key = (ex + di, ey + dj)
-                    ca, cb = col.get(key, (0, 0))
-                    col[key] = (ca + w * a, cb + w * b)
-        columns.append({key: v for key, v in col.items() if v != (0, 0)})
-    # grlex on exponent pairs: by degree, then by the exponent of the lower id
-    lower = 0 if xv < yv else 1
-    row_keys = sorted({key for col in columns for key in col},
-                      key=lambda key: (key[0] + key[1], key[lower]))
+    d = common_radicand([c for f in polys for c in f.terms.values()]
+                        + [c for pt in points for c in pt])
+    basis, exps, scale, columns = _shifted_columns(ps, polys, degree)
+    row_keys = _grlex_rows(ps, {key for col in columns for key in col})
     rows = [[col.get(key, (0, 0)) for col in columns] for key in row_keys]
-    scales = [scale] * len(rows)
-    for pt in points:
-        # a coordinate n/s has powers n^e / s^e = n^e s^(degree - e) / s^degree
-        powers, point_scale = [], 1
-        for c in pt:
-            s, (n,) = integer_pairs([c])
-            p = [(1, 0)]
-            for _ in range(degree):
-                p.append(_pair_mul(p[-1], n, d))
-            powers.append([(a * s ** (degree - e), b * s ** (degree - e))
-                           for e, (a, b) in enumerate(p)])
-            point_scale *= s ** degree
-        px, py = powers
-        rows.append([_pair_mul(px[i], py[j], d) for i, j in exps])
-        scales.append(point_scale)
-    return basis, IntegerMatrix(rows, d, scales)
+    point_rows, point_scales = _point_rows(points, exps, degree, d)
+    return basis, IntegerMatrix(rows + point_rows, d,
+                                [scale] * len(rows) + point_scales)
+
+
+class _ModularRows:
+    """The rows of a search's invariance matrices mod p, built once for all
+    of its constant cofactors.
+
+    The residual and point rows of invariance_matrix with the cofactor left
+    out, mapped to GF(p) by sqrt(d) -> r and held sparse, {column: residue}
+    with the nonzero residues only, in invariance_matrix's row order (a row
+    invariance_matrix leaves out is empty here).  A constant k enters the
+    residual of x^i y^j only as -k x^i y^j, so the rows for k write -k into
+    the row of each column's own monomial.  (p, r) comes from
+    linalg.modular_root over the coefficients of P and Q, the points and
+    every candidate, so each has an image and the rows for k are the image
+    of invariance_matrix(ps, k, degree, points).
+    """
+
+    def __init__(self, ps: PlanarSystem, degree: int,
+                 points: Sequence[tuple[QuadExt, QuadExt]], p: int, r: int):
+        _, exps, scale, columns = _shifted_columns(ps, (ps.P, ps.Q), degree)
+        keys = _grlex_rows(ps, set(exps).union(*columns))
+        index = {key: n for n, key in enumerate(keys)}
+        rows: list[dict[int, int]] = [{} for _ in keys]
+        inv = pow(scale, -1, p)
+        for c, col in enumerate(columns):
+            for key, (a, b) in col.items():
+                v = (a + b * r) * inv % p
+                if v:
+                    rows[index[key]][c] = v
+        # the points' radicand is 1 or the search's d, so their pairs map too
+        d = common_radicand([c for pt in points for c in pt])
+        for row, s in zip(*_point_rows(points, exps, degree, d)):
+            inv = pow(s, -1, p)
+            rows.append({c: v for c, (a, b) in enumerate(row)
+                         if (v := (a + b * r) * inv % p)})
+        self.rows, self.p, self.r = rows, p, r
+        self.diagonal = [index[key] for key in exps]
+
+    def rows_for(self, k: QuadExt) -> list[dict[int, int]]:
+        """Fresh sparse rows of the invariance matrix for the cofactor k."""
+        p, kr = self.p, residue(k, self.p, self.r)
+        rows = [dict(row) for row in self.rows]
+        for c, n in enumerate(self.diagonal):
+            row = rows[n]
+            v = (row.get(c, 0) - kr) % p
+            if v:
+                row[c] = v
+            else:
+                row.pop(c, None)
+        return rows
+
+    def certifies(self, k: QuadExt) -> bool:
+        """True when the rows for k have full column rank mod p, which
+        proves that no nonzero curve has the cofactor k."""
+        ncols = len(self.diagonal)
+        return independent_prefix_mod_p(self.rows_for(k), ncols, self.p) == ncols
 
 
 def _monic_curves(
@@ -388,19 +479,23 @@ def search_constant_cofactor(
       constant: a curve through the points would then have one of them;
     - "undetermined" otherwise, with a note saying why.
 
-    Each candidate's invariance matrix is built once, at max_degree, and
-    reduced mod a prime.  A candidate with a pivot in every column has no
-    curve.  Otherwise one exact nullspace of the same matrix gives the
-    curves of every degree: a null vector has the degree of its free
-    column, and a hit's nullspace_dim counts the null vectors of degree at
-    most its own, as a solve at that degree would (see invariance_matrix).
-    Raises ValueError for max_degree above MAX_SEARCH_DEGREE.
+    The rows of the invariance matrices without the cofactor are built
+    once, at max_degree, and mapped mod one prime at which P, Q, the points
+    and every candidate have an image (_ModularRows).  A candidate whose
+    rows have a pivot in every column mod p has no curve.  A candidate left
+    open, and every candidate when no prime qualifies, gets its exact
+    invariance_matrix and one nullspace, which gives the curves of every
+    degree: a null vector has the degree of its free column, and a hit's
+    nullspace_dim counts the null vectors of degree at most its own, as a
+    solve at that degree would (see invariance_matrix).  Raises ValueError
+    for max_degree above MAX_SEARCH_DEGREE.
     """
     if max_degree > MAX_SEARCH_DEGREE:
         raise ValueError("degree bound must be at most %d, got %d"
                          % (MAX_SEARCH_DEGREE, max_degree))
-    for pt in points:
-        point = {ps.x_var: QuadExt.lift(pt[0]), ps.y_var: QuadExt.lift(pt[1])}
+    lifted = [(QuadExt.lift(pt[0]), QuadExt.lift(pt[1])) for pt in points]
+    for pt, (px, py) in zip(points, lifted):
+        point = {ps.x_var: px, ps.y_var: py}
         if not (ps.P.evaluate(point).is_zero() and ps.Q.evaluate(point).is_zero()):
             raise ValueError(f"({pt[0]}, {pt[1]}) is not an equilibrium")
     notes: list[str] = []
@@ -410,10 +505,13 @@ def search_constant_cofactor(
         cands = list(dict.fromkeys(QuadExt.lift(k) for k in candidates))
     results: list[DarbouxResult] = []
     accepted: list[MultiPoly] = []
+    root = modular_root([*ps.P.terms.values(), *ps.Q.terms.values(),
+                         *(c for pt in lifted for c in pt), *cands]) if cands else None
+    modular = _ModularRows(ps, max_degree, lifted, *root) if root else None
     for k in cands:
-        basis, rows = invariance_matrix(ps, k, max_degree, points)
-        if independent_prefix_mod_p(rows, len(basis)) == len(basis):
+        if modular is not None and modular.certifies(k):
             continue
+        basis, rows = invariance_matrix(ps, k, max_degree, points)
         curves = _monic_curves(ps, k, basis, nullspace(rows, len(basis)), points)
         for f in curves:
             if f.is_constant():

@@ -13,13 +13,20 @@ A matrix is given either as rows of QuadExt or as an IntegerMatrix, whose
 rows already hold the integer pairs with their scales (darboux builds its
 invariance matrices that way); an IntegerMatrix passes straight through to
 elimination.
+
+The modular certificate runs on another form: sparse rows of residues mod
+a prime below 2**30.  modular_root picks one prime for a set of values,
+residue maps a value to GF(p), and independent_prefix_mod_p eliminates the
+rows in column order.  darboux maps each search's rows once and writes
+each candidate cofactor into them, so no matrix over Q(sqrt(d)) is built
+for a candidate the certificate rules out.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from .qfield import QuadExt, RadicandMismatchError, common_radicand
 
@@ -145,56 +152,69 @@ def in_row_span(rows: list[list[QuadExt]], vec: list[QuadExt]) -> bool:
     return rank(rows) == rank(rows + [vec])
 
 
-# Primes p = 3 (mod 4) just below 2**61, so that a square root of a square d
-# mod p is d**((p + 1) / 4).  A radicand is a square modulo about half of
-# them, so all 24 fail it with odds near 6e-8.
-MODULAR_PRIMES = tuple(2**61 - k for k in (
-    1, 45, 229, 465, 829, 985, 1153, 1281, 1425, 1489, 1525, 1533,
-    1609, 1621, 1669, 1741, 1753, 1813, 1845, 1849, 1869, 1909, 1921, 1945))
+# Primes p = 3 (mod 4) just below 2**30, so that a square root of a square d
+# mod p is d**((p + 1) / 4) and every residue is a one-digit CPython int (a
+# product of two stays below 2**60).  A radicand is a square modulo about
+# half of them, so all 24 fail it with odds near 6e-8.
+MODULAR_PRIMES = tuple(2**30 - k for k in (
+    41, 101, 105, 153, 161, 173, 257, 297, 321, 357, 405, 425,
+    437, 453, 513, 537, 777, 861, 873, 945, 977, 1005, 1017, 1041))
 
 
-def independent_prefix_mod_p(rows: Matrix, ncols: int) -> int:
-    """How many leading columns are provably linearly independent.
+def modular_root(values: Iterable[QuadExt]) -> Optional[tuple[int, int]]:
+    """(p, r): the first prime of MODULAR_PRIMES at which every value has an
+    image in GF(p), and a root r of r*r = d (mod p).
 
-    Each row is scaled to entries in Z[sqrt(d)] (as for elimination), and
-    entries are mapped into GF(p) by sending sqrt(d) to a root r of
-    r*r = d (mod p).  That map is a ring homomorphism, so a minor that is
-    nonzero mod p is nonzero over Q(sqrt(d)).  Gaussian elimination mod p
-    in column order stops at the first column without a pivot; the columns
-    before it are independent, and the returned count is its index (ncols
-    when every column has a pivot).  The count does not depend on which
-    rows serve as pivots: column c has no pivot exactly when it lies in the
-    span of columns 0..c-1 mod p.
-
-    Rows are sparse, {column: entry mod p} with the nonzero entries only,
-    and each is filed under its first column; eliminating column c touches
-    only the rows filed under c and the entries of the pivot row.
-
-    A prime qualifies when d is a nonzero square mod p and p divides no
-    denominator (so no row scale); the first qualifying prime is used.  The
-    answer is 0 (nothing proved) when the entries mix radicands or no prime
-    qualifies.
+    The values lie in one field Q(sqrt(d)).  A prime qualifies when d is a
+    nonzero square mod p and p divides no denominator; sending sqrt(d) to r
+    is then a ring homomorphism from Z[sqrt(d)][1/D], D the lcm of the
+    denominators, onto GF(p) (see residue).  None when the values mix
+    radicands or no prime qualifies.
     """
+    values = list(values)
     try:
-        d, m, scales = _integer_rows(rows)
+        d = common_radicand(values)
     except RadicandMismatchError:
-        return 0
+        return None
+    den = math.lcm(*(q.denominator for x in values for q in (x.a, x.b)))
     for p in MODULAR_PRIMES:
         r = pow(d, (p + 1) // 4, p)
-        if d % p and r * r % p == d % p and all(s % p for s in scales):
-            break
-    else:
-        return 0
+        if d % p and r * r % p == d % p and den % p:
+            return p, r
+    return None
+
+
+def residue(x: QuadExt, p: int, r: int) -> int:
+    """The image of x in GF(p) under sqrt(d) -> r, for (p, r) from
+    modular_root."""
+    a, b = x.a, x.b
+    return (a.numerator * pow(a.denominator, -1, p)
+            + b.numerator * pow(b.denominator, -1, p) * r) % p
+
+
+def independent_prefix_mod_p(rows: list[dict[int, int]], ncols: int, p: int) -> int:
+    """How many leading columns of a matrix over GF(p) are linearly
+    independent.
+
+    Rows are sparse, {column: residue} with the nonzero residues only, and
+    are consumed.  Gaussian elimination in column order stops at the first
+    column without a pivot; the columns before it are independent, and the
+    returned count is its index (ncols when every column has a pivot).  The
+    count does not depend on which rows serve as pivots: column c has no
+    pivot exactly when it lies in the span of columns 0..c-1 mod p.
+
+    When the rows are the image of a matrix over Q(sqrt(d)) under a ring
+    homomorphism (modular_root, residue), a minor that is nonzero mod p is
+    nonzero over Q(sqrt(d)), so the count is a lower bound on the exact one:
+    ncols proves full column rank, and a smaller count proves nothing.
+
+    Each row is filed under its first column; eliminating column c touches
+    only the rows filed under c and the entries of the pivot row.
+    """
     by_first: dict[int, list[dict[int, int]]] = {}
-    for row in m:
-        sparse = {}
-        for j, (a, b) in enumerate(row):
-            if a or b:
-                v = (a + b * r) % p
-                if v:
-                    sparse[j] = v
-        if sparse:
-            by_first.setdefault(min(sparse), []).append(sparse)
+    for row in rows:
+        if row:
+            by_first.setdefault(min(row), []).append(row)
     for c in range(ncols):
         bucket = by_first.pop(c, None)
         if not bucket:

@@ -15,6 +15,7 @@ from algwaves.reduction import to_planar, travelling_wave_reduce
 
 FISHER = "u_t - u_xx - u + u^2 = 0"
 CUBIC = "u_t - u_xx + 3*u*u_x - u^3 + 4*u^2 - 3*u = 0"
+NAGUMO = "u_t - u_xx - 2*u*(u-1/4)*(1-u) = 0"
 FRONT_SPEED = "5/6*sqrt(6)"
 HUGE_SQRT = "sqrt(100000000000000000039)"
 HUGE_SPEED = "100000000000000000039"
@@ -282,9 +283,12 @@ class TestFindCurve:
             assert result["notes"] == hits.notes
 
     # byte for byte: the README's three find-curve lines, a degree-6
-    # search at the front speed, and three negative searches: to the degree
+    # search at the front speed, three negative searches: to the degree
     # cap at c = 2, at sqrt(21) (saddle eigenvalues (-sqrt(21) +- 5)/2) and
-    # at a large rational speed whose saddle radicand is near 1e10
+    # at a large rational speed whose saddle radicand is near 1e10, the
+    # mirrored front at -5/6*sqrt(6), and Nagumo through both rest states
+    # (its own --pde replaces the Fisher one), whose cubic field has no
+    # constant-cofactor weights
     @pytest.mark.parametrize("name, flags, want", [
         ("find_curve_front.json", ["--speed", FRONT_SPEED], 0),
         ("find_curve_two.json", ["--speed", "2"], 2),
@@ -293,6 +297,11 @@ class TestFindCurve:
         ("find_curve_two_degree20.json", ["--speed", "2", "--max-degree", "20"], 2),
         ("find_curve_sqrt21_degree6.json", ["--speed", "sqrt(21)", "--max-degree", "6"], 2),
         ("find_curve_large_rational.json", ["--speed", "97057/9", "--max-degree", "6"], 2),
+        ("find_curve_mirrored_front_degree6.json",
+         ["--speed=-5/6*sqrt(6)", "--max-degree", "6"], 0),
+        ("find_curve_nagumo_degree6.json",
+         ["--pde", NAGUMO, "--speed", "1/2", "--point", "0,0", "--point", "1,0",
+          "--max-degree", "6"], 4),
     ])
     def test_json_matches_golden_copy(self, capsys, name, flags, want):
         code, out, err = run(capsys, "find-curve", "--pde", FISHER, *flags, "--json")
@@ -307,6 +316,12 @@ class TestFindCurve:
         assert code == 0
         assert doc["result"]["count"] == 1
         assert doc["result"]["curves"][0]["degree"] == 3
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_cofactor_from_another_field_exits_1(self, capsys, json_flag):
+        got = run(capsys, "find-curve", "--pde", FISHER, "--speed", FRONT_SPEED,
+                  "--cofactor", "sqrt(2)", *json_flag)
+        assert got == (1, "", "error: cannot combine sqrt(2) with sqrt(6)\n")
 
     def test_non_equilibrium_point_rejected(self, capsys):
         code, _, err = run(capsys, "find-curve", "--pde", FISHER,

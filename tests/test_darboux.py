@@ -1,5 +1,6 @@
 """Invariant curve solver: fixed cofactors, saddle candidates, screening."""
 
+import math
 from fractions import Fraction as Fr
 from unittest import mock
 
@@ -240,10 +241,16 @@ def test_planted_instances_always_recovered(wc, pc, knum):
 
 
 def exact_search(ps, points, max_degree, candidates=None):
-    """The search with the modular certificate proving nothing: the exact
-    solve then runs at every degree from 1."""
-    with mock.patch.object(darboux, "independent_prefix_mod_p", lambda rows, ncols: 0):
+    """The search with no prime for the modular certificate: every
+    candidate then gets the exact solve."""
+    with mock.patch.object(darboux, "modular_root", lambda values: None):
         return search_constant_cofactor(ps, points, max_degree, candidates)
+
+
+def counting_solves():
+    """Patches that count the exact matrices and nullspaces the search forms."""
+    return (mock.patch.object(darboux, "invariance_matrix", wraps=darboux.invariance_matrix),
+            mock.patch.object(darboux, "nullspace", wraps=darboux.nullspace))
 
 
 def hit_keys(hits):
@@ -363,17 +370,23 @@ def test_search_matches_per_degree_reference(case):
     assert hit_keys(got) == hit_keys(reference_search(ps, points, top, cands))
 
 
-def test_search_builds_and_eliminates_once_per_candidate():
-    for c, top in ((FRONT_SPEED, 6), (QuadExt(2), 6), (FRONT_SPEED, 3)):
+def test_search_builds_once_and_solves_only_open_candidates():
+    # one cofactor-free build per search; an exact matrix and nullspace only
+    # for the candidate the certificate leaves open, the front's -sqrt(6)
+    for c, top, opened in ((QuadExt(2), 3, 0), (QuadExt(2), 6, 0),
+                           (FRONT_SPEED, 3, 1), (FRONT_SPEED, 6, 1)):
         ps = fisher_system(c)
-        cands, _ = eigenvalue_cofactor_candidates(ps, [(1, 0), (0, 0)])
-        with mock.patch.object(darboux, "invariance_matrix",
-                               wraps=darboux.invariance_matrix) as build, \
-                mock.patch.object(darboux, "nullspace", wraps=darboux.nullspace) as solve:
+        build_patch, solve_patch = counting_solves()
+        with mock.patch.object(darboux, "_shifted_columns",
+                               wraps=darboux._shifted_columns) as shifts, \
+                build_patch as build, solve_patch as solve:
             hits = search_constant_cofactor(ps, [(1, 0), (0, 0)], top)
-        assert build.call_count == len(cands) == 3
-        assert all(call.args[2] == top for call in build.call_args_list)
-        assert (1 if hits else 0) <= solve.call_count <= len(cands)
+        assert len(hits.candidates) == 3
+        cofactor_free = [call for call in shifts.call_args_list if len(call.args[1]) == 2]
+        assert len(cofactor_free) == 1 and cofactor_free[0].args[2] == top
+        assert shifts.call_count == 1 + opened
+        assert build.call_count == solve.call_count == opened
+        assert [call.args[1] for call in build.call_args_list] == [QuadExt(0, -1, 6)] * opened
 
 
 class TestCertificateFallback:
@@ -386,23 +399,48 @@ class TestCertificateFallback:
 
     def test_unlucky_prime_falls_back_to_exact(self):
         # x' = x, y' = -y with cofactor -p: every diagonal entry i - j + p
-        # is nonzero, but the constant column vanishes mod the first prime
+        # is nonzero, but the constant column vanishes mod the first prime,
+        # which the search uses
         p = MODULAR_PRIMES[0]
         ps = make_plane(lambda x, y: x, lambda x, y: -y)
-        basis, rows = darboux.invariance_matrix(ps, -p, 3)
-        assert darboux.independent_prefix_mod_p(rows, len(basis)) == 0
-        assert search_constant_cofactor(ps, [], 3, [-p]) == []
-        hits = search_constant_cofactor(ps, [], 3, [-p, 1])
+        assert darboux.modular_root([QuadExt(1), QuadExt(-1), QuadExt(-p)])[0] == p
+        modular = darboux._ModularRows(ps, 3, [], p, 1)  # d = 1, so r = 1
+        assert independent_prefix_mod_p(modular.rows_for(QuadExt(-p)), 10, p) == 0
+        build_patch, solve_patch = counting_solves()
+        with build_patch, solve_patch as solve:
+            assert search_constant_cofactor(ps, [], 3, [-p]) == []
+        assert solve.call_count == 1
+        # the cofactor 1 (of x and x^2*y) is left open too; 1/2 is proved
+        build_patch, solve_patch = counting_solves()
+        with build_patch as build, solve_patch as solve:
+            hits = search_constant_cofactor(ps, [], 3, [-p, 1, Fr(1, 2)])
         assert [str(h.curve) for h in hits] == ["x"]
+        assert [call.args[1] for call in build.call_args_list] == [QuadExt(-p), QuadExt(1)]
+        assert solve.call_count == 2
 
     def test_denominator_divisible_by_p_falls_back_to_exact(self):
         # y' = y/p: y = 0 is invariant with cofactor 1/p, an entry the
-        # first prime cannot map
+        # first prime cannot map, so the search moves to the second prime
+        # and proves the cofactor 1/2 there; only 1/p is solved exactly
         p = MODULAR_PRIMES[0]
         ps = make_plane(lambda x, y: x, lambda x, y: Fr(1, p) * y)
-        got = search_constant_cofactor(ps, [], 3, [Fr(1, p)])
-        want = exact_search(ps, [], 3, [Fr(1, p)])
+        cands = [Fr(1, p), Fr(1, 2)]
+        build_patch, solve_patch = counting_solves()
+        with build_patch as build, solve_patch as solve:
+            got = search_constant_cofactor(ps, [], 3, cands)
+        assert [call.args[1] for call in build.call_args_list] == [QuadExt(Fr(1, p))]
+        assert solve.call_count == 1
+        want = exact_search(ps, [], 3, cands)
         assert hit_keys(got) == hit_keys(want)
+        assert [str(h.curve) for h in got] == ["y"]
+        # with a denominator every prime divides, no prime qualifies and
+        # every candidate is solved exactly
+        den = math.prod(MODULAR_PRIMES)
+        ps = make_plane(lambda x, y: x, lambda x, y: Fr(1, den) * y)
+        build_patch, solve_patch = counting_solves()
+        with build_patch, solve_patch as solve:
+            got = search_constant_cofactor(ps, [], 3, [Fr(1, den), Fr(1, 2)])
+        assert solve.call_count == 2
         assert [str(h.curve) for h in got] == ["y"]
 
     def test_no_candidate_search_is_empty(self):
@@ -710,10 +748,17 @@ def test_elimination_leaves_invariance_matrix_unchanged():
     ps = fisher_system(FRONT_SPEED)
     basis, rows = invariance_matrix(ps, QuadExt(0, -1, 6), 4, [(1, 0), (0, 0)])
     before = ([list(row) for row in rows], rows.d, list(rows.scales))
-    assert independent_prefix_mod_p(rows, len(basis)) < len(basis)
     first = nullspace(rows, len(basis))
     assert first and nullspace(rows, len(basis)) == first
     assert ([list(row) for row in rows], rows.d, list(rows.scales)) == before
+    # the search's modular rows serve every candidate, so a certificate
+    # leaves them unchanged too
+    points = [(QuadExt(1), QuadExt(0)), (QuadExt(0), QuadExt(0))]
+    modular = darboux._ModularRows(ps, 4, points, *darboux.modular_root([FRONT_SPEED]))
+    before = [dict(row) for row in modular.rows]
+    assert not modular.certifies(QuadExt(0, -1, 6))
+    assert modular.certifies(QuadExt(0, Fr(1, 6), 6))
+    assert modular.rows == before
 
 
 def test_invariance_matrix_multiplies_no_polynomials():

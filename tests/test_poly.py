@@ -6,17 +6,20 @@ from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from algwaves.darboux import invariance_matrix
+from algwaves import darboux
+from algwaves.darboux import eigenvalue_cofactor_candidates, invariance_matrix
 from algwaves.linalg import (
     MODULAR_PRIMES,
     IntegerMatrix,
     _integer_rows,
     in_row_span,
     independent_prefix_mod_p,
+    modular_root,
     nullspace,
     rank,
+    residue,
 )
 from algwaves.poly import (
     MAX_TERMS_PER_EXPR,
@@ -298,22 +301,42 @@ def test_fraction_free_elimination_matches_reference(case):
     assert rank(rows) == len(reference_rref(rows)[1])
 
 
+def prefix_mod_p(rows, ncols):
+    """independent_prefix_mod_p on the image of a matrix (rows of QuadExt
+    or an IntegerMatrix) at the prime modular_root picks for its entries;
+    0, nothing proved, when no prime qualifies.  An IntegerMatrix's field is
+    Q(sqrt(d)) even when no entry has a sqrt(d) part, so sqrt(d) joins the
+    entries there."""
+    field = []
+    if isinstance(rows, IntegerMatrix):
+        field = [QuadExt(0, 1, rows.d)]
+        rows = [[QuadExt(Fr(a, s), Fr(b, s), rows.d) for a, b in row]
+                for row, s in zip(rows, rows.scales)]
+    root = modular_root([*field, *(x for row in rows for x in row)])
+    if root is None:
+        return 0
+    p, r = root
+    return independent_prefix_mod_p(
+        [{j: v for j, x in enumerate(row) if (v := residue(x, p, r))} for row in rows],
+        ncols, p)
+
+
 class TestModularPrefix:
     def test_invertible_matrix_is_certified(self):
         rows = [[QuadExt(1), QuadExt(0, 1, 2)], [QuadExt(Fr(1, 3)), QuadExt(5)]]
-        assert independent_prefix_mod_p(rows, 2) == 2
+        assert prefix_mod_p(rows, 2) == 2
 
     def test_stops_at_first_dependent_column(self):
         one, two = QuadExt(1), QuadExt(2)
         rows = [[one, two, one], [two, QuadExt(4), QuadExt(0)]]
-        assert independent_prefix_mod_p(rows, 3) == 1
+        assert prefix_mod_p(rows, 3) == 1
 
     def test_unlucky_prime_only_lowers_the_count(self):
         # the entry p vanishes mod the first prime but not over Q
         p = MODULAR_PRIMES[0]
         rows = [[QuadExt(1), QuadExt(0)], [QuadExt(0), QuadExt(p)]]
         assert nullspace(rows, 2) == []
-        assert independent_prefix_mod_p(rows, 2) == 1
+        assert prefix_mod_p(rows, 2) == 1
 
     def test_free_columns_mod_p_bound_only_the_nullity(self):
         # the row (p, 1): mod p column 0 has no pivot, yet exactly it is
@@ -321,39 +344,42 @@ class TestModularPrefix:
         # superset of the exact ones; only their count bounds the nullity
         p = MODULAR_PRIMES[0]
         rows = IntegerMatrix([[(p, 0), (1, 0)]], 1, [1])
-        assert independent_prefix_mod_p(rows, 2) == 0
+        assert prefix_mod_p(rows, 2) == 0
         assert nullspace(rows, 2) == [[QuadExt(Fr(-1, p)), QuadExt(1)]]
 
     def test_denominator_divisible_by_p_moves_to_next_prime(self):
         # mod the first prime 1/p has no image, so a later prime certifies
         p = MODULAR_PRIMES[0]
         rows = [[QuadExt(1), QuadExt(0)], [QuadExt(0), QuadExt(Fr(1, p))]]
-        assert independent_prefix_mod_p(rows, 2) == 2
+        assert prefix_mod_p(rows, 2) == 2
 
     def test_no_qualifying_prime_proves_nothing(self):
         den = 1
         for p in MODULAR_PRIMES:
             den *= p
         rows = [[QuadExt(Fr(1, den)), QuadExt(0)], [QuadExt(0), QuadExt(1)]]
-        assert independent_prefix_mod_p(rows, 2) == 0
+        assert modular_root(x for row in rows for x in row) is None
+        assert prefix_mod_p(rows, 2) == 0
 
     def test_mixed_radicands_prove_nothing(self):
         rows = [[QuadExt(0, 1, 2), QuadExt(0)], [QuadExt(0), QuadExt(0, 1, 3)]]
-        assert independent_prefix_mod_p(rows, 2) == 0
+        assert modular_root(x for row in rows for x in row) is None
+        assert prefix_mod_p(rows, 2) == 0
 
     def test_radicand_must_be_a_square_mod_p(self):
-        # 3 is not a square mod 2**61 - 1, so the first prime cannot serve
+        # 5 is not a square mod 2**30 - 41, so the first prime cannot serve
         p = MODULAR_PRIMES[0]
-        assert pow(3, (p - 1) // 2, p) == p - 1
-        rows = [[QuadExt(0, 1, 3), QuadExt(1)], [QuadExt(1), QuadExt(0, 1, 3)]]
-        assert nullspace(rows, 2) == []  # determinant sqrt(3)^2 - 1 = 2
-        assert independent_prefix_mod_p(rows, 2) == 2
-        # column 2 is sqrt(3) times column 1; a root of -3 in place of a
-        # root of 3 would make the determinant 3 - r^2 = 6, not 0
-        s3 = QuadExt(0, 1, 3)
-        rows = [[QuadExt(1), s3], [s3, QuadExt(3)]]
+        assert p == 2**30 - 41 and pow(5, (p - 1) // 2, p) == p - 1
+        assert modular_root([QuadExt(0, 1, 5)])[0] < p
+        rows = [[QuadExt(0, 1, 5), QuadExt(1)], [QuadExt(1), QuadExt(0, 1, 5)]]
+        assert nullspace(rows, 2) == []  # determinant sqrt(5)^2 - 1 = 4
+        assert prefix_mod_p(rows, 2) == 2
+        # column 2 is sqrt(5) times column 1; a root of -5 in place of a
+        # root of 5 would make the determinant 5 - r^2 = 10, not 0
+        s5 = QuadExt(0, 1, 5)
+        rows = [[QuadExt(1), s5], [s5, QuadExt(5)]]
         assert len(nullspace(rows, 2)) == 1
-        assert independent_prefix_mod_p(rows, 2) == 1
+        assert prefix_mod_p(rows, 2) == 1
 
 
 @st.composite
@@ -384,12 +410,12 @@ def test_modular_prefix_agrees_with_exact_rref(case):
     ns = nullspace(rows, ncols)
     # a null vector's last nonzero entry is its free column
     first_free = max(j for j, x in enumerate(ns[0]) if not x.is_zero()) if ns else ncols
-    proved = independent_prefix_mod_p(rows, ncols)
+    proved = prefix_mod_p(rows, ncols)
     # soundness: never more independent columns than there are exactly
     assert proved <= first_free
     if proved == ncols:
         assert ns == []
-    # and a 61-bit prime is not unlucky on entries this small
+    # and a 30-bit prime is not unlucky on entries this small
     assert proved == first_free
 
 
@@ -426,8 +452,7 @@ def reference_independent_prefix_mod_p(rows, ncols):
 @given(matrices_with_planted_dependencies())
 def test_sparse_modular_prefix_matches_dense_reference(case):
     rows, ncols = case
-    assert (independent_prefix_mod_p(rows, ncols)
-            == reference_independent_prefix_mod_p(rows, ncols))
+    assert prefix_mod_p(rows, ncols) == reference_independent_prefix_mod_p(rows, ncols)
 
 
 @st.composite
@@ -452,19 +477,22 @@ def integer_matrices_vanishing_mod_p(draw):
 def test_sparse_modular_prefix_matches_dense_on_entries_zero_mod_p(case):
     rows, ncols = case
     before = [list(row) for row in rows]
-    assert (independent_prefix_mod_p(rows, ncols)
-            == reference_independent_prefix_mod_p(rows, ncols))
+    assert prefix_mod_p(rows, ncols) == reference_independent_prefix_mod_p(rows, ncols)
     assert [list(row) for row in rows] == before
 
 
+FISHER_SPEEDS = (QuadExt(2), QuadExt(Fr(7, 3)), QuadExt(0, Fr(5, 6), 6),
+                 QuadExt(0, Fr(-5, 6), 6), QuadExt(0, 1, 21))
+
+
 @st.composite
-def invariance_matrices(draw):
-    """The invariance matrix of x' = P, y' = Q, a constant cofactor, a
-    degree bound up to 8 and up to two required points.  P and Q are random
-    of degree at most 2 (small rational or Q(sqrt(d)) coefficients), or the
-    Fisher plane system at the front speed with a saddle cofactor (the
-    cubic's column is free for k = -sqrt(6)), or x' = x, y' = -a*y with
-    k = i - a*j (the column of x^i y^j is free)."""
+def invariance_inputs(draw):
+    """A plane system x' = P, y' = Q, a constant cofactor, a degree bound up
+    to 8 and up to two required points.  P and Q are random of degree at
+    most 2 (small rational or Q(sqrt(d)) coefficients), or the Fisher plane
+    system at a rational or Q(sqrt(d)) speed with a saddle cofactor (at
+    +-5/6*sqrt(6) the cubic's column is free for -+sqrt(6)), or x' = x,
+    y' = -a*y with k = i - a*j (the column of x^i y^j is free)."""
     d = draw(st.sampled_from((1, 2, 3, 5)))
     rat = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     elt = st.one_of(rat, st.builds(lambda a, b: QuadExt(a, b, d), rat, rat))
@@ -476,10 +504,11 @@ def invariance_matrices(draw):
                     MultiPoly.zero(reg)) for _ in range(2))
         k = QuadExt.lift(draw(st.one_of(st.integers(min_value=-3, max_value=3), elt)))
     elif kind == "front":
-        d = 6
-        P, Q = y, x * x - x - QuadExt(0, Fr(5, 6), 6) * y
-        k = draw(st.sampled_from((QuadExt(0, -1, 6), QuadExt(0, Fr(1, 6), 6),
-                                  QuadExt(0, Fr(-5, 6), 6))))
+        c = draw(st.sampled_from(FISHER_SPEEDS))
+        P, Q = y, x * x - x - c * y
+        ps = PlanarSystem(reg, x.variables()[0], y.variables()[0], P, Q)
+        k = draw(st.sampled_from(eigenvalue_cofactor_candidates(ps, [(1, 0)])[0]))
+        d = max(c.d, k.d)
     else:
         a = draw(rat)
         P, Q = x, -a * y
@@ -489,16 +518,99 @@ def invariance_matrices(draw):
     points = draw(st.lists(st.one_of(st.tuples(elt, elt),
                                      st.sampled_from(((0, 0), (1, 0)))), max_size=2))
     degree = draw(st.integers(min_value=0, max_value=8))
-    return invariance_matrix(PlanarSystem(reg, x.variables()[0], y.variables()[0], P, Q),
-                             k, degree, points)
+    return PlanarSystem(reg, x.variables()[0], y.variables()[0], P, Q), k, degree, points
 
 
 @settings(max_examples=60, deadline=None)
-@given(invariance_matrices())
+@given(invariance_inputs().map(lambda case: invariance_matrix(*case)))
 def test_sparse_modular_prefix_matches_dense_on_invariance_matrices(case):
     basis, rows = case
-    assert (independent_prefix_mod_p(rows, len(basis))
-            == reference_independent_prefix_mod_p(rows, len(basis)))
+    assert prefix_mod_p(rows, len(basis)) == reference_independent_prefix_mod_p(rows, len(basis))
+
+
+def integer_row_prefix_mod_p(rows, ncols, primes):
+    """The certificate on the integer rows of an IntegerMatrix, at the first
+    of the given primes that qualifies: the search's certificate before its
+    rows were built mod p, kept as the reference for darboux._ModularRows."""
+    try:
+        d, m, scales = _integer_rows(rows)
+    except RadicandMismatchError:
+        return 0
+    for p in primes:
+        r = pow(d, (p + 1) // 4, p)
+        if d % p and r * r % p == d % p and all(s % p for s in scales):
+            break
+    else:
+        return 0
+    by_first = {}
+    for row in m:
+        sparse = {}
+        for j, (a, b) in enumerate(row):
+            if a or b:
+                v = (a + b * r) % p
+                if v:
+                    sparse[j] = v
+        if sparse:
+            by_first.setdefault(min(sparse), []).append(sparse)
+    for c in range(ncols):
+        bucket = by_first.pop(c, None)
+        if not bucket:
+            return c
+        top = bucket.pop()
+        scale = pow(top[c], -1, p)
+        tail = [(j, v) for j, v in top.items() if j != c]
+        for row in bucket:
+            f = row.pop(c) * scale % p
+            for j, v in tail:
+                x = (row.get(j, 0) - f * v) % p
+                if x:
+                    row[j] = x
+                else:
+                    row.pop(j, None)
+            if row:
+                by_first.setdefault(min(row), []).append(row)
+    return ncols
+
+
+def search_rows(ps, k, degree, points):
+    """The search's modular rows for k and the exact matrix, at the prime
+    the search would pick, or None when no prime qualifies."""
+    pts = [(QuadExt.lift(a), QuadExt.lift(b)) for a, b in points]
+    root = modular_root([*ps.P.terms.values(), *ps.Q.terms.values(),
+                         *(c for pt in pts for c in pt), k])
+    if root is None:
+        return None
+    modular = darboux._ModularRows(ps, degree, pts, *root)
+    basis, rows = invariance_matrix(ps, k, degree, points)
+    return root, modular, basis, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(invariance_inputs())
+def test_modular_rows_are_the_image_of_the_invariance_matrix(case):
+    ps, k, degree, points = case
+    found = search_rows(ps, k, degree, points)
+    assume(found is not None)
+    (p, r), modular, basis, rows = found
+    image = []
+    for row, s in zip(rows, rows.scales):
+        inv = pow(s, -1, p)
+        image.append({j: v for j, (a, b) in enumerate(row) if (v := (a + b * r) * inv % p)})
+    got = modular.rows_for(k)
+    assert [row for row in got if row] == [row for row in image if row]
+    n = len(basis)
+    assert independent_prefix_mod_p(got, n, p) == integer_row_prefix_mod_p(rows, n, (p,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(invariance_inputs())
+def test_full_rank_mod_p_means_no_curve(case):
+    ps, k, degree, points = case
+    found = search_rows(ps, k, degree, points)
+    assume(found is not None)
+    _, modular, basis, rows = found
+    if modular.certifies(k):
+        assert nullspace(rows, len(basis)) == []
 
 
 small_coeffs = st.integers(min_value=-4, max_value=4)
