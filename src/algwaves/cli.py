@@ -194,7 +194,7 @@ def cmd_find_curve(args):
                 % (args.max_degree, ", ".join(result["points"]))]
         code = 2
     else:
-        if hits.candidates:
+        if hits.candidates or hits.images:
             text = ["undetermined: no curve with %s up to degree %d through %s"
                     % ("a given cofactor" if args.cofactor
                        else "a constant cofactor",

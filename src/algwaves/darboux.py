@@ -14,21 +14,33 @@ which the field raises the weight by less than the weight of every
 nonconstant monomial prove that every cofactor is constant
 (constant_cofactor_weight).
 
-A search builds the cofactor-free part of its invariance matrices once, at
-the degree bound: a column shifts the exponents of the terms of P and Q, and
-a point row holds powers of the point's coordinates, so no polynomial is
+A search reads each point once, in one integer pass over the system's
+integer form (reduction.integer_jet): P and Q there, which must vanish, and
+the Jacobian, whose determinant's sign marks a saddle exactly.  It then
+forms the saddle values only as images: one prime at which the system and
+the points have images and every saddle's discriminant tr^2 - 4 det is a
+nonzero square s^2 sends the values to (tr + s)/2, (tr - s)/2 and tr,
+whatever field the eigenvalues lie in (linalg.modular_root).  Images common
+to every saddle hold the image of every value common to them.
+
+It builds the cofactor-free part of its invariance matrices once, at the
+degree bound: a column shifts the exponents of the terms of P and Q, and a
+point row holds powers of the point's coordinates, so no polynomial is
 multiplied.  The basis is in grlex order, so every lower degree bound is a
-column prefix.  Those rows are mapped once to sparse residues modulo one
-prime below 2**30, and a constant candidate k only writes -k into the entry
-of each column's own monomial.  A negative answer is a rank certificate: the
-matrix has full column rank modulo the prime, which proves it has full rank
-over Q(sqrt(d)).  When the certificate leaves a column open, the candidate's
-exact matrix, integer rows over Z[sqrt(d)] from the same exponent shifts, is
-eliminated once and gives the curves of every degree up to the bound.
+column prefix.  Those rows are mapped once to sparse residues modulo the
+prime, and an image k only writes -k into the entry of each column's own
+monomial.  A negative answer is a rank certificate: the matrix has full
+column rank modulo the prime, which proves that the matrix of every
+cofactor with that image has full rank over its field.  Only when the
+certificate leaves an image open (or no prime qualifies) are the exact
+spectra formed; then the exact matrix of each value with an open image,
+integer rows over Z[sqrt(d)] from the same exponent shifts, is eliminated
+once and gives the curves of every degree up to the bound.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -36,10 +48,13 @@ from typing import Optional, Sequence, Union
 from .linalg import (
     IntegerMatrix,
     Pair,
+    coordinate_powers,
     independent_prefix_mod_p,
     integer_pairs,
     modular_root,
     nullspace,
+    pair_mul,
+    pair_sign,
     residue,
 )
 from .poly import (
@@ -50,15 +65,23 @@ from .poly import (
     trial_divide,
 )
 from .qfield import QuadExt, common_radicand, field_sqrt
-from .reduction import PlanarSystem, exact_eigenvalues, linearization
+from .reduction import (
+    PlanarSystem,
+    characteristic_pairs,
+    eigenvalues_are_exact,
+    exact_eigenvalues,
+    integer_jet,
+    linearization,
+)
 
 ScalarLike = Union[int, "QuadExt"]
 
 # The largest degree bound search_constant_cofactor accepts.  On a 2-vCPU
-# VM a search at the bound takes 6 to 8 s at the Fisher front speed, where
-# one exact elimination finds the cubic, a cost growing about as d^5 to
-# d^6, and 0.02 to 0.03 s at c = 2, where one mod-p build and three sparse
-# rank certificates prove there is none.
+# VM a search at the bound takes 7.5 to 8.5 s at the Fisher front speed,
+# where one exact elimination finds the cubic, a cost growing about as d^5
+# to d^6, and 0.02 to 0.03 s at c = 2 or c = sqrt(2), where one mod-p build
+# and three sparse rank certificates of the saddle values' images prove
+# there is none.
 MAX_SEARCH_DEGREE = 20
 
 
@@ -98,47 +121,49 @@ class CurveSearch(list):
     """The hits of search_constant_cofactor, a list of DarbouxResult, with
     the search's verdict: status is "found", "proved-none" or
     "undetermined"; notes say which points constrained nothing and why an
-    empty search proves nothing; candidates are the cofactors searched."""
+    empty search proves nothing; candidates are the exact cofactors
+    searched, the given ones or the saddle values when the search formed
+    the exact spectra; images are the saddle values' images in GF(prime),
+    and prime is the prime of the mod-p certificate (None without one)."""
 
     def __init__(self, hits: list[DarbouxResult], status: str,
-                 notes: list[str], candidates: list[QuadExt]):
+                 notes: list[str], candidates: list[QuadExt],
+                 images: Sequence[int] = (), prime: Optional[int] = None):
         super().__init__(hits)
         self.status = status
         self.notes = notes
         self.candidates = candidates
-
-
-def _pair_mul(p: Pair, q: Pair, d: int) -> Pair:
-    return p[0] * q[0] + d * p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+        self.images = list(images)
+        self.prime = prime
 
 
 def _shifted_columns(
-    ps: PlanarSystem, polys: Sequence[MultiPoly], degree: int
+    ps: PlanarSystem, degree: int, cofactor: Optional[MultiPoly] = None
 ) -> tuple[list[Monomial], list[tuple[int, int]], int, list[dict]]:
     """The residual columns of invariance_matrix, sparse and over Z[sqrt(d)].
 
-    polys are P and Q, and the cofactor k when it is to be included.  The
-    residual of x^i y^j is i P x^(i-1) y^j + j Q x^i y^(j-1) - k x^i y^j, so
-    column (i, j) shifts the exponents of the terms of P, Q and k.  Returns
-    the basis in grlex order, each basis monomial's (x, y) exponents, the
-    common scale (the lcm of the coefficients' denominators) and one column
-    per basis monomial, {(x exponent, y exponent): integer pair} holding the
-    nonzero entries times the scale.
+    The terms are those of P and Q in ps.integer_form(), and the cofactor
+    k's when it is given, brought to one scale.  The residual of x^i y^j is
+    i P x^(i-1) y^j + j Q x^i y^(j-1) - k x^i y^j, so column (i, j) shifts
+    the exponents of the terms of P, Q and k.  Returns the basis in grlex
+    order, each basis monomial's (x, y) exponents, the common scale (the lcm
+    of the coefficients' denominators) and one column per basis monomial,
+    {(x exponent, y exponent): integer pair} holding the nonzero entries
+    times the scale.
     """
     if degree < 0:
         raise ValueError("degree bound must be nonnegative")
-    xv, yv = ps.x_var, ps.y_var
-
-    def xy_exponents(m: Monomial) -> tuple[int, int]:
-        e = dict(m)
-        return e.get(xv, 0), e.get(yv, 0)
-
-    scale, pairs = integer_pairs([c for f in polys for c in f.terms.values()])
-    pairs = iter(pairs)
-    # each term as (x exponent, y exponent, integer pair)
-    terms = [[(*xy_exponents(m), next(pairs)) for m in f.terms] for f in polys]
-    basis = monomial_basis([xv, yv], degree)
-    exps = [xy_exponents(m) for m in basis]
+    _, scale, terms = ps.integer_form()
+    if cofactor is not None:
+        k_scale, pairs = integer_pairs(list(cofactor.terms.values()))
+        common = math.lcm(scale, k_scale)
+        u, v = common // scale, common // k_scale
+        terms = [*([(i, j, (a * u, b * u)) for i, j, (a, b) in ts] for ts in terms),
+                 [(*ps.exponents(m), (a * v, b * v))
+                  for m, (a, b) in zip(cofactor.terms, pairs)]]
+        scale = common
+    basis = monomial_basis([ps.x_var, ps.y_var], degree)
+    exps = [ps.exponents(m) for m in basis]
     columns = []
     for i, j in exps:
         col: dict = {}
@@ -166,20 +191,10 @@ def _point_rows(
     """One row per point, its coordinate powers at each basis monomial, as
     integer pairs over Z[sqrt(d)], with each row's scale."""
     rows, scales = [], []
-    for pt in points:
-        # a coordinate n/s has powers n^e / s^e = n^e s^(degree - e) / s^degree
-        powers, point_scale = [], 1
-        for c in pt:
-            s, (n,) = integer_pairs([c])
-            p = [(1, 0)]
-            for _ in range(degree):
-                p.append(_pair_mul(p[-1], n, d))
-            powers.append([(a * s ** (degree - e), b * s ** (degree - e))
-                           for e, (a, b) in enumerate(p)])
-            point_scale *= s ** degree
-        px, py = powers
-        rows.append([_pair_mul(px[i], py[j], d) for i, j in exps])
-        scales.append(point_scale)
+    for x, y in points:
+        (px, sx), (py, sy) = (coordinate_powers(c, degree, d) for c in (x, y))
+        rows.append([pair_mul(px[i], py[j], d) for i, j in exps])
+        scales.append(sx * sy)
     return rows, scales
 
 
@@ -214,10 +229,9 @@ def invariance_matrix(
     if set(k.variables()) - {ps.x_var, ps.y_var}:
         raise ValueError("a cofactor is a polynomial in x and y")
     points = [(QuadExt.lift(pt[0]), QuadExt.lift(pt[1])) for pt in required_points]
-    polys = (ps.P, ps.Q, k)
-    d = common_radicand([c for f in polys for c in f.terms.values()]
+    d = common_radicand([c for f in (ps.P, ps.Q, k) for c in f.terms.values()]
                         + [c for pt in points for c in pt])
-    basis, exps, scale, columns = _shifted_columns(ps, polys, degree)
+    basis, exps, scale, columns = _shifted_columns(ps, degree, k)
     row_keys = _grlex_rows(ps, {key for col in columns for key in col})
     rows = [[col.get(key, (0, 0)) for col in columns] for key in row_keys]
     point_rows, point_scales = _point_rows(points, exps, degree, d)
@@ -233,16 +247,16 @@ class _ModularRows:
     out, mapped to GF(p) by sqrt(d) -> r and held sparse, {column: residue}
     with the nonzero residues only, in invariance_matrix's row order (a row
     invariance_matrix leaves out is empty here).  A constant k enters the
-    residual of x^i y^j only as -k x^i y^j, so the rows for k write -k into
-    the row of each column's own monomial.  (p, r) comes from
-    linalg.modular_root over the coefficients of P and Q, the points and
-    every candidate, so each has an image and the rows for k are the image
-    of invariance_matrix(ps, k, degree, points).
+    residual of x^i y^j only as -k x^i y^j, so the rows for the image of k
+    write it, negated, into the row of each column's own monomial.  (p, r)
+    is a ring map from linalg.modular_root over the coefficients of P and Q
+    and the points, so the rows for the image of k under that map are the
+    image of invariance_matrix(ps, k, degree, points).
     """
 
     def __init__(self, ps: PlanarSystem, degree: int,
                  points: Sequence[tuple[QuadExt, QuadExt]], p: int, r: int):
-        _, exps, scale, columns = _shifted_columns(ps, (ps.P, ps.Q), degree)
+        _, exps, scale, columns = _shifted_columns(ps, degree)
         keys = _grlex_rows(ps, set(exps).union(*columns))
         index = {key: n for n, key in enumerate(keys)}
         rows: list[dict[int, int]] = [{} for _ in keys]
@@ -261,24 +275,35 @@ class _ModularRows:
         self.rows, self.p, self.r = rows, p, r
         self.diagonal = [index[key] for key in exps]
 
-    def rows_for(self, k: QuadExt) -> list[dict[int, int]]:
-        """Fresh sparse rows of the invariance matrix for the cofactor k."""
-        p, kr = self.p, residue(k, self.p, self.r)
+    def rows_for(self, k: int) -> list[dict[int, int]]:
+        """Fresh sparse rows of the invariance matrix for a cofactor whose
+        image in GF(p) is k."""
+        p = self.p
         rows = [dict(row) for row in self.rows]
         for c, n in enumerate(self.diagonal):
             row = rows[n]
-            v = (row.get(c, 0) - kr) % p
+            v = (row.get(c, 0) - k) % p
             if v:
                 row[c] = v
             else:
                 row.pop(c, None)
         return rows
 
-    def certifies(self, k: QuadExt) -> bool:
-        """True when the rows for k have full column rank mod p, which
-        proves that no nonzero curve has the cofactor k."""
+    def certifies(self, k: int) -> bool:
+        """True when the rows for the image k have full column rank mod p,
+        which proves that no nonzero curve has a cofactor with that image."""
         ncols = len(self.diagonal)
         return independent_prefix_mod_p(self.rows_for(k), ncols, self.p) == ncols
+
+
+def _image(k: QuadExt, p: int) -> Optional[int]:
+    """The image of k in GF(p) under a ring map from modular_root at p,
+    sqrt(e) -> e**((p + 1) / 4) for k's radicand e, or None when p divides a
+    denominator of k or e is no square mod p."""
+    root = pow(k.d, (p + 1) // 4, p)
+    if root * root % p != k.d % p or not (k.a.denominator % p and k.b.denominator % p):
+        return None
+    return residue(k, p, root)
 
 
 def _monic_curves(
@@ -469,48 +494,102 @@ def search_constant_cofactor(
 ) -> CurveSearch:
     """Search invariant curves through given equilibria, constant cofactors.
 
-    Candidate cofactors default to the saddle-spectrum values; each is
-    searched once.  Hits are screened for obvious reducibility and returned
-    in (candidate, degree) order; none repeats, since one candidate's null
-    vectors are independent and a nonzero curve has one cofactor.  Verdict:
+    Candidate cofactors default to the saddle values (see
+    eigenvalue_cofactor_candidates); each is searched once.  Hits are
+    screened for obvious reducibility and returned in (candidate, degree)
+    order; none repeats, since one candidate's null vectors are independent
+    and a nonzero curve has one cofactor.  Verdict:
     - "found" when there is a hit;
-    - "proved-none" when the candidates are the saddle values, there is at
+    - "proved-none" when the saddle values are all ruled out, there is at
       least one, and constant_cofactor_weight proves every cofactor
       constant: a curve through the points would then have one of them;
     - "undetermined" otherwise, with a note saying why.
 
-    The rows of the invariance matrices without the cofactor are built
-    once, at max_degree, and mapped mod one prime at which P, Q, the points
-    and every candidate have an image (_ModularRows).  A candidate whose
-    rows have a pivot in every column mod p has no curve.  A candidate left
-    open, and every candidate when no prime qualifies, gets its exact
-    invariance_matrix and one nullspace, which gives the curves of every
-    degree: a null vector has the degree of its free column, and a hit's
-    nullspace_dim counts the null vectors of degree at most its own, as a
-    solve at that degree would (see invariance_matrix).  Raises ValueError
-    for max_degree above MAX_SEARCH_DEGREE.
+    One integer pass per point (integer_jet) checks that it is an
+    equilibrium and gives its Jacobian; det < 0 marks a saddle, exactly.
+    The saddle values are first formed only as images: linalg.modular_root
+    picks one prime at which P, Q and the points have images and each
+    saddle's discriminant tr^2 - 4 det has a nonzero square image s^2, and
+    there a saddle's values map to (tr + s)/2, (tr - s)/2 and tr, in
+    whatever field they lie.  Exact equality implies equal images, so the
+    images common to every saddle hold the image of every value common to
+    them.  The rows of the invariance matrices without the cofactor are
+    built once, at max_degree, and mapped mod that prime (_ModularRows); an
+    image whose rows have a pivot in every column mod p proves that no
+    curve has a cofactor with that image.  When every image is ruled out,
+    no exact square root is taken, and a saddle whose eigenvalues are not
+    exactly representable gets a note naming the prime.
+
+    Otherwise (an image left open, no image common to the saddles, or no
+    prime that qualifies) the exact spectra are formed, and each exact
+    saddle value whose image is not ruled out gets its exact
+    invariance_matrix and one nullspace; given candidates are certified at
+    a prime for their own values in the same way.  One nullspace gives the
+    curves of every degree: a null vector has the degree of its free column,
+    and a hit's nullspace_dim counts the null vectors of degree at most its
+    own, as a solve at that degree would (see invariance_matrix).  Raises
+    ValueError for max_degree above MAX_SEARCH_DEGREE.
     """
     if max_degree > MAX_SEARCH_DEGREE:
         raise ValueError("degree bound must be at most %d, got %d"
                          % (MAX_SEARCH_DEGREE, max_degree))
     lifted = [(QuadExt.lift(pt[0]), QuadExt.lift(pt[1])) for pt in points]
-    for pt, (px, py) in zip(points, lifted):
-        point = {ps.x_var: px, ps.y_var: py}
-        if not (ps.P.evaluate(point).is_zero() and ps.Q.evaluate(point).is_zero()):
+    jets = [integer_jet(ps, pt) for pt in lifted]
+    for pt, (_, _, ((p_value, *_), (q_value, *_))) in zip(points, jets):
+        if p_value != (0, 0) or q_value != (0, 0):
             raise ValueError(f"({pt[0]}, {pt[1]}) is not an equilibrium")
+    values = [*ps.P.terms.values(), *ps.Q.terms.values(), *(c for pt in lifted for c in pt)]
     notes: list[str] = []
-    if candidates is None:
-        cands, notes = eigenvalue_cofactor_candidates(ps, points)
-    else:
+    images: list[int] = []
+    proved: dict[int, bool] = {}  # image -> ruled out by the certificate
+    modular = None
+    by_images = False
+    if candidates is not None:
         cands = list(dict.fromkeys(QuadExt.lift(k) for k in candidates))
+    else:
+        # per point None, or the saddle's s, trace (over s) and
+        # discriminant (over s^2) as integer pairs
+        saddles = []
+        for d, s, jet in jets:
+            tr, det, disc = characteristic_pairs(jet, d)
+            saddles.append((s, tr, disc) if pair_sign(det, d) < 0 else None)
+        found = [sad for sad in saddles if sad]
+        ring = modular_root(values, [disc for _, _, disc in found]) if found else None
+        if ring:
+            p, r, roots = ring
+            half = (p + 1) // 2
+            for n, ((s, (ta, tb), _), root) in enumerate(zip(found, roots)):
+                inv = pow(s, -1, p)
+                t, w = (ta + tb * r) * inv % p, root * inv % p
+                opts = [(t + w) * half % p, (t - w) * half % p, t]
+                images = opts if n == 0 else [v for v in images if v in opts]
+            images = list(dict.fromkeys(images))
+            modular = _ModularRows(ps, max_degree, lifted, p, r)
+            proved = {v: modular.certifies(v) for v in images}
+            by_images = bool(images) and all(proved.values())
+        if by_images:
+            cands = []
+            for pt, sad, point_jet in zip(points, saddles, jets):
+                label = f"({pt[0]}, {pt[1]})"
+                if sad is None:
+                    notes.append(f"{label} is not a saddle; no cofactor constraint")
+                elif not eigenvalues_are_exact(*point_jet):
+                    notes.append(f"eigenvalues at {label} are not exactly representable; "
+                                 f"their images mod {modular.p} were certified")
+        else:
+            cands, notes = eigenvalue_cofactor_candidates(ps, points)
+    if cands and modular is None:
+        ring = modular_root([*values, *cands])
+        modular = _ModularRows(ps, max_degree, lifted, *ring[:2]) if ring else None
     results: list[DarbouxResult] = []
     accepted: list[MultiPoly] = []
-    root = modular_root([*ps.P.terms.values(), *ps.Q.terms.values(),
-                         *(c for pt in lifted for c in pt), *cands]) if cands else None
-    modular = _ModularRows(ps, max_degree, lifted, *root) if root else None
     for k in cands:
-        if modular is not None and modular.certifies(k):
-            continue
+        v = None if modular is None else _image(k, modular.p)
+        if v is not None:
+            if v not in proved:
+                proved[v] = modular.certifies(v)
+            if proved[v]:
+                continue
         basis, rows = invariance_matrix(ps, k, max_degree, points)
         curves = _monic_curves(ps, k, basis, nullspace(rows, len(basis)), points)
         for f in curves:
@@ -532,12 +611,13 @@ def search_constant_cofactor(
         status = "found"
     elif candidates is not None:
         status, notes = "undetermined", ["only the given cofactors were searched"]
-    elif not cands:
-        status = "undetermined"  # eigenvalue_cofactor_candidates noted why
+    elif not (cands or by_images):
+        status = "undetermined"  # the notes say why
     elif constant_cofactor_weight(ps) is None:
         status = "undetermined"
         notes = notes + ["no weights (1, t) for (x, y) make every cofactor "
                          "constant; nonconstant cofactors were not searched"]
     else:
         status = "proved-none"
-    return CurveSearch(results, status, notes, cands)
+    return CurveSearch(results, status, notes, cands, images,
+                       None if modular is None else modular.p)

@@ -15,11 +15,15 @@ invariance matrices that way); an IntegerMatrix passes straight through to
 elimination.
 
 The modular certificate runs on another form: sparse rows of residues mod
-a prime below 2**30.  modular_root picks one prime for a set of values,
-residue maps a value to GF(p), and independent_prefix_mod_p eliminates the
-rows in column order.  darboux maps each search's rows once and writes
-each candidate cofactor into them, so no matrix over Q(sqrt(d)) is built
-for a candidate the certificate rules out.
+a prime below 2**30.  modular_root chooses the ring map of a whole search:
+one prime at which a set of values has images, with a root of their
+radicand d and a root of the image of each element of Z[sqrt(d)] that
+must be a square (a saddle's discriminant, whose root gives the images of
+the eigenvalues without an exact square root).  residue maps a value to
+GF(p), and independent_prefix_mod_p eliminates the rows in column order.
+darboux maps each search's rows once and writes each candidate cofactor's
+image into them, so no matrix over Q(sqrt(d)) is built for a candidate the
+certificate rules out.
 """
 
 from __future__ import annotations
@@ -52,6 +56,31 @@ def integer_pairs(values: list[QuadExt]) -> tuple[int, list[Pair]]:
     scale = math.lcm(*(q.denominator for x in values for q in (x.a, x.b)))
     return scale, [(x.a.numerator * (scale // x.a.denominator),
                     x.b.numerator * (scale // x.b.denominator)) for x in values]
+
+
+def pair_mul(p: Pair, q: Pair, d: int) -> Pair:
+    """The product of two integer pairs over Z[sqrt(d)]."""
+    return p[0] * q[0] + d * p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+
+def pair_sign(x: Pair, d: int) -> int:
+    """The sign of a + b*sqrt(d), comparing a^2 with d*b^2 when a and b
+    have opposite signs."""
+    a, b = x
+    if a * b >= 0:
+        return (a > 0 or b > 0) - (a < 0 or b < 0)
+    return 1 if (a * a > d * b * b) == (a > 0) else -1
+
+
+def coordinate_powers(c: QuadExt, degree: int, d: int) -> tuple[list[Pair], int]:
+    """(powers, s**degree) for c = n/s, s the lcm of c's denominators:
+    powers[e] = n**e * s**(degree - e) as an integer pair over Z[sqrt(d)],
+    so that c**e = powers[e] / s**degree for e = 0..degree."""
+    s, (n,) = integer_pairs([c])
+    p = [(1, 0)]
+    for _ in range(degree):
+        p.append(pair_mul(p[-1], n, d))
+    return [(a * s ** (degree - e), b * s ** (degree - e)) for e, (a, b) in enumerate(p)], s ** degree
 
 
 def _integer_rows(rows: Matrix) -> tuple[int, list[list[Pair]], list[int]]:
@@ -161,17 +190,26 @@ MODULAR_PRIMES = tuple(2**30 - k for k in (
     437, 453, 513, 537, 777, 861, 873, 945, 977, 1005, 1017, 1041))
 
 
-def modular_root(values: Iterable[QuadExt]) -> Optional[tuple[int, int]]:
-    """(p, r): the first prime of MODULAR_PRIMES at which every value has an
-    image in GF(p), and a root r of r*r = d (mod p).
+def modular_root(values: Iterable[QuadExt], squares: Iterable[Pair] = ()
+                 ) -> Optional[tuple[int, int, list[int]]]:
+    """The ring map of a search: (p, r, roots) for the first prime p of
+    MODULAR_PRIMES at which every value has an image in GF(p), with
+    r = d**((p + 1) / 4), a root of r*r = d (mod p), and roots[i] a root of
+    the image a + b*r of the i-th pair (a, b) of squares.
 
-    The values lie in one field Q(sqrt(d)).  A prime qualifies when d is a
-    nonzero square mod p and p divides no denominator; sending sqrt(d) to r
-    is then a ring homomorphism from Z[sqrt(d)][1/D], D the lcm of the
-    denominators, onto GF(p) (see residue).  None when the values mix
-    radicands or no prime qualifies.
+    The values lie in one field Q(sqrt(d)), and each pair of squares is an
+    element a + b*sqrt(d) of Z[sqrt(d)].  A prime qualifies when d is a
+    nonzero square mod p, p divides no denominator, and each pair of
+    squares has a nonzero square image.  Sending sqrt(d) to r is then a
+    ring homomorphism from Z[sqrt(d)][1/D], D the lcm of the denominators,
+    onto GF(p) (see residue).  It extends to any root of a monic quadratic
+    x**2 - t*x + n over that ring whose discriminant t**2 - 4n is a pair of
+    squares: such a root maps to (t + root)/2 or (t - root)/2, in whatever
+    field it lies.  Any other radicand e that is a square mod p gets the
+    root e**((p + 1) / 4) the same way.  None when the values mix radicands
+    or no prime qualifies.
     """
-    values = list(values)
+    values, squares = list(values), list(squares)
     try:
         d = common_radicand(values)
     except RadicandMismatchError:
@@ -179,8 +217,12 @@ def modular_root(values: Iterable[QuadExt]) -> Optional[tuple[int, int]]:
     den = math.lcm(*(q.denominator for x in values for q in (x.a, x.b)))
     for p in MODULAR_PRIMES:
         r = pow(d, (p + 1) // 4, p)
-        if d % p and r * r % p == d % p and den % p:
-            return p, r
+        if not (d % p and r * r % p == d % p and den % p):
+            continue
+        images = [(a + b * r) % p for a, b in squares]
+        roots = [pow(w, (p + 1) // 4, p) for w in images]
+        if all(w and s * s % p == w for w, s in zip(images, roots)):
+            return p, r, roots
     return None
 
 

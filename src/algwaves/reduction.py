@@ -19,10 +19,17 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from .linalg import Pair, coordinate_powers, integer_pairs, pair_mul, pair_sign
 from .numerics import Rhs
 from .pde import PDESpec
-from .poly import MultiPoly, VarRegistry, compile_float_field, trial_divide
-from .qfield import QuadExt, RadicandMismatchError, common_radicand, quadratic_roots
+from .poly import Monomial, MultiPoly, VarRegistry, compile_float_field, trial_divide
+from .qfield import (
+    QuadExt,
+    RadicandMismatchError,
+    common_radicand,
+    field_sqrt,
+    quadratic_roots,
+)
 
 ScalarLike = Union[int, Fraction, QuadExt]
 
@@ -411,7 +418,7 @@ class PlanarSystem:
     y_var: int
     P: MultiPoly
     Q: MultiPoly
-    _jacobian: Optional[list] = field(default=None, init=False, compare=False, repr=False)
+    _integer: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if set(self.P.variables() + self.Q.variables()) - {self.x_var, self.y_var}:
@@ -429,12 +436,28 @@ class PlanarSystem:
         """rhs(t, u) = (P(u), Q(u)) as one generated function of u = (x, y)."""
         return compile_float_field([self.P, self.Q], (self.x_var, self.y_var))
 
-    def jacobian(self) -> list[list[MultiPoly]]:
-        """[[P_x, P_y], [Q_x, Q_y]], built on the first call and kept."""
-        if self._jacobian is None:
-            self._jacobian = [[f.partial_derivative(v) for v in (self.x_var, self.y_var)]
-                              for f in (self.P, self.Q)]
-        return self._jacobian
+    def exponents(self, m: Monomial) -> tuple[int, int]:
+        """The (x, y) exponents of a monomial."""
+        e = dict(m)
+        return e.get(self.x_var, 0), e.get(self.y_var, 0)
+
+    def integer_form(self) -> tuple[int, int, tuple[list, list]]:
+        """(d, scale, (P terms, Q terms)), built on the first call and kept.
+
+        Each term is (x exponent, y exponent, integer pair): the pair is
+        scale times the coefficient, over Z[sqrt(d)], and scale is the lcm
+        of the denominators of P and Q.  Raises RadicandMismatchError when P
+        and Q mix radicands.
+        """
+        if self._integer is None:
+            coeffs = [*self.P.terms.values(), *self.Q.terms.values()]
+            d = common_radicand(coeffs)
+            scale, pairs = integer_pairs(coeffs)
+            pairs = iter(pairs)
+            terms = tuple([(*self.exponents(m), next(pairs)) for m in f.terms]
+                          for f in (self.P, self.Q))
+            self._integer = d, scale, terms
+        return self._integer
 
 
 def to_planar(sys_spec: ODESystemSpec) -> PlanarSystem:
@@ -480,16 +503,79 @@ def _eigvec(j11, j12, j21, j22, lam):
     return (QuadExt.lift(0), QuadExt.lift(1))
 
 
+def integer_jet(ps: PlanarSystem, point: Sequence[ScalarLike]
+                ) -> tuple[int, int, tuple[tuple[Pair, Pair, Pair], ...]]:
+    """P, Q and their partial derivatives at a plane point, in one integer
+    pass: (d, s, ((P, P_x, P_y), (Q, Q_x, Q_y))), each value times s an
+    integer pair over Z[sqrt(d)], d the radicand of the system and the point.
+
+    The terms are those of ps.integer_form().  The point's coordinate powers
+    are built once, as the point rows of an invariance matrix are
+    (linalg.coordinate_powers), so a term x^i y^j and its derivatives only
+    multiply integer pairs.  Raises RadicandMismatchError when the system
+    and the point mix radicands.
+    """
+    d, scale, terms = ps.integer_form()
+    x, y = QuadExt.lift(point[0]), QuadExt.lift(point[1])
+    e = common_radicand([x, y])
+    if e != 1 and d not in (1, e):
+        raise RadicandMismatchError("cannot combine sqrt(%d) with sqrt(%d)" % (d, e))
+    d = max(d, e)
+    px, sx = coordinate_powers(x, max((i for ts in terms for i, _, _ in ts), default=0), d)
+    py, sy = coordinate_powers(y, max((j for ts in terms for _, j, _ in ts), default=0), d)
+    jet = []
+    for ts in terms:
+        values = []
+        # f, then f_x (weight i, x^(i-1)), then f_y (weight j, y^(j-1))
+        for di, dj in ((0, 0), (1, 0), (0, 1)):
+            a = b = 0
+            for i, j, c in ts:
+                w = i if di else j if dj else 1
+                if w:
+                    ta, tb = pair_mul(c, pair_mul(px[i - di], py[j - dj], d), d)
+                    a, b = a + w * ta, b + w * tb
+            values.append((a, b))
+        jet.append(tuple(values))
+    return d, scale * sx * sy, tuple(jet)
+
+
+def characteristic_pairs(jet: Sequence[Sequence[Pair]], d: int
+                         ) -> tuple[Pair, Pair, Pair]:
+    """The trace, determinant and discriminant tr^2 - 4 det of the
+    Jacobian in an integer_jet, as integer pairs over Z[sqrt(d)]: the trace
+    over the jet's s, the other two over s^2."""
+    (_, j11, j12), (_, j21, j22) = jet
+    tr = (j11[0] + j22[0], j11[1] + j22[1])
+    (a, b), (u, v) = pair_mul(j11, j22, d), pair_mul(j12, j21, d)
+    det = (a - u, b - v)
+    t2 = pair_mul(tr, tr, d)
+    return tr, det, (t2[0] - 4 * det[0], t2[1] - 4 * det[1])
+
+
 def linearization(ps: PlanarSystem, point: Sequence[ScalarLike]
                   ) -> tuple[tuple[QuadExt, ...], QuadExt, QuadExt, QuadExt]:
     """The Jacobian entries (P_x, P_y, Q_x, Q_y) at a plane point, with its
-    trace, determinant and discriminant tr^2 - 4 det, all exact.  Raises
-    RadicandMismatchError when the entries, or tr^2 and det, mix radicands."""
-    pt = {ps.x_var: QuadExt.lift(point[0]), ps.y_var: QuadExt.lift(point[1])}
-    (j11, j12), (j21, j22) = [[g.evaluate(pt) for g in row] for row in ps.jacobian()]
-    tr = j11 + j22
-    det = j11 * j22 - j12 * j21
-    return (j11, j12, j21, j22), tr, det, tr * tr - 4 * det
+    trace, determinant and discriminant tr^2 - 4 det, all exact, read from
+    one integer_jet.  When the system and the point mix radicands, which no
+    integer pass over one Z[sqrt(d)] holds, the partial derivatives are
+    evaluated over QuadExt instead; that raises RadicandMismatchError when
+    the entries, or tr^2 and det, mix radicands too."""
+    try:
+        d, s, jet = integer_jet(ps, point)
+    except RadicandMismatchError:
+        pt = {ps.x_var: QuadExt.lift(point[0]), ps.y_var: QuadExt.lift(point[1])}
+        (j11, j12), (j21, j22) = [[f.partial_derivative(v).evaluate(pt)
+                                   for v in (ps.x_var, ps.y_var)] for f in (ps.P, ps.Q)]
+        tr, det = j11 + j22, j11 * j22 - j12 * j21
+        return (j11, j12, j21, j22), tr, det, tr * tr - 4 * det
+    (_, j11, j12), (_, j21, j22) = jet
+    tr, det, disc = characteristic_pairs(jet, d)
+
+    def value(pair, den):
+        return QuadExt(Fraction(pair[0], den), Fraction(pair[1], den), d)
+
+    return (tuple(value(j, s) for j in (j11, j12, j21, j22)),
+            value(tr, s), value(det, s * s), value(disc, s * s))
 
 
 def exact_eigenvalues(jac: Sequence[QuadExt], tr: QuadExt, det: QuadExt
@@ -509,6 +595,26 @@ def exact_eigenvalues(jac: Sequence[QuadExt], tr: QuadExt, det: QuadExt
     except RadicandMismatchError:
         return None
     return vals
+
+
+def eigenvalues_are_exact(d: int, s: int, jet: Sequence[Sequence[Pair]]) -> bool:
+    """Whether exact_eigenvalues finds the eigenvalues of the Jacobian in an
+    integer_jet (d, s, jet), decided without a squarefree part.
+
+    When tr and det are rational, a nonnegative disc = tr^2 - 4 det has a
+    root in Q(sqrt(e)), e its squarefree part, and only the eigenvector
+    check can fail: it passes when the diagonal entry it subtracts from is
+    rational, or when e is 1 or the entries' radicand.  Otherwise
+    quadratic_roots seeks the root in the entries' field.  field_sqrt(disc)
+    in the entries' field settles what the diagonal test leaves open.
+    """
+    (_, j11, j12), (_, j21, j22) = jet
+    tr, det, disc = characteristic_pairs(jet, d)
+    diagonal = j11 if j12 != (0, 0) else j22 if j21 != (0, 0) else (0, 0)
+    if tr[1] == det[1] == diagonal[1] == 0 and pair_sign(disc, d) >= 0:
+        return True
+    e = d if any(b for _, b in (j11, j12, j21, j22)) else 1
+    return field_sqrt(QuadExt(Fraction(disc[0], s * s), Fraction(disc[1], s * s), d), e) is not None
 
 
 def jacobian_eigen(ps: PlanarSystem, point: Sequence[ScalarLike]) -> EigenData:

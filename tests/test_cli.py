@@ -152,14 +152,12 @@ class TestFindCurve:
         assert "no invariant curve" in out
 
     def test_no_cofactor_candidate_is_undetermined(self, capsys):
-        # the saddle eigenvalues (-sqrt(2) +- sqrt(6))/2 lie in no single
-        # Q(sqrt(d)), so an empty search proves nothing
+        # a node constrains no cofactor, so an empty search proves nothing
         code, out, _ = run(capsys, "find-curve", "--pde", FISHER,
-                           "--speed", "sqrt(2)")
+                           "--speed", "2", "--point", "0,0")
         assert code == 4
-        assert "undetermined" in out
-        assert "no invariant curve" not in out
-        assert "eigenvalues at (1, 0) are not exactly representable" in out
+        assert out == ("undetermined: no cofactor candidate for a curve through (0, 0)\n"
+                       "  (0, 0) is not a saddle; no cofactor constraint\n")
 
     def test_nonconstant_cofactor_is_undetermined(self, capsys):
         # y - x^2 + x = 0 passes through both points and is invariant with
@@ -168,7 +166,8 @@ class TestFindCurve:
                 "--point", "0,0", "--point", "1,0")
         code, out, _ = run(capsys, *argv)
         assert code == 4
-        assert "undetermined" in out and "no invariant curve" not in out
+        assert out.startswith("undetermined: no curve with a constant cofactor up to "
+                              "degree 4 through (0, 0), (1, 0)\n")
         code, out, _ = run(capsys, *argv, "--json")
         doc = json.loads(out)
         assert code == 4
@@ -183,12 +182,14 @@ class TestFindCurve:
         assert "no names" in err
 
     def test_huge_rational_speed_fails_fast(self, capsys):
-        # the saddle eigenvalues need the square root of c^2 + 4, a 41-digit
-        # integer whose squarefree part would take trial division for ever
+        # the exact saddle eigenvalues need the square root of c^2 + 4, a
+        # 41-digit integer whose squarefree part would take trial division
+        # for ever; their images mod p need no square root of it
         t0 = time.perf_counter()
-        code, _, err = run(capsys, "find-curve", "--pde", FISHER,
-                           "--speed", HUGE_SPEED, "--max-degree", "2")
-        assert code == 1 and "10^12" in err
+        code, out, err = run(capsys, "find-curve", "--pde", FISHER,
+                             "--speed", HUGE_SPEED, "--max-degree", "2")
+        assert (code, err) == (2, "")
+        assert out.startswith("no invariant curve up to degree 2")
         assert time.perf_counter() - t0 < 1.0
 
     def test_node_spectrum_is_never_sought(self, capsys):
@@ -244,11 +245,12 @@ class TestFindCurve:
         assert json.loads(out)["result"]["status"] == "found"
 
     def test_status_in_json(self, capsys):
-        for speed, status, want in (("sqrt(2)", "undetermined", 4),
-                                    ("2", "proved-none", 2),
-                                    (FRONT_SPEED, "found", 0)):
+        for speed, points, status, want in (("2", ["--point", "0,0"], "undetermined", 4),
+                                            ("sqrt(2)", [], "proved-none", 2),
+                                            ("2", [], "proved-none", 2),
+                                            (FRONT_SPEED, [], "found", 0)):
             code, out, _ = run(capsys, "find-curve", "--pde", FISHER,
-                               "--speed", speed, "--json")
+                               "--speed", speed, *points, "--json")
             doc = json.loads(out)
             assert code == want
             assert doc["schema"] == "dwv1"
@@ -286,13 +288,14 @@ class TestFindCurve:
     # search at the front speed, three negative searches: to the degree
     # cap at c = 2, at sqrt(21) (saddle eigenvalues (-sqrt(21) +- 5)/2) and
     # at a large rational speed whose saddle radicand is near 1e10, the
-    # mirrored front at -5/6*sqrt(6), and Nagumo through both rest states
-    # (its own --pde replaces the Fisher one), whose cubic field has no
-    # constant-cofactor weights
+    # mirrored front at -5/6*sqrt(6), Nagumo through both rest states (its
+    # own --pde replaces the Fisher one), whose cubic field has no
+    # constant-cofactor weights, and a negative search at c = 10000000019,
+    # whose c^2 + 4 has no squarefree part trial division can find
     @pytest.mark.parametrize("name, flags, want", [
         ("find_curve_front.json", ["--speed", FRONT_SPEED], 0),
         ("find_curve_two.json", ["--speed", "2"], 2),
-        ("find_curve_sqrt2.json", ["--speed", "sqrt(2)"], 4),
+        ("find_curve_sqrt2.json", ["--speed", "sqrt(2)"], 2),
         ("find_curve_front_degree6.json", ["--speed", FRONT_SPEED, "--max-degree", "6"], 0),
         ("find_curve_two_degree20.json", ["--speed", "2", "--max-degree", "20"], 2),
         ("find_curve_sqrt21_degree6.json", ["--speed", "sqrt(21)", "--max-degree", "6"], 2),
@@ -302,6 +305,8 @@ class TestFindCurve:
         ("find_curve_nagumo_degree6.json",
          ["--pde", NAGUMO, "--speed", "1/2", "--point", "0,0", "--point", "1,0",
           "--max-degree", "6"], 4),
+        ("find_curve_huge_rational_degree6.json",
+         ["--speed", "10000000019", "--max-degree", "6"], 2),
     ])
     def test_json_matches_golden_copy(self, capsys, name, flags, want):
         code, out, err = run(capsys, "find-curve", "--pde", FISHER, *flags, "--json")

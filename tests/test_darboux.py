@@ -1,6 +1,7 @@
 """Invariant curve solver: fixed cofactors, saddle candidates, screening."""
 
 import math
+import time
 from fractions import Fraction as Fr
 from unittest import mock
 
@@ -18,16 +19,27 @@ from algwaves.darboux import (
     search_constant_cofactor,
     solve_fixed_cofactor,
 )
-from algwaves import darboux, reduction
+from algwaves import darboux, linalg, qfield, reduction
 from algwaves.fisher import FISHER_PDE
-from algwaves.linalg import MODULAR_PRIMES, in_row_span, independent_prefix_mod_p, nullspace
+from algwaves.linalg import (
+    MODULAR_PRIMES,
+    in_row_span,
+    independent_prefix_mod_p,
+    modular_root,
+    nullspace,
+    residue,
+)
 from algwaves.pde import parse_pde
 from algwaves.poly import MultiPoly, RegistryMismatchError, VarRegistry, grlex_key
-from algwaves.qfield import QuadExt, RadicandMismatchError
+from algwaves.qfield import QuadExt, RadicandMismatchError, parse_quadext
 from algwaves.reduction import (
     PlanarSystem,
     ReductionError,
+    eigenvalues_are_exact,
+    exact_eigenvalues,
+    integer_jet,
     jacobian_eigen,
+    linearization,
     to_planar,
     travelling_wave_reduce,
 )
@@ -243,7 +255,7 @@ def test_planted_instances_always_recovered(wc, pc, knum):
 def exact_search(ps, points, max_degree, candidates=None):
     """The search with no prime for the modular certificate: every
     candidate then gets the exact solve."""
-    with mock.patch.object(darboux, "modular_root", lambda values: None):
+    with mock.patch.object(darboux, "modular_root", lambda *args: None):
         return search_constant_cofactor(ps, points, max_degree, candidates)
 
 
@@ -262,7 +274,21 @@ WEIGHT_NOTE = ("no weights (1, t) for (x, y) make every cofactor constant; "
                "nonconstant cofactors were not searched")
 
 
-def reference_search(ps, points, max_degree, candidates=None):
+def reference_verdict(ps, results, cands, notes, candidates):
+    """The search's verdict rule, as the references below apply it."""
+    if results:
+        status = "found"
+    elif candidates is not None:
+        status, notes = "undetermined", ["only the given cofactors were searched"]
+    elif cands and constant_cofactor_weight(ps) is not None:
+        status = "proved-none"
+    else:
+        status = "undetermined"
+        notes = notes + ([WEIGHT_NOTE] if cands else [])
+    return darboux.CurveSearch(results, status, notes, cands)
+
+
+def per_degree_search(ps, points, max_degree, candidates=None):
     """The search as a loop over degrees: one fresh matrix and one exact
     solve per candidate and degree, then deduplication and screening, and
     the verdict.  The search reads every degree from one nullspace at
@@ -288,16 +314,42 @@ def reference_search(ps, points, max_degree, candidates=None):
                 results.append(darboux.DarbouxResult(
                     curves=[f], cofactor=k, degree=f.degree(),
                     nullspace_dim=sol.nullspace_dim))
-    if results:
-        status = "found"
-    elif candidates is not None:
-        status, notes = "undetermined", ["only the given cofactors were searched"]
-    elif cands and constant_cofactor_weight(ps) is not None:
-        status = "proved-none"
+    return reference_verdict(ps, results, cands, notes, candidates)
+
+
+def reference_search(ps, points, max_degree, candidates=None):
+    """The search before it formed saddle values as images mod p: the
+    equilibrium check by polynomial evaluation, the exact candidates of
+    eigenvalue_cofactor_candidates, one prime for the coefficients, points
+    and candidates, and each candidate certified at that prime or solved
+    exactly; kept as the reference for search_constant_cofactor."""
+    lifted = [(QuadExt.lift(a), QuadExt.lift(b)) for a, b in points]
+    for pt, (px, py) in zip(points, lifted):
+        point = {ps.x_var: px, ps.y_var: py}
+        if not (ps.P.evaluate(point).is_zero() and ps.Q.evaluate(point).is_zero()):
+            raise ValueError(f"({pt[0]}, {pt[1]}) is not an equilibrium")
+    notes = []
+    if candidates is None:
+        cands, notes = eigenvalue_cofactor_candidates(ps, points)
     else:
-        status = "undetermined"
-        notes = notes + ([WEIGHT_NOTE] if cands else [])
-    return darboux.CurveSearch(results, status, notes, cands)
+        cands = list(dict.fromkeys(QuadExt.lift(k) for k in candidates))
+    root = modular_root([*ps.P.terms.values(), *ps.Q.terms.values(),
+                         *(c for pt in lifted for c in pt), *cands]) if cands else None
+    modular = darboux._ModularRows(ps, max_degree, lifted, *root[:2]) if root else None
+    results, accepted = [], []
+    for k in cands:
+        if modular is not None and modular.certifies(residue(k, *root[:2])):
+            continue
+        basis, rows = invariance_matrix(ps, k, max_degree, points)
+        curves = darboux._monic_curves(ps, k, basis, nullspace(rows, len(basis)), points)
+        for f in curves:
+            if f.is_constant() or not irreducibility_screen(f, accepted)[0]:
+                continue
+            accepted.append(f)
+            results.append(darboux.DarbouxResult(
+                curves=[f], cofactor=k, degree=f.degree(),
+                nullspace_dim=sum(g.degree() <= f.degree() for g in curves)))
+    return reference_verdict(ps, results, cands, notes, candidates)
 
 
 @st.composite
@@ -367,12 +419,13 @@ def monomial_searches(draw):
 def test_search_matches_per_degree_reference(case):
     ps, points, top, cands = case
     got = search_constant_cofactor(ps, points, top, cands)
-    assert hit_keys(got) == hit_keys(reference_search(ps, points, top, cands))
+    assert hit_keys(got) == hit_keys(per_degree_search(ps, points, top, cands))
 
 
 def test_search_builds_once_and_solves_only_open_candidates():
-    # one cofactor-free build per search; an exact matrix and nullspace only
-    # for the candidate the certificate leaves open, the front's -sqrt(6)
+    # one cofactor-free build per search; the exact spectra, an exact
+    # matrix and a nullspace only for the image the certificate leaves
+    # open, the front's -sqrt(6)
     for c, top, opened in ((QuadExt(2), 3, 0), (QuadExt(2), 6, 0),
                            (FRONT_SPEED, 3, 1), (FRONT_SPEED, 6, 1)):
         ps = fisher_system(c)
@@ -381,9 +434,9 @@ def test_search_builds_once_and_solves_only_open_candidates():
                                wraps=darboux._shifted_columns) as shifts, \
                 build_patch as build, solve_patch as solve:
             hits = search_constant_cofactor(ps, [(1, 0), (0, 0)], top)
-        assert len(hits.candidates) == 3
-        cofactor_free = [call for call in shifts.call_args_list if len(call.args[1]) == 2]
-        assert len(cofactor_free) == 1 and cofactor_free[0].args[2] == top
+        assert len(hits.images) == 3 and len(hits.candidates) == 3 * opened
+        cofactor_free = [call for call in shifts.call_args_list if len(call.args) == 2]
+        assert len(cofactor_free) == 1 and cofactor_free[0].args[1] == top
         assert shifts.call_count == 1 + opened
         assert build.call_count == solve.call_count == opened
         assert [call.args[1] for call in build.call_args_list] == [QuadExt(0, -1, 6)] * opened
@@ -405,7 +458,7 @@ class TestCertificateFallback:
         ps = make_plane(lambda x, y: x, lambda x, y: -y)
         assert darboux.modular_root([QuadExt(1), QuadExt(-1), QuadExt(-p)])[0] == p
         modular = darboux._ModularRows(ps, 3, [], p, 1)  # d = 1, so r = 1
-        assert independent_prefix_mod_p(modular.rows_for(QuadExt(-p)), 10, p) == 0
+        assert independent_prefix_mod_p(modular.rows_for(residue(QuadExt(-p), p, 1)), 10, p) == 0
         build_patch, solve_patch = counting_solves()
         with build_patch, solve_patch as solve:
             assert search_constant_cofactor(ps, [], 3, [-p]) == []
@@ -445,7 +498,8 @@ class TestCertificateFallback:
 
     def test_no_candidate_search_is_empty(self):
         # at c = sqrt(2) the saddle eigenvalues (-sqrt(2) +- sqrt(6))/2 lie
-        # in no single Q(sqrt(d)); the empty list then proves nothing
+        # in no single Q(sqrt(d)), so there is no exact candidate; the
+        # search rules out their images mod p instead (TestVerdict)
         ps = fisher_system(QuadExt(0, 1, 2))
         cands, notes = eigenvalue_cofactor_candidates(ps, [(1, 0), (0, 0)])
         assert cands == []
@@ -467,24 +521,38 @@ class TestVerdict:
         assert len(hits.candidates) == 3
 
     def test_proved_none_at_two(self):
-        # saddle candidates, all searched, and weights (1, 3/2) make every
-        # cofactor constant
-        hits = search_constant_cofactor(fisher_system(QuadExt(2)), [(1, 0), (0, 0)], 4)
-        assert hits == [] and len(hits.candidates) == 3
+        # saddle values, all ruled out by their images mod p, and weights
+        # (1, 3/2) make every cofactor constant
+        ps = fisher_system(QuadExt(2))
+        hits = search_constant_cofactor(ps, [(1, 0), (0, 0)], 4)
+        assert hits == [] and hits.candidates == [] and len(hits.images) == 3
+        p = hits.prime
+        exact, _ = eigenvalue_cofactor_candidates(ps, [(1, 0), (0, 0)])
+        assert set(hits.images) == {residue(k, p, pow(2, (p + 1) // 4, p)) for k in exact}
         assert (hits.status, hits.notes) == ("proved-none", [SADDLE_NOTE])
 
-    def test_no_candidate_at_sqrt2_is_undetermined(self):
+    def test_unrepresentable_saddle_is_proved_by_images(self):
+        # at c = sqrt(2) the saddle eigenvalues (-sqrt(2) +- sqrt(6))/2 lie
+        # in no single Q(sqrt(d)); their images under sqrt(2) -> r,
+        # sqrt(6) -> s are ruled out, and the note names the prime
         hits = search_constant_cofactor(fisher_system(QuadExt(0, 1, 2)), [(1, 0), (0, 0)], 4)
+        p = hits.prime
+        r, s = pow(2, (p + 1) // 4, p), pow(6, (p + 1) // 4, p)
+        assert r * r % p == 2 and s * s % p == 6
         assert hits == [] and hits.candidates == []
-        assert hits.status == "undetermined"
-        assert hits.notes == ["eigenvalues at (1, 0) are not exactly representable",
-                              SADDLE_NOTE]
+        assert sorted(hits.images) == sorted({(-r + s) * pow(2, -1, p) % p,
+                                              (-r - s) * pow(2, -1, p) % p, -r % p})
+        assert hits.status == "proved-none"
+        assert hits.notes == ["eigenvalues at (1, 0) are not exactly representable; "
+                              "their images mod %d were certified" % p, SADDLE_NOTE]
 
     def test_no_weights_is_undetermined(self):
         # the cubic system's curve y - x^2 + x has the cofactor x - 3, which
-        # no constant candidate finds
+        # no constant candidate finds: the saddle values 1, -2 and -1 are
+        # ruled out by their images, which proves nothing without weights
         hits = search_constant_cofactor(cubic_system(), [(0, 0), (1, 0)], 4)
-        assert hits == [] and hits.candidates == [QuadExt(1), QuadExt(-2), QuadExt(-1)]
+        assert hits == [] and hits.candidates == []
+        assert sorted(hits.images) == [1, hits.prime - 2, hits.prime - 1]
         assert hits.status == "undetermined"
         assert hits.notes == ["(0, 0) is not a saddle; no cofactor constraint", WEIGHT_NOTE]
 
@@ -607,6 +675,74 @@ def test_saddle_candidates_match_jacobian_eigen_reference(case):
     ps, points = case
     assert (spectra_outcome(eigenvalue_cofactor_candidates, ps, points)
             == spectra_outcome(reference_eigenvalue_cofactor_candidates, ps, points))
+
+
+@settings(max_examples=200, deadline=None)
+@given(local_spectra())
+def test_exactness_is_decided_without_roots(case):
+    ps, points = case
+    for pt in points:
+        try:
+            jac, tr, det, _ = linearization(ps, pt)
+        except RadicandMismatchError:
+            continue
+        assert eigenvalues_are_exact(*integer_jet(ps, pt)) == (
+            exact_eigenvalues(jac, tr, det) is not None)
+
+
+@st.composite
+def fisher_speeds(draw):
+    """The Fisher plane system through one or both rest states at a random
+    rational or Q(sqrt(d)) speed, or at the front speed or its mirror."""
+    rat = st.fractions(min_value=-12, max_value=12, max_denominator=9)
+    d = draw(st.sampled_from((2, 3, 5, 6, 7, 21)))
+    c = draw(st.one_of(rat, st.builds(lambda a, b: QuadExt(a, b, d), rat, rat),
+                       st.sampled_from((FRONT_SPEED, -FRONT_SPEED))))
+    points = draw(st.sampled_from(([(1, 0), (0, 0)], [(0, 0), (1, 0)], [(1, 0)])))
+    return fisher_system(c), points
+
+
+def search_outcome(search, ps, points, degree):
+    try:
+        return search(ps, points, degree)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(local_spectra(), fisher_speeds()), st.integers(min_value=1, max_value=5))
+def test_search_agrees_with_reference_search(case, degree):
+    ps, points = case
+    want = search_outcome(reference_search, ps, points, degree)
+    got = search_outcome(search_constant_cofactor, ps, points, degree)
+    if isinstance(want, darboux.CurveSearch) and want.status != "undetermined":
+        assert isinstance(got, darboux.CurveSearch)
+        assert (got.status, hit_keys(got)[2]) == (want.status, hit_keys(want)[2])
+    # the images are the residues of the exact saddle values, wherever
+    # every saddle has them
+    if isinstance(got, darboux.CurveSearch) and got.images:
+        exact, notes = eigenvalue_cofactor_candidates(ps, points)
+        if exact and not any("not exactly representable" in n for n in notes):
+            p = got.prime
+            assert {residue(k, p, pow(k.d, (p + 1) // 4, p)) for k in exact} == set(got.images)
+
+
+def test_every_sqrt_speed_is_decided():
+    # at c = sqrt(n) the saddle eigenvalues (-sqrt(n) +- sqrt(n + 4))/2 lie
+    # in one Q(sqrt(d)) only for some n; their images decide every n
+    for n in range(1, 51):
+        ps = fisher_system(parse_quadext("sqrt(%d)" % n))
+        assert search_constant_cofactor(ps, [(0, 0), (1, 0)], 6).status == "proved-none"
+
+
+def test_huge_rational_speeds_are_decided_fast():
+    # the exact roots of c^2 + 4 would need squarefree parts beyond the
+    # trial-division cap; the images need none
+    for c in (10000000019, 123456789012345678901, 100000000000000000039):
+        t0 = time.perf_counter()
+        hits = search_constant_cofactor(fisher_system(QuadExt(c)), [(0, 0), (1, 0)], 6)
+        assert hits.status == "proved-none" and hits.candidates == []
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_exact_roots_only_at_saddles():
@@ -732,16 +868,44 @@ def test_plane_system_lives_in_x_and_y():
         invariance_matrix(ps, z - 1, 2)
 
 
-def test_jacobian_is_built_once():
-    # two saddle spectra from one Jacobian: 4 partial derivatives, not 8
+def test_negative_search_takes_no_exact_root():
+    # one integer pass per point, images mod p and rank certificates: no
+    # polynomial evaluation or derivative, no exact square root and no
+    # squarefree part
+    def counted(owner, name):
+        return mock.patch.object(owner, name, autospec=True,
+                                 side_effect=getattr(owner, name))
+
+    for c in (QuadExt(2), QuadExt(Fr(97057, 9)), QuadExt(0, 1, 21)):
+        ps = fisher_system(c)
+        with counted(MultiPoly, "evaluate") as evaluate, \
+                counted(MultiPoly, "partial_derivative") as partial, \
+                counted(reduction, "quadratic_roots") as roots, \
+                counted(qfield, "squarefree_decompose") as squarefree:
+            hits = search_constant_cofactor(ps, [(0, 0), (1, 0)], 6)
+        assert (hits.status, hits.candidates, len(hits.images)) == ("proved-none", [], 3)
+        assert [evaluate.call_count, partial.call_count, roots.call_count,
+                squarefree.call_count] == [0, 0, 0, 0]
+    # at the front speed the image of -sqrt(6) stays open: one exact
+    # spectrum, at the saddle, and one exact solve
     ps = fisher_system(FRONT_SPEED)
-    with mock.patch.object(MultiPoly, "partial_derivative", autospec=True,
-                           side_effect=MultiPoly.partial_derivative) as partial:
-        eigenvalue_cofactor_candidates(ps, [(1, 0), (0, 0)])
-    assert partial.call_count == 4
-    assert ps.jacobian() is ps.jacobian()
-    fresh = PlanarSystem(ps.registry, ps.x_var, ps.y_var, ps.P, ps.Q)
-    assert fresh == ps and repr(fresh) == repr(ps)
+    build_patch, solve_patch = counting_solves()
+    with counted(reduction, "quadratic_roots") as roots, build_patch as build, solve_patch:
+        hits = search_constant_cofactor(ps, [(0, 0), (1, 0)], 6)
+    assert roots.call_count == 1 and len(hits) == 1 and len(hits.candidates) == 3
+    assert [call.args[1] for call in build.call_args_list] == [QuadExt(0, -1, 6)]
+    # at c = 2 the discriminant 8 is no square mod a prime p = 3 (mod 8);
+    # with only such primes nothing is certified and every exact saddle
+    # value is solved
+    ps = fisher_system(QuadExt(2))
+    unlucky = tuple(p for p in MODULAR_PRIMES if p % 8 == 3)
+    build_patch, solve_patch = counting_solves()
+    with mock.patch.object(linalg, "MODULAR_PRIMES", unlucky), \
+            counted(reduction, "quadratic_roots") as roots, build_patch as build, solve_patch:
+        hits = search_constant_cofactor(ps, [(0, 0), (1, 0)], 6)
+    assert unlucky and roots.call_count == 1 and build.call_count == 3
+    assert (hits.status, hits.images, hits.prime) == ("proved-none", [], None)
+    assert hits.candidates == eigenvalue_cofactor_candidates(ps, [(0, 0), (1, 0)])[0]
 
 
 def test_elimination_leaves_invariance_matrix_unchanged():
@@ -754,10 +918,11 @@ def test_elimination_leaves_invariance_matrix_unchanged():
     # the search's modular rows serve every candidate, so a certificate
     # leaves them unchanged too
     points = [(QuadExt(1), QuadExt(0)), (QuadExt(0), QuadExt(0))]
-    modular = darboux._ModularRows(ps, 4, points, *darboux.modular_root([FRONT_SPEED]))
+    p, r, _ = darboux.modular_root([FRONT_SPEED])
+    modular = darboux._ModularRows(ps, 4, points, p, r)
     before = [dict(row) for row in modular.rows]
-    assert not modular.certifies(QuadExt(0, -1, 6))
-    assert modular.certifies(QuadExt(0, Fr(1, 6), 6))
+    assert not modular.certifies(residue(QuadExt(0, -1, 6), p, r))
+    assert modular.certifies(residue(QuadExt(0, Fr(1, 6), 6), p, r))
     assert modular.rows == before
 
 

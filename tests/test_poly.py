@@ -315,7 +315,7 @@ def prefix_mod_p(rows, ncols):
     root = modular_root([*field, *(x for row in rows for x in row)])
     if root is None:
         return 0
-    p, r = root
+    p, r, _ = root
     return independent_prefix_mod_p(
         [{j: v for j, x in enumerate(row) if (v := residue(x, p, r))} for row in rows],
         ncols, p)
@@ -380,6 +380,18 @@ class TestModularPrefix:
         rows = [[QuadExt(1), s5], [s5, QuadExt(5)]]
         assert len(nullspace(rows, 2)) == 1
         assert prefix_mod_p(rows, 2) == 1
+
+    def test_squares_need_nonzero_square_images(self):
+        # 5 is no square mod the first prime, so a later prime serves; each
+        # root squares to its pair's image a + b*r
+        p = MODULAR_PRIMES[0]
+        q, r, roots = modular_root([QuadExt(1)], [(5, 0), (4, 0)])
+        assert q < p and r == 1 and [x * x % q for x in roots] == [5, 4]
+        q, r, (root,) = modular_root([QuadExt(0, 1, 2)], [(1, 1)])
+        assert r * r % q == 2 and root * root % q == (1 + r) % q
+        # a pair whose image is 0 at every prime leaves no ring map
+        assert modular_root([QuadExt(1)], [(0, 0)]) is None
+        assert modular_root([QuadExt(1)], [(math.prod(MODULAR_PRIMES), 0)]) is None
 
 
 @st.composite
@@ -580,9 +592,10 @@ def search_rows(ps, k, degree, points):
                          *(c for pt in pts for c in pt), k])
     if root is None:
         return None
-    modular = darboux._ModularRows(ps, degree, pts, *root)
+    p, r, _ = root
+    modular = darboux._ModularRows(ps, degree, pts, p, r)
     basis, rows = invariance_matrix(ps, k, degree, points)
-    return root, modular, basis, rows
+    return (p, r), modular, basis, rows
 
 
 @settings(max_examples=80, deadline=None)
@@ -596,7 +609,7 @@ def test_modular_rows_are_the_image_of_the_invariance_matrix(case):
     for row, s in zip(rows, rows.scales):
         inv = pow(s, -1, p)
         image.append({j: v for j, (a, b) in enumerate(row) if (v := (a + b * r) * inv % p)})
-    got = modular.rows_for(k)
+    got = modular.rows_for(residue(k, p, r))
     assert [row for row in got if row] == [row for row in image if row]
     n = len(basis)
     assert independent_prefix_mod_p(got, n, p) == integer_row_prefix_mod_p(rows, n, (p,))
@@ -608,8 +621,8 @@ def test_full_rank_mod_p_means_no_curve(case):
     ps, k, degree, points = case
     found = search_rows(ps, k, degree, points)
     assume(found is not None)
-    _, modular, basis, rows = found
-    if modular.certifies(k):
+    (p, r), modular, basis, rows = found
+    if modular.certifies(residue(k, p, r)):
         assert nullspace(rows, len(basis)) == []
 
 

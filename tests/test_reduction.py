@@ -23,6 +23,7 @@ from algwaves.reduction import (
     _numeric_real_roots,
     _rational_root_candidates,
     equilibria,
+    integer_jet,
     jacobian_eigen,
     real_univariate_roots,
     to_planar,
@@ -387,12 +388,12 @@ def reference_real_univariate_roots(coeffs_ascending):
 
 
 def reference_jacobian_eigen(ps, point):
+    """The spectral data from the partial derivatives of P and Q, each
+    evaluated at the point over QuadExt: the linearization before the
+    integer pass, kept as the reference for jacobian_eigen."""
     pt = {ps.x_var: QuadExt.lift(point[0]), ps.y_var: QuadExt.lift(point[1])}
-    jac = ps.jacobian()
-    j11 = jac[0][0].evaluate(pt)
-    j12 = jac[0][1].evaluate(pt)
-    j21 = jac[1][0].evaluate(pt)
-    j22 = jac[1][1].evaluate(pt)
+    (j11, j12), (j21, j22) = [[f.partial_derivative(v).evaluate(pt)
+                               for v in (ps.x_var, ps.y_var)] for f in (ps.P, ps.Q)]
     tr = j11 + j22
     det = j11 * j22 - j12 * j21
     disc = tr * tr - 4 * det
@@ -510,10 +511,50 @@ def _plane(a11, a12, a21, a22):
     return PlanarSystem.from_polys(a11 * x + a12 * y, a21 * x + a22 * y)
 
 
+@st.composite
+def jets(draw):
+    """A plane system with terms up to x^4 y^4 and a point, coefficients and
+    coordinates in Q or one Q(sqrt(d))."""
+    d = draw(RADICANDS)
+    elt = st.one_of(RATS, st.builds(lambda a, b: QuadExt(a, b, d), RATS, RATS))
+    reg = VarRegistry(["x", "y"])
+    x, y = MultiPoly.var(reg, "x"), MultiPoly.var(reg, "y")
+
+    def poly():
+        f = MultiPoly.zero(reg)
+        for i, j, c in draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), elt),
+                                     max_size=5)):
+            f = f + c * x**i * y**j
+        return f
+
+    return PlanarSystem.from_polys(poly(), poly()), (draw(elt), draw(elt))
+
+
+@settings(max_examples=100, deadline=None)
+@given(jets())
+def test_integer_jet_matches_evaluation(case):
+    ps, point = case
+    d, s, jet = integer_jet(ps, point)
+    pt = {ps.x_var: QuadExt.lift(point[0]), ps.y_var: QuadExt.lift(point[1])}
+    for f, values in zip((ps.P, ps.Q), jet):
+        want = [f.evaluate(pt)] + [f.partial_derivative(v).evaluate(pt)
+                                   for v in (ps.x_var, ps.y_var)]
+        assert [QuadExt(Fr(a, s), Fr(b, s), d) for a, b in values] == want
+
+
+def _mixed_plane():
+    reg = VarRegistry(["x", "y"])
+    x, y = MultiPoly.var(reg, "x"), MultiPoly.var(reg, "y")
+    return PlanarSystem.from_polys(y + QuadExt(0, 1, 2) * x * x,
+                                   x - y + QuadExt(0, 1, 3) * x * y)
+
+
 @settings(max_examples=200, deadline=None)
 @given(linear_plane_fields())
 # entries in Q(sqrt(2)), eigenvalues 1 +- sqrt(3)
 @example((_plane(QuadExt(1, 1, 2), 1, 1, QuadExt(1, -1, 2)), (0, 0)))
+# P in Q(sqrt(2)) and Q in Q(sqrt(3)), rational entries at the origin
+@example((_mixed_plane(), (0, 0)))
 def test_jacobian_eigen_matches_reference(case):
     ps, point = case
     assert jacobian_eigen(ps, point) == reference_jacobian_eigen(ps, point)
