@@ -64,7 +64,7 @@ from .poly import (
     mono_div,
     trial_divide,
 )
-from .qfield import QuadExt, common_radicand, field_sqrt
+from .qfield import QuadExt, RadicandMismatchError, common_radicand, field_sqrt
 from .reduction import (
     PlanarSystem,
     characteristic_pairs,
@@ -520,8 +520,10 @@ def search_constant_cofactor(
     no exact square root is taken, and a saddle whose eigenvalues are not
     exactly representable gets a note naming the prime.
 
-    Otherwise (an image left open, no image common to the saddles, or no
-    prime that qualifies) the exact spectra are formed, and each exact
+    Otherwise (an image left open, no image common to the saddles, no
+    prime that qualifies, or a system and points that mix radicands, which
+    no integer pass holds, so P and Q are evaluated over QuadExt at the
+    points) the exact spectra are formed, and each exact
     saddle value whose image is not ruled out gets its exact
     invariance_matrix and one nullspace; given candidates are certified at
     a prime for their own values in the same way.  One nullspace gives the
@@ -534,10 +536,19 @@ def search_constant_cofactor(
         raise ValueError("degree bound must be at most %d, got %d"
                          % (MAX_SEARCH_DEGREE, max_degree))
     lifted = [(QuadExt.lift(pt[0]), QuadExt.lift(pt[1])) for pt in points]
-    jets = [integer_jet(ps, pt) for pt in lifted]
-    for pt, (_, _, ((p_value, *_), (q_value, *_))) in zip(points, jets):
-        if p_value != (0, 0) or q_value != (0, 0):
-            raise ValueError(f"({pt[0]}, {pt[1]}) is not an equilibrium")
+    try:
+        jets = [integer_jet(ps, pt) for pt in lifted]
+    except RadicandMismatchError:
+        jets = None
+    if jets is None:
+        for pt, (px, py) in zip(points, lifted):
+            point = {ps.x_var: px, ps.y_var: py}
+            if not (ps.P.evaluate(point).is_zero() and ps.Q.evaluate(point).is_zero()):
+                raise ValueError(f"({pt[0]}, {pt[1]}) is not an equilibrium")
+    else:
+        for pt, (_, _, ((p_value, *_), (q_value, *_))) in zip(points, jets):
+            if p_value != (0, 0) or q_value != (0, 0):
+                raise ValueError(f"({pt[0]}, {pt[1]}) is not an equilibrium")
     values = [*ps.P.terms.values(), *ps.Q.terms.values(), *(c for pt in lifted for c in pt)]
     notes: list[str] = []
     images: list[int] = []
@@ -546,6 +557,8 @@ def search_constant_cofactor(
     by_images = False
     if candidates is not None:
         cands = list(dict.fromkeys(QuadExt.lift(k) for k in candidates))
+    elif jets is None:
+        cands, notes = eigenvalue_cofactor_candidates(ps, points)
     else:
         # per point None, or the saddle's s, trace (over s) and
         # discriminant (over s^2) as integer pairs

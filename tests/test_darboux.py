@@ -570,6 +570,16 @@ class TestVerdict:
         assert hits == [] and hits.candidates == []
         assert (hits.status, hits.notes) == ("undetermined", [SADDLE_NOTE])
 
+    def test_mixed_radicand_system_is_searched_by_exact_spectra(self):
+        # P and Q in Q(sqrt(3)) and Q(sqrt(2)): no integer pass holds them,
+        # but the Jacobian trace and determinant at the origin do
+        ps = make_plane(lambda x, y: QuadExt(0, 1, 3) * y, lambda x, y: QuadExt(0, 1, 2) * y)
+        hits = search_constant_cofactor(ps, [(0, 0)], 2)
+        assert hits == [] and hits.candidates == []
+        assert (hits.status, hits.notes) == ("undetermined", [SADDLE_NOTE])
+        with pytest.raises(ValueError, match="not an equilibrium"):
+            search_constant_cofactor(ps, [(0, 1)], 2)
+
     def test_no_point_is_undetermined(self):
         hits = search_constant_cofactor(fisher_system(QuadExt(2)), [], 2)
         assert (hits.status, hits.notes) == ("undetermined", ["no point was given"])
@@ -683,11 +693,16 @@ def test_exactness_is_decided_without_roots(case):
     ps, points = case
     for pt in points:
         try:
-            jac, tr, det, _ = linearization(ps, pt)
+            jet = integer_jet(ps, pt)
         except RadicandMismatchError:
+            # no integer pass over one Z[sqrt(d)] holds a system and a
+            # point that mix radicands; the search then takes exact spectra
+            with pytest.raises(RadicandMismatchError):
+                qfield.common_radicand([*ps.P.terms.values(), *ps.Q.terms.values(),
+                                        *map(QuadExt.lift, pt)])
             continue
-        assert eigenvalues_are_exact(*integer_jet(ps, pt)) == (
-            exact_eigenvalues(jac, tr, det) is not None)
+        jac, tr, det, _ = linearization(ps, pt)
+        assert eigenvalues_are_exact(*jet) == (exact_eigenvalues(jac, tr, det) is not None)
 
 
 @st.composite
