@@ -34,8 +34,10 @@ column rank modulo the prime, which proves that the matrix of every
 cofactor with that image has full rank over its field.  Only when the
 certificate leaves an image open (or no prime qualifies) are the exact
 spectra formed; then the exact matrix of each value with an open image,
-integer rows over Z[sqrt(d)] from the same exponent shifts, is eliminated
-once and gives the curves of every degree up to the bound.
+integer rows over Z[sqrt(d)] from the same exponent shifts, gets one
+nullspace, which gives the curves of every degree up to the bound.  That
+nullspace too is read from images mod primes, lifted and checked exactly
+(linalg.nullspace); an exact elimination runs only when the primes run out.
 """
 
 from __future__ import annotations
@@ -77,11 +79,14 @@ from .reduction import (
 ScalarLike = Union[int, "QuadExt"]
 
 # The largest degree bound search_constant_cofactor accepts.  On a 2-vCPU
-# VM a search at the bound takes 7.5 to 8.5 s at the Fisher front speed,
-# where one exact elimination finds the cubic, a cost growing about as d^5
-# to d^6, and 0.02 to 0.03 s at c = 2 or c = sqrt(2), where one mod-p build
-# and three sparse rank certificates of the saddle values' images prove
-# there is none.
+# VM a search at the bound takes 0.04 to 0.05 s at the Fisher front speed,
+# where the cubic's nullspace is read from images mod a few primes and
+# checked exactly, and 0.015 to 0.02 s at c = 2 or c = sqrt(2), where one
+# mod-p build and three sparse rank certificates of the saddle values'
+# images prove there is none.  The bound stays because nothing bounds the
+# exact fallback: a null basis that no product of linalg.MODULAR_PRIMES
+# reconstructs is eliminated exactly, which takes about 9 s at the front
+# speed at degree 20, a cost growing about as d^5 to d^6.
 MAX_SEARCH_DEGREE = 20
 
 
@@ -525,7 +530,8 @@ def search_constant_cofactor(
     no integer pass holds, so P and Q are evaluated over QuadExt at the
     points) the exact spectra are formed, and each exact
     saddle value whose image is not ruled out gets its exact
-    invariance_matrix and one nullspace; given candidates are certified at
+    invariance_matrix and one nullspace, read from images mod primes and
+    checked exactly (linalg.nullspace); given candidates are certified at
     a prime for their own values in the same way.  One nullspace gives the
     curves of every degree: a null vector has the degree of its free column,
     and a hit's nullspace_dim counts the null vectors of degree at most its

@@ -1,23 +1,51 @@
 """Exact linear algebra over Q(sqrt(d)): nullspaces, rank, span membership,
 and a modular certificate of column independence.
 
-Elimination is fraction-free.  Each row is scaled by the lcm of its
-denominators, so every entry a + b*sqrt(d) becomes an integer pair (a, b) in
-Z[sqrt(d)], and Gauss-Jordan elimination runs on those pairs with Bareiss's
-exact division by the previous pivot (Bareiss 1968, Math. Comp. 22).  At the
-end every pivot equals the last one, D, and dividing by D once gives the
-reduced row echelon form, which is unique; the nullspace is read from it.
-A matrix lives in one field: its entries may not mix radicands.
-
 A matrix is given either as rows of QuadExt or as an IntegerMatrix, whose
-rows already hold the integer pairs with their scales (darboux builds its
-invariance matrices that way); an IntegerMatrix passes straight through to
-elimination.
+rows already hold integer pairs with their scales (darboux builds its
+invariance matrices that way).  Each row of QuadExt is scaled by the lcm of
+its denominators, so every entry a + b*sqrt(d) becomes an integer pair
+(a, b) in Z[sqrt(d)]; row scales change no nullspace and no rank.  A matrix
+lives in one field: its entries may not mix radicands.
 
-The modular certificate runs on another form: sparse rows of residues mod
-a prime below 2**30.  modular_root chooses the ring map of a whole search:
-one prime at which a set of values has images, with a root of their
-radicand d and a root of the image of each element of Z[sqrt(d)] that
+nullspace returns the basis read from the reduced row echelon form R, which
+is unique: one vector per free column fc, 1 at fc, -R[pc][fc] at each pivot
+column pc < fc and 0 elsewhere.  It reads R from images.  At each prime p of
+MODULAR_PRIMES at which d is a nonzero square r**2, the rows map to GF(p)
+under the two conjugate ring maps sqrt(d) -> r and sqrt(d) -> -r (one map
+for d = 1); the sparse reduced echelon form of each image gives the images
+a + b*r and a - b*r of each basis entry a + b*sqrt(d), and so a and b mod p.
+Primes are combined by the Chinese remainder theorem while the pivot
+columns stay the same; a prime with more pivots, or as many with an earlier
+pivot, starts the accumulation again, and one with fewer or later pivots is
+skipped.  After each prime every entry is recovered by Wang's rational
+reconstruction (Wang, Guy and Davenport, SIGSAM Bull., 1982), and the basis
+is returned once each vector times the integer rows is exactly 0 over
+Z[sqrt(d)].  The method follows the modular and evaluation methods of
+Bostan, Cheze, Cluzeau and Weil (Math. Comp., 2016) for this linear system.
+
+Why the checked basis is the exact one, whatever the primes: a minor that is
+nonzero mod p is nonzero exactly, so the rank can only drop mod p and the
+number of free columns mod p is at least the exact nullity.  A checked
+vector is an exact null vector, and its support, fc and pivot columns before
+it, puts column fc in the span of earlier columns, so fc is an exact free
+column.  Every free column mod p is then free exactly, and counting shows
+they are all of them: the pivot columns agree.  Each checked vector is 1 at
+its free column and 0 at the others, as the exact basis vector is, and two
+such null vectors differ by a combination of pivot columns alone, which is
+0.  An unlucky prime (one whose image loses a pivot) gives a vector that
+fails reconstruction or the check, and the next prime is tried.
+
+When the primes run out, _exact_nullspace eliminates once, fraction free:
+Gauss-Jordan elimination on the integer pairs with Bareiss's exact division
+by the previous pivot (Bareiss 1968, Math. Comp. 22).  At the end every
+pivot equals the last one, D, and dividing by D once gives R.  rank and
+in_row_span use the same elimination.
+
+The modular certificate runs on the same kind of images: sparse rows of
+residues mod a prime below 2**30.  modular_root chooses the ring map of a
+whole search: one prime at which a set of values has images, with a root of
+their radicand d and a root of the image of each element of Z[sqrt(d)] that
 must be a square (a saddle's discriminant, whose root gives the images of
 the eigenvalues without an exact square root).  residue maps a value to
 GF(p), and independent_prefix_mod_p eliminates the rows in column order.
@@ -28,6 +56,7 @@ certificate rules out.
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 from typing import Iterable, Optional, Union
@@ -146,7 +175,144 @@ def _eliminate(rows: Matrix) -> tuple[int, list[list[Pair]], list[int], Pair]:
 
 
 def nullspace(rows: Matrix, ncols: int) -> list[list[QuadExt]]:
-    """Basis of the right nullspace, one vector per free column, in column order."""
+    """Basis of the right nullspace, one vector per free column, in column
+    order: the reduced row echelon null basis, read from images modulo the
+    primes of MODULAR_PRIMES and checked exactly (see the module docstring),
+    or from _exact_nullspace when the primes run out."""
+    d, m, _ = _integer_rows(rows)
+    sparse = [[(j, a, b) for j, (a, b) in enumerate(row) if a or b] for row in m]
+    best = None  # (rank, negated pivots) of the primes accumulated so far
+    for p in MODULAR_PRIMES:
+        r = pow(d, (p + 1) // 4, p)
+        if not d % p or r * r % p != d % p:
+            continue
+        # the conjugate maps sqrt(d) -> r and -r give a + b*r and a - b*r
+        images = [_null_mod_p([{j: v for j, a, b in row if (v := (a + b * s) % p)}
+                               for row in sparse], ncols, p)
+                  for s in ((r,) if d == 1 else (r, p - r))]
+        pivots, null = images[0]
+        if any(other[0] != pivots for other in images):
+            continue
+        key = (len(pivots), [-c for c in pivots])
+        if best is not None and key < best:
+            continue  # an unlucky prime: rank or a pivot dropped mod p
+        u = [x for vec in null.values() for x in vec]
+        w = [x for vec in images[-1][1].values() for x in vec]
+        half, inv = (p + 1) // 2, pow(2 * r, -1, p)
+        a = [(x + y) * half % p for x, y in zip(u, w)]
+        b = [(x - y) * inv % p for x, y in zip(u, w)] if d > 1 else [0] * len(u)
+        if best is None or key > best:
+            best, modulus, acc = key, p, a + b
+        else:
+            t = pow(modulus, -1, p)
+            acc = [x + modulus * ((y - x) * t % p) for x, y in zip(acc, a + b)]
+            modulus *= p
+        basis = _lift(acc, modulus, pivots, null, sparse, ncols, d)
+        if basis is not None:
+            return basis
+    return _exact_nullspace(rows, ncols)
+
+
+def _null_mod_p(rows: list[dict[int, int]], ncols: int, p: int
+                ) -> tuple[list[int], dict[int, list[int]]]:
+    """(pivot columns, null basis) of sparse rows over GF(p), consumed.
+
+    Gauss-Jordan elimination in column order gives the reduced echelon form
+    R; the null vector of a free column fc, 1 at fc, holds -R[pc][fc] at
+    each pivot column pc < fc and 0 elsewhere, and is returned as that list
+    of residues, in pivot order, keyed by fc.
+    """
+    by_first: dict[int, list[dict[int, int]]] = {}
+    for row in rows:
+        if row:
+            by_first.setdefault(min(row), []).append(row)
+    reduced: dict[int, dict[int, int]] = {}
+    for c in range(ncols):
+        bucket = by_first.pop(c, None)
+        if not bucket:
+            continue
+        top = bucket.pop()
+        scale = pow(top.pop(c), -1, p)
+        reduced[c] = top = {j: v * scale % p for j, v in top.items()}
+        for row in bucket:
+            _subtract(row, row.pop(c), top, p)
+            if row:
+                by_first.setdefault(min(row), []).append(row)
+    pivots = list(reduced)
+    for c in reversed(pivots):  # later pivot rows hold free columns only
+        row = reduced[c]
+        for j in [j for j in row if j in reduced]:
+            _subtract(row, row.pop(j), reduced[j], p)
+    null = {fc: [0] * bisect.bisect(pivots, fc) for fc in range(ncols) if fc not in reduced}
+    for n, c in enumerate(pivots):
+        for fc, v in reduced[c].items():
+            null[fc][n] = p - v
+    return pivots, null
+
+
+def _subtract(row: dict[int, int], f: int, top: dict[int, int], p: int) -> None:
+    """row -= f * top over GF(p), in place, keeping only nonzero residues."""
+    for j, v in top.items():
+        x = (row.get(j, 0) - f * v) % p
+        if x:
+            row[j] = x
+        else:
+            row.pop(j, None)
+
+
+def _rational(u: int, modulus: int, bound: int) -> Optional[Fraction]:
+    """n/q with n = u*q (mod modulus), |n| <= bound and 0 < q <= bound, or
+    None: Wang's rational reconstruction, by the extended Euclidean
+    algorithm stopped at the first remainder within the bound."""
+    r0, r1, t0, t1 = modulus, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or math.gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _lift(acc: list[int], modulus: int, pivots: list[int], null: dict[int, list[int]],
+          sparse: list[list[tuple[int, int, int]]], ncols: int, d: int
+          ) -> Optional[list[list[QuadExt]]]:
+    """The null basis whose images mod modulus are acc (every a, then every
+    b, in the order of null), when every entry reconstructs and each vector
+    times the integer rows is exactly 0 over Z[sqrt(d)]; else None."""
+    bound = math.isqrt(modulus // 2)
+    half = len(acc) // 2
+    zero = QuadExt(0)
+    basis, n = [], 0
+    for fc, vec in null.items():
+        entries = {fc: (Fraction(1), Fraction(0))}
+        for pc in pivots[:len(vec)]:
+            a, b = _rational(acc[n], modulus, bound), _rational(acc[n + half], modulus, bound)
+            n += 1
+            if a is None or b is None:
+                return None
+            if a or b:
+                entries[pc] = (a, b)
+        scale = math.lcm(*(q.denominator for x in entries.values() for q in x))
+        ints = {j: (a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
+                for j, (a, b) in entries.items()}
+        for row in sparse:
+            sa = sb = 0
+            for j, a, b in row:
+                if j in ints:
+                    va, vb = ints[j]
+                    sa += a * va + d * b * vb
+                    sb += a * vb + b * va
+            if sa or sb:
+                return None
+        v = [zero] * ncols
+        for j, (a, b) in entries.items():
+            v[j] = QuadExt(a, b, d)
+        basis.append(v)
+    return basis
+
+
+def _exact_nullspace(rows: Matrix, ncols: int) -> list[list[QuadExt]]:
+    """nullspace by one fraction-free elimination, its fallback."""
     zero = QuadExt(0)
     one = QuadExt(1)
     d, m, pivots, D = _eliminate(rows)

@@ -116,7 +116,8 @@ def ylex_key(m: Monomial, nvars: int):
 class MultiPoly:
     """Immutable-by-convention sparse polynomial over QuadExt coefficients."""
 
-    __slots__ = ("registry", "terms")
+    # _hash is filled on the first hash() call; terms are never changed
+    __slots__ = ("registry", "terms", "_hash")
 
     def __init__(self, registry: VarRegistry, terms: Optional[dict] = None):
         self.registry = registry
@@ -280,7 +281,11 @@ class MultiPoly:
         return self.registry is other.registry and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(frozenset(self.terms.items()))
+            return self._hash
 
     # -- calculus and evaluation ------------------------------------------
 

@@ -22,6 +22,33 @@ HUGE_SPEED = "100000000000000000039"
 DATA = Path(__file__).resolve().parent / "data"
 
 
+# (golden file, find-curve flags after --pde FISHER, exit code), compared
+# byte for byte: the README's three find-curve lines, a degree-6
+# search at the front speed, three negative searches: to the degree
+# cap at c = 2, at sqrt(21) (saddle eigenvalues (-sqrt(21) +- 5)/2) and
+# at a large rational speed whose saddle radicand is near 1e10, the
+# mirrored front at -5/6*sqrt(6), Nagumo through both rest states (its
+# own --pde replaces the Fisher one), whose cubic field has no
+# constant-cofactor weights, and a negative search at c = 10000000019,
+# whose c^2 + 4 has no squarefree part trial division can find
+GOLDEN_SEARCHES = [
+    ("find_curve_front.json", ["--speed", FRONT_SPEED], 0),
+    ("find_curve_two.json", ["--speed", "2"], 2),
+    ("find_curve_sqrt2.json", ["--speed", "sqrt(2)"], 2),
+    ("find_curve_front_degree6.json", ["--speed", FRONT_SPEED, "--max-degree", "6"], 0),
+    ("find_curve_two_degree20.json", ["--speed", "2", "--max-degree", "20"], 2),
+    ("find_curve_sqrt21_degree6.json", ["--speed", "sqrt(21)", "--max-degree", "6"], 2),
+    ("find_curve_large_rational.json", ["--speed", "97057/9", "--max-degree", "6"], 2),
+    ("find_curve_mirrored_front_degree6.json",
+     ["--speed=-5/6*sqrt(6)", "--max-degree", "6"], 0),
+    ("find_curve_nagumo_degree6.json",
+     ["--pde", NAGUMO, "--speed", "1/2", "--point", "0,0", "--point", "1,0",
+      "--max-degree", "6"], 4),
+    ("find_curve_huge_rational_degree6.json",
+     ["--speed", "10000000019", "--max-degree", "6"], 2),
+]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -284,30 +311,7 @@ class TestFindCurve:
         if cofactors is None:  # the --cofactor note names the flag
             assert result["notes"] == hits.notes
 
-    # byte for byte: the README's three find-curve lines, a degree-6
-    # search at the front speed, three negative searches: to the degree
-    # cap at c = 2, at sqrt(21) (saddle eigenvalues (-sqrt(21) +- 5)/2) and
-    # at a large rational speed whose saddle radicand is near 1e10, the
-    # mirrored front at -5/6*sqrt(6), Nagumo through both rest states (its
-    # own --pde replaces the Fisher one), whose cubic field has no
-    # constant-cofactor weights, and a negative search at c = 10000000019,
-    # whose c^2 + 4 has no squarefree part trial division can find
-    @pytest.mark.parametrize("name, flags, want", [
-        ("find_curve_front.json", ["--speed", FRONT_SPEED], 0),
-        ("find_curve_two.json", ["--speed", "2"], 2),
-        ("find_curve_sqrt2.json", ["--speed", "sqrt(2)"], 2),
-        ("find_curve_front_degree6.json", ["--speed", FRONT_SPEED, "--max-degree", "6"], 0),
-        ("find_curve_two_degree20.json", ["--speed", "2", "--max-degree", "20"], 2),
-        ("find_curve_sqrt21_degree6.json", ["--speed", "sqrt(21)", "--max-degree", "6"], 2),
-        ("find_curve_large_rational.json", ["--speed", "97057/9", "--max-degree", "6"], 2),
-        ("find_curve_mirrored_front_degree6.json",
-         ["--speed=-5/6*sqrt(6)", "--max-degree", "6"], 0),
-        ("find_curve_nagumo_degree6.json",
-         ["--pde", NAGUMO, "--speed", "1/2", "--point", "0,0", "--point", "1,0",
-          "--max-degree", "6"], 4),
-        ("find_curve_huge_rational_degree6.json",
-         ["--speed", "10000000019", "--max-degree", "6"], 2),
-    ])
+    @pytest.mark.parametrize("name, flags, want", GOLDEN_SEARCHES)
     def test_json_matches_golden_copy(self, capsys, name, flags, want):
         code, out, err = run(capsys, "find-curve", "--pde", FISHER, *flags, "--json")
         assert (code, err) == (want, "")

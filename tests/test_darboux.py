@@ -1,6 +1,8 @@
 """Invariant curve solver: fixed cofactors, saddle candidates, screening."""
 
 import math
+import random
+import shlex
 import time
 from fractions import Fraction as Fr
 from unittest import mock
@@ -921,6 +923,48 @@ def test_negative_search_takes_no_exact_root():
     assert unlucky and roots.call_count == 1 and build.call_count == 3
     assert (hits.status, hits.images, hits.prime) == ("proved-none", [], None)
     assert hits.candidates == eigenvalue_cofactor_candidates(ps, [(0, 0), (1, 0)])[0]
+
+
+def planted_solve(rng, degree):
+    """solve_fixed_cofactor on a system built around f* = y + w(x), deg w =
+    degree, with cofactor k: P random of degree 2 and Q = k f* - P w', as in
+    acceptance criterion 09."""
+    reg = VarRegistry(["x", "y"])
+    x, y = MultiPoly.var(reg, "x"), MultiPoly.var(reg, "y")
+    w = sum((Fr(rng.randint(-3, 3), rng.randint(1, 2)) * x**i for i in range(degree)),
+            Fr(rng.choice((-1, 1)) * rng.randint(1, 3), rng.randint(1, 2)) * x**degree)
+    P = MultiPoly.zero(reg)
+    while P.is_zero:
+        P = sum((rng.randint(-2, 2) * x**i * y**j for i in range(3) for j in range(3 - i)),
+                MultiPoly.zero(reg))
+    k = Fr(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 2))
+    ps = PlanarSystem(reg, 0, 1, P, k * (y + w) - P * w.partial_derivative(0))
+    return solve_fixed_cofactor(ps, k, degree)
+
+
+def test_searches_and_solves_never_reach_the_exact_fallback():
+    """Every nullspace of the README's find-curve lines, of each golden
+    find-curve search, of certify() and of a batch of planted solves is
+    read from images mod p; the exact elimination never runs."""
+    from test_cli import FISHER as FISHER_TEXT, GOLDEN_SEARCHES
+    from test_readme import COMMANDS
+
+    from algwaves import fisher
+    from algwaves.cli import main
+
+    rng = random.Random(2209)
+    with mock.patch.object(linalg, "_exact_nullspace", wraps=linalg._exact_nullspace) as fallback, \
+            mock.patch.object(darboux, "nullspace", wraps=darboux.nullspace) as solves, \
+            mock.patch("sys.stdout"):
+        readme = [main(shlex.split(line, comments=True)[1:])
+                  for line in COMMANDS if line.startswith("algwaves find-curve")]
+        golden = [main(["find-curve", "--pde", FISHER_TEXT, *flags, "--json"])
+                  for _, flags, _ in GOLDEN_SEARCHES]
+        assert fisher.certify().ok
+        planted = [planted_solve(rng, degree) for degree in (1, 2, 3, 4) for _ in range(8)]
+    assert readme == [0, 2, 2] and golden == [want for *_, want in GOLDEN_SEARCHES]
+    assert all(planted) and solves.call_count >= len(planted) + 4
+    assert fallback.call_count == 0
 
 
 def test_elimination_leaves_invariance_matrix_unchanged():

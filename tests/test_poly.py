@@ -3,16 +3,18 @@
 import itertools
 import math
 from fractions import Fraction as Fr
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from algwaves import darboux
+from algwaves import darboux, linalg
 from algwaves.darboux import eigenvalue_cofactor_candidates, invariance_matrix
 from algwaves.linalg import (
     MODULAR_PRIMES,
     IntegerMatrix,
+    _exact_nullspace,
     _integer_rows,
     in_row_span,
     independent_prefix_mod_p,
@@ -299,6 +301,97 @@ def test_fraction_free_elimination_matches_reference(case):
     # entries, which is all a reduced row echelon form holds
     assert nullspace(rows, ncols) == reference_nullspace(rows, ncols)
     assert rank(rows) == len(reference_rref(rows)[1])
+
+
+@st.composite
+def rank_deficient_products(draw):
+    """Matrices A*B over Q or Q(sqrt(d)), A of shape nrows x k and B of
+    shape k x ncols, so that the rank is at most k and several columns are
+    free; tall and wide shapes.  The reduced echelon form of A*B is that of
+    B when A has rank k, so its entries are ratios of k x k minors of B.
+    With big entries, integers up to 2**16 and k <= 3, those run to about
+    100 bits: no single 30-bit prime reconstructs them, a few primes do."""
+    d = draw(st.sampled_from((1, 1, 2, 3, 5, 6, 7)))
+    nrows, ncols = draw(st.sampled_from(((2, 7), (3, 9), (5, 5), (8, 4), (9, 3), (6, 8))))
+    big = draw(st.booleans())
+    k = draw(st.integers(min_value=0, max_value=min(nrows - 1, ncols - 1, 3 if big else 9)))
+    if big:
+        part = st.integers(min_value=-2**16, max_value=2**16)
+    else:
+        part = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+    def entry():
+        return QuadExt(draw(part), draw(part) if d > 1 else 0, d)
+
+    a = [[entry() for _ in range(k)] for _ in range(nrows)]
+    b = [[entry() for _ in range(ncols)] for _ in range(k)]
+    rows = [[sum((a[i][t] * b[t][j] for t in range(k)), QuadExt(0)) for j in range(ncols)]
+            for i in range(nrows)]
+    return rows, ncols
+
+
+@settings(max_examples=100, deadline=None)
+@given(rank_deficient_products())
+def test_modular_nullspace_matches_exact_elimination(case):
+    rows, ncols = case
+    with mock.patch.object(linalg, "_exact_nullspace", wraps=_exact_nullspace) as fallback:
+        got = nullspace(rows, ncols)
+    assert fallback.call_count == 0
+    assert got == _exact_nullspace(rows, ncols)
+
+
+def recorded_lifts():
+    """(calls, patch): while the patch is active, each call of linalg._lift
+    appends (modulus, pivots, its result) to calls."""
+    calls, real = [], linalg._lift
+
+    def lift(acc, modulus, pivots, *args):
+        calls.append((modulus, pivots, real(acc, modulus, pivots, *args)))
+        return calls[-1][2]
+
+    return calls, mock.patch.object(linalg, "_lift", lift)
+
+
+def test_large_entries_take_several_primes():
+    # the null vector (-b/a, 1) of the row (a, b), a = 3**29 near 2**46:
+    # one prime reconstructs no such rational, four do
+    a, b = 3**29, 5**17
+    for rows in ([[QuadExt(a), QuadExt(b)]], [[QuadExt(a, 1, 2), QuadExt(b, -3, 2)]]):
+        calls, patch = recorded_lifts()
+        with patch, mock.patch.object(linalg, "_exact_nullspace") as fallback:
+            got = nullspace(rows, 2)
+        assert got == [[-rows[0][1] / rows[0][0], QuadExt(1)]] == _exact_nullspace(rows, 2)
+        assert fallback.call_count == 0 and calls[0][2] is None and calls[-1][2] == got
+        assert calls[-1][0] > 2**90  # a product of at least four primes
+
+
+def test_unlucky_first_prime_is_rejected_by_the_exact_check():
+    # the row (p, 1) of test_free_columns_mod_p_bound_only_the_nullity:
+    # mod p its pivot is column 1, so the first prime reads the null vector
+    # (1, 0), which reconstructs and fails the exact check; the next prime
+    # has the pivot in column 0 and starts the accumulation again
+    p = MODULAR_PRIMES[0]
+    rows = IntegerMatrix([[(p, 0), (1, 0)]], 1, [1])
+    calls, patch = recorded_lifts()
+    with patch, mock.patch.object(linalg, "_exact_nullspace") as fallback:
+        assert nullspace(rows, 2) == [[QuadExt(Fr(-1, p)), QuadExt(1)]]
+    assert fallback.call_count == 0
+    assert calls[0] == (p, [1], None)
+    assert calls[1][:2] == (MODULAR_PRIMES[1], [0])
+    assert all(pivots == [0] for _, pivots, _ in calls[1:])
+
+
+def test_null_vectors_beyond_the_primes_fall_back_to_elimination():
+    # -1/n with n above 2**400 reconstructs from no product of
+    # MODULAR_PRIMES (about 2**720, which bounds n by about 2**360)
+    n = 2**401 + 1
+    for rows in ([[QuadExt(n), QuadExt(1), QuadExt(0)], [QuadExt(0), QuadExt(0), QuadExt(1)]],
+                 [[QuadExt(n, 1, 2), QuadExt(1)]]):
+        ncols = len(rows[0])
+        with mock.patch.object(linalg, "_exact_nullspace", wraps=_exact_nullspace) as fallback:
+            got = nullspace(rows, ncols)
+        assert fallback.call_count == 1
+        assert got == [[-1 / rows[0][0], QuadExt(1), *[QuadExt(0)] * (ncols - 2)]]
 
 
 def prefix_mod_p(rows, ncols):
@@ -640,6 +733,28 @@ def poly_strategy(reg_names=("x", "y")):
             f = f + c * xs[0] ** ex * xs[1] ** ey
         return reg, f
     return st.lists(small_coeffs, min_size=1, max_size=9).map(build)
+
+
+class TestHash:
+    def test_equal_polynomials_built_differently_hash_equal(self):
+        reg, x, y = xy()
+        f = (x + 1) * (y - x)
+        g = y * x - x * x + y - x
+        h = MultiPoly(reg, dict(reversed(list(g.terms.items()))))
+        s6 = QuadExt(0, 1, 6)
+        assert f == g == h and hash(f) == hash(g) == hash(h)
+        assert hash(s6 * f - s6 * x) == hash(s6 * (f - x)) == hash(s6 * (x * y + y - x * x - 2 * x))
+        assert len({f, g, h, (x + 1) * y - x * x - x}) == 1
+
+    def test_hash_is_computed_once(self):
+        _, x, y = xy()
+        f = (x + y + QuadExt(0, 1, 2)) ** 3
+        with mock.patch.object(QuadExt, "__hash__", autospec=True,
+                               side_effect=QuadExt.__hash__) as coefficient_hash:
+            first = hash(f)
+            assert coefficient_hash.call_count == len(f.terms)
+            assert hash(f) == first and {f: 1}[f] == 1
+            assert coefficient_hash.call_count == len(f.terms)
 
 
 class TestRingLaws:
