@@ -37,7 +37,7 @@ spectra formed; then the exact matrix of each value with an open image,
 integer rows over Z[sqrt(d)] from the same exponent shifts, gets one
 nullspace, which gives the curves of every degree up to the bound.  That
 nullspace too is read from images mod primes, lifted and checked exactly
-(linalg.nullspace); an exact elimination runs only when the primes run out.
+(linalg.nullspace); no exact elimination runs.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .linalg import (
     pair_mul,
     pair_sign,
     residue,
+    square_root_mod_p,
 )
 from .poly import (
     Monomial,
@@ -79,14 +80,13 @@ from .reduction import (
 ScalarLike = Union[int, "QuadExt"]
 
 # The largest degree bound search_constant_cofactor accepts.  On a 2-vCPU
-# VM a search at the bound takes 0.04 to 0.05 s at the Fisher front speed,
-# where the cubic's nullspace is read from images mod a few primes and
-# checked exactly, and 0.015 to 0.02 s at c = 2 or c = sqrt(2), where one
-# mod-p build and three sparse rank certificates of the saddle values'
-# images prove there is none.  The bound stays because nothing bounds the
-# exact fallback: a null basis that no product of linalg.MODULAR_PRIMES
-# reconstructs is eliminated exactly, which takes about 9 s at the front
-# speed at degree 20, a cost growing about as d^5 to d^6.
+# VM (CPU time, shared host) a search at the bound takes 0.03 to 0.04 s at
+# the Fisher front speed, where the cubic's nullspace is read from images
+# mod primes and checked exactly, and 0.012 to 0.015 s at c = 2 or
+# c = sqrt(2), where three sparse rank certificates prove there is none.
+# No exact elimination runs at any degree: at degree 30 and 40 the front
+# search takes 0.12 and 0.23 s.  The bound stays 20 because it is
+# find-curve's documented range; widening it is its own change.
 MAX_SEARCH_DEGREE = 20
 
 
@@ -304,9 +304,9 @@ class _ModularRows:
 def _image(k: QuadExt, p: int) -> Optional[int]:
     """The image of k in GF(p) under a ring map from modular_root at p,
     sqrt(e) -> e**((p + 1) / 4) for k's radicand e, or None when p divides a
-    denominator of k or e is no square mod p."""
-    root = pow(k.d, (p + 1) // 4, p)
-    if root * root % p != k.d % p or not (k.a.denominator % p and k.b.denominator % p):
+    denominator of k or e is no nonzero square mod p (square_root_mod_p)."""
+    root = square_root_mod_p(k.d, p)
+    if root is None or not (k.a.denominator % p and k.b.denominator % p):
         return None
     return residue(k, p, root)
 

@@ -10,18 +10,19 @@ lives in one field: its entries may not mix radicands.
 
 nullspace returns the basis read from the reduced row echelon form R, which
 is unique: one vector per free column fc, 1 at fc, -R[pc][fc] at each pivot
-column pc < fc and 0 elsewhere.  It reads R from images.  At each prime p of
-MODULAR_PRIMES at which d is a nonzero square r**2, the rows map to GF(p)
-under the two conjugate ring maps sqrt(d) -> r and sqrt(d) -> -r (one map
-for d = 1); the sparse reduced echelon form of each image gives the images
-a + b*r and a - b*r of each basis entry a + b*sqrt(d), and so a and b mod p.
-Primes are combined by the Chinese remainder theorem while the pivot
-columns stay the same; a prime with more pivots, or as many with an earlier
-pivot, starts the accumulation again, and one with fewer or later pivots is
-skipped.  After each prime every entry is recovered by Wang's rational
-reconstruction (Wang, Guy and Davenport, SIGSAM Bull., 1982), and the basis
-is returned once each vector times the integer rows is exactly 0 over
-Z[sqrt(d)].  The method follows the modular and evaluation methods of
+column pc < fc and 0 elsewhere.  It reads R from images, modulo the primes
+of _primes in turn, MODULAR_PRIMES first.  At each prime p at which d is a
+nonzero square r**2, the rows map to GF(p) under the two conjugate ring maps
+sqrt(d) -> r and sqrt(d) -> -r (one map for d = 1); the sparse reduced
+echelon form of each image gives the images a + b*r and a - b*r of each
+basis entry a + b*sqrt(d), and so a and b mod p.  Primes are combined by
+the Chinese remainder theorem while the pivot columns stay the same; a
+prime with more pivots, or as many with an earlier pivot, starts the
+accumulation again, and one with fewer or later pivots is skipped.  After
+1, 2, 4, 8, ... accumulated primes every entry is recovered by Wang's
+rational reconstruction (Wang, Guy and Davenport, SIGSAM Bull., 1982), and
+the basis is returned once each vector times the integer rows is exactly 0
+over Z[sqrt(d)].  The method follows the modular and evaluation methods of
 Bostan, Cheze, Cluzeau and Weil (Math. Comp., 2016) for this linear system.
 
 Why the checked basis is the exact one, whatever the primes: a minor that is
@@ -36,30 +37,37 @@ such null vectors differ by a combination of pivot columns alone, which is
 0.  An unlucky prime (one whose image loses a pivot) gives a vector that
 fails reconstruction or the check, and the next prime is tried.
 
-When the primes run out, _exact_nullspace eliminates once, fraction free:
-Gauss-Jordan elimination on the integer pairs with Bareiss's exact division
-by the previous pivot (Bareiss 1968, Math. Comp. 22).  At the end every
-pivot equals the last one, D, and dividing by D once gives R.  rank and
-in_row_span use the same elimination.
+Why the walk ends: finitely many minors fix the pivot columns and R, so
+only the primes dividing the norm of one of them are unlucky; d >= 1 is a
+square mod infinitely many p = 3 (mod 4); and reconstruction succeeds once
+the modulus exceeds 2*B**2, B a bound on the numerators and denominators
+in R.  Lifting at powers of two takes at most twice the primes needed.
+(_primes ends after about 2.7e7 primes, whose product has about 7.7e8
+bits; nullspace raises ArithmeticError there.)  Huge entries are slow, not
+wrong: the row (2**3000 + 1 + sqrt(2), 1), whose null vector has 6,001-bit
+denominators, takes 512 primes and 0.16 s on a 2-vCPU VM, against 0.0001 s
+for one _eliminate; no search or solve here meets entries of that size.
+_eliminate (fraction-free Gaussian elimination on the integer pairs, with
+Bareiss's exact division by the previous pivot; Bareiss 1968, Math. Comp.
+22) serves only rank and in_row_span.
 
-The modular certificate runs on the same kind of images: sparse rows of
-residues mod a prime below 2**30.  modular_root chooses the ring map of a
-whole search: one prime at which a set of values has images, with a root of
-their radicand d and a root of the image of each element of Z[sqrt(d)] that
-must be a square (a saddle's discriminant, whose root gives the images of
-the eigenvalues without an exact square root).  residue maps a value to
-GF(p), and independent_prefix_mod_p eliminates the rows in column order.
-darboux maps each search's rows once and writes each candidate cofactor's
-image into them, so no matrix over Q(sqrt(d)) is built for a candidate the
-certificate rules out.
+The modular certificate works on the same images.  modular_root chooses the
+ring map of a whole search: one prime of MODULAR_PRIMES at which a set of
+values has images, with a root of their radicand d and a root of the image
+of each element of Z[sqrt(d)] that must be a square (a saddle's
+discriminant, whose root gives the images of the eigenvalues without an
+exact square root).  residue maps a value to GF(p), and
+independent_prefix_mod_p reads the first column without a pivot from the
+forward elimination that nullspace runs too (_echelon_mod_p).
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .qfield import QuadExt, RadicandMismatchError, common_radicand
 
@@ -131,12 +139,11 @@ def _integer_rows(rows: Matrix) -> tuple[int, list[list[Pair]], list[int]]:
     return d, out, scales
 
 
-def _eliminate(rows: Matrix) -> tuple[int, list[list[Pair]], list[int], Pair]:
-    """Fraction-free Gauss-Jordan elimination over Z[sqrt(d)].
+def _eliminate(rows: Matrix) -> list[int]:
+    """The pivot columns of the row echelon form, by fraction-free Gaussian
+    elimination over Z[sqrt(d)].
 
-    Returns (d, pivot rows, pivot columns, D).  Every pivot row holds D in
-    its own pivot column and 0 in the others; dividing the rows by D gives
-    the reduced row echelon form.  Each step replaces every other row by
+    Each step replaces every row below the pivot row by
     (piv*row - row[c]*top) / prev, where prev is the previous pivot (1 at
     the first step); the quotient lies in Z[sqrt(d)] (every entry is a
     minor of the scaled matrix) and is computed as x*conj(prev) / N(prev).
@@ -146,8 +153,8 @@ def _eliminate(rows: Matrix) -> tuple[int, list[list[Pair]], list[int], Pair]:
     ncols = len(m[0]) if nrows else 0
     pivots: list[int] = []
     prev: Pair = (1, 0)
-    r = 0
     for c in range(ncols):
+        r = len(pivots)
         pivot_row = next((i for i in range(r, nrows) if m[i][c] != (0, 0)), None)
         if pivot_row is None:
             continue
@@ -156,9 +163,7 @@ def _eliminate(rows: Matrix) -> tuple[int, list[list[Pair]], list[int], Pair]:
         pa, pb = top[c]
         qa, qb = prev
         norm = qa * qa - d * qb * qb
-        for i in range(nrows):
-            if i == r:
-                continue
+        for i in range(r + 1, nrows):
             fa, fb = m[i][c]
             new = []
             for (xa, xb), (ta, tb) in zip(m[i], top):
@@ -168,23 +173,20 @@ def _eliminate(rows: Matrix) -> tuple[int, list[list[Pair]], list[int], Pair]:
             m[i] = new
         prev = top[c]
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return d, m[:r], pivots, prev
+    return pivots
 
 
 def nullspace(rows: Matrix, ncols: int) -> list[list[QuadExt]]:
     """Basis of the right nullspace, one vector per free column, in column
     order: the reduced row echelon null basis, read from images modulo the
-    primes of MODULAR_PRIMES and checked exactly (see the module docstring),
-    or from _exact_nullspace when the primes run out."""
+    primes of _primes and checked exactly (see the module docstring)."""
     d, m, _ = _integer_rows(rows)
     sparse = [[(j, a, b) for j, (a, b) in enumerate(row) if a or b] for row in m]
     best = None  # (rank, negated pivots) of the primes accumulated so far
-    for p in MODULAR_PRIMES:
-        r = pow(d, (p + 1) // 4, p)
-        if not d % p or r * r % p != d % p:
+    beyond = itertools.islice(_primes(), len(MODULAR_PRIMES), None)
+    for p in itertools.chain(MODULAR_PRIMES, beyond):
+        r = square_root_mod_p(d, p)
+        if r is None:
             continue
         # the conjugate maps sqrt(d) -> r and -r give a + b*r and a - b*r
         images = [_null_mod_p([{j: v for j, a, b in row if (v := (a + b * s) % p)}
@@ -202,42 +204,60 @@ def nullspace(rows: Matrix, ncols: int) -> list[list[QuadExt]]:
         a = [(x + y) * half % p for x, y in zip(u, w)]
         b = [(x - y) * inv % p for x, y in zip(u, w)] if d > 1 else [0] * len(u)
         if best is None or key > best:
-            best, modulus, acc = key, p, a + b
+            best, modulus, acc, count = key, p, a + b, 1
         else:
             t = pow(modulus, -1, p)
             acc = [x + modulus * ((y - x) * t % p) for x, y in zip(acc, a + b)]
             modulus *= p
+            count += 1
+        if count & (count - 1):
+            continue  # lift only at 1, 2, 4, 8, ... accumulated primes
         basis = _lift(acc, modulus, pivots, null, sparse, ncols, d)
         if basis is not None:
             return basis
-    return _exact_nullspace(rows, ncols)
+    raise ArithmeticError("no product of the primes below 2**30 reconstructs the null basis")
 
 
-def _null_mod_p(rows: list[dict[int, int]], ncols: int, p: int
-                ) -> tuple[list[int], dict[int, list[int]]]:
-    """(pivot columns, null basis) of sparse rows over GF(p), consumed.
+def _echelon_mod_p(rows: list[dict[int, int]], ncols: int, p: int
+                   ) -> Iterator[tuple[int, dict[int, int], int]]:
+    """The row echelon form of sparse rows over GF(p), which are consumed,
+    as it is found: (c, row, inv) for each pivot column c in increasing
+    order, the pivot row without its entry at c and inv that entry's inverse.
 
-    Gauss-Jordan elimination in column order gives the reduced echelon form
-    R; the null vector of a free column fc, 1 at fc, holds -R[pc][fc] at
-    each pivot column pc < fc and 0 elsewhere, and is returned as that list
-    of residues, in pivot order, keyed by fc.
+    Gaussian elimination in column order.  Each row is filed under its
+    first column; eliminating column c touches only the rows filed under c
+    and the entries of the pivot row.  Which rows serve as pivots does not
+    change the pivot columns: column c has no pivot exactly when it lies in
+    the span of columns 0..c-1 mod p.
     """
     by_first: dict[int, list[dict[int, int]]] = {}
     for row in rows:
         if row:
             by_first.setdefault(min(row), []).append(row)
-    reduced: dict[int, dict[int, int]] = {}
     for c in range(ncols):
         bucket = by_first.pop(c, None)
         if not bucket:
             continue
         top = bucket.pop()
         scale = pow(top.pop(c), -1, p)
-        reduced[c] = top = {j: v * scale % p for j, v in top.items()}
         for row in bucket:
-            _subtract(row, row.pop(c), top, p)
+            _subtract(row, row.pop(c) * scale % p, top, p)
             if row:
                 by_first.setdefault(min(row), []).append(row)
+        yield c, top, scale
+
+
+def _null_mod_p(rows: list[dict[int, int]], ncols: int, p: int
+                ) -> tuple[list[int], dict[int, list[int]]]:
+    """(pivot columns, null basis) of sparse rows over GF(p), consumed.
+
+    Back substitution on _echelon_mod_p gives the reduced echelon form R;
+    the null vector of a free column fc, 1 at fc, holds -R[pc][fc] at each
+    pivot column pc < fc and 0 elsewhere, and is returned as that list of
+    residues, in pivot order, keyed by fc.
+    """
+    reduced = {c: {j: v * scale % p for j, v in top.items()}
+               for c, top, scale in _echelon_mod_p(rows, ncols, p)}
     pivots = list(reduced)
     for c in reversed(pivots):  # later pivot rows hold free columns only
         row = reduced[c]
@@ -311,31 +331,8 @@ def _lift(acc: list[int], modulus: int, pivots: list[int], null: dict[int, list[
     return basis
 
 
-def _exact_nullspace(rows: Matrix, ncols: int) -> list[list[QuadExt]]:
-    """nullspace by one fraction-free elimination, its fallback."""
-    zero = QuadExt(0)
-    one = QuadExt(1)
-    d, m, pivots, D = _eliminate(rows)
-    # entry -x / D of a pivot row x, as x * conj(-D) / N(D)
-    ca, cb = -D[0], D[1]
-    norm = ca * ca - d * cb * cb
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        v = [zero] * ncols
-        v[fc] = one
-        for row, pc in zip(m, pivots):
-            xa, xb = row[fc]
-            v[pc] = QuadExt(Fraction(xa * ca + d * xb * cb, norm),
-                            Fraction(xa * cb + xb * ca, norm), d)
-        basis.append(v)
-    return basis
-
-
 def rank(rows: Matrix) -> int:
-    return len(_eliminate(rows)[2])
+    return len(_eliminate(rows))
 
 
 def in_row_span(rows: list[list[QuadExt]], vec: list[QuadExt]) -> bool:
@@ -347,13 +344,29 @@ def in_row_span(rows: list[list[QuadExt]], vec: list[QuadExt]) -> bool:
     return rank(rows) == rank(rows + [vec])
 
 
-# Primes p = 3 (mod 4) just below 2**30, so that a square root of a square d
-# mod p is d**((p + 1) / 4) and every residue is a one-digit CPython int (a
-# product of two stays below 2**60).  A radicand is a square modulo about
-# half of them, so all 24 fail it with odds near 6e-8.
-MODULAR_PRIMES = tuple(2**30 - k for k in (
-    41, 101, 105, 153, 161, 173, 257, 297, 321, 357, 405, 425,
-    437, 453, 513, 537, 777, 861, 873, 945, 977, 1005, 1017, 1041))
+def _primes() -> Iterator[int]:
+    """The primes p = 3 (mod 4) below 2**30, in descending order.
+
+    Below 2**30 every residue is a one-digit CPython int (a product of two
+    stays below 2**60), and p = 3 (mod 4) makes d**((p + 1) / 4) a root of
+    any square d (square_root_mod_p).  The test is Miller-Rabin to the bases
+    2, 3, 5 and 7, exact below 3.2e9; as n - 1 = 2 * odd, a strong probable
+    prime n to base a has a**((n - 1) / 2) = +-1 (mod n)."""
+    for n in range(2**30 - 1, 2, -4):
+        if n in (3, 7) or all(pow(a, n // 2, n) in (1, n - 1) for a in (2, 3, 5, 7)):
+            yield n
+
+
+# A radicand is a square modulo about half of these, so all 24 fail it with
+# odds near 6e-8.
+MODULAR_PRIMES = tuple(itertools.islice(_primes(), 24))
+
+
+def square_root_mod_p(d: int, p: int) -> Optional[int]:
+    """r = d**((p + 1) / 4) when it is a root of r*r = d (mod p), for a prime
+    p = 3 (mod 4); None when d is 0 or no square mod p."""
+    r = pow(d, (p + 1) // 4, p)
+    return r if d % p and r * r % p == d % p else None
 
 
 def modular_root(values: Iterable[QuadExt], squares: Iterable[Pair] = ()
@@ -382,12 +395,11 @@ def modular_root(values: Iterable[QuadExt], squares: Iterable[Pair] = ()
         return None
     den = math.lcm(*(q.denominator for x in values for q in (x.a, x.b)))
     for p in MODULAR_PRIMES:
-        r = pow(d, (p + 1) // 4, p)
-        if not (d % p and r * r % p == d % p and den % p):
+        r = square_root_mod_p(d, p)
+        if r is None or not den % p:
             continue
-        images = [(a + b * r) % p for a, b in squares]
-        roots = [pow(w, (p + 1) // 4, p) for w in images]
-        if all(w and s * s % p == w for w, s in zip(images, roots)):
+        roots = [square_root_mod_p(a + b * r, p) for a, b in squares]
+        if None not in roots:
             return p, r, roots
     return None
 
@@ -405,39 +417,18 @@ def independent_prefix_mod_p(rows: list[dict[int, int]], ncols: int, p: int) -> 
     independent.
 
     Rows are sparse, {column: residue} with the nonzero residues only, and
-    are consumed.  Gaussian elimination in column order stops at the first
-    column without a pivot; the columns before it are independent, and the
-    returned count is its index (ncols when every column has a pivot).  The
-    count does not depend on which rows serve as pivots: column c has no
-    pivot exactly when it lies in the span of columns 0..c-1 mod p.
+    are consumed.  The count is the first column without a pivot in the
+    row echelon form (_echelon_mod_p, stopped there), and ncols when every
+    column has one: the columns before it are independent.
 
     When the rows are the image of a matrix over Q(sqrt(d)) under a ring
     homomorphism (modular_root, residue), a minor that is nonzero mod p is
     nonzero over Q(sqrt(d)), so the count is a lower bound on the exact one:
     ncols proves full column rank, and a smaller count proves nothing.
-
-    Each row is filed under its first column; eliminating column c touches
-    only the rows filed under c and the entries of the pivot row.
     """
-    by_first: dict[int, list[dict[int, int]]] = {}
-    for row in rows:
-        if row:
-            by_first.setdefault(min(row), []).append(row)
-    for c in range(ncols):
-        bucket = by_first.pop(c, None)
-        if not bucket:
-            return c
-        top = bucket.pop()
-        scale = pow(top[c], -1, p)
-        tail = [(j, v) for j, v in top.items() if j != c]
-        for row in bucket:
-            f = row.pop(c) * scale % p
-            for j, v in tail:
-                x = (row.get(j, 0) - f * v) % p
-                if x:
-                    row[j] = x
-                else:
-                    row.pop(j, None)
-            if row:
-                by_first.setdefault(min(row), []).append(row)
-    return ncols
+    count = 0
+    for c, _, _ in _echelon_mod_p(rows, ncols, p):
+        if c != count:
+            break
+        count += 1
+    return count

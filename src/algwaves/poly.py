@@ -116,8 +116,9 @@ def ylex_key(m: Monomial, nvars: int):
 class MultiPoly:
     """Immutable-by-convention sparse polynomial over QuadExt coefficients."""
 
-    # _hash is filled on the first hash() call; terms are never changed
-    __slots__ = ("registry", "terms", "_hash")
+    # _hash is filled on the first hash() call and _compiled, compile_float's
+    # evaluators by variable order, on its first call; terms are never changed
+    __slots__ = ("registry", "terms", "_hash", "_compiled")
 
     def __init__(self, registry: VarRegistry, terms: Optional[dict] = None):
         self.registry = registry
@@ -356,18 +357,24 @@ class MultiPoly:
         return out
 
     def evaluate_float(self, point: dict[int, float]) -> float:
-        """Float value at one point; compiles first, so prefer compile_float
-        when the same polynomial is evaluated many times."""
+        """Float value at one point, by compile_float's evaluator for the
+        point's variable order."""
         return self.compile_float(list(point))(*point.values())
 
     def compile_float(self, order: Sequence[int]) -> Callable[..., float]:
         """Float evaluator f(x0, x1, ...) with positional arguments in the
         given variable order.
 
-        The evaluator is straight-line Python generated by _compile_float.
-        Arguments may be floats or numpy arrays of one shape; with arrays
-        the result has that shape, for constant and zero polynomials too."""
-        return _compile_float([self], order, field=False)
+        The evaluator is straight-line Python generated by _compile_float,
+        once per polynomial and order.  Arguments may be floats or numpy
+        arrays of one shape; with arrays the result has that shape, for
+        constant and zero polynomials too."""
+        order = tuple(order)
+        if not hasattr(self, "_compiled"):
+            self._compiled = {}
+        if order not in self._compiled:
+            self._compiled[order] = _compile_float([self], order, field=False)
+        return self._compiled[order]
 
     def as_univariate(self, v: int) -> list["MultiPoly"]:
         """Coefficients in v, ascending; index i holds the v**i coefficient."""

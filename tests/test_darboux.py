@@ -942,10 +942,11 @@ def planted_solve(rng, degree):
     return solve_fixed_cofactor(ps, k, degree)
 
 
-def test_searches_and_solves_never_reach_the_exact_fallback():
+def test_searches_and_solves_stay_within_the_prime_table():
     """Every nullspace of the README's find-curve lines, of each golden
     find-curve search, of certify() and of a batch of planted solves is
-    read from images mod p; the exact elimination never runs."""
+    read from images mod primes of MODULAR_PRIMES: no lift takes a prime
+    of the stream past the table."""
     from test_cli import FISHER as FISHER_TEXT, GOLDEN_SEARCHES
     from test_readme import COMMANDS
 
@@ -953,7 +954,7 @@ def test_searches_and_solves_never_reach_the_exact_fallback():
     from algwaves.cli import main
 
     rng = random.Random(2209)
-    with mock.patch.object(linalg, "_exact_nullspace", wraps=linalg._exact_nullspace) as fallback, \
+    with mock.patch.object(linalg, "_lift", wraps=linalg._lift) as lifts, \
             mock.patch.object(darboux, "nullspace", wraps=darboux.nullspace) as solves, \
             mock.patch("sys.stdout"):
         readme = [main(shlex.split(line, comments=True)[1:])
@@ -964,7 +965,8 @@ def test_searches_and_solves_never_reach_the_exact_fallback():
         planted = [planted_solve(rng, degree) for degree in (1, 2, 3, 4) for _ in range(8)]
     assert readme == [0, 2, 2] and golden == [want for *_, want in GOLDEN_SEARCHES]
     assert all(planted) and solves.call_count >= len(planted) + 4
-    assert fallback.call_count == 0
+    table = math.prod(MODULAR_PRIMES)
+    assert lifts.call_count and all(table % call.args[1] == 0 for call in lifts.call_args_list)
 
 
 def test_elimination_leaves_invariance_matrix_unchanged():

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction as Fr
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -324,6 +325,20 @@ class TestResiduals:
         flip = lambda p: (1.0 - p[0], p[1])
         assert curve_residual_along_orbit(x * y - 3, orb) == 2.5
         assert curve_residual_along_orbit(x * y - 3, orb, transform=flip) == 1.5
+
+    def test_repeated_residual_compiles_once(self):
+        # the evaluator is kept on the polynomial, one per variable order
+        from algwaves import poly
+
+        orb = Orbit(np.array([0.0, 1.0]), np.array([[0.25, 2.0], [1.0, 1.0]]))
+        reg = VarRegistry(["x", "y"])
+        f = MultiPoly.var(reg, "x") * MultiPoly.var(reg, "y") - 3
+        with mock.patch.object(poly, "_compile_float", wraps=poly._compile_float) as compile_:
+            assert [curve_residual_along_orbit(f, orb) for _ in range(3)] == [2.5] * 3
+            assert f.evaluate_float({0: 0.25, 1: 2.0}) == -2.5
+            assert compile_.call_count == 1
+            assert f.evaluate_float({1: 2.0, 0: 0.25}) == -2.5
+            assert compile_.call_count == 2
 
     def test_richardson_accuracy(self):
         d = richardson_derivative(math.sin, 0.9)

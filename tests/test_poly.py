@@ -14,8 +14,8 @@ from algwaves.darboux import eigenvalue_cofactor_candidates, invariance_matrix
 from algwaves.linalg import (
     MODULAR_PRIMES,
     IntegerMatrix,
-    _exact_nullspace,
     _integer_rows,
+    _primes,
     in_row_span,
     independent_prefix_mod_p,
     modular_root,
@@ -334,10 +334,7 @@ def rank_deficient_products(draw):
 @given(rank_deficient_products())
 def test_modular_nullspace_matches_exact_elimination(case):
     rows, ncols = case
-    with mock.patch.object(linalg, "_exact_nullspace", wraps=_exact_nullspace) as fallback:
-        got = nullspace(rows, ncols)
-    assert fallback.call_count == 0
-    assert got == _exact_nullspace(rows, ncols)
+    assert nullspace(rows, ncols) == reference_nullspace(rows, ncols)
 
 
 def recorded_lifts():
@@ -358,10 +355,10 @@ def test_large_entries_take_several_primes():
     a, b = 3**29, 5**17
     for rows in ([[QuadExt(a), QuadExt(b)]], [[QuadExt(a, 1, 2), QuadExt(b, -3, 2)]]):
         calls, patch = recorded_lifts()
-        with patch, mock.patch.object(linalg, "_exact_nullspace") as fallback:
+        with patch:
             got = nullspace(rows, 2)
-        assert got == [[-rows[0][1] / rows[0][0], QuadExt(1)]] == _exact_nullspace(rows, 2)
-        assert fallback.call_count == 0 and calls[0][2] is None and calls[-1][2] == got
+        assert got == [[-rows[0][1] / rows[0][0], QuadExt(1)]] == reference_nullspace(rows, 2)
+        assert calls[0][2] is None and calls[-1][2] == got
         assert calls[-1][0] > 2**90  # a product of at least four primes
 
 
@@ -373,25 +370,46 @@ def test_unlucky_first_prime_is_rejected_by_the_exact_check():
     p = MODULAR_PRIMES[0]
     rows = IntegerMatrix([[(p, 0), (1, 0)]], 1, [1])
     calls, patch = recorded_lifts()
-    with patch, mock.patch.object(linalg, "_exact_nullspace") as fallback:
+    with patch:
         assert nullspace(rows, 2) == [[QuadExt(Fr(-1, p)), QuadExt(1)]]
-    assert fallback.call_count == 0
     assert calls[0] == (p, [1], None)
     assert calls[1][:2] == (MODULAR_PRIMES[1], [0])
     assert all(pivots == [0] for _, pivots, _ in calls[1:])
 
 
-def test_null_vectors_beyond_the_primes_fall_back_to_elimination():
-    # -1/n with n above 2**400 reconstructs from no product of
-    # MODULAR_PRIMES (about 2**720, which bounds n by about 2**360)
-    n = 2**401 + 1
-    for rows in ([[QuadExt(n), QuadExt(1), QuadExt(0)], [QuadExt(0), QuadExt(0), QuadExt(1)]],
-                 [[QuadExt(n, 1, 2), QuadExt(1)]]):
-        ncols = len(rows[0])
-        with mock.patch.object(linalg, "_exact_nullspace", wraps=_exact_nullspace) as fallback:
-            got = nullspace(rows, ncols)
-        assert fallback.call_count == 1
-        assert got == [[-1 / rows[0][0], QuadExt(1), *[QuadExt(0)] * (ncols - 2)]]
+def trial_division_primes():
+    """The primes p = 3 (mod 4) below 2**30, descending, by trial division."""
+    for n in range(2**30 - 1, 2, -4):
+        if all(n % q for q in range(3, math.isqrt(n) + 1, 2)):
+            yield n
+
+
+def test_prime_stream_is_every_prime_3_mod_4_below_2_30():
+    stream = list(itertools.islice(_primes(), 200))
+    assert stream == list(itertools.islice(trial_division_primes(), 200))
+    assert MODULAR_PRIMES == tuple(stream[:24]) and MODULAR_PRIMES[0] == 1073741783
+
+
+@pytest.mark.parametrize("bits", (401, 3000))
+@pytest.mark.parametrize("d", (1, 2))
+def test_null_vectors_beyond_the_table_are_lifted_from_more_primes(bits, d):
+    # -1/(n + sqrt(d)) with n = 2**bits + 1 reconstructs from no product of
+    # MODULAR_PRIMES (about 2**720, which bounds its entries by about
+    # 2**360); the walk goes on down the prime stream, lifting at 1, 2, 4,
+    # 8, ... of the primes at which d is a square, until the exact check
+    # passes
+    n = 2**bits + 1
+    rows = [[QuadExt(n, 1 if d > 1 else 0, d), QuadExt(1), QuadExt(0)],
+            [QuadExt(0), QuadExt(0), QuadExt(1)]]
+    calls, patch = recorded_lifts()
+    with patch:
+        got = nullspace(rows, 3)
+    assert got == [[-1 / rows[0][0], QuadExt(1), QuadExt(0)]]
+    assert calls[-1][2] == got and calls[-1][0] > math.prod(MODULAR_PRIMES)
+    usable = [p for p in itertools.islice(_primes(), 2100)
+              if pow(d, (p - 1) // 2, p) == 1]
+    assert [modulus for modulus, _, _ in calls] == [
+        math.prod(usable[:2**k]) for k in range(len(calls))]
 
 
 def prefix_mod_p(rows, ncols):
@@ -554,7 +572,7 @@ def reference_independent_prefix_mod_p(rows, ncols):
 
 
 @settings(max_examples=100, deadline=None)
-@given(matrices_with_planted_dependencies())
+@given(st.one_of(matrices_with_planted_dependencies(), rank_deficient_products()))
 def test_sparse_modular_prefix_matches_dense_reference(case):
     rows, ncols = case
     assert prefix_mod_p(rows, ncols) == reference_independent_prefix_mod_p(rows, ncols)
