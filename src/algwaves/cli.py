@@ -343,6 +343,7 @@ def cmd_shoot(args):
                                     ps.registry.name(ps.y_var)))
             for t, (xx, yy) in zip(res.orbit.ts, res.orbit.ys):
                 fh.write("%.12g,%.16g,%.16g\n" % (t, xx, yy))
+    steps = len(res.orbit) - 1  # the orbit also holds its start point
     result = {
         "eigenvalue": res.eigenvalue,
         "start": [float(v) for v in res.start],
@@ -350,14 +351,14 @@ def cmd_shoot(args):
         "min_point": [float(v) for v in res.min_point],
         "min_time": res.min_time,
         "end_distance": res.end_distance,
-        "steps": len(res.orbit),
+        "steps": steps,
     }
     text = [
         "unstable rate %.6g, start (%.8g, %.8g)"
         % (res.eigenvalue, res.start[0], res.start[1]),
         "closest approach %.3e at t = %.4g" % (res.min_distance, res.min_time),
         "end distance %.3e after %d accepted steps"
-        % (res.end_distance, len(res.orbit)),
+        % (res.end_distance, steps),
     ]
     code = 0
     if args.tol is not None and res.min_distance > args.tol:

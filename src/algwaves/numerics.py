@@ -8,11 +8,17 @@ RKF45_ATOL + RKF45_RTOL * |y| (about 1e-10, far tighter than any
 tolerance the verification layer asks for) from a first step RKF45_H0,
 and only RK4's step h is a parameter.
 
-The integrators step on tuples of Python floats: a right-hand side
-rhs(t, y) receives y as a tuple of floats and returns a sequence of
-floats, one per component.  A plane system's rhs_float is one generated
-function (poly.compile_float_field) that unpacks y and returns the tuple
-(P, Q).  Only the finished orbit becomes numpy arrays, so numpy is
+The integrators step on Python floats: a right-hand side rhs(t, y)
+receives y as a tuple of floats and returns a sequence of floats, one per
+component; one of any other length raises ValueError at the first stage.
+A plane system's rhs_float is one generated function
+(poly.compile_float_field) that unpacks y and returns the tuple (P, Q).
+Each method's stepping loop is generated too, once per state dimension
+on first use (_compile_loop): straight-line Python that keeps each
+component in a local and evaluates every stage in the order of the loop
+over tuples that the tests keep as its reference, so the floats are the
+same.  The loop appends times and components to flat array('d')
+buffers, and only the finished orbit becomes numpy arrays, so numpy is
 imported by the functions that build or read them and not by the module:
 exact work that imports this module never loads it.
 """
@@ -20,6 +26,7 @@ exact work that imports this module never loads it.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -65,14 +72,12 @@ class Orbit:
         return self.ys[-1]
 
 
-def _orbit(ts: list[float], ys: list[tuple[float, ...]]) -> Orbit:
+def _orbit(ts: array, ys: array, dim: int) -> Orbit:
+    """The orbit with times ts and points ys, stored flat: point i is
+    ys[i * dim:(i + 1) * dim]."""
     import numpy as np
 
-    return Orbit(np.array(ts), np.array(ys))
-
-
-def _norm(v: Sequence[float]) -> float:
-    return math.sqrt(sum([x * x for x in v]))
+    return Orbit(np.frombuffer(ts), np.frombuffer(ys).reshape(len(ts), dim))
 
 
 def _check_bounded(norm: float, t: float) -> None:
@@ -92,26 +97,11 @@ def integrate_rk4(rhs: Rhs, t0: float, y0: Sequence[float], t1: float,
     if (t1 - t0) / h > MAX_STEPS:
         raise StepSizeError("step %g needs more than %d steps from t=%g to t=%g"
                             % (h, MAX_STEPS, t0, t1))
-    y = tuple(float(v) for v in y0)
+    y = [float(v) for v in y0]
     n = max(1, int(math.ceil((t1 - t0) / h)))
-    hh = (t1 - t0) / n
-    h6 = hh / 6
-    ts = [t0]
-    ys = [y]
-    t = t0
-    for _ in range(n):
-        tm = t + hh / 2
-        k1 = rhs(t, y)
-        k2 = rhs(tm, tuple([a + hh * b / 2 for a, b in zip(y, k1)]))
-        k3 = rhs(tm, tuple([a + hh * b / 2 for a, b in zip(y, k2)]))
-        k4 = rhs(t + hh, tuple([a + hh * b for a, b in zip(y, k3)]))
-        y = tuple([a + h6 * (b1 + 2 * b2 + 2 * b3 + b4)
-                   for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
-        t += hh
-        _check_bounded(math.hypot(*y), t)
-        ts.append(t)
-        ys.append(y)
-    return _orbit(ts, ys)
+    ts, ys = array("d", [t0]), array("d", y)
+    _loop("rk4", len(y))(rhs, t0, y, (t1 - t0) / n, n, ts, ys)
+    return _orbit(ts, ys, len(y))
 
 
 # Fehlberg 4(5) tableau.
@@ -128,10 +118,6 @@ _W5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 _W4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 
 
-def _axpy(y: tuple[float, ...], a: float, k: Sequence[float]) -> tuple[float, ...]:
-    return tuple([v + a * w for v, w in zip(y, k)])
-
-
 def integrate_rkf45(rhs: Rhs, t0: float, y0: Sequence[float], t1: float) -> Orbit:
     """Adaptive Fehlberg 4(5) for at most MAX_STEPS steps; keeps the fifth
     order value on acceptance."""
@@ -140,43 +126,126 @@ def integrate_rkf45(rhs: Rhs, t0: float, y0: Sequence[float], t1: float) -> Orbi
     if t1 - t0 > MAX_RKF45_SPAN:
         raise StepSizeError("span %g from t=%g to t=%g exceeds the rkf45 limit %g"
                             % (t1 - t0, t0, t1, MAX_RKF45_SPAN))
-    atol, rtol = RKF45_ATOL, RKF45_RTOL
-    y = tuple(float(v) for v in y0)
-    t = t0
-    h = min(RKF45_H0, t1 - t0)
-    ts = [t0]
-    ys = [y]
-    ks = [None] * 6
-    for _ in range(MAX_STEPS):
-        if t >= t1:
-            return _orbit(ts, ys)
-        h = min(h, t1 - t)
-        if h < 1e-14 * max(1.0, abs(t)):
-            raise StepSizeError("step size underflow at t=%.6f" % t)
-        ks[0] = rhs(t, y)
-        for i in range(1, 6):
-            yi = y
-            for j, b in enumerate(_B[i]):
-                yi = _axpy(yi, h * b, ks[j])
-            ks[i] = rhs(t + _C[i] * h, yi)
-        y5 = y4 = y
-        for i in range(6):
-            y5 = _axpy(y5, h * _W5[i], ks[i])
-            y4 = _axpy(y4, h * _W4[i], ks[i])
-        norm5 = _norm(y5)
-        scale = atol + rtol * max(_norm(y), norm5)
-        err = _norm([a - b for a, b in zip(y5, y4)])
-        if err <= scale or h <= 1e-12:
-            t += h
-            y = y5
-            _check_bounded(norm5, t)
-            ts.append(t)
-            ys.append(y)
-        if err == 0:
-            h *= 5.0
-        else:
-            h *= min(5.0, max(0.2, 0.9 * (scale / err) ** 0.2))
-    raise StepSizeError("step budget exhausted before reaching t1")
+    y = [float(v) for v in y0]
+    ts, ys = array("d", [t0]), array("d", y)
+    _loop("rkf45", len(y))(rhs, t0, y, t1, min(RKF45_H0, t1 - t0), ts, ys,
+                           RKF45_ATOL, RKF45_RTOL, MAX_STEPS)
+    return _orbit(ts, ys, len(y))
+
+
+# -- generated stepping loops ------------------------------------------------
+
+_LOOPS: dict[tuple[str, int], Callable] = {}
+"""The stepping loop of each (method, dimension), compiled on first use."""
+
+
+def _loop(method: str, dim: int) -> Callable:
+    loop = _LOOPS.get((method, dim))
+    if loop is None:
+        loop = _LOOPS[method, dim] = _compile_loop(method, dim)
+    return loop
+
+
+def _compile_loop(method: str, dim: int) -> Callable:
+    """Generate, compile and return the stepping loop of method ("rk4" or
+    "rkf45") for states of dimension dim.
+
+    The rk4 loop is loop(rhs, t, y, hh, n, ts, ys): n steps of size hh.
+    The rkf45 loop is loop(rhs, t, y, t1, h, ts, ys, atol, rtol,
+    max_steps): from a first step h until t reaches t1.  Each appends the
+    time of every accepted step to ts and its state's components to ys.
+
+    Component i of the state lives in the local yi, of stage s in ks_i.
+    Every expression is the one the method's loop over tuples
+    (tests/test_numerics.py keeps it as the reference) evaluates, in its
+    order: an rkf45 stage state is y + (h * b) * k summed left to right
+    over the earlier stages, zero weights included, and a norm is sqrt of
+    the sum of squares (math.hypot for rk4's bound).  An rhs value of the
+    wrong length fails to unpack, a ValueError."""
+    comps = range(dim)
+
+    def vec(fmt: str) -> str:
+        items = [fmt.format(i=i) for i in comps]
+        return "(%s,)" % items[0] if dim == 1 else "(%s)" % ", ".join(items)
+
+    def target(fmt: str) -> str:
+        return "[%s]" % ", ".join(fmt.format(i=i) for i in comps)
+
+    def sumsq(fmt: str) -> str:
+        return "sqrt(%s)" % (" + ".join("{0} * {0}".format(fmt.format(i=i))
+                                        for i in comps) or "0")
+
+    namespace: dict = {"__builtins__": {}, "range": range, "min": min, "max": max,
+                       "abs": abs, "sqrt": math.sqrt, "hypot": math.hypot,
+                       "check": _check_bounded, "StepSizeError": StepSizeError}
+    if method == "rk4":
+        lines = [
+            "def loop(rhs, t, y, hh, n, ts, ys):",
+            "    %s = y" % target("y{i}"),
+            "    h6 = hh / 6",
+            "    for _ in range(n):",
+            "        tm = t + hh / 2",
+            "        %s = rhs(t, %s)" % (target("k1_{i}"), vec("y{i}")),
+            "        %s = rhs(tm, %s)" % (target("k2_{i}"), vec("y{i} + hh * k1_{i} / 2")),
+            "        %s = rhs(tm, %s)" % (target("k3_{i}"), vec("y{i} + hh * k2_{i} / 2")),
+            "        %s = rhs(t + hh, %s)" % (target("k4_{i}"), vec("y{i} + hh * k3_{i}")),
+        ]
+        lines += ["        y{0} = y{0} + h6 * (k1_{0} + 2 * k2_{0} + 2 * k3_{0} + k4_{0})"
+                  .format(i) for i in comps]
+        lines += [
+            "        t += hh",
+            "        check(hypot(%s), t)" % ", ".join("y%d" % i for i in comps),
+            "        ts.append(t)",
+        ]
+        lines += ["        ys.append(y%d)" % i for i in comps]
+    else:
+        for name, row in (("c", _C), ("w5_", _W5), ("w4_", _W4)):
+            namespace.update(("%s%d" % (name, j), w) for j, w in enumerate(row))
+        for s, row in enumerate(_B):
+            namespace.update(("b%d_%d" % (s, j), b) for j, b in enumerate(row))
+
+        def axpy(weights) -> str:
+            # y + (h * w_0) * k0 + (h * w_1) * k1 + ..., component {i}
+            return "".join(" + h * %s * k%d_{i}" % (w, j) for j, w in enumerate(weights))
+
+        lines = [
+            "def loop(rhs, t, y, t1, h, ts, ys, atol, rtol, max_steps):",
+            "    %s = y" % target("y{i}"),
+            "    for _ in range(max_steps):",
+            "        if t >= t1:",
+            "            return",
+            "        h = min(h, t1 - t)",
+            "        if h < 1e-14 * max(1.0, abs(t)):",
+            "            raise StepSizeError(\"step size underflow at t=%.6f\" % t)",
+            "        %s = rhs(t, %s)" % (target("k0_{i}"), vec("y{i}")),
+        ]
+        for s in range(1, 6):
+            stage = vec("y{i}" + axpy(["b%d_%d" % (s, j) for j in range(s)]))
+            lines.append("        %s = rhs(t + c%d * h, %s)" % (target("k%d_{i}" % s), s, stage))
+        for order in (5, 4):
+            lines += [("        y%d_{0} = y{0}" % order).format(i)
+                      + axpy(["w%d_%d" % (order, j) for j in range(6)]).format(i=i)
+                      for i in comps]
+        lines += ["        e{0} = y5_{0} - y4_{0}".format(i) for i in comps]
+        lines += [
+            "        norm5 = %s" % sumsq("y5_{i}"),
+            "        scale = atol + rtol * max(%s, norm5)" % sumsq("y{i}"),
+            "        err = %s" % sumsq("e{i}"),
+            "        if err <= scale or h <= 1e-12:",
+            "            t += h",
+        ]
+        lines += ["            y{0} = y5_{0}".format(i) for i in comps]
+        lines += ["            check(norm5, t)", "            ts.append(t)"]
+        lines += ["            ys.append(y%d)" % i for i in comps]
+        lines += [
+            "        if err == 0:",
+            "            h *= 5.0",
+            "        else:",
+            "            h *= min(5.0, max(0.2, 0.9 * (scale / err) ** 0.2))",
+            "    raise StepSizeError(\"step budget exhausted before reaching t1\")",
+        ]
+    exec(compile("\n".join(lines) + "\n", "<numerics.%s>" % method, "exec"), namespace)
+    return namespace["loop"]
 
 
 @dataclass

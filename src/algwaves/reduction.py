@@ -269,7 +269,9 @@ class ODESystemSpec:
             raise DegenerateSpeedError(
                 f"speed {cval} annihilates the leading coefficient"
             )
-        if den.is_constant():
+        # a unit denominator (the usual case) leaves num as it is: scaling
+        # by 1 would rebuild every term to the same value and order
+        if den.is_constant() and den.constant_value() != 1:
             num = num * den.constant_value().inverse()
             den = MultiPoly.one(self.registry)
         return replace(self, gc_num=num, gc_den=den, c=cval)
@@ -281,7 +283,8 @@ class ODESystemSpec:
                 "denominator still involves parameters: "
                 + ", ".join(self.registry.name(v) for v in self.gc_den.variables())
             )
-        return self.gc_num * self.gc_den.constant_value().inverse()
+        den = self.gc_den.constant_value()
+        return self.gc_num if den == 1 else self.gc_num * den.inverse()
 
 
 def travelling_wave_reduce(spec: PDESpec) -> ODESystemSpec:

@@ -513,6 +513,17 @@ class TestShoot:
         assert code == 1 and "10^12" in err
         assert time.perf_counter() - t0 < 1.0
 
+    def test_step_count_leaves_out_the_start_point(self, capsys):
+        # rk4 at h = 1e-3 takes 1000 steps to t = 1; the orbit has 1001 points
+        argv = ("shoot", "--pde", FISHER, "--speed", FRONT_SPEED, "--saddle", "1,0",
+                "--target", "0,0", "--method", "rk4", "--horizon", "1")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[-1].endswith("after 1000 accepted steps")
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert json.loads(out)["result"]["steps"] == 1000
+
     def test_wrong_speed_exit_3(self, capsys):
         code, out, _ = run(capsys, "shoot", "--pde", FISHER,
                            "--speed", "3", "--saddle", "1,0",

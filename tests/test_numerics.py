@@ -1,5 +1,6 @@
 """Integrators, saddle shooting, Jacobi elliptic functions."""
 
+import itertools
 import math
 from fractions import Fraction as Fr
 from unittest import mock
@@ -8,8 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from algwaves import numerics
 from algwaves.numerics import (
     DIVERGENCE_NORM,
+    MAX_RKF45_SPAN,
+    MAX_STEPS,
+    RKF45_ATOL,
+    RKF45_H0,
+    RKF45_RTOL,
     _B,
     _C,
     _W4,
@@ -23,7 +30,7 @@ from algwaves.numerics import (
     jacobi_elliptic,
     shoot_unstable_manifold,
 )
-from algwaves.poly import MultiPoly, VarRegistry
+from algwaves.poly import MultiPoly, VarRegistry, compile_float_field
 from algwaves.qfield import QuadExt
 from test_closedform import richardson_derivative
 from test_poly import reference_compile_float
@@ -112,11 +119,117 @@ def reference_rkf45(rhs, t0, y0, t1, atol=1e-10, rtol=1e-10, h0=1e-2,
     raise StepSizeError("step budget exhausted before reaching t1")
 
 
+def _norm(v):
+    return math.sqrt(sum([x * x for x in v]))
+
+
+def _check_bounded(norm, t):
+    if not math.isfinite(norm) or norm > DIVERGENCE_NORM:
+        raise DivergenceError("solution norm exceeded %.1e at t=%.3f"
+                              % (DIVERGENCE_NORM, t))
+
+
+def _axpy(y, a, k):
+    return tuple([v + a * w for v, w in zip(y, k)])
+
+
+def tuple_rk4(rhs, t0, y0, t1, h=1e-3):
+    """RK4 on tuples, one zip per stage: the reference for the generated loop."""
+    if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
+        raise ValueError("integration interval must be finite and run forward")
+    if (t1 - t0) / h > MAX_STEPS:
+        raise StepSizeError("step %g needs more than %d steps from t=%g to t=%g"
+                            % (h, MAX_STEPS, t0, t1))
+    y = tuple(float(v) for v in y0)
+    n = max(1, int(math.ceil((t1 - t0) / h)))
+    hh = (t1 - t0) / n
+    h6 = hh / 6
+    ts = [t0]
+    ys = [y]
+    t = t0
+    for _ in range(n):
+        tm = t + hh / 2
+        k1 = rhs(t, y)
+        k2 = rhs(tm, tuple([a + hh * b / 2 for a, b in zip(y, k1)]))
+        k3 = rhs(tm, tuple([a + hh * b / 2 for a, b in zip(y, k2)]))
+        k4 = rhs(t + hh, tuple([a + hh * b for a, b in zip(y, k3)]))
+        y = tuple([a + h6 * (b1 + 2 * b2 + 2 * b3 + b4)
+                   for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
+        t += hh
+        _check_bounded(math.hypot(*y), t)
+        ts.append(t)
+        ys.append(y)
+    return Orbit(np.array(ts), np.array(ys))
+
+
+def tuple_rkf45(rhs, t0, y0, t1):
+    """Fehlberg 4(5) on tuples, one zip per stage and weight: the reference
+    for the generated loop."""
+    if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
+        raise ValueError("integration interval must be finite and run forward")
+    if t1 - t0 > MAX_RKF45_SPAN:
+        raise StepSizeError("span %g from t=%g to t=%g exceeds the rkf45 limit %g"
+                            % (t1 - t0, t0, t1, MAX_RKF45_SPAN))
+    atol, rtol = RKF45_ATOL, RKF45_RTOL
+    y = tuple(float(v) for v in y0)
+    t = t0
+    h = min(RKF45_H0, t1 - t0)
+    ts = [t0]
+    ys = [y]
+    ks = [None] * 6
+    for _ in range(MAX_STEPS):
+        if t >= t1:
+            return Orbit(np.array(ts), np.array(ys))
+        h = min(h, t1 - t)
+        if h < 1e-14 * max(1.0, abs(t)):
+            raise StepSizeError("step size underflow at t=%.6f" % t)
+        ks[0] = rhs(t, y)
+        for i in range(1, 6):
+            yi = y
+            for j, b in enumerate(_B[i]):
+                yi = _axpy(yi, h * b, ks[j])
+            ks[i] = rhs(t + _C[i] * h, yi)
+        y5 = y4 = y
+        for i in range(6):
+            y5 = _axpy(y5, h * _W5[i], ks[i])
+            y4 = _axpy(y4, h * _W4[i], ks[i])
+        norm5 = _norm(y5)
+        scale = atol + rtol * max(_norm(y), norm5)
+        err = _norm([a - b for a, b in zip(y5, y4)])
+        if err <= scale or h <= 1e-12:
+            t += h
+            y = y5
+            _check_bounded(norm5, t)
+            ts.append(t)
+            ys.append(y)
+        if err == 0:
+            h *= 5.0
+        else:
+            h *= min(5.0, max(0.2, 0.9 * (scale / err) ** 0.2))
+    raise StepSizeError("step budget exhausted before reaching t1")
+
+
 def _outcome(integrate, *args, **kw):
     try:
         return integrate(*args, **kw)
     except DivergenceError:
         return DivergenceError
+
+
+def assert_same_outcome(integrate, reference, *args, **kw):
+    """Bit-identical orbits, or the same exception type from both.
+
+    A cubic term x ** 3 raises OverflowError where a product would give
+    inf, so a rhs can fail before the norm check sees the blow-up."""
+    try:
+        want = reference(*args, **kw)
+    except (DivergenceError, StepSizeError, ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc)):
+            integrate(*args, **kw)
+        return
+    got = integrate(*args, **kw)
+    assert np.array_equal(got.ts, want.ts)
+    assert np.array_equal(got.ys, want.ys)
 
 
 @st.composite
@@ -136,6 +249,36 @@ def quadratic_planes(draw):
     horizon = draw(st.floats(0.01, 1.5))
     h = draw(st.sampled_from([1e-3, 5e-3, 1e-2, 0.05]))
     return PlanarSystem(reg, 0, 1, P, Q).rhs_float(), start, horizon, h
+
+
+def polynomial_field(dim, coeffs):
+    """The rhs of u' = F(u), component i of F summing coeffs[i][j] times
+    the j-th monomial of degree at most 3 in u_0, ..., u_{dim-1}."""
+    reg = VarRegistry(["u%d" % i for i in range(dim)])
+    us = [MultiPoly.var(reg, i) for i in range(dim)]
+    monos = [MultiPoly.one(reg)]
+    for degree in (1, 2, 3):
+        for factors in itertools.combinations_with_replacement(us, degree):
+            monos.append(math.prod(factors[1:], start=factors[0]))
+    field = [sum((QuadExt.lift(c) * m for c, m in zip(row, monos)), MultiPoly.zero(reg))
+             for row in coeffs]
+    return compile_float_field(field, range(dim))
+
+
+@st.composite
+def polynomial_fields(draw):
+    """A random polynomial field of dimension 1, 2 or 3 with a start, a
+    horizon and an rk4 step.  Coefficients up to 3 and starts up to 2 make
+    many of them blow up within the horizon."""
+    dim = draw(st.integers(1, 3))
+    nmonos = math.comb(dim + 3, 3)
+    coeff = st.one_of(st.just(0), st.fractions(min_value=-3, max_value=3,
+                                               max_denominator=7))
+    coeffs = [draw(st.lists(coeff, min_size=nmonos, max_size=nmonos)) for _ in range(dim)]
+    start = draw(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim))
+    horizon = draw(st.floats(0.01, 3.0))
+    h = draw(st.sampled_from([1e-3, 5e-3, 1e-2, 0.05]))
+    return polynomial_field(dim, coeffs), start, horizon, h
 
 
 class TestIntegrators:
@@ -244,6 +387,64 @@ class TestAgainstNumpyReference:
         want = reference(rhs, 0.0, res.start, horizon, **kw)
         assert np.array_equal(res.orbit.ts, want.ts)
         assert np.array_equal(res.orbit.ys, want.ys)
+
+
+class TestAgainstTupleLoops:
+    """The generated loops against the tuple loops they replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(polynomial_fields())
+    def test_rk4_bit_identical_on_polynomial_fields(self, case):
+        rhs, start, horizon, h = case
+        assert_same_outcome(integrate_rk4, tuple_rk4, rhs, 0.0, start, horizon, h=h)
+
+    @settings(max_examples=60, deadline=None)
+    @given(polynomial_fields())
+    def test_rkf45_bit_identical_on_polynomial_fields(self, case):
+        rhs, start, horizon, _ = case
+        assert_same_outcome(integrate_rkf45, tuple_rkf45, rhs, 0.0, start, horizon)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("integrate,reference", [(integrate_rk4, tuple_rk4),
+                                                     (integrate_rkf45, tuple_rkf45)])
+    def test_diverging_fields_fail_alike(self, dim, integrate, reference):
+        # u_0' = u_0^2 + (the other components) blows up before t = 2
+        nmonos = math.comb(dim + 3, 3)
+        coeffs = [[0] * nmonos for _ in range(dim)]
+        coeffs[0][1 + dim] = 1  # u_0^2
+        for i in range(1, dim):
+            coeffs[0][1 + i] = 1
+            coeffs[i][1 + i - 1] = Fr(1, 2)
+        rhs = polynomial_field(dim, coeffs)
+        with pytest.raises(DivergenceError):
+            reference(rhs, 0.0, [1.0] * dim, 2.0)
+        assert_same_outcome(integrate, reference, rhs, 0.0, [1.0] * dim, 2.0)
+
+    @pytest.mark.parametrize("integrate", [integrate_rk4, integrate_rkf45])
+    @pytest.mark.parametrize("values", [lambda y: (y[0],), lambda y: (y[0], y[1], 1.0)])
+    def test_rhs_of_wrong_length_fails_at_first_stage(self, integrate, values):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return values(y)
+
+        with pytest.raises(ValueError, match="values to unpack"):
+            integrate(rhs, 0.0, [1.0, 2.0], 0.1)
+        assert calls == [0.0]
+
+    def test_each_loop_compiles_once(self):
+        # one generated loop per (method, dimension), kept for the process
+        rotate = lambda t, y: (y[1], -y[0])
+        with mock.patch.dict(numerics._LOOPS, clear=True), \
+                mock.patch.object(numerics, "_compile_loop",
+                                  wraps=numerics._compile_loop) as compile_:
+            for _ in range(3):
+                integrate_rk4(lambda t, y: (-y[0],), 0.0, [1.0], 0.1)
+                integrate_rk4(rotate, 0.0, [1.0, 0.0], 0.1)
+                integrate_rkf45(rotate, 0.0, [1.0, 0.0], 0.1)
+            assert [c.args for c in compile_.call_args_list] == [
+                ("rk4", 1), ("rk4", 2), ("rkf45", 2)]
 
 
 class TestShooting:

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction as Fr
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -137,6 +138,30 @@ class TestReduce:
             sys_spec.bind_speed(1)
         bound = sys_spec.bind_speed(2)
         assert bound.gc() == y1 * y2 * Fr(1, 3)
+
+    @pytest.mark.parametrize("pde,c,unit", [
+        ("u_t - u_xx - u + u^2 = 0", C_FRONT, True),
+        ("u_t - u_xx - 2*u*(u-1/4)*(1-u) = 0", Fr(1, 2), True),
+        ("u_t - 2*u_xx - u + u^2 = 0", 3, True),
+        ("u_tt - u_xx - u*u_x + u^3 = 0", 2, False),
+        ("u_tt - u_xx - u*u_x + u^3 = 0", QuadExt(1, 1, 2), False),
+    ])
+    def test_unit_denominator_skips_the_rescaling(self, pde, c, unit):
+        # the terms and their order are those of scaling by 1/den, as
+        # before; compile_float sums terms in this order
+        sys_spec = travelling_wave_reduce(parse_pde(pde))
+        cval = QuadExt.lift(c)
+        num = sys_spec.gc_num.substitute({sys_spec.c_var: cval})
+        den = sys_spec.gc_den.substitute({sys_spec.c_var: cval}).constant_value()
+        num = num * den.inverse()
+        with mock.patch.object(QuadExt, "inverse", autospec=True,
+                               side_effect=QuadExt.inverse) as inverse:
+            bound = sys_spec.bind_speed(c)
+            g = bound.gc()
+        assert (den == 1) is unit
+        assert inverse.call_count == (0 if unit else 1)
+        assert list(bound.gc_num.terms.items()) == list(num.terms.items())
+        assert list(g.terms.items()) == list((num * QuadExt(1)).terms.items())
 
     def test_mixed_derivative_speed_factor(self):
         spec = parse_pde("u_xt + u_x + u = 0")
