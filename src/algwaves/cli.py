@@ -483,7 +483,9 @@ def main(argv: Optional[list] = None) -> int:
     except (ExprSyntaxError, ReductionError, DegenerateSpeedError, ValueError,
             KeyError, ArithmeticError, OSError, DivergenceError,
             StepSizeError) as exc:
-        msg = exc.args[0] if exc.args else exc
+        # one argument is the message (unquoted, also for KeyError); with
+        # more, as (errno, text), the first alone would print a bare number
+        msg = exc.args[0] if len(exc.args) == 1 else exc
         print("error: %s" % msg, file=sys.stderr)
         return 1
     _emit(args, command, config, result, text)

@@ -407,17 +407,28 @@ def eigenvalue_cofactor_candidates(
     At a hyperbolic saddle the cofactor of an invariant curve through it
     must equal one of the two eigenvalues or their sum, the trace; several
     saddles intersect their option sets.  Only saddles (det < 0) get an
-    exact spectrum.  Non-saddle points impose nothing here and are reported
-    in the notes, and so is an empty answer.  The points are read as
-    jacobian_eigen reads them (the same linearization and exact_eigenvalues),
-    so a saddle has candidates exactly when jacobian_eigen calls it exact.
+    exact spectrum: the sign of det is read from one integer pass
+    (integer_jet) before any QuadExt is formed, and from linearization only
+    where the system and the point mix radicands.  Non-saddle points impose
+    nothing here and are reported in the notes, and so is an empty answer.
+    The saddles are read as jacobian_eigen reads them (the same
+    linearization and exact_eigenvalues), so a saddle has candidates
+    exactly when jacobian_eigen calls it exact.
     """
     notes: list[str] = []
     option_sets: list[list[QuadExt]] = []
     for pt in points:
-        jac, tr, det, _ = linearization(ps, pt)
         label = f"({pt[0]}, {pt[1]})"
-        if det.sign() >= 0:
+        try:
+            d, _, jet = integer_jet(ps, pt)
+        except RadicandMismatchError:
+            saddle = None
+        else:
+            saddle = pair_sign(characteristic_pairs(jet, d)[1], d) < 0
+        if saddle is not False:
+            jac, tr, det, _ = linearization(ps, pt)
+            saddle = det.sign() < 0
+        if not saddle:
             notes.append(f"{label} is not a saddle; no cofactor constraint")
             continue
         vals = exact_eigenvalues(jac, tr, det)

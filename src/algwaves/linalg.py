@@ -226,9 +226,11 @@ def _echelon_mod_p(rows: list[dict[int, int]], ncols: int, p: int
 
     Gaussian elimination in column order.  Each row is filed under its
     first column; eliminating column c touches only the rows filed under c
-    and the entries of the pivot row.  Which rows serve as pivots does not
-    change the pivot columns: column c has no pivot exactly when it lies in
-    the span of columns 0..c-1 mod p.
+    and the entries of the pivot row, so the pivot is the sparsest row filed
+    under c.  Which rows serve as pivots changes no result: column c has no
+    pivot exactly when it lies in the span of columns 0..c-1 mod p, so the
+    pivot columns are fixed, and the rows yielded span the row space, whose
+    reduced echelon form (what _null_mod_p makes of them) is unique.
     """
     by_first: dict[int, list[dict[int, int]]] = {}
     for row in rows:
@@ -238,9 +240,11 @@ def _echelon_mod_p(rows: list[dict[int, int]], ncols: int, p: int
         bucket = by_first.pop(c, None)
         if not bucket:
             continue
-        top = bucket.pop()
+        top = min(bucket, key=len)
         scale = pow(top.pop(c), -1, p)
         for row in bucket:
+            if row is top:
+                continue
             _subtract(row, row.pop(c) * scale % p, top, p)
             if row:
                 by_first.setdefault(min(row), []).append(row)

@@ -113,6 +113,10 @@ def ylex_key(m: Monomial, nvars: int):
     return tuple(reversed(_dense(m, nvars)))
 
 
+def _is_one(c: QuadExt) -> bool:
+    return c.b == 0 and c.a == 1
+
+
 class MultiPoly:
     """Immutable-by-convention sparse polynomial over QuadExt coefficients."""
 
@@ -313,7 +317,16 @@ class MultiPoly:
         registry: Optional[VarRegistry] = None,
     ) -> "MultiPoly":
         """Simultaneous substitution.  Unbound variables map to themselves,
-        which requires the target registry to be the source registry."""
+        which requires the target registry to be the source registry.
+
+        The image of each term, in term order, is added into one dict, and a
+        sum that cancels leaves it, so the terms come out in the order that
+        adding up one polynomial per term gives (the float evaluators of
+        compile_float sum in that order).  A power of a one-term binding (a
+        scalar, or a variable renamed) only merges exponents and multiplies
+        the coefficient, not at all when it is 1; only powers of bindings
+        with several terms are multiplied as polynomials.
+        """
         target = registry if registry is not None else self.registry
         subs: dict[int, MultiPoly] = {}
         for v, val in bindings.items():
@@ -324,25 +337,56 @@ class MultiPoly:
                 subs[v] = val
             else:
                 subs[v] = MultiPoly.const(target, val)
-        out = MultiPoly.zero(target)
-        pow_cache: dict[tuple[int, int], MultiPoly] = {}
+        # (v, e) -> (monomial, coefficient or None for 1) for a one-term
+        # power, else the power as a polynomial
+        powers: dict[tuple[int, int], Union[MultiPoly, tuple[Monomial, Optional[QuadExt]]]] = {}
+        out: dict[Monomial, QuadExt] = {}
         for m, c in self.terms.items():
-            part = MultiPoly.const(target, c)
+            mono: Monomial = ()
+            coef = None if _is_one(c) else c
+            factors: list[MultiPoly] = []
             for v, e in m:
-                if v in subs:
-                    key = (v, e)
-                    p = pow_cache.get(key)
-                    if p is None:
-                        p = subs[v] ** e
-                        pow_cache[key] = p
-                elif target is self.registry:
-                    p = MultiPoly(target, {((v, e),): QuadExt(1)})
+                key = (v, e)
+                p = powers.get(key)
+                if p is None:
+                    if v in subs:
+                        b = subs[v]
+                        if len(b.terms) == 1:
+                            (bm, bc), = b.terms.items()
+                            if not _is_one(bc):
+                                bc = bc ** e
+                            p = tuple((w, k * e) for w, k in bm), None if _is_one(bc) else bc
+                        else:
+                            p = b ** e
+                    elif target is self.registry:
+                        p = ((v, e),), None
+                    else:
+                        raise ValueError("no binding for variable %r under a new registry"
+                                         % (self.registry.name(v),))
+                    powers[key] = p
+                if isinstance(p, MultiPoly):
+                    factors.append(p)
                 else:
-                    raise ValueError("no binding for variable %r under a new registry"
-                                     % (self.registry.name(v),))
-                part = part * p
-            out = out + part
-        return out
+                    mono = mono_mul(mono, p[0])
+                    if p[1] is not None:
+                        coef = p[1] if coef is None else coef * p[1]
+            if factors:
+                prod = factors[0]
+                for f in factors[1:]:
+                    prod = prod * f
+                images = [(mono_mul(pm, mono), pc if coef is None else pc * coef)
+                          for pm, pc in prod.terms.items()]
+            else:
+                images = [(mono, c if coef is None else coef)]
+            for pm, pc in images:
+                s = out.get(pm)
+                if s is not None:
+                    pc = s + pc
+                    if pc.is_zero():
+                        del out[pm]
+                        continue
+                out[pm] = pc
+        return MultiPoly(target, out)
 
     def evaluate(self, point: dict[int, CoeffLike]) -> QuadExt:
         out = QuadExt(0)

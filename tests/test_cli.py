@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from algwaves import fisher
+from algwaves import cli, fisher
 from algwaves.cli import main
 from algwaves.darboux import MAX_SEARCH_DEGREE, search_constant_cofactor
 from algwaves.pde import parse_pde
@@ -541,6 +541,22 @@ class TestShoot:
         assert out == ""
         assert err.startswith("error: solution norm exceeded")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("exc,message", [
+        # a float power that overflows raises with (errno, text) as args
+        (OverflowError(34, "Numerical result out of range"),
+         "(34, 'Numerical result out of range')"),
+        (KeyError("no such point"), "no such point"),
+        (ZeroDivisionError("inverse of zero"), "inverse of zero"),
+    ])
+    def test_error_message_is_the_whole_message(self, capsys, monkeypatch, exc, message):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "shoot_unstable_manifold", fail)
+        got = run(capsys, "shoot", "--pde", FISHER, "--speed", "2",
+                  "--saddle", "1,0", "--target", "0,0")
+        assert got == (1, "", "error: %s\n" % message)
 
     def test_rk4_huge_horizon_fails_fast(self, capsys):
         t0 = time.perf_counter()

@@ -110,7 +110,10 @@ class TestFrontCurve:
 
     def test_eigenvalue_candidates(self):
         ps = fisher_system(FRONT_SPEED)
-        cands, notes = eigenvalue_cofactor_candidates(ps, [(1, 0), (0, 0)])
+        # the node (0, 0) is screened out by the integer pass alone
+        with mock.patch.object(darboux, "linearization", wraps=linearization) as spy:
+            cands, notes = eigenvalue_cofactor_candidates(ps, [(1, 0), (0, 0)])
+        assert [c.args[1] for c in spy.call_args_list] == [(1, 0)]
         assert cands == [
             QuadExt(0, Fr(1, 6), 6),
             QuadExt(0, -1, 6),

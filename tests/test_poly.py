@@ -874,6 +874,98 @@ class TestRingLaws:
         assert sylvester_resultant(x - r, (x - r) * (y + 1), reg.id_of("x")).is_zero
 
 
+
+def reference_substitute(f, bindings, registry=None):
+    """MultiPoly.substitute as it was before one-term bindings got a fast
+    path: one polynomial per term, a product per factor, added up."""
+    target = registry if registry is not None else f.registry
+    subs = {v: val if isinstance(val, MultiPoly) else MultiPoly.const(target, val)
+            for v, val in bindings.items()}
+    out = MultiPoly.zero(target)
+    for m, c in f.terms.items():
+        part = MultiPoly.const(target, c)
+        for v, e in m:
+            if v in subs:
+                p = subs[v] ** e
+            elif target is f.registry:
+                p = MultiPoly(target, {((v, e),): QuadExt(1)})
+            else:
+                raise ValueError("no binding")
+            part = part * p
+        out = out + part
+    return out
+
+
+XYZW = ("x", "y", "z", "w")
+units = st.sampled_from([QuadExt(1), QuadExt(-1), QuadExt(2), QuadExt(Fr(1, 3)),
+                         QuadExt(0, 1, 2), QuadExt(1, -1, 2)])
+
+
+@st.composite
+def substitution_cases(draw):
+    """(f, bindings, registry) with scalar, renaming or several-term
+    bindings.  Coefficients are small and the several-term bindings share
+    variables, so terms often cancel while they are added up."""
+    reg = VarRegistry(XYZW)
+    xs = [MultiPoly.var(reg, n) for n in XYZW]
+    terms = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        m = tuple((v, e) for v, e in enumerate(draw(st.tuples(*[st.integers(0, 2)] * 4))) if e)
+        terms[m] = draw(st.sampled_from([1, -1, 2, QuadExt(0, 1, 2)]))
+    f = MultiPoly(reg, terms)
+    kind = draw(st.sampled_from(["scalar", "rename", "several"]))
+    bound = draw(st.lists(st.sampled_from(range(4)), unique=True, min_size=1))
+    if kind == "scalar":
+        scalars = st.one_of(units, st.just(QuadExt(0)), small_coeffs)
+        return f, {v: draw(scalars) for v in bound}, None
+    if kind == "rename":
+        reg2 = VarRegistry(["u", "v", "s", "t"])
+        ys = [MultiPoly.var(reg2, n) for n in ("u", "v", "s", "t")]
+        images = draw(st.permutations(range(4)))
+        bindings = {}
+        for v in range(4):
+            image = draw(st.sampled_from(["var", "scaled", "scalar"]))
+            if image == "var":
+                bindings[v] = ys[images[v]]
+            elif image == "scaled":
+                bindings[v] = draw(units) * ys[images[v]]
+            else:
+                bindings[v] = draw(units)
+        return f, bindings, reg2
+    x, y, z, w = xs
+    pool = [y, -y, z, 2 * x, x + 1, y - z, z - y, 1 - x * y, x + y + w, QuadExt(0, 1, 2) * w - x]
+    return f, {v: draw(st.sampled_from(pool)) for v in bound}, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(substitution_cases())
+def test_substitute_matches_reference_term_for_term(case):
+    f, bindings, registry = case
+    got = f.substitute(bindings, registry=registry)
+    want = reference_substitute(f, bindings, registry=registry)
+    # the same terms in the same order: generated float evaluators sum in it
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
+def test_substitute_moves_a_cancelled_term_to_the_end():
+    # x -> y gives y, which the term -y cancels; z -> y brings y back after w
+    reg = VarRegistry(XYZW)
+    x, y, z, w = (((v, 1),) for v in range(4))
+    f = MultiPoly(reg, {x: 1, y: -1, w: 1, z: 1})
+    bindings = {0: MultiPoly.var(reg, "y"), 2: MultiPoly.var(reg, "y")}
+    got = f.substitute(bindings)
+    assert list(got.terms) == [w, y]
+    assert list(got.terms.items()) == list(reference_substitute(f, bindings).terms.items())
+
+
+def test_substitute_needs_a_binding_for_every_variable_under_a_new_registry():
+    reg, x, y = xy()
+    reg2 = VarRegistry(["u"])
+    with pytest.raises(ValueError, match="no binding for variable 'y'"):
+        (x + y).substitute({reg.id_of("x"): MultiPoly.var(reg2, "u")}, registry=reg2)
+    with pytest.raises(RegistryMismatchError):
+        x.substitute({reg.id_of("x"): MultiPoly.var(reg2, "u")})
+
 def reference_compile_float(f, order):
     """The term-interpreting evaluator that the generated one replaced:
     a loop over (coefficient, ((position, exponent), ...)) terms summed

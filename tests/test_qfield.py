@@ -1,11 +1,13 @@
 """Field arithmetic in Q(sqrt(d)): frozen values first, then algebraic laws."""
 
+import math
 from fractions import Fraction as Fr
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from algwaves.qfield import (
+    MAX_SQRT_ARG,
     QuadExt,
     RadicandMismatchError,
     field_sqrt,
@@ -162,6 +164,69 @@ class TestFrozenValues:
         with pytest.raises(ValueError, match="exceeds"):
             parse_quadext("sqrt(100000000000000000039)")
 
+
+def reference_squarefree_decompose(n):
+    """squarefree_decompose as it was before the cube-root stop: trial
+    division while p * p <= m, up to isqrt(MAX_SQRT_ARG)."""
+    s, d, m, p = 1, 1, n, 2
+    while p * p <= m and p <= math.isqrt(MAX_SQRT_ARG):
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        s *= p ** (e // 2)
+        if e % 2:
+            d *= p
+        p += 1 if p == 2 else 2
+    if p * p <= m:
+        raise ValueError("above the cap")
+    return s, d * m
+
+
+def next_prime(n):
+    while n < 2 or any(n % k == 0 for k in range(2, math.isqrt(n) + 1)):
+        n += 1
+    return n
+
+
+primes = st.integers(min_value=2, max_value=1_100_000).map(next_prime)
+# primes on both sides of isqrt(MAX_SQRT_ARG) = 10^6: the product of two
+# lies near the cap, and raises when both are above 10^6
+primes_near_cap = st.integers(min_value=900_000, max_value=1_100_000).map(next_prime)
+smooth = st.integers(min_value=1, max_value=60)
+
+
+@st.composite
+def straddling_products(draw):
+    """q * r with q near sqrt(r), which is where q * r has its cube root:
+    trial division finds q on one side and stops before it on the other."""
+    r = draw(st.integers(min_value=10, max_value=1_100_000).map(next_prime))
+    q = next_prime(max(2, math.isqrt(r) + draw(st.integers(min_value=-3, max_value=3))))
+    return draw(smooth) * q * r
+
+
+squarefree_inputs = st.one_of(
+    st.builds(lambda q, k: k * q * q, primes, smooth),
+    straddling_products(),
+    st.builds(lambda q, r: q * r, primes, primes),
+    st.builds(lambda q, r: q * r, primes_near_cap, primes_near_cap),
+    st.integers(min_value=MAX_SQRT_ARG - 3000, max_value=MAX_SQRT_ARG + 3000),
+    st.builds(lambda k, n: k * n, st.sampled_from([2**20, 3**12, 2 * 3 * 5 * 7]),
+              st.integers(min_value=MAX_SQRT_ARG // 4, max_value=MAX_SQRT_ARG)),
+    st.integers(min_value=1, max_value=10**6),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(squarefree_inputs)
+def test_squarefree_decompose_matches_trial_division_to_the_square_root(n):
+    try:
+        want = reference_squarefree_decompose(n)
+    except ValueError:
+        with pytest.raises(ValueError, match="10\\^12"):
+            squarefree_decompose(n)
+    else:
+        assert squarefree_decompose(n) == want
 
 rationals = st.builds(Fr, st.integers(min_value=-30, max_value=30),
                       st.integers(min_value=1, max_value=12))

@@ -163,6 +163,26 @@ class TestReduce:
         assert list(bound.gc_num.terms.items()) == list(num.terms.items())
         assert list(g.terms.items()) == list((num * QuadExt(1)).terms.items())
 
+    @pytest.mark.parametrize("c", [2, Fr(-7, 3), QuadExt(0, 1, 21), C_FRONT])
+    def test_binding_a_speed_multiplies_no_polynomials(self, c, monkeypatch):
+        # every binding here is one term: the speed, or y1 -> x and y2 -> y
+        sys_spec = travelling_wave_reduce(parse_pde("u_t - u_xx - u + u^2 = 0"))
+        poly_products, unit_factors = [], []
+        quad_mul = QuadExt.__mul__
+
+        def spy_quad(a, b):
+            if QuadExt.lift(a) == 1 or QuadExt.lift(b) == 1:
+                unit_factors.append((a, b))
+            return quad_mul(a, b)
+
+        monkeypatch.setattr(MultiPoly, "__mul__", lambda a, b: poly_products.append(1))
+        monkeypatch.setattr(QuadExt, "__mul__", spy_quad)
+        ps = to_planar(sys_spec.bind_speed(c))
+        monkeypatch.undo()
+        assert poly_products == [] and unit_factors == []
+        x, y = MultiPoly.var(ps.registry, "x"), MultiPoly.var(ps.registry, "y")
+        assert ps.Q == x * x - x - QuadExt.lift(c) * y
+
     def test_mixed_derivative_speed_factor(self):
         spec = parse_pde("u_xt + u_x + u = 0")
         sys_spec = travelling_wave_reduce(spec)
