@@ -173,7 +173,7 @@ def cmd_find_curve(args):
     cands = [parse_quadext(k) for k in args.cofactor] if args.cofactor else None
     hits = search_constant_cofactor(ps, points, args.max_degree, candidates=cands)
     notes = hits.notes
-    if args.cofactor and hits.status == "undetermined":
+    if notes == ["only the given cofactors were searched"]:
         notes = ["only the cofactors given with --cofactor were searched"]
     rows = [{"curve": str(h.curve), "cofactor": str(h.cofactor),
              "degree": h.degree, "nullspace_dim": h.nullspace_dim}

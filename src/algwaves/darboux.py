@@ -74,7 +74,7 @@ from .reduction import (
     eigenvalues_are_exact,
     exact_eigenvalues,
     integer_jet,
-    linearization,
+    jacobian_eigen,
 )
 
 ScalarLike = Union[int, "QuadExt"]
@@ -126,10 +126,11 @@ class CurveSearch(list):
     """The hits of search_constant_cofactor, a list of DarbouxResult, with
     the search's verdict: status is "found", "proved-none" or
     "undetermined"; notes say which points constrained nothing and why an
-    empty search proves nothing; candidates are the exact cofactors
-    searched, the given ones or the saddle values when the search formed
-    the exact spectra; images are the saddle values' images in GF(prime),
-    and prime is the prime of the mod-p certificate (None without one)."""
+    empty search proves nothing; candidates are the given cofactors, or the
+    saddle values when the search formed the exact spectra, each searched
+    unless the system and the points mix radicands; images are the saddle
+    values' images in GF(prime), and prime is the prime of the mod-p
+    certificate (None without one)."""
 
     def __init__(self, hits: list[DarbouxResult], status: str,
                  notes: list[str], candidates: list[QuadExt],
@@ -406,36 +407,32 @@ def eigenvalue_cofactor_candidates(
 
     At a hyperbolic saddle the cofactor of an invariant curve through it
     must equal one of the two eigenvalues or their sum, the trace; several
-    saddles intersect their option sets.  Only saddles (det < 0) get an
-    exact spectrum: the sign of det is read from one integer pass
-    (integer_jet) before any QuadExt is formed, and from linearization only
-    where the system and the point mix radicands.  Non-saddle points impose
-    nothing here and are reported in the notes, and so is an empty answer.
-    The saddles are read as jacobian_eigen reads them (the same
-    linearization and exact_eigenvalues), so a saddle has candidates
-    exactly when jacobian_eigen calls it exact.
+    saddles intersect their option sets.  Each point gets one integer pass
+    (integer_jet), where the sign of det marks a saddle, and only a saddle's
+    eigenvalues are formed, by exact_eigenvalues from that jet; a point
+    that mixes radicands with the system is read by jacobian_eigen.  So a
+    saddle has candidates exactly when jacobian_eigen calls it exact.
+    Non-saddle points impose nothing here and are reported in the notes,
+    and so is an empty answer.
     """
     notes: list[str] = []
     option_sets: list[list[QuadExt]] = []
     for pt in points:
         label = f"({pt[0]}, {pt[1]})"
         try:
-            d, _, jet = integer_jet(ps, pt)
+            d, s, jet = integer_jet(ps, pt)
         except RadicandMismatchError:
-            saddle = None
+            ed = jacobian_eigen(ps, pt)
+            saddle, vals = ed.is_saddle, ed.eigenvalues if ed.exact else None
         else:
             saddle = pair_sign(characteristic_pairs(jet, d)[1], d) < 0
-        if saddle is not False:
-            jac, tr, det, _ = linearization(ps, pt)
-            saddle = det.sign() < 0
+            vals = exact_eigenvalues(d, s, jet) if saddle else None
         if not saddle:
             notes.append(f"{label} is not a saddle; no cofactor constraint")
-            continue
-        vals = exact_eigenvalues(jac, tr, det)
-        if vals is None:
+        elif vals is None:
             notes.append(f"eigenvalues at {label} are not exactly representable")
-            continue
-        option_sets.append([*vals, tr])
+        else:
+            option_sets.append([*vals, vals[0] + vals[1]])
     if not option_sets:
         return [], notes or ["no point was given"]
     # a saddle's three values are distinct: lp > 0 > lm
@@ -519,7 +516,10 @@ def search_constant_cofactor(
     - "proved-none" when the saddle values are all ruled out, there is at
       least one, and constant_cofactor_weight proves every cofactor
       constant: a curve through the points would then have one of them;
-    - "undetermined" otherwise, with a note saying why.
+    - "undetermined" otherwise, with a note saying why.  That includes a
+      system and points that mix radicands: no integer pass and no exact
+      invariance matrix holds them, so the equilibria are checked by
+      evaluation over QuadExt and no candidate is solved.
 
     One integer pass per point (integer_jet) checks that it is an
     equilibrium and gives its Jacobian; det < 0 marks a saddle, exactly.
@@ -536,10 +536,8 @@ def search_constant_cofactor(
     no exact square root is taken, and a saddle whose eigenvalues are not
     exactly representable gets a note naming the prime.
 
-    Otherwise (an image left open, no image common to the saddles, no
-    prime that qualifies, or a system and points that mix radicands, which
-    no integer pass holds, so P and Q are evaluated over QuadExt at the
-    points) the exact spectra are formed, and each exact
+    Otherwise (an image left open, no image common to the saddles, or no
+    prime that qualifies) the exact spectra are formed, and each exact
     saddle value whose image is not ruled out gets its exact
     invariance_matrix and one nullspace, read from images mod primes and
     checked exactly (linalg.nullspace); given candidates are certified at
@@ -553,30 +551,29 @@ def search_constant_cofactor(
         raise ValueError("degree bound must be at most %d, got %d"
                          % (MAX_SEARCH_DEGREE, max_degree))
     lifted = [(QuadExt.lift(pt[0]), QuadExt.lift(pt[1])) for pt in points]
+    notes: list[str] = []
+    cands = None if candidates is None else list(dict.fromkeys(map(QuadExt.lift, candidates)))
     try:
         jets = [integer_jet(ps, pt) for pt in lifted]
-    except RadicandMismatchError:
-        jets = None
-    if jets is None:
+    except RadicandMismatchError as exc:
         for pt, (px, py) in zip(points, lifted):
             point = {ps.x_var: px, ps.y_var: py}
             if not (ps.P.evaluate(point).is_zero() and ps.Q.evaluate(point).is_zero()):
                 raise ValueError(f"({pt[0]}, {pt[1]}) is not an equilibrium")
-    else:
-        for pt, (_, _, ((p_value, *_), (q_value, *_))) in zip(points, jets):
-            if p_value != (0, 0) or q_value != (0, 0):
-                raise ValueError(f"({pt[0]}, {pt[1]}) is not an equilibrium")
+        if cands is None:
+            cands, notes = eigenvalue_cofactor_candidates(ps, points)
+        unsolved = [f"no candidate was solved: no exact invariance matrix holds "
+                    f"the system and the points ({exc})"] if cands else []
+        return CurveSearch([], "undetermined", notes + unsolved, cands)
+    for pt, (_, _, ((p_value, *_), (q_value, *_))) in zip(points, jets):
+        if p_value != (0, 0) or q_value != (0, 0):
+            raise ValueError(f"({pt[0]}, {pt[1]}) is not an equilibrium")
     values = [*ps.P.terms.values(), *ps.Q.terms.values(), *(c for pt in lifted for c in pt)]
-    notes: list[str] = []
     images: list[int] = []
     proved: dict[int, bool] = {}  # image -> ruled out by the certificate
     modular = None
     by_images = False
-    if candidates is not None:
-        cands = list(dict.fromkeys(QuadExt.lift(k) for k in candidates))
-    elif jets is None:
-        cands, notes = eigenvalue_cofactor_candidates(ps, points)
-    else:
+    if cands is None:
         # per point None, or the saddle's s, trace (over s) and
         # discriminant (over s^2) as integer pairs
         saddles = []

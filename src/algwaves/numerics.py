@@ -11,6 +11,8 @@ and only RK4's step h is a parameter.
 The integrators step on Python floats: a right-hand side rhs(t, y)
 receives y as a tuple of floats and returns a sequence of floats, one per
 component; one of any other length raises ValueError at the first stage.
+A norm past DIVERGENCE_NORM, a NaN, and a float power in a stage that
+overflows all end the orbit with DivergenceError.
 A plane system's rhs_float is one generated function
 (poly.compile_float_field) that unpacks y and returns the tuple (P, Q).
 Each method's stepping loop is generated too, once per state dimension
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -89,6 +92,18 @@ def _check_bounded(norm: float, t: float) -> None:
                               % (DIVERGENCE_NORM, t))
 
 
+@contextmanager
+def _overflow_diverges(ts: array):
+    """Report an OverflowError in a stage as the divergence it is, after the
+    last accepted time in ts: a float power x ** e in a generated rhs
+    raises where a product would give inf, before the norm check runs."""
+    try:
+        yield
+    except OverflowError:
+        raise DivergenceError("a power of the solution overflowed after t=%.3f"
+                              % ts[-1]) from None
+
+
 def integrate_rk4(rhs: Rhs, t0: float, y0: Sequence[float], t1: float,
                   h: float = 1e-3) -> Orbit:
     """Classical fixed-step fourth order Runge-Kutta."""
@@ -100,7 +115,8 @@ def integrate_rk4(rhs: Rhs, t0: float, y0: Sequence[float], t1: float,
     y = [float(v) for v in y0]
     n = max(1, int(math.ceil((t1 - t0) / h)))
     ts, ys = array("d", [t0]), array("d", y)
-    _loop("rk4", len(y))(rhs, t0, y, (t1 - t0) / n, n, ts, ys)
+    with _overflow_diverges(ts):
+        _loop("rk4", len(y))(rhs, t0, y, (t1 - t0) / n, n, ts, ys)
     return _orbit(ts, ys, len(y))
 
 
@@ -128,8 +144,9 @@ def integrate_rkf45(rhs: Rhs, t0: float, y0: Sequence[float], t1: float) -> Orbi
                             % (t1 - t0, t0, t1, MAX_RKF45_SPAN))
     y = [float(v) for v in y0]
     ts, ys = array("d", [t0]), array("d", y)
-    _loop("rkf45", len(y))(rhs, t0, y, t1, min(RKF45_H0, t1 - t0), ts, ys,
-                           RKF45_ATOL, RKF45_RTOL, MAX_STEPS)
+    with _overflow_diverges(ts):
+        _loop("rkf45", len(y))(rhs, t0, y, t1, min(RKF45_H0, t1 - t0), ts, ys,
+                               RKF45_ATOL, RKF45_RTOL, MAX_STEPS)
     return _orbit(ts, ys, len(y))
 
 

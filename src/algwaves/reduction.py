@@ -555,91 +555,95 @@ def characteristic_pairs(jet: Sequence[Sequence[Pair]], d: int
     return tr, det, (t2[0] - 4 * det[0], t2[1] - 4 * det[1])
 
 
-def linearization(ps: PlanarSystem, point: Sequence[ScalarLike]
-                  ) -> tuple[tuple[QuadExt, ...], QuadExt, QuadExt, QuadExt]:
-    """The Jacobian entries (P_x, P_y, Q_x, Q_y) at a plane point, with its
-    trace, determinant and discriminant tr^2 - 4 det, all exact, read from
-    one integer_jet.  When the system and the point mix radicands, which no
-    integer pass over one Z[sqrt(d)] holds, the partial derivatives are
-    evaluated over QuadExt instead; that raises RadicandMismatchError when
-    the entries, or tr^2 and det, mix radicands too."""
-    try:
-        d, s, jet = integer_jet(ps, point)
-    except RadicandMismatchError:
-        pt = {ps.x_var: QuadExt.lift(point[0]), ps.y_var: QuadExt.lift(point[1])}
-        (j11, j12), (j21, j22) = [[f.partial_derivative(v).evaluate(pt)
-                                   for v in (ps.x_var, ps.y_var)] for f in (ps.P, ps.Q)]
-        tr, det = j11 + j22, j11 * j22 - j12 * j21
-        return (j11, j12, j21, j22), tr, det, tr * tr - 4 * det
-    (_, j11, j12), (_, j21, j22) = jet
-    tr, det, disc = characteristic_pairs(jet, d)
-
-    def value(pair, den):
-        return QuadExt(Fraction(pair[0], den), Fraction(pair[1], den), d)
-
-    return (tuple(value(j, s) for j in (j11, j12, j21, j22)),
-            value(tr, s), value(det, s * s), value(disc, s * s))
-
-
-def exact_eigenvalues(jac: Sequence[QuadExt], tr: QuadExt, det: QuadExt
-                      ) -> Optional[tuple[QuadExt, QuadExt]]:
-    """The eigenvalues (lp, lm) of the Jacobian entries jac from
-    quadratic_roots, or None when they are not exact or an eigenvector of
-    each cannot be formed exactly: _eigvec subtracts an eigenvalue from a
-    diagonal entry, which may lie in another field."""
-    vals = quadratic_roots(1, -tr, det)
-    if vals is None:
-        return None
-    j11, j12, j21, j22 = jac
-    # _eigvec subtracts from j11 when j12 != 0, else from j22 when j21 != 0
-    diagonal = [j11] if j12 else [j22] if j21 else []
-    try:
-        common_radicand([*vals, *diagonal])
-    except RadicandMismatchError:
-        return None
-    return vals
-
-
-def eigenvalues_are_exact(d: int, s: int, jet: Sequence[Sequence[Pair]]) -> bool:
-    """Whether exact_eigenvalues finds the eigenvalues of the Jacobian in an
-    integer_jet (d, s, jet), decided without a squarefree part.
-
-    When tr and det are rational, a nonnegative disc = tr^2 - 4 det has a
-    root in Q(sqrt(e)), e its squarefree part, and only the eigenvector
-    check can fail: it passes when the diagonal entry it subtracts from is
-    rational, or when e is 1 or the entries' radicand.  Otherwise
-    quadratic_roots seeks the root in the entries' field.  field_sqrt(disc)
-    in the entries' field settles what the diagonal test leaves open.
-    """
+def _root_field(d: int, jet: Sequence[Sequence[Pair]]) -> tuple[Pair, Pair, Optional[int]]:
+    """The trace and discriminant pairs of characteristic_pairs, and where
+    the discriminant's root is sought: in Q(sqrt(d)), or in any field (None)
+    when the trace, the determinant and the diagonal entry that _eigvec
+    subtracts an eigenvalue from are all rational.  Otherwise a root outside
+    Q(sqrt(d)) would give an eigenvalue or eigenvector mixing radicands."""
     (_, j11, j12), (_, j21, j22) = jet
     tr, det, disc = characteristic_pairs(jet, d)
     diagonal = j11 if j12 != (0, 0) else j22 if j21 != (0, 0) else (0, 0)
-    if tr[1] == det[1] == diagonal[1] == 0 and pair_sign(disc, d) >= 0:
+    return tr, disc, None if tr[1] == det[1] == diagonal[1] == 0 else d
+
+
+def _value(pair: Pair, den: int, d: int) -> QuadExt:
+    return QuadExt(Fraction(pair[0], den), Fraction(pair[1], den), d)
+
+
+def exact_eigenvalues(d: int, s: int, jet: Sequence[Sequence[Pair]]
+                      ) -> Optional[tuple[QuadExt, QuadExt]]:
+    """The eigenvalues ((tr + r)/2, (tr - r)/2) of the Jacobian in an
+    integer_jet (d, s, jet), with r = field_sqrt(tr^2 - 4 det) sought in
+    the field _root_field picks; None when there is no such r, so that an
+    eigenvalue, or an eigenvector of each (_eigvec), is not exact.  The one
+    place where an exact eigenvalue of a point is formed."""
+    tr, disc, radicand = _root_field(d, jet)
+    r = field_sqrt(_value(disc, s * s, d), radicand)
+    if r is None:
+        return None
+    t = _value(tr, s, d)
+    return (t + r) / 2, (t - r) / 2
+
+
+def eigenvalues_are_exact(d: int, s: int, jet: Sequence[Sequence[Pair]]) -> bool:
+    """Whether exact_eigenvalues(d, s, jet) finds the eigenvalues, decided
+    without forming them: a nonnegative discriminant has a root in some
+    field, so where any field will do no squarefree part is sought; in
+    every other case the same root step decides."""
+    _, disc, radicand = _root_field(d, jet)
+    if radicand is None and pair_sign(disc, d) >= 0:
         return True
-    e = d if any(b for _, b in (j11, j12, j21, j22)) else 1
-    return field_sqrt(QuadExt(Fraction(disc[0], s * s), Fraction(disc[1], s * s), d), e) is not None
+    return field_sqrt(_value(disc, s * s, d), radicand) is not None
+
+
+def _spectral_jet(tr: QuadExt, det: QuadExt, diagonal: QuadExt):
+    """An integer_jet (d, s, jet) of [[g, 1], [g (tr - g) - det, tr - g]],
+    g the diagonal entry: its trace is tr, its determinant det, and g is the
+    entry _eigvec subtracts from, so exact_eigenvalues decides it as it
+    would any Jacobian with these three.  None when they mix radicands,
+    where no eigenvalue is exact."""
+    try:
+        entries = [diagonal, QuadExt(1), diagonal * (tr - diagonal) - det, tr - diagonal]
+        d = common_radicand(entries)
+    except RadicandMismatchError:
+        return None
+    s, (j11, j12, j21, j22) = integer_pairs(entries)
+    return d, s, (((0, 0), j11, j12), ((0, 0), j21, j22))
 
 
 def jacobian_eigen(ps: PlanarSystem, point: Sequence[ScalarLike]) -> EigenData:
     """Exact spectral data of the linearization at a plane point.
 
-    Saddle detection is a pure sign test on the determinant, so it never
-    depends on floating point.  Eigenvalues stay exact whenever
-    exact_eigenvalues finds them; otherwise floats (or a complex pair) are
-    returned with exact=False.
+    The Jacobian comes from one integer_jet, or, for a system and a point
+    that mix radicands, from the partial derivatives evaluated over QuadExt,
+    which raises RadicandMismatchError when its trace, determinant or
+    discriminant mix them too.  Saddle detection is an exact sign test on
+    the determinant.  Eigenvalues stay exact whenever exact_eigenvalues
+    finds them; otherwise floats (or a complex pair) come with exact=False.
     """
-    jac, tr, det, disc = linearization(ps, point)
-    saddle = det.sign() < 0
-    degenerate = det.is_zero()
-
-    vals = exact_eigenvalues(jac, tr, det)
-    if vals is not None:
-        vecs = tuple(_eigvec(*jac, lam) for lam in vals)
-        return EigenData(det, disc, saddle, degenerate, True, vals, vecs)
+    try:
+        spectral = integer_jet(ps, point)
+    except RadicandMismatchError:
+        pt = {ps.x_var: QuadExt.lift(point[0]), ps.y_var: QuadExt.lift(point[1])}
+        jac = [f.partial_derivative(v).evaluate(pt)
+               for f in (ps.P, ps.Q) for v in (ps.x_var, ps.y_var)]
+        spectral = None
+    else:
+        d, s, ((_, j11, j12), (_, j21, j22)) = spectral
+        jac = [_value(j, s, d) for j in (j11, j12, j21, j22)]
     j11, j12, j21, j22 = jac
+    tr, det = j11 + j22, j11 * j22 - j12 * j21
+    disc = tr * tr - 4 * det
+    data = (det, disc, det.sign() < 0, det.is_zero())
+    if spectral is None:
+        spectral = _spectral_jet(tr, det, j11 if j12 else j22 if j21 else QuadExt(0))
+    vals = exact_eigenvalues(*spectral) if spectral else None
+    if vals is not None:
+        return EigenData(*data, True, vals, tuple(_eigvec(*jac, lam) for lam in vals))
     ft, fd = float(tr), float(disc)
     f11, f12, f21, f22 = float(j11), float(j12), float(j21), float(j22)
-    if float(disc) >= 0:
+    if fd >= 0:
         sq = math.sqrt(fd)
         lp, lm = (ft + sq) / 2, (ft - sq) / 2
     else:
@@ -653,6 +657,4 @@ def jacobian_eigen(ps: PlanarSystem, point: Sequence[ScalarLike]) -> EigenData:
             return (lam - f22, f21)
         return (1.0, 0.0)
 
-    return EigenData(
-        det, disc, saddle, degenerate, False, (lp, lm), (fvec(lp), fvec(lm))
-    )
+    return EigenData(*data, False, (lp, lm), (fvec(lp), fvec(lm)))

@@ -16,6 +16,8 @@ from algwaves.reduction import to_planar, travelling_wave_reduce
 FISHER = "u_t - u_xx - u + u^2 = 0"
 CUBIC = "u_t - u_xx + 3*u*u_x - u^3 + 4*u^2 - 3*u = 0"
 NAGUMO = "u_t - u_xx - 2*u*(u-1/4)*(1-u) = 0"
+# at c = sqrt(2) its saddles (+-sqrt(3), 0) lie in another field than the system
+MIXED = "u_t - u_xx + 2/3*u^3 - 2*u = 0"
 FRONT_SPEED = "5/6*sqrt(6)"
 HUGE_SQRT = "sqrt(100000000000000000039)"
 HUGE_SPEED = "100000000000000000039"
@@ -46,6 +48,7 @@ GOLDEN_SEARCHES = [
       "--max-degree", "6"], 4),
     ("find_curve_huge_rational_degree6.json",
      ["--speed", "10000000019", "--max-degree", "6"], 2),
+    ("find_curve_mixed_fields.json", ["--pde", MIXED, "--speed", "sqrt(2)"], 4),
 ]
 
 
@@ -332,6 +335,14 @@ class TestFindCurve:
                   "--cofactor", "sqrt(2)", *json_flag)
         assert got == (1, "", "error: cannot combine sqrt(2) with sqrt(6)\n")
 
+    @pytest.mark.parametrize("flags", [[], ["--point", "sqrt(3),0"],
+                                       ["--cofactor", "sqrt(2)"]])
+    def test_mixed_fields_are_undetermined(self, capsys, flags):
+        code, out, err = run(capsys, "find-curve", "--pde", MIXED, "--speed", "sqrt(2)", *flags)
+        assert (code, err) == (4, "")
+        assert out.endswith("  no candidate was solved: no exact invariance matrix holds the "
+                            "system and the points (cannot combine sqrt(2) with sqrt(3))\n")
+
     def test_non_equilibrium_point_rejected(self, capsys):
         code, _, err = run(capsys, "find-curve", "--pde", FISHER,
                            "--speed", FRONT_SPEED, "--point", "1/2,1/2")
@@ -541,6 +552,12 @@ class TestShoot:
         assert out == ""
         assert err.startswith("error: solution norm exceeded")
         assert "Traceback" not in err
+
+    def test_power_overflow_exit_1(self, capsys):
+        # u^31 overflows as a float power before the norm check sees it
+        got = run(capsys, "shoot", "--pde", "u_t - u_xx - u + u^31 = 0", "--speed", "1",
+                  "--saddle", "1,0", "--target", "2,0", "--horizon", "20", "--method", "rk4")
+        assert got == (1, "", "error: a power of the solution overflowed after t=2.589\n")
 
     @pytest.mark.parametrize("exc,message", [
         # a float power that overflows raises with (errno, text) as args

@@ -21,7 +21,7 @@ from algwaves.darboux import (
     search_constant_cofactor,
     solve_fixed_cofactor,
 )
-from algwaves import darboux, linalg, qfield, reduction
+from algwaves import darboux, linalg, qfield
 from algwaves.fisher import FISHER_PDE
 from algwaves.linalg import (
     MODULAR_PRIMES,
@@ -33,18 +33,19 @@ from algwaves.linalg import (
 )
 from algwaves.pde import parse_pde
 from algwaves.poly import MultiPoly, RegistryMismatchError, VarRegistry, grlex_key
-from algwaves.qfield import QuadExt, RadicandMismatchError, parse_quadext
+from algwaves.qfield import QuadExt, RadicandMismatchError, parse_quadext, quadratic_roots
 from algwaves.reduction import (
     PlanarSystem,
     ReductionError,
+    characteristic_pairs,
     eigenvalues_are_exact,
     exact_eigenvalues,
     integer_jet,
     jacobian_eigen,
-    linearization,
     to_planar,
     travelling_wave_reduce,
 )
+from test_reduction import reference_jacobian_eigen
 
 FISHER = travelling_wave_reduce(parse_pde(FISHER_PDE))
 
@@ -110,10 +111,13 @@ class TestFrontCurve:
 
     def test_eigenvalue_candidates(self):
         ps = fisher_system(FRONT_SPEED)
-        # the node (0, 0) is screened out by the integer pass alone
-        with mock.patch.object(darboux, "linearization", wraps=linearization) as spy:
+        # one integer pass per point; the node (0, 0) is screened out by it
+        # alone, and only the saddle's eigenvalues are formed, from its jet
+        with mock.patch.object(darboux, "integer_jet", wraps=integer_jet) as jets, \
+                mock.patch.object(darboux, "exact_eigenvalues", wraps=exact_eigenvalues) as spy:
             cands, notes = eigenvalue_cofactor_candidates(ps, [(1, 0), (0, 0)])
-        assert [c.args[1] for c in spy.call_args_list] == [(1, 0)]
+        assert [c.args[1] for c in jets.call_args_list] == [(1, 0), (0, 0)]
+        assert [c.args for c in spy.call_args_list] == [integer_jet(ps, (1, 0))]
         assert cands == [
             QuadExt(0, Fr(1, 6), 6),
             QuadExt(0, -1, 6),
@@ -585,6 +589,23 @@ class TestVerdict:
         with pytest.raises(ValueError, match="not an equilibrium"):
             search_constant_cofactor(ps, [(0, 1)], 2)
 
+    def test_system_and_points_in_different_fields_are_undetermined(self):
+        # at c = sqrt(2) the saddles (+-sqrt(3), 0) of u'' = 2/3 u^3 - 2u -
+        # c u' have the eigenvalues sqrt(2) and -2 sqrt(2), but no exact
+        # invariance matrix holds the system with those points
+        spec = travelling_wave_reduce(parse_pde("u_t - u_xx + 2/3*u^3 - 2*u = 0"))
+        ps = to_planar(spec.bind_speed(QuadExt(0, 1, 2)))
+        r2, r3 = QuadExt(0, 1, 2), QuadExt(0, 1, 3)
+        note = ("no candidate was solved: no exact invariance matrix holds the system "
+                "and the points (cannot combine sqrt(2) with sqrt(3))")
+        hits = search_constant_cofactor(ps, [(r3, 0), (-r3, 0)], 3)
+        assert hits == [] and hits.candidates == [r2, -2 * r2, -r2]
+        assert (hits.status, hits.notes, hits.images) == ("undetermined", [note], [])
+        hits = search_constant_cofactor(ps, [(r3, 0)], 3, [r2])
+        assert (hits.status, hits.notes, hits.candidates) == ("undetermined", [note], [r2])
+        with pytest.raises(RadicandMismatchError):
+            invariance_matrix(ps, r2, 3, [(r3, 0)])
+
     def test_no_point_is_undetermined(self):
         hits = search_constant_cofactor(fisher_system(QuadExt(2)), [], 2)
         assert (hits.status, hits.notes) == ("undetermined", ["no point was given"])
@@ -606,13 +627,14 @@ class TestVerdict:
 
 
 def reference_eigenvalue_cofactor_candidates(ps, points):
-    """The candidates read from jacobian_eigen, which finds the spectrum and
-    eigenvectors at every point and keeps them only at saddles: kept as the
-    reference for eigenvalue_cofactor_candidates."""
+    """The candidates read from reference_jacobian_eigen, which evaluates
+    the Jacobian over QuadExt and finds the spectrum and eigenvectors at
+    every point, keeping them only at saddles: kept as the reference for
+    eigenvalue_cofactor_candidates."""
     notes = []
     option_sets = []
     for pt in points:
-        ed = jacobian_eigen(ps, pt)
+        ed = reference_jacobian_eigen(ps, pt)
         label = f"({pt[0]}, {pt[1]})"
         if not ed.is_saddle:
             notes.append(f"{label} is not a saddle; no cofactor constraint")
@@ -692,6 +714,58 @@ def test_saddle_candidates_match_jacobian_eigen_reference(case):
             == spectra_outcome(reference_eigenvalue_cofactor_candidates, ps, points))
 
 
+def reference_linearization(ps, point):
+    """The Jacobian entries at a plane point with their trace and
+    determinant over QuadExt, converted from one integer_jet, or evaluated
+    over QuadExt where the system and the point mix radicands; raises
+    RadicandMismatchError when tr^2 - 4 det mixes them too."""
+    try:
+        d, s, jet = integer_jet(ps, point)
+    except RadicandMismatchError:
+        pt = {ps.x_var: QuadExt.lift(point[0]), ps.y_var: QuadExt.lift(point[1])}
+        (j11, j12), (j21, j22) = [[f.partial_derivative(v).evaluate(pt)
+                                   for v in (ps.x_var, ps.y_var)] for f in (ps.P, ps.Q)]
+        tr, det = j11 + j22, j11 * j22 - j12 * j21
+        _ = tr * tr - 4 * det  # the discriminant, which may mix radicands
+        return (j11, j12, j21, j22), tr, det
+
+    def value(pair, den):
+        return QuadExt(Fr(pair[0], den), Fr(pair[1], den), d)
+
+    (_, j11, j12), (_, j21, j22) = jet
+    tr, det, _ = characteristic_pairs(jet, d)
+    return tuple(value(j, s) for j in (j11, j12, j21, j22)), value(tr, s), value(det, s * s)
+
+
+def reference_exact_eigenvalues(ps, point):
+    """The eigenvalues from quadratic_roots(1, -tr, det) on the QuadExt
+    linearization, or None when they are not exact or share no field with
+    the diagonal entry _eigvec subtracts them from: the route before
+    exact_eigenvalues read the integer pass, kept as its reference."""
+    jac, tr, det = reference_linearization(ps, point)
+    vals = quadratic_roots(1, -tr, det)
+    if vals is None:
+        return None
+    j11, j12, j21, j22 = jac
+    diagonal = [j11] if j12 else [j22] if j21 else []
+    try:
+        qfield.common_radicand([*vals, *diagonal])
+    except RadicandMismatchError:
+        return None
+    return vals
+
+
+def new_exact_eigenvalues(ps, point):
+    """exact_eigenvalues on the point's integer_jet, or, for a system and a
+    point that mix radicands, as jacobian_eigen applies it."""
+    try:
+        jet = integer_jet(ps, point)
+    except RadicandMismatchError:
+        ed = jacobian_eigen(ps, point)
+        return ed.eigenvalues if ed.exact else None
+    return exact_eigenvalues(*jet)
+
+
 @settings(max_examples=200, deadline=None)
 @given(local_spectra())
 def test_exactness_is_decided_without_roots(case):
@@ -701,13 +775,12 @@ def test_exactness_is_decided_without_roots(case):
             jet = integer_jet(ps, pt)
         except RadicandMismatchError:
             # no integer pass over one Z[sqrt(d)] holds a system and a
-            # point that mix radicands; the search then takes exact spectra
+            # point that mix radicands; the search then solves nothing
             with pytest.raises(RadicandMismatchError):
                 qfield.common_radicand([*ps.P.terms.values(), *ps.Q.terms.values(),
                                         *map(QuadExt.lift, pt)])
             continue
-        jac, tr, det, _ = linearization(ps, pt)
-        assert eigenvalues_are_exact(*jet) == (exact_eigenvalues(jac, tr, det) is not None)
+        assert eigenvalues_are_exact(*jet) == (reference_exact_eigenvalues(ps, pt) is not None)
 
 
 @st.composite
@@ -720,6 +793,15 @@ def fisher_speeds(draw):
                        st.sampled_from((FRONT_SPEED, -FRONT_SPEED))))
     points = draw(st.sampled_from(([(1, 0), (0, 0)], [(0, 0), (1, 0)], [(1, 0)])))
     return fisher_system(c), points
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(local_spectra(), fisher_speeds()))
+def test_exact_eigenvalues_match_reference(case):
+    ps, points = case
+    for pt in points:
+        got = spectra_outcome(new_exact_eigenvalues, ps, pt)
+        assert got == spectra_outcome(reference_exact_eigenvalues, ps, pt)
 
 
 def search_outcome(search, ps, points, degree):
@@ -767,13 +849,14 @@ def test_huge_rational_speeds_are_decided_fast():
 
 def test_exact_roots_only_at_saddles():
     calls = []
-    real = reduction.quadratic_roots
+    real = darboux.exact_eigenvalues
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    with mock.patch.object(reduction, "quadratic_roots", counted):
+    with mock.patch.object(darboux, "exact_eigenvalues", counted), \
+            mock.patch.object(darboux, "integer_jet", wraps=integer_jet) as jets:
         for c in (QuadExt(2), FRONT_SPEED, QuadExt(Fr(97057, 9))):
             ps = fisher_system(c)
             calls.clear()
@@ -782,11 +865,12 @@ def test_exact_roots_only_at_saddles():
             calls.clear()
             eigenvalue_cofactor_candidates(ps, [(0, 0)])
             assert calls == []  # the node
-        # two saddles, one root-finding each
+        # two saddles, one root-finding each, and one integer pass per point
         ps = make_plane(lambda x, y: y, lambda x, y: x * (x - 1) * (x - 3) + x * y - y)
         calls.clear()
+        jets.reset_mock()
         eigenvalue_cofactor_candidates(ps, [(0, 0), (1, 0), (3, 0)])
-        assert len(calls) == 2
+        assert len(calls) == 2 and jets.call_count == 3
 
 
 def reference_invariance_matrix(ps, cofactor, degree, required_points=()):
@@ -890,7 +974,7 @@ def test_plane_system_lives_in_x_and_y():
 
 def test_negative_search_takes_no_exact_root():
     # one integer pass per point, images mod p and rank certificates: no
-    # polynomial evaluation or derivative, no exact square root and no
+    # polynomial evaluation or derivative, no exact eigenvalue and no
     # squarefree part
     def counted(owner, name):
         return mock.patch.object(owner, name, autospec=True,
@@ -900,7 +984,7 @@ def test_negative_search_takes_no_exact_root():
         ps = fisher_system(c)
         with counted(MultiPoly, "evaluate") as evaluate, \
                 counted(MultiPoly, "partial_derivative") as partial, \
-                counted(reduction, "quadratic_roots") as roots, \
+                counted(darboux, "exact_eigenvalues") as roots, \
                 counted(qfield, "squarefree_decompose") as squarefree:
             hits = search_constant_cofactor(ps, [(0, 0), (1, 0)], 6)
         assert (hits.status, hits.candidates, len(hits.images)) == ("proved-none", [], 3)
@@ -910,7 +994,7 @@ def test_negative_search_takes_no_exact_root():
     # spectrum, at the saddle, and one exact solve
     ps = fisher_system(FRONT_SPEED)
     build_patch, solve_patch = counting_solves()
-    with counted(reduction, "quadratic_roots") as roots, build_patch as build, solve_patch:
+    with counted(darboux, "exact_eigenvalues") as roots, build_patch as build, solve_patch:
         hits = search_constant_cofactor(ps, [(0, 0), (1, 0)], 6)
     assert roots.call_count == 1 and len(hits) == 1 and len(hits.candidates) == 3
     assert [call.args[1] for call in build.call_args_list] == [QuadExt(0, -1, 6)]
@@ -921,7 +1005,7 @@ def test_negative_search_takes_no_exact_root():
     unlucky = tuple(p for p in MODULAR_PRIMES if p % 8 == 3)
     build_patch, solve_patch = counting_solves()
     with mock.patch.object(linalg, "MODULAR_PRIMES", unlucky), \
-            counted(reduction, "quadratic_roots") as roots, build_patch as build, solve_patch:
+            counted(darboux, "exact_eigenvalues") as roots, build_patch as build, solve_patch:
         hits = search_constant_cofactor(ps, [(0, 0), (1, 0)], 6)
     assert unlucky and roots.call_count == 1 and build.call_count == 3
     assert (hits.status, hits.images, hits.prime) == ("proved-none", [], None)
@@ -966,7 +1050,7 @@ def test_searches_and_solves_stay_within_the_prime_table():
                   for _, flags, _ in GOLDEN_SEARCHES]
         assert fisher.certify().ok
         planted = [planted_solve(rng, degree) for degree in (1, 2, 3, 4) for _ in range(8)]
-    assert readme == [0, 2, 2] and golden == [want for *_, want in GOLDEN_SEARCHES]
+    assert readme == [0, 2, 2, 4] and golden == [want for *_, want in GOLDEN_SEARCHES]
     assert all(planted) and solves.call_count >= len(planted) + 4
     table = math.prod(MODULAR_PRIMES)
     assert lifts.call_count and all(table % call.args[1] == 0 for call in lifts.call_args_list)

@@ -444,7 +444,13 @@ def reference_jacobian_eigen(ps, point):
     disc = tr * tr - 4 * det
     saddle = det.sign() < 0
     degenerate = det.is_zero()
-    s = reference_exact_sqrt(disc) if disc.sign() >= 0 else None
+    s = None
+    if disc.sign() >= 0:
+        # a rational disc may have its root in a field of the entries, found
+        # there without a squarefree part, which trial division can miss
+        fields = sorted({j.d for j in (j11, j12, j21, j22)}) if disc.is_rational() else []
+        roots = [r for e in fields if (r := field_sqrt(disc, e)) is not None]
+        s = roots[0] if roots else reference_exact_sqrt(disc)
     if s is not None:
         try:
             lp = (tr + s) / 2
@@ -594,12 +600,20 @@ def _mixed_plane():
                                    x - y + QuadExt(0, 1, 3) * x * y)
 
 
+def _mixed_entries():
+    # Jacobian [[sqrt(2), sqrt(3)], [sqrt(3)/2, 0]]: its entries mix
+    # radicands, but tr = sqrt(2) and det = -3/2 give the exact eigenvalues
+    # (sqrt(2) +- 2 sqrt(2))/2, in the field of the diagonal entry
+    return _plane(QuadExt(0, 1, 2), QuadExt(0, 1, 3), QuadExt(0, Fr(1, 2), 3), 0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(linear_plane_fields())
 # entries in Q(sqrt(2)), eigenvalues 1 +- sqrt(3)
 @example((_plane(QuadExt(1, 1, 2), 1, 1, QuadExt(1, -1, 2)), (0, 0)))
 # P in Q(sqrt(2)) and Q in Q(sqrt(3)), rational entries at the origin
 @example((_mixed_plane(), (0, 0)))
+@example((_mixed_entries(), (0, 0)))
 def test_jacobian_eigen_matches_reference(case):
     ps, point = case
     assert jacobian_eigen(ps, point) == reference_jacobian_eigen(ps, point)
