@@ -16,28 +16,21 @@ nonconstant monomial prove that every cofactor is constant
 
 A search reads each point once, in one integer pass over the system's
 integer form (reduction.integer_jet): P and Q there, which must vanish, and
-the Jacobian, whose determinant's sign marks a saddle exactly.  It then
-forms the saddle values only as images: one prime at which the system and
-the points have images and every saddle's discriminant tr^2 - 4 det is a
-nonzero square s^2 sends the values to (tr + s)/2, (tr - s)/2 and tr,
-whatever field the eigenvalues lie in (linalg.modular_root).  Images common
-to every saddle hold the image of every value common to them.
-
-It builds the cofactor-free part of its invariance matrices once, at the
-degree bound: a column shifts the exponents of the terms of P and Q, and a
-point row holds powers of the point's coordinates, so no polynomial is
-multiplied.  The basis is in grlex order, so every lower degree bound is a
-column prefix.  Those rows are mapped once to sparse residues modulo the
-prime, and an image k only writes -k into the entry of each column's own
-monomial.  A negative answer is a rank certificate: the matrix has full
-column rank modulo the prime, which proves that the matrix of every
-cofactor with that image has full rank over its field.  Only when the
-certificate leaves an image open (or no prime qualifies) are the exact
-spectra formed; then the exact matrix of each value with an open image,
-integer rows over Z[sqrt(d)] from the same exponent shifts, gets one
-nullspace, which gives the curves of every degree up to the bound.  That
-nullspace too is read from images mod primes, lifted and checked exactly
-(linalg.nullspace); no exact elimination runs.
+the Jacobian, whose determinant's sign marks a saddle exactly.  It forms the
+saddle values first only as images: at one prime where the system and the
+points have images and every saddle's discriminant tr^2 - 4 det is a nonzero
+square s^2, the values map to (tr + s)/2, (tr - s)/2 and tr, whatever field
+they lie in (linalg.modular_root).  The cofactor-free rows of its invariance
+matrices are built once, at the degree bound, from exponent shifts of the
+terms of P and Q and the points' coordinate powers, and mapped to sparse
+residues; an image k only writes -k into each column's own monomial.  Full
+column rank mod p proves that no curve has a cofactor with that image.  Only
+an image left open (or no prime) makes the search form the exact spectra
+from the same jets and solve each open value with one nullspace of its exact
+matrix over Z[sqrt(d)], in grlex order so that every lower degree bound is a
+column prefix; that nullspace is read from images mod primes and checked
+exactly (linalg.nullspace).  A value that no exact matrix holds together with
+the system and the points is left unsolved, with a note.
 """
 
 from __future__ import annotations
@@ -127,10 +120,10 @@ class CurveSearch(list):
     the search's verdict: status is "found", "proved-none" or
     "undetermined"; notes say which points constrained nothing and why an
     empty search proves nothing; candidates are the given cofactors, or the
-    saddle values when the search formed the exact spectra, each searched
-    unless the system and the points mix radicands; images are the saddle
-    values' images in GF(prime), and prime is the prime of the mod-p
-    certificate (None without one)."""
+    saddle values when the search formed the exact spectra, each solved
+    unless no exact matrix holds it with the system and the points; images
+    are the saddle values' images in GF(prime), and prime is the prime of
+    the mod-p certificate (None without one)."""
 
     def __init__(self, hits: list[DarbouxResult], status: str,
                  notes: list[str], candidates: list[QuadExt],
@@ -400,6 +393,50 @@ def constant_cofactor_weight(ps: PlanarSystem) -> Optional[Fraction]:
     return (lo + hi) / 2 if lo < hi else None
 
 
+def _integer_jet(ps: PlanarSystem, point: Sequence[ScalarLike]):
+    """integer_jet(ps, point), or None when the system and the point mix radicands."""
+    try:
+        return integer_jet(ps, point)
+    except RadicandMismatchError:
+        return None
+
+
+def _saddle_candidates(
+    ps: PlanarSystem, points: Sequence[Sequence[ScalarLike]], jets: Sequence,
+    prime: Optional[int] = None,
+) -> tuple[list[QuadExt], list[str]]:
+    """eigenvalue_cofactor_candidates from the points' _integer_jet values,
+    the one place where a point's note is written.  Given the prime at which
+    the image of every saddle value was certified, no eigenvalue is formed
+    and no candidate is returned: eigenvalues_are_exact decides which
+    saddles get a note, and the note names the prime."""
+    notes: list[str] = []
+    option_sets: list[list[QuadExt]] = []
+    for pt, jet in zip(points, jets):
+        label = f"({pt[0]}, {pt[1]})"
+        if jet is None:
+            ed = jacobian_eigen(ps, pt)
+            saddle, vals = ed.is_saddle, ed.exact and ed.eigenvalues
+        else:
+            d, _, pairs = jet
+            saddle = pair_sign(characteristic_pairs(pairs, d)[1], d) < 0
+            vals = saddle and (eigenvalues_are_exact if prime else exact_eigenvalues)(*jet)
+        if not saddle:
+            notes.append(f"{label} is not a saddle; no cofactor constraint")
+        elif not vals:
+            notes.append(f"eigenvalues at {label} are not exactly representable"
+                         + (f"; their images mod {prime} were certified" if prime else ""))
+        elif not prime:
+            option_sets.append([*vals, vals[0] + vals[1]])
+    if not option_sets:
+        return [], notes if points else ["no point was given"]
+    # a saddle's three values are distinct: lp > 0 > lm
+    cands = [k for k in option_sets[0] if all(k in s for s in option_sets[1:])]
+    if not cands:
+        notes.append("no cofactor value is allowed at every saddle")
+    return cands, notes
+
+
 def eigenvalue_cofactor_candidates(
     ps: PlanarSystem, points: Sequence[Sequence[ScalarLike]]
 ) -> tuple[list[QuadExt], list[str]]:
@@ -413,33 +450,10 @@ def eigenvalue_cofactor_candidates(
     that mixes radicands with the system is read by jacobian_eigen.  So a
     saddle has candidates exactly when jacobian_eigen calls it exact.
     Non-saddle points impose nothing here and are reported in the notes,
-    and so is an empty answer.
+    and so is an empty answer.  search_constant_cofactor reads the points
+    the same way (_saddle_candidates), from the jets it has already formed.
     """
-    notes: list[str] = []
-    option_sets: list[list[QuadExt]] = []
-    for pt in points:
-        label = f"({pt[0]}, {pt[1]})"
-        try:
-            d, s, jet = integer_jet(ps, pt)
-        except RadicandMismatchError:
-            ed = jacobian_eigen(ps, pt)
-            saddle, vals = ed.is_saddle, ed.eigenvalues if ed.exact else None
-        else:
-            saddle = pair_sign(characteristic_pairs(jet, d)[1], d) < 0
-            vals = exact_eigenvalues(d, s, jet) if saddle else None
-        if not saddle:
-            notes.append(f"{label} is not a saddle; no cofactor constraint")
-        elif vals is None:
-            notes.append(f"eigenvalues at {label} are not exactly representable")
-        else:
-            option_sets.append([*vals, vals[0] + vals[1]])
-    if not option_sets:
-        return [], notes or ["no point was given"]
-    # a saddle's three values are distinct: lp > 0 > lm
-    cands = [k for k in option_sets[0] if all(k in s for s in option_sets[1:])]
-    if not cands:
-        notes.append("no cofactor value is allowed at every saddle")
-    return cands, notes
+    return _saddle_candidates(ps, points, [_integer_jet(ps, pt) for pt in points])
 
 
 def poly_square_root(f: MultiPoly) -> Optional[MultiPoly]:
@@ -516,76 +530,71 @@ def search_constant_cofactor(
     - "proved-none" when the saddle values are all ruled out, there is at
       least one, and constant_cofactor_weight proves every cofactor
       constant: a curve through the points would then have one of them;
-    - "undetermined" otherwise, with a note saying why.  That includes a
-      system and points that mix radicands: no integer pass and no exact
-      invariance matrix holds them, so the equilibria are checked by
-      evaluation over QuadExt and no candidate is solved.
+    - "undetermined" otherwise, with a note saying why.
 
-    One integer pass per point (integer_jet) checks that it is an
-    equilibrium and gives its Jacobian; det < 0 marks a saddle, exactly.
-    The saddle values are first formed only as images: linalg.modular_root
-    picks one prime at which P, Q and the points have images and each
-    saddle's discriminant tr^2 - 4 det has a nonzero square image s^2, and
-    there a saddle's values map to (tr + s)/2, (tr - s)/2 and tr, in
-    whatever field they lie.  Exact equality implies equal images, so the
-    images common to every saddle hold the image of every value common to
-    them.  The rows of the invariance matrices without the cofactor are
-    built once, at max_degree, and mapped mod that prime (_ModularRows); an
-    image whose rows have a pivot in every column mod p proves that no
-    curve has a cofactor with that image.  When every image is ruled out,
-    no exact square root is taken, and a saddle whose eigenvalues are not
-    exactly representable gets a note naming the prime.
+    Each point gets one integer_jet, which shows that it is an equilibrium;
+    a point that mixes radicands with the system has none and is checked by
+    evaluation over QuadExt.  The saddle values are first formed only as
+    images at one prime (see the module docstring); since exact equality
+    implies equal images, the images common to every saddle hold the image
+    of every value common to them.  When the rows for each image have full
+    column rank mod p, no exact root is taken, and a saddle whose
+    eigenvalues are not exactly representable gets a note naming the prime.
+    Otherwise the exact values are formed from the same jets
+    (_saddle_candidates), and each one whose image is not ruled out gets its
+    exact invariance_matrix and one nullspace; given candidates are
+    certified at a prime for their own values in the same way.  A null
+    vector has the degree of its free column, and a hit's nullspace_dim
+    counts the null vectors of degree at most its own, as a solve at that
+    degree would (see invariance_matrix).
 
-    Otherwise (an image left open, no image common to the saddles, or no
-    prime that qualifies) the exact spectra are formed, and each exact
-    saddle value whose image is not ruled out gets its exact
-    invariance_matrix and one nullspace, read from images mod primes and
-    checked exactly (linalg.nullspace); given candidates are certified at
-    a prime for their own values in the same way.  One nullspace gives the
-    curves of every degree: a null vector has the degree of its free column,
-    and a hit's nullspace_dim counts the null vectors of degree at most its
-    own, as a solve at that degree would (see invariance_matrix).  Raises
-    ValueError for max_degree above MAX_SEARCH_DEGREE.
+    A candidate that no exact invariance matrix holds together with the
+    system and the points (they mix radicands, or a saddle value lies in a
+    third field) is left unsolved, with a note, and the verdict is
+    "undetermined".  Only a given candidate from another field than a
+    system and points that share one raises RadicandMismatchError.  Raises
+    ValueError for a point that is no equilibrium and for max_degree above
+    MAX_SEARCH_DEGREE.
     """
     if max_degree > MAX_SEARCH_DEGREE:
         raise ValueError("degree bound must be at most %d, got %d"
                          % (MAX_SEARCH_DEGREE, max_degree))
     lifted = [(QuadExt.lift(pt[0]), QuadExt.lift(pt[1])) for pt in points]
-    notes: list[str] = []
-    cands = None if candidates is None else list(dict.fromkeys(map(QuadExt.lift, candidates)))
-    try:
-        jets = [integer_jet(ps, pt) for pt in lifted]
-    except RadicandMismatchError as exc:
-        for pt, (px, py) in zip(points, lifted):
+    jets = [_integer_jet(ps, pt) for pt in lifted]
+    for pt, (px, py), jet in zip(points, lifted, jets):
+        if jet is None:
             point = {ps.x_var: px, ps.y_var: py}
-            if not (ps.P.evaluate(point).is_zero() and ps.Q.evaluate(point).is_zero()):
-                raise ValueError(f"({pt[0]}, {pt[1]}) is not an equilibrium")
-        if cands is None:
-            cands, notes = eigenvalue_cofactor_candidates(ps, points)
-        unsolved = [f"no candidate was solved: no exact invariance matrix holds "
-                    f"the system and the points ({exc})"] if cands else []
-        return CurveSearch([], "undetermined", notes + unsolved, cands)
-    for pt, (_, _, ((p_value, *_), (q_value, *_))) in zip(points, jets):
-        if p_value != (0, 0) or q_value != (0, 0):
+            at_rest = ps.P.evaluate(point).is_zero() and ps.Q.evaluate(point).is_zero()
+        else:
+            at_rest = all(value == (0, 0) for value, _, _ in jet[2])  # P and Q vanish
+        if not at_rest:
             raise ValueError(f"({pt[0]}, {pt[1]}) is not an equilibrium")
     values = [*ps.P.terms.values(), *ps.Q.terms.values(), *(c for pt in lifted for c in pt)]
+    try:
+        mixed = None
+        common_radicand(values)
+    except RadicandMismatchError as exc:
+        mixed = exc  # no exact invariance matrix holds the system and the points
+    notes: list[str] = []
+    cands = None if candidates is None else list(dict.fromkeys(map(QuadExt.lift, candidates)))
     images: list[int] = []
     proved: dict[int, bool] = {}  # image -> ruled out by the certificate
     modular = None
     by_images = False
     if cands is None:
-        # per point None, or the saddle's s, trace (over s) and
-        # discriminant (over s^2) as integer pairs
+        # each saddle's s, trace (over s) and discriminant (over s^2) as
+        # integer pairs; a point without a jet mixes radicands with the
+        # system, so that no ring map qualifies
         saddles = []
-        for d, s, jet in jets:
+        for d, s, jet in filter(None, jets):
             tr, det, disc = characteristic_pairs(jet, d)
-            saddles.append((s, tr, disc) if pair_sign(det, d) < 0 else None)
-        found = [sad for sad in saddles if sad]
-        ring = modular_root(values, [disc for _, _, disc in found]) if found else None
+            if pair_sign(det, d) < 0:
+                saddles.append((s, tr, disc))
+        ring = modular_root(values, [disc for _, _, disc in saddles]) if saddles else None
         if ring:
             p, r, roots = ring
             half = (p + 1) // 2
-            for n, ((s, (ta, tb), _), root) in enumerate(zip(found, roots)):
+            for n, ((s, (ta, tb), _), root) in enumerate(zip(saddles, roots)):
                 inv = pow(s, -1, p)
                 t, w = (ta + tb * r) * inv % p, root * inv % p
                 opts = [(t + w) * half % p, (t - w) * half % p, t]
@@ -594,22 +603,13 @@ def search_constant_cofactor(
             modular = _ModularRows(ps, max_degree, lifted, p, r)
             proved = {v: modular.certifies(v) for v in images}
             by_images = bool(images) and all(proved.values())
-        if by_images:
-            cands = []
-            for pt, sad, point_jet in zip(points, saddles, jets):
-                label = f"({pt[0]}, {pt[1]})"
-                if sad is None:
-                    notes.append(f"{label} is not a saddle; no cofactor constraint")
-                elif not eigenvalues_are_exact(*point_jet):
-                    notes.append(f"eigenvalues at {label} are not exactly representable; "
-                                 f"their images mod {modular.p} were certified")
-        else:
-            cands, notes = eigenvalue_cofactor_candidates(ps, points)
+        cands, notes = _saddle_candidates(ps, points, jets, modular.p if by_images else None)
     if cands and modular is None:
         ring = modular_root([*values, *cands])
         modular = _ModularRows(ps, max_degree, lifted, *ring[:2]) if ring else None
     results: list[DarbouxResult] = []
     accepted: list[MultiPoly] = []
+    unsolved: list[RadicandMismatchError] = []
     for k in cands:
         v = None if modular is None else _image(k, modular.p)
         if v is not None:
@@ -617,13 +617,16 @@ def search_constant_cofactor(
                 proved[v] = modular.certifies(v)
             if proved[v]:
                 continue
-        basis, rows = invariance_matrix(ps, k, max_degree, points)
+        try:
+            basis, rows = invariance_matrix(ps, k, max_degree, points)
+        except RadicandMismatchError as exc:
+            if candidates is not None and mixed is None:
+                raise  # a given cofactor from another field than the search's
+            unsolved.append(exc)
+            continue
         curves = _monic_curves(ps, k, basis, nullspace(rows, len(basis)), points)
         for f in curves:
-            if f.is_constant():
-                continue
-            ok, reason = irreducibility_screen(f, accepted)
-            if not ok:
+            if f.is_constant() or not irreducibility_screen(f, accepted)[0]:
                 continue
             accepted.append(f)
             results.append(
@@ -634,11 +637,16 @@ def search_constant_cofactor(
                     nullspace_dim=sum(g.degree() <= f.degree() for g in curves),
                 )
             )
+    if unsolved:
+        notes.append("no candidate was solved: no exact invariance matrix holds the system "
+                     f"and the points ({mixed})" if mixed else
+                     f"{len(unsolved)} of {len(cands)} candidates were not solved: no exact "
+                     f"invariance matrix holds them with the system and the points ({unsolved[0]})")
     if results:
         status = "found"
-    elif candidates is not None:
+    elif candidates is not None and not unsolved:
         status, notes = "undetermined", ["only the given cofactors were searched"]
-    elif not (cands or by_images):
+    elif unsolved or not (cands or by_images):
         status = "undetermined"  # the notes say why
     elif constant_cofactor_weight(ps) is None:
         status = "undetermined"

@@ -60,16 +60,8 @@ class RealRoot:
 
 
 def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
+    small = [i for i in range(1, math.isqrt(abs(n)) + 1) if n % i == 0]
+    return sorted({*small, *(abs(n) // i for i in small)})
 
 
 def _eval_desc(coeffs: Sequence[QuadExt], r: ScalarLike) -> QuadExt:
@@ -90,22 +82,28 @@ def _deflate_desc(coeffs: Sequence[QuadExt], r: ScalarLike) -> list[QuadExt]:
 
 
 def _rational_root_candidates(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    """The rational roots, ascending, of the polynomial with these
+    coefficients (highest degree first).  A root p/q in lowest terms makes
+    q x - p divide its integer multiple f over Z, so p divides the constant,
+    q the leading coefficient, q - p divides f(1) and q + p divides f(-1);
+    only the pairs that pass are evaluated, as f(p/q) q^n in integers."""
+    lcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * lcm) for c in coeffs]
-    lead, const = ints[0], ints[-1]
-    if const == 0 or lead == 0:
-        return []
-    if abs(const) > 10**9 or abs(lead) > 10**9:
+    if not (ints[0] and ints[-1]) or max(abs(ints[0]), abs(ints[-1])) > 10**9:
         # divisor enumeration would be unreasonable; numeric fallback instead
         return []
-    cands = set()
-    for p in _divisors(const):
-        for q in _divisors(lead):
-            cands.add(Fraction(p, q))
-            cands.add(Fraction(-p, q))
-    return sorted(cands)
+    at_one, at_minus_one = sum(ints), sum(c * (-1) ** n for n, c in enumerate(reversed(ints)))
+    numerators = [p for a in _divisors(ints[-1]) for p in (a, -a)]
+    roots = set()
+    for q in _divisors(ints[0]):
+        for p in numerators:
+            if not (at_one % (q - p or 1) or at_minus_one % (q + p or 1)):  # q = +-p passes
+                acc, qn = 0, 1
+                for c in ints:
+                    acc, qn = acc * p + c * qn, qn * q
+                if acc == 0:
+                    roots.add(Fraction(p, q))
+    return sorted(roots)
 
 
 def _numeric_real_roots(coeffs_desc: Sequence[QuadExt]) -> list[RealRoot]:
@@ -497,9 +495,9 @@ class EigenData:
 
 
 def _eigvec(j11, j12, j21, j22, lam):
-    if not j12.is_zero():
+    if j12:
         return (j12, lam - j11)
-    if not j21.is_zero():
+    if j21:
         return (lam - j22, j21)
     if lam == j11:
         return (QuadExt.lift(1), QuadExt.lift(0))
@@ -522,7 +520,8 @@ def integer_jet(ps: PlanarSystem, point: Sequence[ScalarLike]
     x, y = QuadExt.lift(point[0]), QuadExt.lift(point[1])
     e = common_radicand([x, y])
     if e != 1 and d not in (1, e):
-        raise RadicandMismatchError("cannot combine sqrt(%d) with sqrt(%d)" % (d, e))
+        # in common_radicand's words, whichever of the two comes first
+        raise RadicandMismatchError("cannot combine sqrt(%d) with sqrt(%d)" % tuple(sorted((d, e))))
     d = max(d, e)
     px, sx = coordinate_powers(x, max((i for ts in terms for i, _, _ in ts), default=0), d)
     py, sy = coordinate_powers(y, max((j for ts in terms for _, j, _ in ts), default=0), d)
@@ -642,19 +641,11 @@ def jacobian_eigen(ps: PlanarSystem, point: Sequence[ScalarLike]) -> EigenData:
     if vals is not None:
         return EigenData(*data, True, vals, tuple(_eigvec(*jac, lam) for lam in vals))
     ft, fd = float(tr), float(disc)
-    f11, f12, f21, f22 = float(j11), float(j12), float(j21), float(j22)
     if fd >= 0:
         sq = math.sqrt(fd)
         lp, lm = (ft + sq) / 2, (ft - sq) / 2
     else:
         sq = math.sqrt(-fd)
         lp, lm = complex(ft / 2, sq / 2), complex(ft / 2, -sq / 2)
-
-    def fvec(lam):
-        if abs(f12) > 1e-300:
-            return (f12, lam - f11)
-        if abs(f21) > 1e-300:
-            return (lam - f22, f21)
-        return (1.0, 0.0)
-
-    return EigenData(*data, False, (lp, lm), (fvec(lp), fvec(lm)))
+    fjac = (float(j11), float(j12), float(j21), float(j22))
+    return EigenData(*data, False, (lp, lm), tuple(_eigvec(*fjac, lam) for lam in (lp, lm)))

@@ -157,6 +157,20 @@ class TestEquilibria:
         assert code == 2 and err == ""
         assert out == "0 rest value(s)\n"
 
+    @pytest.mark.parametrize("command,want", [
+        ("equilibria", (0, "1 rest value(s)\n"
+                           "  u = -1.0000000009068637  (approximate, multiplicity 1)\n", "")),
+        ("find-curve", (1, "", "error: no exact equilibria; give --point explicitly\n")),
+    ])
+    def test_many_rational_root_candidates_finish_fast(self, capsys, command, want):
+        # 735134400 has 1,344 divisors, so about 3.6 million fractions +-p/q
+        # could be rational roots of the rest-value cubic; none is one
+        t0 = time.perf_counter()
+        got = run(capsys, command, "--pde", "u_t - u_xx - 735134400*u^3 + 2*u - 735134400 = 0",
+                  "--speed", "1")
+        assert got == want
+        assert time.perf_counter() - t0 < 2.0
+
     def test_sum_of_two_radicands_is_not_a_literal(self, capsys):
         # sqrt(2) + sqrt(3) lies in no single Q(sqrt(d)): the equation
         # itself is rejected before any root is sought

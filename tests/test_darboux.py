@@ -847,6 +847,210 @@ def test_huge_rational_speeds_are_decided_fast():
         assert time.perf_counter() - t0 < 1.0
 
 
+def reference_curve_search(ps, points, max_degree, candidates=None):
+    """The search with three routes to its candidates: images of the saddle
+    values, a second reading of every point through
+    eigenvalue_cofactor_candidates (here its reference), and an early
+    return for a system and points that share no field, where no candidate
+    is solved; a candidate from a third field raises.  Kept as the reference
+    for search_constant_cofactor."""
+    lifted = [(QuadExt.lift(pt[0]), QuadExt.lift(pt[1])) for pt in points]
+    notes = []
+    cands = None if candidates is None else list(dict.fromkeys(map(QuadExt.lift, candidates)))
+    try:
+        jets = [integer_jet(ps, pt) for pt in lifted]
+    except RadicandMismatchError as exc:
+        for pt, (px, py) in zip(points, lifted):
+            point = {ps.x_var: px, ps.y_var: py}
+            if not (ps.P.evaluate(point).is_zero() and ps.Q.evaluate(point).is_zero()):
+                raise ValueError(f"({pt[0]}, {pt[1]}) is not an equilibrium")
+        if cands is None:
+            cands, notes = reference_eigenvalue_cofactor_candidates(ps, points)
+        unsolved = [f"no candidate was solved: no exact invariance matrix holds "
+                    f"the system and the points ({exc})"] if cands else []
+        return darboux.CurveSearch([], "undetermined", notes + unsolved, cands)
+    for pt, (_, _, ((p_value, *_), (q_value, *_))) in zip(points, jets):
+        if p_value != (0, 0) or q_value != (0, 0):
+            raise ValueError(f"({pt[0]}, {pt[1]}) is not an equilibrium")
+    values = [*ps.P.terms.values(), *ps.Q.terms.values(), *(c for pt in lifted for c in pt)]
+    images, proved, modular, by_images = [], {}, None, False
+    if cands is None:
+        saddles = []
+        for d, s, jet in jets:
+            tr, det, disc = characteristic_pairs(jet, d)
+            saddles.append((s, tr, disc) if linalg.pair_sign(det, d) < 0 else None)
+        found = [sad for sad in saddles if sad]
+        ring = modular_root(values, [disc for _, _, disc in found]) if found else None
+        if ring:
+            p, r, roots = ring
+            half = (p + 1) // 2
+            for n, ((s, (ta, tb), _), root) in enumerate(zip(found, roots)):
+                inv = pow(s, -1, p)
+                t, w = (ta + tb * r) * inv % p, root * inv % p
+                opts = [(t + w) * half % p, (t - w) * half % p, t]
+                images = opts if n == 0 else [v for v in images if v in opts]
+            images = list(dict.fromkeys(images))
+            modular = darboux._ModularRows(ps, max_degree, lifted, p, r)
+            proved = {v: modular.certifies(v) for v in images}
+            by_images = bool(images) and all(proved.values())
+        if by_images:
+            cands = []
+            for pt, sad, point_jet in zip(points, saddles, jets):
+                label = f"({pt[0]}, {pt[1]})"
+                if sad is None:
+                    notes.append(f"{label} is not a saddle; no cofactor constraint")
+                elif not eigenvalues_are_exact(*point_jet):
+                    notes.append(f"eigenvalues at {label} are not exactly representable; "
+                                 f"their images mod {modular.p} were certified")
+        else:
+            cands, notes = reference_eigenvalue_cofactor_candidates(ps, points)
+    if cands and modular is None:
+        ring = modular_root([*values, *cands])
+        modular = darboux._ModularRows(ps, max_degree, lifted, *ring[:2]) if ring else None
+    results, accepted = [], []
+    for k in cands:
+        v = None if modular is None else darboux._image(k, modular.p)
+        if v is not None:
+            if v not in proved:
+                proved[v] = modular.certifies(v)
+            if proved[v]:
+                continue
+        basis, rows = invariance_matrix(ps, k, max_degree, points)
+        curves = darboux._monic_curves(ps, k, basis, nullspace(rows, len(basis)), points)
+        for f in curves:
+            if f.is_constant() or not irreducibility_screen(f, accepted)[0]:
+                continue
+            accepted.append(f)
+            results.append(darboux.DarbouxResult(
+                curves=[f], cofactor=k, degree=f.degree(),
+                nullspace_dim=sum(g.degree() <= f.degree() for g in curves)))
+    if results:
+        status = "found"
+    elif candidates is not None:
+        status, notes = "undetermined", ["only the given cofactors were searched"]
+    elif not (cands or by_images):
+        status = "undetermined"
+    elif constant_cofactor_weight(ps) is None:
+        status, notes = "undetermined", notes + [WEIGHT_NOTE]
+    else:
+        status = "proved-none"
+    return darboux.CurveSearch(results, status, notes, cands, images,
+                               None if modular is None else modular.p)
+
+
+# the primes p = 3 (mod 8) of the table, at which 2 is no square
+UNLUCKY_PRIMES = tuple(p for p in MODULAR_PRIMES if p % 8 == 3)
+
+
+def full_outcome(search, ps, points, degree, candidates):
+    """Everything a search reports, or the type of what it raised."""
+    try:
+        hits = search(ps, points, degree, candidates)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc)
+    return hit_keys(hits), hits.candidates, hits.images, hits.prime
+
+
+@st.composite
+def spectra_searches(draw):
+    ps, points = draw(local_spectra())
+    return ps, points, draw(st.integers(min_value=1, max_value=4)), None
+
+
+@st.composite
+def split_field_searches(draw):
+    """x' = y, y' = -c y + a x (x^2 - e t^2) with c = b sqrt(d) and the
+    saddles (+-t sqrt(e), 0) in another field than the system, whose
+    eigenvalues (-b +- m) sqrt(d)/2 lie in the system's field; a chooses m.
+    Through some of the saddles and the node (0, 0), with the saddle values
+    or given candidates."""
+    d = draw(st.sampled_from((2, 3, 5, 6)))
+    e = draw(st.sampled_from(tuple({2, 3, 5, 6, 7} - {d})))
+    b = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool))
+    m = abs(b) + draw(st.fractions(min_value=Fr(1, 3), max_value=3, max_denominator=3))
+    t = draw(st.fractions(min_value=Fr(1, 2), max_value=2, max_denominator=2))
+    a = (m * m - b * b) * d / (8 * e * t * t)
+    ps = make_plane(lambda x, y: y,
+                    lambda x, y: QuadExt(0, -b, d) * y + a * x * (x * x - e * t * t))
+    saddle = QuadExt(0, t, e)
+    points = draw(st.lists(st.sampled_from(((saddle, 0), (-saddle, 0), (0, 0))),
+                           min_size=1, max_size=3, unique=True))
+    cands = draw(st.one_of(st.none(), st.lists(st.sampled_from(
+        (QuadExt(0, (m - b) / 2, d), QuadExt(-1), QuadExt(0, 1, e))), min_size=1, max_size=2)))
+    return ps, points, draw(st.integers(min_value=1, max_value=4)), cands
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(spectra_searches(), split_field_searches(), front_searches(),
+                 planted_searches().map(lambda case: case[:4])))
+def test_search_agrees_with_three_route_reference(case):
+    # with the real prime table, and with one at which no system over
+    # Q(sqrt(2)) has images, so that such searches solve exactly
+    ps, points, degree, _ = case
+    for table in (MODULAR_PRIMES, UNLUCKY_PRIMES):
+        with mock.patch.object(linalg, "MODULAR_PRIMES", table):
+            got = full_outcome(search_constant_cofactor, *case)
+            want = full_outcome(reference_curve_search, *case)
+            if want is not RadicandMismatchError or not isinstance(got, tuple):
+                assert got == want
+                continue
+            # the one change: a saddle value from a third field, which the
+            # reference tried to solve, is left unsolved with a note, and
+            # the values that share the system's field give the same hits
+            (status, notes, hits), cands, _, _ = got
+            assert status in ("found", "undetermined")
+            assert " candidates were not solved: " in notes[-1]
+            held = [k for k in cands if sqrt_field_holds(ps, points, k)]
+            assert len(held) < len(cands)
+            assert hits == hit_keys(reference_curve_search(ps, points, degree, held))[2]
+
+
+def sqrt_field_holds(ps, points, k):
+    """Whether one Q(sqrt(d)) holds the system, the points and k."""
+    try:
+        qfield.common_radicand([*ps.P.terms.values(), *ps.Q.terms.values(), k,
+                                *(QuadExt.lift(c) for pt in points for c in pt)])
+    except RadicandMismatchError:
+        return False
+    return True
+
+
+def test_front_search_reads_each_point_once():
+    # the image of -sqrt(6) stays open, so the exact spectra are formed,
+    # from the jets the equilibrium check read
+    ps = fisher_system(FRONT_SPEED)
+    with mock.patch.object(darboux, "integer_jet", wraps=integer_jet) as jets:
+        hits = search_constant_cofactor(ps, [(1, 0), (0, 0)], 3)
+    assert hits.status == "found" and len(hits.candidates) == 3
+    assert [call.args[1] for call in jets.call_args_list] == [(1, 0), (0, 0)]
+
+
+def test_saddle_value_from_a_third_field_is_left_unsolved():
+    # u'' = u + sqrt(2) u^3 - u' has at (0, 0) the eigenvalues
+    # (-1 +- sqrt(5))/2: with only primes p = 3 (mod 8) no image qualifies,
+    # and no exact matrix holds sqrt(5) with the system's sqrt(2)
+    spec = travelling_wave_reduce(parse_pde("u_t - u_xx + u + sqrt(2)*u^3 = 0"))
+    ps = to_planar(spec.bind_speed(1))
+    hits = search_constant_cofactor(ps, [(0, 0)], 4)
+    assert (hits.status, hits.notes, hits.candidates) == ("undetermined", [WEIGHT_NOTE], [])
+    build_patch, solve_patch = counting_solves()
+    with mock.patch.object(linalg, "MODULAR_PRIMES", UNLUCKY_PRIMES), \
+            build_patch as build, solve_patch as solve:
+        hits = search_constant_cofactor(ps, [(0, 0)], 4)
+    r5 = QuadExt(0, Fr(1, 2), 5)
+    assert hits == [] and hits.candidates == [r5 - Fr(1, 2), -r5 - Fr(1, 2), QuadExt(-1)]
+    assert (hits.status, hits.images, hits.prime) == ("undetermined", [], None)
+    assert hits.notes == ["2 of 3 candidates were not solved: no exact invariance matrix "
+                          "holds them with the system and the points "
+                          "(cannot combine sqrt(2) with sqrt(5))"]
+    # each candidate's matrix is tried, and the rational -1 is solved
+    assert [call.args[1] for call in build.call_args_list] == hits.candidates
+    assert solve.call_count == 1
+    # a given cofactor from another field than the system's still raises
+    with pytest.raises(RadicandMismatchError, match=r"sqrt\(2\) with sqrt\(5\)"):
+        search_constant_cofactor(ps, [(0, 0)], 4, [r5])
+
+
 def test_exact_roots_only_at_saddles():
     calls = []
     real = darboux.exact_eigenvalues

@@ -354,6 +354,21 @@ def reference_exact_sqrt(x):
     return reference_field_sqrt(x)
 
 
+def reference_rational_root_candidates(coeffs):
+    """Every +-p/q with p dividing the constant and q the leading
+    coefficient of the integer multiple, sorted: the enumeration before
+    _rational_root_candidates filtered the pairs, kept as its reference."""
+    lcm = 1
+    for c in coeffs:
+        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    ints = [int(c * lcm) for c in coeffs]
+    lead, const = ints[0], ints[-1]
+    if const == 0 or lead == 0 or abs(const) > 10**9 or abs(lead) > 10**9:
+        return []
+    divisors = [[i for i in range(1, abs(n) + 1) if n % i == 0] for n in (const, lead)]
+    return sorted({Fr(s * p, q) for p in divisors[0] for q in divisors[1] for s in (1, -1)})
+
+
 def reference_real_univariate_roots(coeffs_ascending):
     asc = [QuadExt.lift(c) for c in coeffs_ascending]
     while asc and asc[-1].is_zero():
@@ -398,12 +413,12 @@ def reference_real_univariate_roots(coeffs_ascending):
             numeric.append(RealRoot((-float(b) - sd) / (2 * float(a)), 1, False))
             break
         if all(c.is_rational() for c in desc):
-            cands = _rational_root_candidates([c.rational_part for c in desc])
+            cands = reference_rational_root_candidates([c.rational_part for c in desc])
         else:
             fa = [c.rational_part for c in desc]
             fb = [c.radical_part for c in desc]
             base = fa if (any(fa) and fa[-1] != 0) else fb
-            cands = _rational_root_candidates(base)
+            cands = reference_rational_root_candidates(base)
         hit = None
         for r in cands:
             if _eval_desc(desc, r).is_zero():
@@ -430,6 +445,22 @@ def reference_real_univariate_roots(coeffs_ascending):
             order.append(v)
     exact_roots = [RealRoot(v, merged[v], True) for v in order]
     return sorted(exact_roots + numeric, key=float), all_exact
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=-40, max_value=40), min_size=2, max_size=7)
+       .filter(lambda cs: cs[-1] != 0),
+       st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=4), max_size=3))
+def test_rational_roots_match_enumeration(coeffs, planted):
+    # small integer coefficients, times linear factors with planted
+    # rational roots (so that repeated roots occur)
+    for r in planted:
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    desc = [Fr(c) for c in reversed(coeffs)]
+    want = [r for r in reference_rational_root_candidates(desc)
+            if _eval_desc([QuadExt.lift(c) for c in desc], r).is_zero()]
+    assert _rational_root_candidates(desc) == want
+    assert real_univariate_roots(coeffs) == reference_real_univariate_roots(coeffs)
 
 
 def reference_jacobian_eigen(ps, point):
