@@ -1,11 +1,11 @@
-"""Exact linear algebra over Q(sqrt(d)): nullspaces, rank, span membership,
-and a modular certificate of column independence.
+"""Exact linear algebra over Q(sqrt(d)): nullspaces, span membership, and
+a modular certificate of column independence.
 
 A matrix is given either as rows of QuadExt or as an IntegerMatrix, whose
 rows already hold integer pairs with their scales (darboux builds its
 invariance matrices that way).  Each row of QuadExt is scaled by the lcm of
 its denominators, so every entry a + b*sqrt(d) becomes an integer pair
-(a, b) in Z[sqrt(d)]; row scales change no nullspace and no rank.  A matrix
+(a, b) in Z[sqrt(d)]; row scales change no nullspace.  A matrix
 lives in one field: its entries may not mix radicands.
 
 nullspace returns the basis read from the reduced row echelon form R, which
@@ -45,11 +45,9 @@ in R.  Lifting at powers of two takes at most twice the primes needed.
 (_primes ends after about 2.7e7 primes, whose product has about 7.7e8
 bits; nullspace raises ArithmeticError there.)  Huge entries are slow, not
 wrong: the row (2**3000 + 1 + sqrt(2), 1), whose null vector has 6,001-bit
-denominators, takes 512 primes and 0.16 s on a 2-vCPU VM, against 0.0001 s
-for one _eliminate; no search or solve here meets entries of that size.
-_eliminate (fraction-free Gaussian elimination on the integer pairs, with
-Bareiss's exact division by the previous pivot; Bareiss 1968, Math. Comp.
-22) serves only rank and in_row_span.
+denominators, takes 512 primes and 0.16 s on a 2-vCPU VM; no search or
+solve here meets entries of that size.  in_row_span reads span membership
+from the same nullspace.
 
 The modular certificate works on the same images.  modular_root chooses the
 ring map of a whole search: one prime of MODULAR_PRIMES at which a set of
@@ -124,11 +122,11 @@ def _integer_rows(rows: Matrix) -> tuple[int, list[list[Pair]], list[int]]:
     """The radicand d, every row over Z[sqrt(d)], and each row's scale.
 
     Row i times scales[i] has integer pairs as entries.  An IntegerMatrix
-    is passed through (its outer list copied, since _eliminate swaps rows in
-    place).  Raises RadicandMismatchError when QuadExt entries mix radicands.
+    is passed through.  Raises RadicandMismatchError when QuadExt entries
+    mix radicands.
     """
     if isinstance(rows, IntegerMatrix):
-        return rows.d, list(rows), rows.scales
+        return rows.d, rows, rows.scales
     d = common_radicand(x for row in rows for x in row)
     out: list[list[Pair]] = []
     scales: list[int] = []
@@ -137,43 +135,6 @@ def _integer_rows(rows: Matrix) -> tuple[int, list[list[Pair]], list[int]]:
         out.append(pairs)
         scales.append(scale)
     return d, out, scales
-
-
-def _eliminate(rows: Matrix) -> list[int]:
-    """The pivot columns of the row echelon form, by fraction-free Gaussian
-    elimination over Z[sqrt(d)].
-
-    Each step replaces every row below the pivot row by
-    (piv*row - row[c]*top) / prev, where prev is the previous pivot (1 at
-    the first step); the quotient lies in Z[sqrt(d)] (every entry is a
-    minor of the scaled matrix) and is computed as x*conj(prev) / N(prev).
-    """
-    d, m, _ = _integer_rows(rows)
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots: list[int] = []
-    prev: Pair = (1, 0)
-    for c in range(ncols):
-        r = len(pivots)
-        pivot_row = next((i for i in range(r, nrows) if m[i][c] != (0, 0)), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        top = m[r]
-        pa, pb = top[c]
-        qa, qb = prev
-        norm = qa * qa - d * qb * qb
-        for i in range(r + 1, nrows):
-            fa, fb = m[i][c]
-            new = []
-            for (xa, xb), (ta, tb) in zip(m[i], top):
-                na = pa * xa - fa * ta + d * (pb * xb - fb * tb)
-                nb = pa * xb + pb * xa - fa * tb - fb * ta
-                new.append(((na * qa - d * nb * qb) // norm, (nb * qa - na * qb) // norm))
-            m[i] = new
-        prev = top[c]
-        pivots.append(c)
-    return pivots
 
 
 def nullspace(rows: Matrix, ncols: int) -> list[list[QuadExt]]:
@@ -335,17 +296,16 @@ def _lift(acc: list[int], modulus: int, pivots: list[int], null: dict[int, list[
     return basis
 
 
-def rank(rows: Matrix) -> int:
-    return len(_eliminate(rows))
-
-
 def in_row_span(rows: list[list[QuadExt]], vec: list[QuadExt]) -> bool:
-    """True when vec is a linear combination of the given rows."""
-    if all(x.is_zero() for x in vec):
-        return True
-    if not rows:
-        return False
-    return rank(rows) == rank(rows + [vec])
+    """True when vec is a linear combination of the given rows: when the
+    last column of the matrix whose columns are the rows and vec is free,
+    that is, when a null vector of it is nonzero there.  Raises ValueError
+    when a row and vec differ in length."""
+    if any(len(row) != len(vec) for row in rows):
+        raise ValueError("rows of %s entries and a vector of %d"
+                         % (sorted({len(row) for row in rows}), len(vec)))
+    columns = [list(entries) for entries in zip(*rows, vec)]
+    return any(not v[-1].is_zero() for v in nullspace(columns, len(rows) + 1))
 
 
 def _primes() -> Iterator[int]:

@@ -389,15 +389,18 @@ class MultiPoly:
         return MultiPoly(target, out)
 
     def evaluate(self, point: dict[int, CoeffLike]) -> QuadExt:
+        """The exact value at a point; a term's coordinate powers are taken
+        before its coefficient, so a zero coordinate cancels any radicand."""
         out = QuadExt(0)
         for m, c in self.terms.items():
-            val = c
+            val = None
             for v, e in m:
                 if v not in point:
                     raise ValueError("unbound variable %r in evaluation"
                                      % (self.registry.name(v),))
-                val = val * (QuadExt.lift(point[v]) ** e)
-            out = out + val
+                power = QuadExt.lift(point[v]) ** e
+                val = power if val is None else val * power
+            out = out + (c if val is None else val * c)
         return out
 
     def evaluate_float(self, point: dict[int, float]) -> float:

@@ -362,9 +362,6 @@ def field_sqrt(x: ScalarLike, d: Optional[int] = None) -> Optional[QuadExt]:
         cand = QuadExt(p, q, x.d)
         if cand * cand == x:
             return cand
-        cand = QuadExt(-p, -q, x.d)
-        if cand * cand == x:
-            return cand
     return None
 
 

@@ -14,6 +14,7 @@ caller never divides by zero silently.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -153,11 +154,50 @@ def _numeric_real_roots(coeffs_desc: Sequence[QuadExt]) -> list[RealRoot]:
     return out
 
 
+def _divmod_desc(num: Sequence[QuadExt], den: Sequence[QuadExt]
+                 ) -> tuple[list[QuadExt], list[QuadExt]]:
+    """(quotient, remainder) of polynomials over one field, highest degree
+    first; den[0] is nonzero, and the remainder has no leading zero."""
+    quot, rem = [], list(num)
+    while len(rem) >= len(den):
+        quot.append(rem[0] / den[0])
+        rem = [a - quot[-1] * b for a, b in zip(rem[1:], den[1:])] + rem[len(den):]
+    return quot, list(itertools.dropwhile(QuadExt.is_zero, rem))
+
+
+def _monic_gcd(f: list[QuadExt], g: list[QuadExt]) -> list[QuadExt]:
+    while g:
+        f, g = g, _divmod_desc(f, g)[1]
+    return [c / f[0] for c in f]
+
+
+def _squarefree_parts(desc: list[QuadExt]) -> list[tuple[list[QuadExt], int]]:
+    """(factor, multiplicity) pairs whose product, up to a constant, is the
+    polynomial desc over one field: Musser's squarefree decomposition by
+    gcds with the derivative.  A squarefree desc comes back as it is."""
+    n = len(desc) - 1
+    rest = _monic_gcd(desc, [c * (n - k) for k, c in enumerate(desc[:-1])])
+    if len(rest) == 1:
+        return [(desc, 1)]
+    # w is the product of the factors of multiplicity >= mult, rest what
+    # is left of desc once each of them is taken mult times
+    w, parts, mult = _divmod_desc(desc, rest)[0], [], 1
+    while len(w) > 1:
+        y = _monic_gcd(w, rest)
+        factor = _divmod_desc(w, y)[0]
+        if len(factor) > 1:
+            parts.append((factor, mult))
+        w, rest, mult = y, _divmod_desc(rest, y)[0], mult + 1
+    return parts
+
+
 def real_univariate_roots(
     coeffs_ascending: Sequence[ScalarLike],
 ) -> tuple[list[RealRoot], bool]:
     """All real roots with multiplicities; flag is True when every real
-    root was certified exactly (numeric fallback clears it)."""
+    root was certified exactly (numeric fallback clears it).  Over one
+    field the roots of each squarefree part are sought, so a repeated
+    irrational root is not split by the numeric fallback."""
     asc = [QuadExt.lift(c) for c in coeffs_ascending]
     while asc and asc[-1].is_zero():
         asc.pop()
@@ -177,57 +217,49 @@ def real_univariate_roots(
         # the coefficients span two radicands: no exact step can combine them
         all_exact = False
         numeric = _numeric_real_roots(desc)
-        desc = desc[:1]
-    while len(desc) > 1:
-        deg = len(desc) - 1
-        if deg == 1:
-            found.append((-desc[1] / desc[0], 1))
-            desc = desc[:1]
-            continue
-        if deg == 2:
-            a, b, c = desc
-            exact = quadratic_roots(a, b, c)
-            if exact is not None:
-                r1, r2 = exact
-                found.extend([(r1, 2)] if r1 == r2 else [(r1, 1), (r2, 1)])
-                desc = desc[:1]
-                continue
-            disc = b * b - 4 * a * c
-            if disc.sign() < 0:
-                break  # complex pair, no real roots left
-            all_exact = False
-            sd = math.sqrt(float(disc))
-            numeric.append(RealRoot((-float(b) + sd) / (2 * float(a)), 1, False))
-            numeric.append(RealRoot((-float(b) - sd) / (2 * float(a)), 1, False))
-            break
-        # degree >= 3: peel off rational roots, then retry
-        if all(c.is_rational() for c in desc):
-            cands = _rational_root_candidates([c.rational_part for c in desc])
-        else:
-            # a rational root must kill rational and radical parts alike,
-            # so candidates can come from either one (nonzero tail wins)
-            fa = [c.rational_part for c in desc]
-            fb = [c.radical_part for c in desc]
-            base = fa if (any(fa) and fa[-1] != 0) else fb
-            cands = _rational_root_candidates(base)
-        hit = None
-        for r in cands:
-            if _eval_desc(desc, r).is_zero():
-                hit = QuadExt.lift(r)
+        parts = []
+    else:
+        parts = _squarefree_parts(desc)
+    for desc, times in parts:
+        while len(desc) > 1:
+            deg = len(desc) - 1
+            if deg == 1:
+                found.append((-desc[1] / desc[0], times))
                 break
-        if hit is None:
-            all_exact = False
-            numeric.extend(_numeric_real_roots(desc))
-            break
-        mult = 0
-        while _eval_desc(desc, hit).is_zero():
-            desc = _deflate_desc(desc, hit)
-            mult += 1
-            if len(desc) == 1:
+            if deg == 2:
+                a, b, c = desc
+                exact = quadratic_roots(a, b, c)
+                if exact is not None:  # two roots, as desc is squarefree
+                    found += [(r, times) for r in exact]
+                    break
+                disc = b * b - 4 * a * c
+                if disc.sign() < 0:
+                    break  # complex pair, no real roots left
+                all_exact = False
+                sd = math.sqrt(float(disc))
+                numeric.append(RealRoot((-float(b) + sd) / (2 * float(a)), times, False))
+                numeric.append(RealRoot((-float(b) - sd) / (2 * float(a)), times, False))
                 break
-        found.append((hit, mult))
-    # zero roots were stripped first and each root deflated completely, so
-    # no value appears twice in found
+            # degree >= 3: peel off rational roots, then retry
+            if all(c.is_rational() for c in desc):
+                cands = _rational_root_candidates([c.rational_part for c in desc])
+            else:
+                # a rational root must kill rational and radical parts alike,
+                # so candidates can come from either one (nonzero tail wins)
+                fa = [c.rational_part for c in desc]
+                fb = [c.radical_part for c in desc]
+                base = fa if (any(fa) and fa[-1] != 0) else fb
+                cands = _rational_root_candidates(base)
+            hit = next((QuadExt.lift(r) for r in cands if _eval_desc(desc, r).is_zero()), None)
+            if hit is None:
+                all_exact = False
+                numeric.extend(RealRoot(r.value, r.multiplicity * times, False)
+                               for r in _numeric_real_roots(desc))
+                break
+            desc = _deflate_desc(desc, hit)  # a simple root of squarefree desc
+            found.append((hit, times))
+    # zero roots were stripped first, and the squarefree parts share no
+    # root and have simple roots only, so no value appears twice
     exact_roots = [RealRoot(v, m, True) for v, m in found]
     roots = sorted(exact_roots + numeric, key=float)
     return roots, all_exact
@@ -485,8 +517,8 @@ def to_planar(sys_spec: ODESystemSpec) -> PlanarSystem:
 
 @dataclass
 class EigenData:
-    det: QuadExt
-    disc: QuadExt
+    det: Union[QuadExt, float]  # a float only where no exact Jacobian exists
+    disc: Union[QuadExt, float]
     is_saddle: bool
     is_degenerate: bool
     exact: bool
@@ -611,31 +643,41 @@ def _spectral_jet(tr: QuadExt, det: QuadExt, diagonal: QuadExt):
     return d, s, (((0, 0), j11, j12), ((0, 0), j21, j22))
 
 
+def _characteristic(j11, j12, j21, j22):
+    """The trace, determinant and discriminant of [[j11, j12], [j21, j22]]."""
+    tr, det = j11 + j22, j11 * j22 - j12 * j21
+    return tr, det, tr * tr - 4 * det
+
+
 def jacobian_eigen(ps: PlanarSystem, point: Sequence[ScalarLike]) -> EigenData:
-    """Exact spectral data of the linearization at a plane point.
+    """Spectral data of the linearization at a plane point.
 
     The Jacobian comes from one integer_jet, or, for a system and a point
-    that mix radicands, from the partial derivatives evaluated over QuadExt,
-    which raises RadicandMismatchError when its trace, determinant or
-    discriminant mix them too.  Saddle detection is an exact sign test on
-    the determinant.  Eigenvalues stay exact whenever exact_eigenvalues
-    finds them; otherwise floats (or a complex pair) come with exact=False.
+    that mix radicands, from the partial derivatives evaluated over QuadExt.
+    Where those, or the trace, determinant or discriminant, mix radicands
+    too, no exact Jacobian exists: the partial derivatives' float
+    evaluators give the Jacobian, and det and disc are floats.  Otherwise
+    saddle detection is an exact sign test on the determinant.  Eigenvalues
+    stay exact whenever exact_eigenvalues finds them; otherwise floats (or
+    a complex pair) come with exact=False.
     """
     try:
         spectral = integer_jet(ps, point)
-    except RadicandMismatchError:
-        pt = {ps.x_var: QuadExt.lift(point[0]), ps.y_var: QuadExt.lift(point[1])}
-        jac = [f.partial_derivative(v).evaluate(pt)
-               for f in (ps.P, ps.Q) for v in (ps.x_var, ps.y_var)]
-        spectral = None
-    else:
         d, s, ((_, j11, j12), (_, j21, j22)) = spectral
         jac = [_value(j, s, d) for j in (j11, j12, j21, j22)]
+    except RadicandMismatchError:
+        spectral, order = None, (ps.x_var, ps.y_var)
+        partials = [f.partial_derivative(v) for f in (ps.P, ps.Q) for v in order]
+        pt = dict(zip(order, map(QuadExt.lift, point)))
+        try:
+            jac = [g.evaluate(pt) for g in partials]
+            _characteristic(*jac)  # raises where no one field holds tr, det or disc
+        except RadicandMismatchError:
+            jac = [g.compile_float(order)(*map(float, pt.values())) for g in partials]
+    tr, det, disc = _characteristic(*jac)
     j11, j12, j21, j22 = jac
-    tr, det = j11 + j22, j11 * j22 - j12 * j21
-    disc = tr * tr - 4 * det
-    data = (det, disc, det.sign() < 0, det.is_zero())
-    if spectral is None:
+    data = (det, disc, det < 0, det == 0)
+    if spectral is None and isinstance(det, QuadExt):
         spectral = _spectral_jet(tr, det, j11 if j12 else j22 if j21 else QuadExt(0))
     vals = exact_eigenvalues(*spectral) if spectral else None
     if vals is not None:

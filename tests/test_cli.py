@@ -149,6 +149,16 @@ class TestEquilibria:
         assert [r["exact"] for r in rows] == [False] * len(want)
         assert [float(r["value"]) for r in rows] == pytest.approx(want, abs=1e-9)
 
+    def test_double_irrational_roots_are_both_found(self, capsys):
+        # (u^2 - 2)^2: np.roots splits each double root into a complex pair,
+        # so the squarefree part u^2 - 2 is solved instead
+        code, out, err = run(capsys, "equilibria", "--pde",
+                             "u_t - u_xx + u^4 - 4*u^2 + 4 = 0", "--speed", "1")
+        assert (code, err) == (0, "")
+        assert out == ("2 rest value(s)\n"
+                       "  u = -sqrt(2)  (exact, multiplicity 2)\n"
+                       "  u = sqrt(2)  (exact, multiplicity 2)\n")
+
     def test_coefficients_from_two_fields_without_real_root(self, capsys):
         # sqrt(2) u^2 - u + sqrt(3) has discriminant 1 - 4 sqrt(6) < 0
         code, out, err = run(capsys, "equilibria", "--pde",
@@ -194,6 +204,15 @@ class TestFindCurve:
                            "--speed", "2", "--max-degree", "4")
         assert code == 2
         assert "no invariant curve" in out
+
+    def test_saddle_with_no_exact_jacobian_is_undetermined(self, capsys):
+        # at (sqrt(5), 0) the partial derivative of sqrt(2)*u*u_x is
+        # sqrt(2)*sqrt(5): no single field holds the Jacobian
+        code, out, err = run(capsys, "find-curve", "--pde",
+                             "u_t - u_xx - sqrt(5)*u + u^2 + sqrt(2)*u*u_x = 0", "--speed", "1")
+        assert (code, err) == (4, "")
+        assert out.splitlines()[1:] == ["  (0, 0) is not a saddle; no cofactor constraint",
+                                        "  eigenvalues at (sqrt(5), 0) are not exactly representable"]
 
     def test_no_cofactor_candidate_is_undetermined(self, capsys):
         # a node constrains no cofactor, so an empty search proves nothing
@@ -518,6 +537,14 @@ class TestPFromExp:
 
 
 class TestShoot:
+    def test_saddle_with_no_exact_jacobian_is_shot_from_floats(self, capsys):
+        code, out, err = run(capsys, "shoot", "--pde",
+                             "u_t - u_xx - sqrt(5)*u + u^2 + sqrt(3)*u*u_x = 0",
+                             "--speed", "sqrt(2)", "--saddle", "sqrt(5),0",
+                             "--target", "0,0", "--horizon", "2")
+        assert (code, err) == (0, "")
+        assert out.startswith("unstable rate 3.16522, start (2.2360677, ")
+
     def test_connection_within_tolerance(self, capsys, tmp_path):
         csv = tmp_path / "orbit.csv"
         code, out, _ = run(capsys, "shoot", "--pde", FISHER,

@@ -20,8 +20,8 @@ from algwaves.linalg import (
     independent_prefix_mod_p,
     modular_root,
     nullspace,
-    rank,
     residue,
+    square_root_mod_p,
 )
 from algwaves.poly import (
     MAX_TERMS_PER_EXPR,
@@ -176,6 +176,51 @@ class TestFrozen:
             assert g.terms == {m: c for m, c in f.terms.items()}
 
 
+def leibniz_determinant(mat, registry):
+    """The determinant as the signed sum over permutations, kept as the
+    reference for bareiss_determinant."""
+    n = len(mat)
+    det = MultiPoly.zero(registry)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = MultiPoly.const(registry, (-1) ** inversions)
+        for i, j in enumerate(perm):
+            term = term * mat[i][j]
+        det = det + term
+    return det
+
+
+@st.composite
+def sparse_polynomial_matrices(draw):
+    """Square matrices up to 5x5 whose entries are mostly 0, else small
+    integers or x - k: a zero pivot with a nonzero entry below it (a row
+    swap) and a column that is zero from the pivot down (a zero
+    determinant) are both common."""
+    reg = VarRegistry(["x"])
+    x = MultiPoly.var(reg, "x")
+    n = draw(st.integers(min_value=0, max_value=5))
+    entry = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-3, 3),
+                      st.integers(-2, 2).map(lambda k: x - k))
+    return [[MultiPoly.const(reg, 0) + draw(entry) for _ in range(n)] for _ in range(n)], reg
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_polynomial_matrices())
+def test_bareiss_determinant_matches_leibniz(case):
+    mat, reg = case
+    assert bareiss_determinant(mat, reg) == leibniz_determinant(mat, reg)
+
+
+def test_bareiss_determinant_swaps_rows_and_stops_at_a_zero_column():
+    reg = VarRegistry(["x"])
+    zero, one = MultiPoly.zero(reg), MultiPoly.one(reg)
+    two = MultiPoly.const(reg, 2)
+    # a zero first pivot: the swap with the second row flips the sign
+    assert bareiss_determinant([[zero, one], [two, one]], reg) == -two
+    # the first column is zero from the pivot down: no swap, determinant 0
+    assert bareiss_determinant([[zero, one, one], [zero, two, one], [zero, one, two]], reg).is_zero
+
+
 class TestLinalg:
     def test_nullspace_known(self):
         # x + y + z = 0, y - z = 0  ->  span{(-2, 1, 1)}
@@ -193,7 +238,7 @@ class TestLinalg:
 
     def test_rank_of_repeated_rows(self):
         one = QuadExt(1)
-        assert rank([[one, one], [one, one]]) == 1
+        assert 2 - len(nullspace([[one, one], [one, one]], 2)) == 1
         assert nullspace([[one, one], [one, one]], 2) == [[QuadExt(-1), one]]
 
     def test_in_row_span(self):
@@ -203,9 +248,16 @@ class TestLinalg:
         assert in_row_span(rows, [one, one, QuadExt(2)])
         assert not in_row_span(rows, [one, one, QuadExt(3)])
 
+    def test_in_row_span_needs_equal_lengths(self):
+        one = QuadExt(1)
+        with pytest.raises(ValueError):
+            in_row_span([[one]], [one, one])
+        with pytest.raises(ValueError):
+            in_row_span([[one, QuadExt(0)]], [one])
+
     def test_empty_row_list(self):
         assert nullspace([], 2) == [[QuadExt(1), QuadExt(0)], [QuadExt(0), QuadExt(1)]]
-        assert rank([]) == 0
+        assert len(reference_rref([])[1]) == 0
 
     def test_negative_first_pivot_is_divided_out(self):
         # the second step divides by the first pivot, -1; skipping that
@@ -300,7 +352,85 @@ def test_fraction_free_elimination_matches_reference(case):
     # equal nullspaces mean equal pivot columns and equal free-column
     # entries, which is all a reduced row echelon form holds
     assert nullspace(rows, ncols) == reference_nullspace(rows, ncols)
-    assert rank(rows) == len(reference_rref(rows)[1])
+    assert ncols - len(nullspace(rows, ncols)) == len(reference_rref(rows)[1])
+
+
+def reference_bareiss_pivots(rows):
+    """The pivot columns of the row echelon form, by fraction-free Gaussian
+    elimination over Z[sqrt(d)] with Bareiss's exact division by the
+    previous pivot (Bareiss 1968, Math. Comp. 22): the rank and span
+    membership before both were read from the modular nullspace, kept as
+    the reference for in_row_span.
+
+    Each step replaces every row below the pivot row by
+    (piv*row - row[c]*top) / prev, where prev is the previous pivot (1 at
+    the first step); the quotient lies in Z[sqrt(d)] (every entry is a
+    minor of the scaled matrix) and is computed as x*conj(prev) / N(prev).
+    """
+    d, m, _ = _integer_rows(rows)
+    m = list(m)
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    prev = (1, 0)
+    for c in range(ncols):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, nrows) if m[i][c] != (0, 0)), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        top = m[r]
+        pa, pb = top[c]
+        qa, qb = prev
+        norm = qa * qa - d * qb * qb
+        for i in range(r + 1, nrows):
+            fa, fb = m[i][c]
+            new = []
+            for (xa, xb), (ta, tb) in zip(m[i], top):
+                na = pa * xa - fa * ta + d * (pb * xb - fb * tb)
+                nb = pa * xb + pb * xa - fa * tb - fb * ta
+                new.append(((na * qa - d * nb * qb) // norm, (nb * qa - na * qb) // norm))
+            m[i] = new
+        prev = top[c]
+        pivots.append(c)
+    return pivots
+
+
+def reference_in_row_span(rows, vec):
+    if all(x.is_zero() for x in vec):
+        return True
+    if not rows:
+        return False
+    return len(reference_bareiss_pivots(rows)) == len(reference_bareiss_pivots(rows + [vec]))
+
+
+@st.composite
+def span_cases(draw):
+    """Rows from elimination_matrices() and a vector of their length: a
+    combination of the rows (the zero vector when there are none or the
+    coefficients vanish), or a drawn vector, which is mostly outside the
+    span."""
+    rows, ncols = draw(elimination_matrices())
+    d = max((x.d for row in rows for x in row), default=1)
+    part = st.integers(min_value=-2, max_value=2)
+    if draw(st.booleans()):
+        coeffs = [QuadExt(draw(part), draw(part) if d > 1 else 0, d) for _ in rows]
+        vec = [sum((k * row[j] for k, row in zip(coeffs, rows)), QuadExt(0))
+               for j in range(ncols)]
+    else:
+        vec = [QuadExt(draw(part), draw(part) if d > 1 else 0, d) for _ in range(ncols)]
+    return rows, vec
+
+
+@settings(max_examples=250, deadline=None)
+@given(span_cases())
+@example(([], [QuadExt(0)] * 3))
+@example(([], [QuadExt(0), QuadExt(1)]))
+@example(([[QuadExt(0)] * 2], [QuadExt(0)] * 2))
+@example(([[QuadExt(1), QuadExt(2)]], [QuadExt(0), QuadExt(1)]))
+def test_in_row_span_matches_bareiss_reference(case):
+    rows, vec = case
+    assert in_row_span(rows, vec) == reference_in_row_span(rows, vec)
 
 
 @st.composite
@@ -375,6 +505,34 @@ def test_unlucky_first_prime_is_rejected_by_the_exact_check():
     assert calls[0] == (p, [1], None)
     assert calls[1][:2] == (MODULAR_PRIMES[1], [0])
     assert all(pivots == [0] for _, pivots, _ in calls[1:])
+
+
+def test_prime_whose_conjugate_images_disagree_on_pivots_is_skipped():
+    # the entry -r + sqrt(d), r the first prime's root of d, maps to 0 under
+    # sqrt(d) -> r and to -2r under sqrt(d) -> -r: the two images have
+    # their pivots in different columns, so that prime is never lifted
+    p = MODULAR_PRIMES[0]
+    d = next(d for d in (2, 3, 5, 6, 7) if square_root_mod_p(d, p) is not None)
+    rows = [[QuadExt(-square_root_mod_p(d, p), 1, d), QuadExt(1)]]
+    calls, patch = recorded_lifts()
+    with patch:
+        assert nullspace(rows, 2) == reference_nullspace(rows, 2)
+    assert calls and all(modulus % p for modulus, _, _ in calls)
+
+
+def test_prime_with_a_later_pivot_is_skipped_while_primes_accumulate():
+    # the row (a, 1) with a a multiple of the second prime, too large for one
+    # prime to reconstruct -1/a: the first prime has the pivot in column 0,
+    # the second in column 1, and the accumulation goes on without it
+    p0, p1, *rest = MODULAR_PRIMES
+    rows = [[QuadExt(p1 * 3**20), QuadExt(1)]]
+    calls, patch = recorded_lifts()
+    with patch:
+        assert nullspace(rows, 2) == reference_nullspace(rows, 2)
+    assert calls[0] == (p0, [0], None)
+    assert [modulus for modulus, _, _ in calls] == [
+        p0 * math.prod(rest[:2**k - 1]) for k in range(len(calls))]
+    assert all(modulus % p1 for modulus, _, _ in calls)
 
 
 def trial_division_primes():
