@@ -21,9 +21,9 @@ saddle values first only as images: at one prime where the system and the
 points have images and every saddle's discriminant tr^2 - 4 det is a nonzero
 square s^2, the values map to (tr + s)/2, (tr - s)/2 and tr, whatever field
 they lie in (linalg.modular_root).  The cofactor-free rows of its invariance
-matrices are built once, at the degree bound, from exponent shifts of the
-terms of P and Q and the points' coordinate powers, and mapped to sparse
-residues; an image k only writes -k into each column's own monomial.  Full
+matrices are built once, at the degree bound, as sparse residues: those of
+the terms of P and Q, each added at its shifted exponents, and those of the
+points' coordinate powers; an image k only writes -k on the diagonal.  Full
 column rank mod p proves that no curve has a cofactor with that image.  Only
 an image left open (or no prime) makes the search form the exact spectra
 from the same jets and solve each open value with one nullspace of its exact
@@ -42,7 +42,6 @@ from typing import Optional, Sequence, Union
 
 from .linalg import (
     IntegerMatrix,
-    Pair,
     coordinate_powers,
     independent_prefix_mod_p,
     integer_pairs,
@@ -136,22 +135,41 @@ class CurveSearch(list):
         self.prime = prime
 
 
+def _shifts(i: int, j: int) -> tuple[tuple[int, int, int], ...]:
+    """The residual of x^i y^j is i P x^(i-1) y^j + j Q x^i y^(j-1) - k x^i y^j:
+    (x shift, y shift, weight) for the terms of P, Q and k in turn."""
+    return (i - 1, j, i), (i, j - 1, j), (i, j, -1)
+
+
+def _grlex_position(ps: PlanarSystem, i: int, j: int) -> int:
+    """The position of x^i y^j in grlex order (monomial_basis): after the
+    n(n + 1)/2 monomials of degree below n = i + j, by the exponent of the
+    lower variable id."""
+    n = i + j
+    return n * (n + 1) // 2 + (i if ps.x_var < ps.y_var else j)
+
+
+def _basis_exponents(ps: PlanarSystem, degree: int) -> list[tuple[int, int]]:
+    """The (x, y) exponents of monomial_basis([ps.x_var, ps.y_var], degree)."""
+    if degree < 0:
+        raise ValueError("degree bound must be nonnegative")
+    pairs = [(a, n - a) for n in range(degree + 1) for a in range(n + 1)]
+    return pairs if ps.x_var < ps.y_var else [(j, i) for i, j in pairs]
+
+
 def _shifted_columns(
     ps: PlanarSystem, degree: int, cofactor: Optional[MultiPoly] = None
 ) -> tuple[list[Monomial], list[tuple[int, int]], int, list[dict]]:
     """The residual columns of invariance_matrix, sparse and over Z[sqrt(d)].
 
     The terms are those of P and Q in ps.integer_form(), and the cofactor
-    k's when it is given, brought to one scale.  The residual of x^i y^j is
-    i P x^(i-1) y^j + j Q x^i y^(j-1) - k x^i y^j, so column (i, j) shifts
-    the exponents of the terms of P, Q and k.  Returns the basis in grlex
-    order, each basis monomial's (x, y) exponents, the common scale (the lcm
-    of the coefficients' denominators) and one column per basis monomial,
+    k's when it is given, brought to one scale; column (i, j) shifts their
+    exponents as _shifts says.  Returns the basis in grlex order, each basis
+    monomial's (x, y) exponents, the common scale (the lcm of the
+    coefficients' denominators) and one column per basis monomial,
     {(x exponent, y exponent): integer pair} holding the nonzero entries
     times the scale.
     """
-    if degree < 0:
-        raise ValueError("degree bound must be nonnegative")
     _, scale, terms = ps.integer_form()
     if cofactor is not None:
         k_scale, pairs = integer_pairs(list(cofactor.terms.values()))
@@ -161,40 +179,17 @@ def _shifted_columns(
                  [(*ps.exponents(m), (a * v, b * v))
                   for m, (a, b) in zip(cofactor.terms, pairs)]]
         scale = common
+    exps = _basis_exponents(ps, degree)
     basis = monomial_basis([ps.x_var, ps.y_var], degree)
-    exps = [ps.exponents(m) for m in basis]
     columns = []
     for i, j in exps:
         col: dict = {}
-        for ts, di, dj, w in zip(terms, (i - 1, i, i), (j, j - 1, j), (i, j, -1)):
-            if w:
-                for ex, ey, (a, b) in ts:
-                    key = (ex + di, ey + dj)
-                    ca, cb = col.get(key, (0, 0))
-                    col[key] = (ca + w * a, cb + w * b)
+        for ts, (di, dj, w) in zip(terms, _shifts(i, j)):
+            for ex, ey, (a, b) in ts if w else ():
+                ca, cb = col.get((ex + di, ey + dj), (0, 0))
+                col[ex + di, ey + dj] = (ca + w * a, cb + w * b)
         columns.append({key: v for key, v in col.items() if v != (0, 0)})
     return basis, exps, scale, columns
-
-
-def _grlex_rows(ps: PlanarSystem, keys) -> list[tuple[int, int]]:
-    """Exponent pairs in grlex order: by degree, then by the exponent of the
-    lower variable id."""
-    lower = 0 if ps.x_var < ps.y_var else 1
-    return sorted(keys, key=lambda key: (key[0] + key[1], key[lower]))
-
-
-def _point_rows(
-    points: Sequence[tuple[QuadExt, QuadExt]], exps: Sequence[tuple[int, int]],
-    degree: int, d: int,
-) -> tuple[list[list[Pair]], list[int]]:
-    """One row per point, its coordinate powers at each basis monomial, as
-    integer pairs over Z[sqrt(d)], with each row's scale."""
-    rows, scales = [], []
-    for x, y in points:
-        (px, sx), (py, sy) = (coordinate_powers(c, degree, d) for c in (x, y))
-        rows.append([pair_mul(px[i], py[j], d) for i, j in exps])
-        scales.append(sx * sy)
-    return rows, scales
 
 
 def invariance_matrix(
@@ -231,11 +226,15 @@ def invariance_matrix(
     d = common_radicand([c for f in (ps.P, ps.Q, k) for c in f.terms.values()]
                         + [c for pt in points for c in pt])
     basis, exps, scale, columns = _shifted_columns(ps, degree, k)
-    row_keys = _grlex_rows(ps, {key for col in columns for key in col})
+    row_keys = sorted({key for col in columns for key in col},
+                      key=lambda key: _grlex_position(ps, *key))
     rows = [[col.get(key, (0, 0)) for col in columns] for key in row_keys]
-    point_rows, point_scales = _point_rows(points, exps, degree, d)
-    return basis, IntegerMatrix(rows + point_rows, d,
-                                [scale] * len(rows) + point_scales)
+    scales = [scale] * len(rows)
+    for x, y in points:
+        (px, sx), (py, sy) = (coordinate_powers(c, degree, d) for c in (x, y))
+        rows.append([pair_mul(px[i], py[j], d) for i, j in exps])
+        scales.append(sx * sy)
+    return basis, IntegerMatrix(rows, d, scales)
 
 
 class _ModularRows:
@@ -244,43 +243,51 @@ class _ModularRows:
 
     The residual and point rows of invariance_matrix with the cofactor left
     out, mapped to GF(p) by sqrt(d) -> r and held sparse, {column: residue}
-    with the nonzero residues only, in invariance_matrix's row order (a row
-    invariance_matrix leaves out is empty here).  A constant k enters the
-    residual of x^i y^j only as -k x^i y^j, so the rows for the image of k
-    write it, negated, into the row of each column's own monomial.  (p, r)
-    is a ring map from linalg.modular_root over the coefficients of P and Q
-    and the points, so the rows for the image of k under that map are the
-    image of invariance_matrix(ps, k, degree, points).
+    with the nonzero residues only.  Each term (a, b) of P and Q in
+    ps.integer_form() is mapped once, to (a + b*r)/scale, and column (i, j)
+    adds it into the row of each exponent _shifts gives.  Residual row n is
+    the monomial at grlex position n (_grlex_position), up to the highest
+    degree a shift reaches: invariance_matrix's rows in its order, with an
+    empty row for each monomial it leaves out and for each row that
+    vanishes mod p.  One row per point follows, from the residues of its
+    coordinates' powers.  A constant k enters the residual of x^i y^j only
+    as -k x^i y^j, in row c for column c, so the rows for the image of k
+    write it, negated, on the diagonal.  (p, r) is a ring map from
+    linalg.modular_root over the coefficients of P and Q and the points, so
+    the rows for the image of k are the image of
+    invariance_matrix(ps, k, degree, points).
     """
 
     def __init__(self, ps: PlanarSystem, degree: int,
                  points: Sequence[tuple[QuadExt, QuadExt]], p: int, r: int):
-        _, exps, scale, columns = _shifted_columns(ps, degree)
-        keys = _grlex_rows(ps, set(exps).union(*columns))
-        index = {key: n for n, key in enumerate(keys)}
-        rows: list[dict[int, int]] = [{} for _ in keys]
+        _, scale, terms = ps.integer_form()
         inv = pow(scale, -1, p)
-        for c, col in enumerate(columns):
-            for key, (a, b) in col.items():
-                v = (a + b * r) * inv % p
-                if v:
-                    rows[index[key]][c] = v
-        # the points' radicand is 1 or the search's d, so their pairs map too
-        d = common_radicand([c for pt in points for c in pt])
-        for row, s in zip(*_point_rows(points, exps, degree, d)):
-            inv = pow(s, -1, p)
-            rows.append({c: v for c, (a, b) in enumerate(row)
-                         if (v := (a + b * r) * inv % p)})
-        self.rows, self.p, self.r = rows, p, r
-        self.diagonal = [index[key] for key in exps]
+        terms = [[(i, j, (a + b * r) * inv % p) for i, j, (a, b) in ts] for ts in terms]
+        exps = _basis_exponents(ps, degree)
+        top = max([degree] + [degree + i + j - 1 for ts in terms for i, j, _ in ts])
+        rows: list[dict[int, int]] = [{} for _ in range((top + 1) * (top + 2) // 2)]
+        for c, (i, j) in enumerate(exps):
+            for ts, (di, dj, w) in zip(terms, _shifts(i, j)):
+                for ex, ey, v in ts if w else ():
+                    row = rows[_grlex_position(ps, ex + di, ey + dj)]
+                    v = (row.get(c, 0) + w * v) % p
+                    if v:
+                        row[c] = v
+                    else:
+                        row.pop(c, None)
+        for pt in points:
+            px, py = ([pow(u, e, p) for e in range(degree + 1)]
+                      for u in (residue(x, p, r) for x in pt))
+            rows.append({c: v for c, (i, j) in enumerate(exps) if (v := px[i] * py[j] % p)})
+        self.rows, self.p, self.ncols = rows, p, len(exps)
 
     def rows_for(self, k: int) -> list[dict[int, int]]:
         """Fresh sparse rows of the invariance matrix for a cofactor whose
         image in GF(p) is k."""
         p = self.p
         rows = [dict(row) for row in self.rows]
-        for c, n in enumerate(self.diagonal):
-            row = rows[n]
+        for c in range(self.ncols):
+            row = rows[c]
             v = (row.get(c, 0) - k) % p
             if v:
                 row[c] = v
@@ -291,8 +298,7 @@ class _ModularRows:
     def certifies(self, k: int) -> bool:
         """True when the rows for the image k have full column rank mod p,
         which proves that no nonzero curve has a cofactor with that image."""
-        ncols = len(self.diagonal)
-        return independent_prefix_mod_p(self.rows_for(k), ncols, self.p) == ncols
+        return independent_prefix_mod_p(self.rows_for(k), self.ncols, self.p) == self.ncols
 
 
 def _image(k: QuadExt, p: int) -> Optional[int]:

@@ -136,7 +136,8 @@ _W4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 
 def integrate_rkf45(rhs: Rhs, t0: float, y0: Sequence[float], t1: float) -> Orbit:
     """Adaptive Fehlberg 4(5) for at most MAX_STEPS steps; keeps the fifth
-    order value on acceptance."""
+    order value on acceptance.  Raises StepSizeError at the first step of
+    size at most 1e-12 whose error exceeds the tolerance."""
     if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
         raise ValueError("integration interval must be finite and run forward")
     if t1 - t0 > MAX_RKF45_SPAN:
@@ -249,6 +250,8 @@ def _compile_loop(method: str, dim: int) -> Callable:
             "        scale = atol + rtol * max(%s, norm5)" % sumsq("y{i}"),
             "        err = %s" % sumsq("e{i}"),
             "        if err <= scale or h <= 1e-12:",
+            "            if err > scale:",
+            "                raise StepSizeError(\"tolerance not met at the step floor at t=%.6f\" % t)",
             "            t += h",
         ]
         lines += ["            y{0} = y5_{0}".format(i) for i in comps]

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .linalg import Pair, coordinate_powers, integer_pairs, pair_mul, pair_sign
 from .numerics import Rhs
@@ -82,28 +82,48 @@ def _deflate_desc(coeffs: Sequence[QuadExt], r: ScalarLike) -> list[QuadExt]:
     return out
 
 
+def _convergents(x: float, max_den: int) -> Iterator[Fraction]:
+    """The continued-fraction convergents of x with denominator at most max_den."""
+    f, (p0, q0), (p1, q1) = Fraction(x), (0, 1), (1, 0)
+    while f is not None:
+        a = math.floor(f)
+        (p0, q0), (p1, q1) = (p1, q1), (a * p1 + p0, a * q1 + q0)
+        if q1 > max_den:
+            return
+        yield Fraction(p1, q1)
+        f = 1 / (f - a) if f != a else None
+
+
 def _rational_root_candidates(coeffs: Sequence[Fraction]) -> list[Fraction]:
     """The rational roots, ascending, of the polynomial with these
     coefficients (highest degree first).  A root p/q in lowest terms makes
     q x - p divide its integer multiple f over Z, so p divides the constant,
     q the leading coefficient, q - p divides f(1) and q + p divides f(-1);
-    only the pairs that pass are evaluated, as f(p/q) q^n in integers."""
+    only the pairs that pass are evaluated, as f(p/q) q^n in integers.
+    Above 10^9 for either coefficient, enumerating divisors would be
+    unreasonable: the pairs are the continued-fraction convergents of the
+    numeric real roots whose q divides the leading coefficient (a root
+    whose float is too coarse to give its convergent is left numeric)."""
     lcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * lcm) for c in coeffs]
-    if not (ints[0] and ints[-1]) or max(abs(ints[0]), abs(ints[-1])) > 10**9:
-        # divisor enumeration would be unreasonable; numeric fallback instead
+    if not (ints[0] and ints[-1]):
         return []
-    at_one, at_minus_one = sum(ints), sum(c * (-1) ** n for n, c in enumerate(reversed(ints)))
-    numerators = [p for a in _divisors(ints[-1]) for p in (a, -a)]
+    if max(abs(ints[0]), abs(ints[-1])) > 10**9:
+        pairs = [(c.numerator, c.denominator) for root in _numeric_real_roots(ints)
+                 for c in _convergents(root.value, abs(ints[0]))
+                 if not ints[0] % c.denominator]
+    else:
+        at_one, at_minus_one = sum(ints), sum(c * (-1) ** n for n, c in enumerate(ints[::-1]))
+        numerators = [p for a in _divisors(ints[-1]) for p in (a, -a)]
+        pairs = [(p, q) for q in _divisors(ints[0]) for p in numerators  # q = +-p passes
+                 if not (at_one % (q - p or 1) or at_minus_one % (q + p or 1))]
     roots = set()
-    for q in _divisors(ints[0]):
-        for p in numerators:
-            if not (at_one % (q - p or 1) or at_minus_one % (q + p or 1)):  # q = +-p passes
-                acc, qn = 0, 1
-                for c in ints:
-                    acc, qn = acc * p + c * qn, qn * q
-                if acc == 0:
-                    roots.add(Fraction(p, q))
+    for p, q in pairs:
+        acc, qn = 0, 1
+        for c in ints:
+            acc, qn = acc * p + c * qn, qn * q
+        if acc == 0:
+            roots.add(Fraction(p, q))
     return sorted(roots)
 
 
@@ -608,13 +628,17 @@ def exact_eigenvalues(d: int, s: int, jet: Sequence[Sequence[Pair]]
     integer_jet (d, s, jet), with r = field_sqrt(tr^2 - 4 det) sought in
     the field _root_field picks; None when there is no such r, so that an
     eigenvalue, or an eigenvector of each (_eigvec), is not exact.  The one
-    place where an exact eigenvalue of a point is formed."""
+    place where an exact eigenvalue of a point is formed, as one QuadExt
+    from the trace's integer pair over 2s and the halves of r's components,
+    in r's field or, for a rational r, in Q(sqrt(d)) (_root_field puts r in
+    Q(sqrt(d)) whenever the trace is irrational)."""
     tr, disc, radicand = _root_field(d, jet)
     r = field_sqrt(_value(disc, s * s, d), radicand)
     if r is None:
         return None
-    t = _value(tr, s, d)
-    return (t + r) / 2, (t - r) / 2
+    ta, tb = Fraction(tr[0], 2 * s), Fraction(tr[1], 2 * s)
+    ra, rb, e = r.a / 2, r.b / 2, r.d if r.d != 1 else d
+    return QuadExt(ta + ra, tb + rb, e), QuadExt(ta - ra, tb - rb, e)
 
 
 def eigenvalues_are_exact(d: int, s: int, jet: Sequence[Sequence[Pair]]) -> bool:

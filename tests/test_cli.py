@@ -181,6 +181,17 @@ class TestEquilibria:
         assert got == want
         assert time.perf_counter() - t0 < 2.0
 
+    def test_rational_roots_beside_coefficients_above_a_billion_are_exact(self, capsys):
+        # the leading coefficient 6*735134400 is above 10^9, so 1/3 and 1/2
+        # come from the convergents of the numeric roots, checked exactly
+        code, out, err = run(capsys, "equilibria", "--pde",
+                             "u_t - u_xx + (2*u-1)*(3*u-1)*(735134400*u^2 + u + 735134400) = 0",
+                             "--speed", "1")
+        assert (code, err) == (0, "")
+        assert out == ("2 rest value(s)\n"
+                       "  u = 1/3  (exact, multiplicity 1)\n"
+                       "  u = 1/2  (exact, multiplicity 1)\n")
+
     def test_sum_of_two_radicands_is_not_a_literal(self, capsys):
         # sqrt(2) + sqrt(3) lies in no single Q(sqrt(d)): the equation
         # itself is rejected before any root is sought

@@ -439,14 +439,12 @@ def test_search_builds_once_and_solves_only_open_candidates():
                            (FRONT_SPEED, 3, 1), (FRONT_SPEED, 6, 1)):
         ps = fisher_system(c)
         build_patch, solve_patch = counting_solves()
-        with mock.patch.object(darboux, "_shifted_columns",
-                               wraps=darboux._shifted_columns) as shifts, \
+        with mock.patch.object(darboux, "_ModularRows",
+                               wraps=darboux._ModularRows) as modular, \
                 build_patch as build, solve_patch as solve:
             hits = search_constant_cofactor(ps, [(1, 0), (0, 0)], top)
         assert len(hits.images) == 3 and len(hits.candidates) == 3 * opened
-        cofactor_free = [call for call in shifts.call_args_list if len(call.args) == 2]
-        assert len(cofactor_free) == 1 and cofactor_free[0].args[1] == top
-        assert shifts.call_count == 1 + opened
+        assert modular.call_count == 1 and modular.call_args.args[1] == top
         assert build.call_count == solve.call_count == opened
         assert [call.args[1] for call in build.call_args_list] == [QuadExt(0, -1, 6)] * opened
 

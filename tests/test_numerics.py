@@ -113,6 +113,8 @@ def reference_rkf45(rhs, t0, y0, t1, atol=1e-10, rtol=1e-10, h0=1e-2,
         scale = atol + rtol * max(_reference_norm(y), _reference_norm(y5))
         err = _reference_norm(y5 - y4)
         if err <= scale or h <= 1e-12:
+            if err > scale:
+                raise StepSizeError("tolerance not met at the step floor at t=%.6f" % t)
             t += h
             y = y5
             if not np.all(np.isfinite(y)) or _reference_norm(y) > DIVERGENCE_NORM:
@@ -204,6 +206,8 @@ def tuple_rkf45(rhs, t0, y0, t1):
         scale = atol + rtol * max(_norm(y), norm5)
         err = _norm([a - b for a, b in zip(y5, y4)])
         if err <= scale or h <= 1e-12:
+            if err > scale:
+                raise StepSizeError("tolerance not met at the step floor at t=%.6f" % t)
             t += h
             y = y5
             _check_bounded(norm5, t)
@@ -335,6 +339,16 @@ class TestIntegrators:
     def test_rk4_step_budget(self):
         with pytest.raises(StepSizeError):
             integrate_rk4(lambda t, y: y, 0.0, [1.0], 1e8)
+
+    def test_rkf45_fails_at_the_step_floor(self):
+        # an rhs that is noise at every scale misses the tolerance even at
+        # h = 1e-12, where the integrator gives up rather than accept a step
+        def rhs(t, y):
+            return (1e6 * math.sin(1e17 * t),)
+
+        with pytest.raises(StepSizeError, match="tolerance not met at the step floor"):
+            integrate_rkf45(rhs, 0.0, [0.0], 1.0)
+        assert_same_outcome(integrate_rkf45, tuple_rkf45, rhs, 0.0, [0.0], 1.0)
 
     def test_backward_interval_rejected(self):
         with pytest.raises(ValueError):

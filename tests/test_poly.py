@@ -884,6 +884,42 @@ def test_modular_rows_are_the_image_of_the_invariance_matrix(case):
     assert independent_prefix_mod_p(got, n, p) == integer_row_prefix_mod_p(rows, n, (p,))
 
 
+@st.composite
+def cubic_invariance_inputs(draw):
+    """A Nagumo-type system x' = y, y' = -c*y + a0 + a1 x + a2 x^2 + a3 x^3
+    (a3 nonzero) over Q or Q(sqrt(d)), a constant cofactor, a degree bound
+    up to 8 and up to two points.  Its residual rows reach degree N + 2, and
+    y may come before x in the registry, so that the other variable's
+    exponent places a row."""
+    d = draw(st.sampled_from((1, 2, 3, 5)))
+    rat = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    elt = st.one_of(rat, st.builds(lambda a, b: QuadExt(a, b, d), rat, rat))
+    reg = VarRegistry(draw(st.sampled_from((["x", "y"], ["y", "x"]))))
+    x, y = MultiPoly.var(reg, "x"), MultiPoly.var(reg, "y")
+    a0, a1, a2, c = (draw(elt) for _ in range(4))
+    a3 = draw(elt.filter(lambda v: v != 0))
+    Q = -c * y + a0 + a1 * x + a2 * x * x + a3 * x * x * x
+    k = QuadExt.lift(draw(st.one_of(st.integers(min_value=-3, max_value=3), elt)))
+    points = draw(st.lists(st.tuples(elt, elt), max_size=2))
+    degree = draw(st.integers(min_value=0, max_value=8))
+    return PlanarSystem(reg, reg.id_of("x"), reg.id_of("y"), y, Q), k, degree, points
+
+
+@settings(max_examples=80, deadline=None)
+@given(cubic_invariance_inputs())
+def test_modular_rows_are_the_image_of_the_invariance_matrix_on_cubic_fields(case):
+    ps, k, degree, points = case
+    found = search_rows(ps, k, degree, points)
+    assume(found is not None)
+    (p, r), modular, basis, rows = found
+    image = []
+    for row, s in zip(rows, rows.scales):
+        inv = pow(s, -1, p)
+        image.append({j: v for j, (a, b) in enumerate(row) if (v := (a + b * r) * inv % p)})
+    assert [row for row in modular.rows_for(residue(k, p, r)) if row] == \
+        [row for row in image if row]
+
+
 @settings(max_examples=60, deadline=None)
 @given(invariance_inputs())
 def test_full_rank_mod_p_means_no_curve(case):

@@ -463,6 +463,24 @@ def test_rational_roots_match_enumeration(coeffs, planted):
     assert real_univariate_roots(coeffs) == reference_real_univariate_roots(coeffs)
 
 
+@pytest.mark.parametrize("factors,want", [
+    # (2x - 1)(3x - 1)(735134400 x^2 + x + 735134400): leading 4.4e9
+    ([[2, -1], [3, -1], [735134400, 1, 735134400]], [Fr(1, 3), Fr(1, 2)]),
+    # (7x + 3)(10^10 x^2 - 2): the real roots +-sqrt(2) 10^-5 are irrational
+    ([[7, 3], [10**10, 0, -2]], [Fr(-3, 7)]),
+    # 3 (10^10 x^3 + x + 1) has no rational root: the convergents of its
+    # one real root whose denominators divide 3 10^10 fail the exact check
+    ([[3 * 10**10, 0, 3, 3]], []),
+])
+def test_rational_roots_above_a_billion_come_from_numeric_roots(factors, want):
+    desc = [1]
+    for f in factors:
+        desc = [sum(desc[i] * f[k - i] for i in range(len(desc)) if 0 <= k - i < len(f))
+                for k in range(len(desc) + len(f) - 1)]
+    assert max(abs(desc[0]), abs(desc[-1])) > 10**9
+    assert _rational_root_candidates([Fr(c) for c in desc]) == want
+
+
 def reference_jacobian_eigen(ps, point):
     """The spectral data from the partial derivatives of P and Q, each
     evaluated at the point over QuadExt: the linearization before the
