@@ -46,34 +46,14 @@ class Expr:
     def __add__(self, other):
         return _add(self, _as_expr(other))
 
-    def __radd__(self, other):
-        return _add(_as_expr(other), self)
-
     def __sub__(self, other):
         return _sub(self, _as_expr(other))
-
-    def __rsub__(self, other):
-        return _sub(_as_expr(other), self)
 
     def __mul__(self, other):
         return _mul(self, _as_expr(other))
 
-    def __rmul__(self, other):
-        return _mul(_as_expr(other), self)
-
     def __truediv__(self, other):
         return _div(self, _as_expr(other))
-
-    def __rtruediv__(self, other):
-        return _div(_as_expr(other), self)
-
-    def __neg__(self):
-        return _mul(Const(-1), self)
-
-    def __pow__(self, p):
-        if isinstance(p, Fraction) and p.denominator != 1:
-            return RatPow(self, p)
-        return IntPow(self, int(p))
 
 
 @dataclass(frozen=True)

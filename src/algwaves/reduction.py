@@ -65,23 +65,6 @@ def _divisors(n: int) -> list[int]:
     return sorted({*small, *(abs(n) // i for i in small)})
 
 
-def _eval_desc(coeffs: Sequence[QuadExt], r: ScalarLike) -> QuadExt:
-    acc = QuadExt.lift(0)
-    for c in coeffs:
-        acc = acc * r + c
-    return acc
-
-
-def _deflate_desc(coeffs: Sequence[QuadExt], r: ScalarLike) -> list[QuadExt]:
-    # synthetic division; caller guarantees r is a root
-    out: list[QuadExt] = []
-    acc = QuadExt.lift(0)
-    for c in coeffs[:-1]:
-        acc = acc * r + c
-        out.append(acc)
-    return out
-
-
 def _convergents(x: float, max_den: int) -> Iterator[Fraction]:
     """The continued-fraction convergents of x with denominator at most max_den."""
     f, (p0, q0), (p1, q1) = Fraction(x), (0, 1), (1, 0)
@@ -95,11 +78,13 @@ def _convergents(x: float, max_den: int) -> Iterator[Fraction]:
 
 
 def _rational_root_candidates(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """The rational roots, ascending, of the polynomial with these
-    coefficients (highest degree first).  A root p/q in lowest terms makes
-    q x - p divide its integer multiple f over Z, so p divides the constant,
-    q the leading coefficient, q - p divides f(1) and q + p divides f(-1);
-    only the pairs that pass are evaluated, as f(p/q) q^n in integers.
+    """The rational roots, ascending, of the polynomial over Q with these
+    coefficients (highest degree first), all of them in one call;
+    real_univariate_roots calls it once on each squarefree part's
+    _rational_factor.  A root p/q in lowest terms makes q x - p divide
+    the integer multiple f over Z, so p divides the constant, q the
+    leading coefficient, q - p divides f(1) and q + p divides f(-1); only
+    the pairs that pass are evaluated, as f(p/q) q^n in integers.
     Above 10^9 for either coefficient, enumerating divisors would be
     unreasonable: the pairs are the continued-fraction convergents of the
     numeric real roots whose q divides the leading coefficient (a root
@@ -211,13 +196,28 @@ def _squarefree_parts(desc: list[QuadExt]) -> list[tuple[list[QuadExt], int]]:
     return parts
 
 
+def _rational_factor(desc: Sequence[QuadExt]) -> list[Fraction]:
+    """The largest factor of desc over Q, so its rational roots: desc
+    itself when it is rational, else gcd(a, b) of its rational parts a and
+    radical parts b, as a rational r makes a(r) + b(r) sqrt(d) vanish
+    exactly when a(r) = b(r) = 0."""
+    if all(c.is_rational() for c in desc):
+        return [c.rational_part for c in desc]
+    a, b = ([QuadExt(x) for x in itertools.dropwhile(lambda x: x == 0, xs)]
+            for xs in ([c.rational_part for c in desc], [c.radical_part for c in desc]))
+    return [c.rational_part for c in _monic_gcd(a, b)]
+
+
 def real_univariate_roots(
     coeffs_ascending: Sequence[ScalarLike],
 ) -> tuple[list[RealRoot], bool]:
     """All real roots with multiplicities; flag is True when every real
     root was certified exactly (numeric fallback clears it).  Over one
-    field the roots of each squarefree part are sought, so a repeated
-    irrational root is not split by the numeric fallback."""
+    field each squarefree part is solved in one pass, so a repeated
+    irrational root is not split by the numeric fallback: from a part of
+    degree 3 or more the rational roots are all divided out at once, and
+    what is left is solved by degree, linear, quadratic (exactly when
+    the field allows) or numeric."""
     asc = [QuadExt.lift(c) for c in coeffs_ascending]
     while asc and asc[-1].is_zero():
         asc.pop()
@@ -241,43 +241,26 @@ def real_univariate_roots(
     else:
         parts = _squarefree_parts(desc)
     for desc, times in parts:
-        while len(desc) > 1:
-            deg = len(desc) - 1
-            if deg == 1:
-                found.append((-desc[1] / desc[0], times))
-                break
-            if deg == 2:
-                a, b, c = desc
-                exact = quadratic_roots(a, b, c)
-                if exact is not None:  # two roots, as desc is squarefree
-                    found += [(r, times) for r in exact]
-                    break
-                disc = b * b - 4 * a * c
-                if disc.sign() < 0:
-                    break  # complex pair, no real roots left
+        if len(desc) > 3:
+            for r in _rational_root_candidates(_rational_factor(desc)):
+                desc = _divmod_desc(desc, [QuadExt(1), QuadExt(-r)])[0]
+                found.append((QuadExt(r), times))
+        if len(desc) == 2:
+            found.append((-desc[1] / desc[0], times))
+        elif len(desc) == 3:
+            a, b, c = desc
+            exact = quadratic_roots(a, b, c)
+            if exact is not None:  # two roots, as desc is squarefree
+                found += [(r, times) for r in exact]
+            elif (disc := b * b - 4 * a * c).sign() >= 0:  # else a complex pair
                 all_exact = False
                 sd = math.sqrt(float(disc))
                 numeric.append(RealRoot((-float(b) + sd) / (2 * float(a)), times, False))
                 numeric.append(RealRoot((-float(b) - sd) / (2 * float(a)), times, False))
-                break
-            # degree >= 3: peel off rational roots, then retry
-            if all(c.is_rational() for c in desc):
-                cands = _rational_root_candidates([c.rational_part for c in desc])
-            else:
-                # a rational root must kill rational and radical parts alike,
-                # so candidates can come from either one (nonzero tail wins)
-                fa = [c.rational_part for c in desc]
-                fb = [c.radical_part for c in desc]
-                base = fa if (any(fa) and fa[-1] != 0) else fb
-                cands = _rational_root_candidates(base)
-            hit = next((QuadExt.lift(r) for r in cands if _eval_desc(desc, r).is_zero()), None)
-            if hit is None:
-                all_exact = False
-                numeric.extend(RealRoot(r.value, r.multiplicity * times, False)
-                               for r in _numeric_real_roots(desc))
-                break
-            desc = _deflate_desc(desc, hit)  # a simple root of squarefree desc
-            found.append((hit, times))
+        elif len(desc) > 3:  # no rational root is left
+            all_exact = False
+            numeric.extend(RealRoot(r.value, r.multiplicity * times, False)
+                           for r in _numeric_real_roots(desc))
     # zero roots were stripped first, and the squarefree parts share no
     # root and have simple roots only, so no value appears twice
     exact_roots = [RealRoot(v, m, True) for v, m in found]

@@ -23,7 +23,7 @@ from .closedform import (
 from .pde import bind_params, parse_pde
 from .poly import MultiPoly, VarRegistry
 from .qfield import QuadExt, field_sqrt, quadratic_roots
-from .reduction import PlanarSystem, real_univariate_roots
+from .reduction import PlanarSystem
 
 
 # -- graph-invariant family -----------------------------------------------------
@@ -97,10 +97,9 @@ def _recognize_profile(f: MultiPoly):
     coeffs = [p.terms.get((), QuadExt(0)) for p in f.as_univariate(xv)]
     deg = len(coeffs) - 1
     if deg == 2:
-        roots, exact = real_univariate_roots(coeffs)
-        vals = [r.value for r in roots for _ in range(r.multiplicity)]
-        if exact and len(vals) == 2 and not (vals[0] - vals[1]).is_zero():
-            lo, hi = sorted(vals, key=float)
+        roots = quadratic_roots(*coeffs[::-1])
+        if roots is not None and roots[0] != roots[1]:
+            lo, hi = sorted(roots)
             return solve_logistic(coeffs[-1], lo, hi)
         return None
     # gamma * x * (x^q - 1): exactly two terms, degrees 1 and q+1, opposite signs

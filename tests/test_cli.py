@@ -19,6 +19,8 @@ NAGUMO = "u_t - u_xx - 2*u*(u-1/4)*(1-u) = 0"
 # at c = sqrt(2) its saddles (+-sqrt(3), 0) lie in another field than the system
 MIXED = "u_t - u_xx + 2/3*u^3 - 2*u = 0"
 FRONT_SPEED = "5/6*sqrt(6)"
+# rest values -1, -sqrt(2)/2 and 1: two rational roots beside a radical one
+RADICAL_CUBIC = "u_t - u_xx - (u^2-1)*(1+sqrt(2)*u) = 0"
 HUGE_SQRT = "sqrt(100000000000000000039)"
 HUGE_SPEED = "100000000000000000039"
 DATA = Path(__file__).resolve().parent / "data"
@@ -111,6 +113,29 @@ class TestReduce:
             main(["reduce", "--no-such-flag"])
         assert exc.value.code == 1
 
+    def test_equation_from_a_file(self, capsys, tmp_path):
+        path = tmp_path / "fisher.pde"
+        path.write_text(FISHER + "\n")
+        assert run(capsys, "reduce", "--pde-file", str(path)) == run(
+            capsys, "reduce", "--pde", FISHER)
+
+    def test_parameter_without_value_exit_1(self, capsys):
+        code, out, err = run(capsys, "reduce", "--pde", "u_t + u*u_x - a*u_xx = 0",
+                             "--param", "a")
+        assert (code, out) == (1, "")
+        assert err == "error: parameter 'a' is not NAME=VALUE\n"
+
+    def test_unbound_parameter_leaves_speeds_undetermined(self, capsys):
+        pde = "u_tt - a*u_xx + u^2 = 0"
+        code, out, err = run(capsys, "reduce", "--pde", pde)
+        assert (code, err) == (0, "")
+        assert "exceptional speeds: undetermined (parameters unbound)\n" in out
+        assert "unbound parameters: a\n" in out
+        code, out, _ = run(capsys, "reduce", "--pde", pde, "--json")
+        result = json.loads(out)["result"]
+        assert code == 0 and result["exceptional_speeds"] is None
+        assert result["unbound_parameters"] == ["a"]
+
 
 class TestEquilibria:
     def test_rest_values(self, capsys):
@@ -191,6 +216,25 @@ class TestEquilibria:
         assert out == ("2 rest value(s)\n"
                        "  u = 1/3  (exact, multiplicity 1)\n"
                        "  u = 1/2  (exact, multiplicity 1)\n")
+
+    @pytest.mark.parametrize("pde,want", [
+        # (u - 1)(sqrt(2) u^2 + 1): the rational parts of the cubic lead
+        # with a zero, the radical parts end in one
+        ("u_t - u_xx - sqrt(2)*u^3 + sqrt(2)*u^2 - u + 1 = 0",
+         "1 rest value(s)\n  u = 1  (exact, multiplicity 1)\n"),
+        (RADICAL_CUBIC, "3 rest value(s)\n"
+                        "  u = -1  (exact, multiplicity 1)\n"
+                        "  u = -1/2*sqrt(2)  (exact, multiplicity 1)\n"
+                        "  u = 1  (exact, multiplicity 1)\n"),
+    ])
+    def test_rational_roots_over_a_radical_field_are_exact(self, capsys, pde, want):
+        assert run(capsys, "equilibria", "--pde", pde, "--speed", "1") == (0, want, "")
+
+    def test_continuum_of_rest_states_exit_2(self, capsys):
+        code, out, err = run(capsys, "equilibria", "--pde", "u_t - u_xx = 0",
+                             "--speed", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: every constant profile is a rest state\n"
 
     def test_sum_of_two_radicands_is_not_a_literal(self, capsys):
         # sqrt(2) + sqrt(3) lies in no single Q(sqrt(d)): the equation
@@ -386,6 +430,28 @@ class TestFindCurve:
         assert (code, err) == (4, "")
         assert out.endswith("  no candidate was solved: no exact invariance matrix holds the "
                             "system and the points (cannot combine sqrt(2) with sqrt(3))\n")
+
+    def test_exact_rest_states_over_a_radical_field_are_searched(self, capsys):
+        code, out, err = run(capsys, "find-curve", "--pde", RADICAL_CUBIC,
+                             "--speed", "1", "--max-degree", "4")
+        assert (code, err) == (4, "")
+        assert out.startswith("undetermined: no curve with a constant cofactor up to"
+                              " degree 4 through (-1, 0), (-1/2*sqrt(2), 0), (1, 0)\n")
+
+    def test_point_without_two_coordinates_exit_1(self, capsys):
+        code, out, err = run(capsys, "find-curve", "--pde", FISHER, "--speed", "2",
+                             "--point", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: point '1' is not X,Y\n"
+
+    @pytest.mark.parametrize("command,flags,what", [
+        ("find-curve", [], "to search for curves"),
+        ("shoot", ["--saddle", "1,0", "--target", "0,0"], "for shooting"),
+    ])
+    def test_empty_speed_exit_1(self, capsys, command, flags, what):
+        code, out, err = run(capsys, command, "--pde", FISHER, "--speed", "", *flags)
+        assert (code, out) == (1, "")
+        assert err == "error: --speed is required %s\n" % what
 
     def test_non_equilibrium_point_rejected(self, capsys):
         code, _, err = run(capsys, "find-curve", "--pde", FISHER,

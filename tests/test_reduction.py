@@ -1,12 +1,13 @@
 """Traveling-frame reduction, rest states, local spectra, real roots."""
 
+import itertools
 import math
 from fractions import Fraction as Fr
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from algwaves.pde import bind_params, parse_pde
 from algwaves.poly import MultiPoly, VarRegistry
@@ -18,9 +19,7 @@ from algwaves.reduction import (
     PlanarSystem,
     RealRoot,
     ReductionError,
-    _deflate_desc,
     _eigvec,
-    _eval_desc,
     _numeric_real_roots,
     _rational_root_candidates,
     equilibria,
@@ -369,6 +368,22 @@ def reference_rational_root_candidates(coeffs):
     return sorted({Fr(s * p, q) for p in divisors[0] for q in divisors[1] for s in (1, -1)})
 
 
+def _eval_desc(coeffs, r):
+    acc = QuadExt.lift(0)
+    for c in coeffs:
+        acc = acc * r + c
+    return acc
+
+
+def _deflate_desc(coeffs, r):
+    # synthetic division; the caller makes sure r is a root
+    out, acc = [], QuadExt.lift(0)
+    for c in coeffs[:-1]:
+        acc = acc * r + c
+        out.append(acc)
+    return out
+
+
 def reference_real_univariate_roots(coeffs_ascending):
     asc = [QuadExt.lift(c) for c in coeffs_ascending]
     while asc and asc[-1].is_zero():
@@ -412,13 +427,12 @@ def reference_real_univariate_roots(coeffs_ascending):
             numeric.append(RealRoot((-float(b) + sd) / (2 * float(a)), 1, False))
             numeric.append(RealRoot((-float(b) - sd) / (2 * float(a)), 1, False))
             break
-        if all(c.is_rational() for c in desc):
-            cands = reference_rational_root_candidates([c.rational_part for c in desc])
-        else:
-            fa = [c.rational_part for c in desc]
-            fb = [c.radical_part for c in desc]
-            base = fa if (any(fa) and fa[-1] != 0) else fb
-            cands = reference_rational_root_candidates(base)
+        # a rational root kills the rational and the radical parts alike:
+        # candidates from both, each part without its leading zeros
+        parts = (list(itertools.dropwhile(lambda x: x == 0, xs))
+                 for xs in ([c.rational_part for c in desc], [c.radical_part for c in desc]))
+        cands = sorted({r for part in parts if part
+                        for r in reference_rational_root_candidates(part)})
         hit = None
         for r in cands:
             if _eval_desc(desc, r).is_zero():
@@ -570,6 +584,8 @@ def field_polynomials(draw):
 @given(field_polynomials())
 @example([QuadExt(-1), QuadExt(0, -1, 2), QuadExt(1)])  # roots (sqrt(2) +- sqrt(6))/2
 @example(_times([QuadExt(-1), QuadExt(0, -1, 2), QuadExt(1)], [QuadExt(-3), QuadExt(2)]))
+# (x - 1)(sqrt(2) x^2 + 1): the rational parts lead with a zero
+@example([QuadExt(-1), QuadExt(1), QuadExt(0, -1, 2), QuadExt(0, 1, 2)])
 def test_real_roots_match_reference(coeffs):
     got = real_univariate_roots(coeffs)
     try:
@@ -622,6 +638,43 @@ def test_repeated_factors_keep_their_roots(case):
     # one squared quadratic is found exactly; two share a squarefree part,
     # a quartic that the numeric fallback solves
     assert ok == (sum(not v.is_rational() for v in planted) <= 2)
+
+
+@st.composite
+def rational_roots_beside_a_radical_factor(draw):
+    """(ascending coefficients, planted roots, factor): a factor over
+    Q(sqrt(d)), of degree 1 to 3, whose leading or constant coefficient
+    has a zero rational or a zero radical part, times linear factors with
+    rational roots to the power 1 to 3.  factor is the radical factor's
+    ascending coefficients, planted maps each rational root to its power."""
+    d = draw(RADICANDS.filter(lambda d: d > 1))
+    factor = [QuadExt(draw(RATS), draw(RATS), d) for _ in range(draw(st.integers(2, 4)))]
+    end = draw(st.sampled_from((0, -1)))
+    a, b = draw(RATS.filter(bool)), draw(RATS.filter(bool))
+    factor[end] = draw(st.sampled_from((QuadExt(0, b, d), QuadExt(a))))
+    assume(factor[-1] and not all(c.is_rational() for c in factor))
+    planted = draw(st.dictionaries(RATS, st.integers(1, 3), min_size=1, max_size=3))
+    poly = factor
+    for r, m in planted.items():
+        for _ in range(m):
+            poly = _times(poly, [QuadExt(-r), QuadExt(1)])
+    return poly, planted, factor
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_roots_beside_a_radical_factor())
+@example(([QuadExt(-1), QuadExt(1), QuadExt(0, -1, 2), QuadExt(0, 1, 2)],
+          {Fr(1): 1}, [QuadExt(1), QuadExt(0), QuadExt(0, 1, 2)]))
+def test_rational_roots_beside_a_radical_factor_are_exact(case):
+    coeffs, planted, factor = case
+    roots, _ = real_univariate_roots(coeffs)
+    exact = {r.value: r.multiplicity for r in roots if r.exact}
+    for r, m in planted.items():
+        # the radical factor may have r as a root too
+        desc, extra = list(reversed(factor)), 0
+        while len(desc) > 1 and _eval_desc(desc, r).is_zero():
+            desc, extra = _deflate_desc(desc, r), extra + 1
+        assert exact.get(QuadExt(r)) == m + extra
 
 
 @st.composite
