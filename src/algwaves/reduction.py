@@ -213,11 +213,13 @@ def real_univariate_roots(
 ) -> tuple[list[RealRoot], bool]:
     """All real roots with multiplicities; flag is True when every real
     root was certified exactly (numeric fallback clears it).  Over one
-    field each squarefree part is solved in one pass, so a repeated
-    irrational root is not split by the numeric fallback: from a part of
-    degree 3 or more the rational roots are all divided out at once, and
-    what is left is solved by degree, linear, quadratic (exactly when
-    the field allows) or numeric."""
+    field each squarefree part is solved on its own, so a repeated
+    irrational root is not split by the numeric fallback.  A part of
+    degree 3 or more has the rational roots of a pass divided out at
+    once; a pass repeats only after one that found roots left a cubic or
+    more (past 10^9 a root whose float gives no convergent can come
+    within reach of divisor pairs once others are out).  The rest is
+    solved by degree, exactly where the field allows."""
     asc = [QuadExt.lift(c) for c in coeffs_ascending]
     while asc and asc[-1].is_zero():
         asc.pop()
@@ -241,8 +243,8 @@ def real_univariate_roots(
     else:
         parts = _squarefree_parts(desc)
     for desc, times in parts:
-        if len(desc) > 3:
-            for r in _rational_root_candidates(_rational_factor(desc)):
+        while len(desc) > 3 and (rational := _rational_root_candidates(_rational_factor(desc))):
+            for r in rational:
                 desc = _divmod_desc(desc, [QuadExt(1), QuadExt(-r)])[0]
                 found.append((QuadExt(r), times))
         if len(desc) == 2:

@@ -495,6 +495,18 @@ def test_rational_roots_above_a_billion_come_from_numeric_roots(factors, want):
     assert _rational_root_candidates([Fr(c) for c in desc]) == want
 
 
+def test_rational_root_within_reach_once_a_large_one_is_divided_out():
+    # (x - 2*10^9)(500000001 x - 250000001)(x^2 + x + 1): the constant
+    # passes 10^9, and the float of 250000001/500000001 is too coarse to
+    # give it as a convergent; once 2*10^9 is divided out, the constant
+    # is 250000001 and divisor pairs find it
+    coeffs = _times(_times([QuadExt(-2 * 10**9), QuadExt(1)],
+                           [QuadExt(-250000001), QuadExt(500000001)]), [QuadExt(1)] * 3)
+    assert real_univariate_roots(coeffs) == (
+        [RealRoot(QuadExt(Fr(250000001, 500000001)), 1, True),
+         RealRoot(QuadExt(2 * 10**9), 1, True)], True)
+
+
 def reference_jacobian_eigen(ps, point):
     """The spectral data from the partial derivatives of P and Q, each
     evaluated at the point over QuadExt: the linearization before the

@@ -161,6 +161,10 @@ class TestFamily:
         assert cert.wave is None
         assert cert.curve.degree() == 2
 
+    @pytest.mark.parametrize("f", [[1, -2, 1], [1, 0, 1]])  # a double root, no real root
+    def test_quadratic_without_two_real_roots(self, f):
+        assert family_curve(f, 1).wave is None
+
     def test_zero_diffusion_rejected(self):
         with pytest.raises(ValueError):
             family_curve([0, 1], 1, 0)
