@@ -259,7 +259,7 @@ def real_univariate_roots(
                 sd = math.sqrt(float(disc))
                 numeric.append(RealRoot((-float(b) + sd) / (2 * float(a)), times, False))
                 numeric.append(RealRoot((-float(b) - sd) / (2 * float(a)), times, False))
-        elif len(desc) > 3:  # no rational root is left
+        elif len(desc) > 3:  # the last pass found no rational root
             all_exact = False
             numeric.extend(RealRoot(r.value, r.multiplicity * times, False)
                            for r in _numeric_real_roots(desc))
