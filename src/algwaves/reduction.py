@@ -79,12 +79,11 @@ def _convergents(x: float, max_den: int) -> Iterator[Fraction]:
 
 def _rational_root_candidates(coeffs: Sequence[Fraction]) -> list[Fraction]:
     """The rational roots, ascending, of the polynomial over Q with these
-    coefficients (highest degree first), all of them in one call;
-    real_univariate_roots calls it once on each squarefree part's
-    _rational_factor.  A root p/q in lowest terms makes q x - p divide
-    the integer multiple f over Z, so p divides the constant, q the
-    leading coefficient, q - p divides f(1) and q + p divides f(-1); only
-    the pairs that pass are evaluated, as f(p/q) q^n in integers.
+    coefficients (highest degree first), all of them in one call.  A root
+    p/q in lowest terms makes q x - p divide the integer multiple f over
+    Z, so p divides the constant, q the leading coefficient, q - p divides
+    f(1) and q + p divides f(-1); only the pairs that pass are evaluated,
+    as f(p/q) q^n in integers.
     Above 10^9 for either coefficient, enumerating divisors would be
     unreasonable: the pairs are the continued-fraction convergents of the
     numeric real roots whose q divides the leading coefficient (a root
@@ -197,12 +196,10 @@ def _squarefree_parts(desc: list[QuadExt]) -> list[tuple[list[QuadExt], int]]:
 
 
 def _rational_factor(desc: Sequence[QuadExt]) -> list[Fraction]:
-    """The largest factor of desc over Q, so its rational roots: desc
-    itself when it is rational, else gcd(a, b) of its rational parts a and
-    radical parts b, as a rational r makes a(r) + b(r) sqrt(d) vanish
-    exactly when a(r) = b(r) = 0."""
-    if all(c.is_rational() for c in desc):
-        return [c.rational_part for c in desc]
+    """The largest factor of desc over Q, so its rational roots: the monic
+    gcd(a, b) of its rational parts a and radical parts b, as a rational r
+    makes a(r) + b(r) sqrt(d) vanish exactly when a(r) = b(r) = 0 (b is 0
+    when desc is rational)."""
     a, b = ([QuadExt(x) for x in itertools.dropwhile(lambda x: x == 0, xs)]
             for xs in ([c.rational_part for c in desc], [c.radical_part for c in desc]))
     return [c.rational_part for c in _monic_gcd(a, b)]
